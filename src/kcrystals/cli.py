@@ -126,8 +126,13 @@ def cmd_verify(args) -> int:
         shape=tuple(args.shape) if args.shape else None,
         n=args.n,
     )
+    try:
+        results = run_suite(args.suite, bounds, args.jobs)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     failures = 0
-    for result in run_suite(args.suite, bounds, args.jobs):
+    for result in results:
         line = (
             result.to_json(args.timings)
             if args.format == "json"

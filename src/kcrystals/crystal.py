@@ -26,38 +26,33 @@ from .polynomials import BetaPolynomial
 from .tableaux import SetValuedTableau, enumerate_svt, superstandard
 
 
-def column_sign(tableau: SetValuedTableau, c: int, i: int) -> str | None:
-    entries = tableau.column_entries(c)
-    has_i, has_next = i in entries, i + 1 in entries
-    if has_i and not has_next:
-        return "+"
-    if has_next and not has_i:
-        return "-"
-    return None
-
-
 def signature(tableau: SetValuedTableau, i: int) -> tuple[list[int], list[int]]:
     """Columns of the unpaired "+" and "-" signs, each left to right."""
-    width = tableau.shape[0] if tableau.shape else 0
+    rows = tableau.rows
+    # A semistandard column holds each value at most once, so a column's sign
+    # is (boxes holding i) - (boxes holding i+1); rows weakly increase, so a
+    # row holds neither value past its first box whose minimum exceeds i+1.
+    j = i + 1
+    signs = [0] * len(rows[0]) if rows else []
+    for row in rows:
+        for c, cell in enumerate(row):
+            if cell[0] > j:
+                break
+            if i in cell:
+                signs[c] += 1
+            if j in cell:
+                signs[c] -= 1
     unpaired_plus: list[int] = []
     pending_minus: list[int] = []
-    for c in range(width):
-        sign = column_sign(tableau, c, i)
-        if sign == "-":
+    for c, sign in enumerate(signs):
+        if sign < 0:
             pending_minus.append(c)
-        elif sign == "+":
+        elif sign > 0:
             if pending_minus:
                 pending_minus.pop()
             else:
                 unpaired_plus.append(c)
     return unpaired_plus, pending_minus
-
-
-def _row_with(tableau: SetValuedTableau, c: int, value: int) -> int:
-    for r, row in enumerate(tableau.rows):
-        if c < len(row) and value in row[c]:
-            return r
-    raise ValueError(f"column {c} has no entry {value}")
 
 
 def crystal_f(tableau: SetValuedTableau, i: int) -> SetValuedTableau | None:
@@ -66,7 +61,7 @@ def crystal_f(tableau: SetValuedTableau, i: int) -> SetValuedTableau | None:
     if not plus:
         return None
     c = plus[-1]
-    r = _row_with(tableau, c, i)
+    r = tableau.row_with(c, i)
     row = tableau.rows[r]
     if c + 1 < len(row) and i in row[c + 1]:
         out = tableau.with_cell(r, c + 1, set(row[c + 1]) - {i})
@@ -80,7 +75,7 @@ def crystal_e(tableau: SetValuedTableau, i: int) -> SetValuedTableau | None:
     if not minus:
         return None
     c = minus[0]
-    r = _row_with(tableau, c, i + 1)
+    r = tableau.row_with(c, i + 1)
     row = tableau.rows[r]
     if c > 0 and i + 1 in row[c - 1]:
         out = tableau.with_cell(r, c - 1, set(row[c - 1]) - {i + 1})
@@ -92,16 +87,13 @@ def kcrystal_f(tableau: SetValuedTableau, i: int) -> SetValuedTableau | None:
     """K-lowering: add an extra i+1 to the box of the rightmost unpaired
     "+", provided the tableau is i-highest and no box weakly to the right
     already holds both i and i+1."""
-    if not tableau.contains(i):
-        return None
     plus, minus = signature(tableau, i)
     if minus or not plus:
         return None
     c = plus[-1]
-    r = _row_with(tableau, c, i)
-    for rr, cc, cell in tableau.cells():
-        if cc >= c and i in cell and i + 1 in cell:
-            return None
+    if any(cc >= c and i in cell and i + 1 in cell for _, cc, cell in tableau.cells()):
+        return None
+    r = tableau.row_with(c, i)
     return tableau.with_cell(r, c, set(tableau.rows[r][c]) | {i + 1})
 
 

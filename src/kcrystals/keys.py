@@ -12,7 +12,6 @@ from .crystal import (
     beta_character,
     crystal_e,
     crystal_f,
-    is_highest_weight,
 )
 from .permutations import Perm, act, bruhat_leq, coset_reps, length, reduced_word
 from .polynomials import lascoux, lascoux_atom
@@ -84,7 +83,8 @@ def right_key(tableau: SetValuedTableau) -> SetValuedTableau:
         v for v in coset_reps(lam, n) if _demazure_member(tableau, v)
     ]
     least = min(members, key=lambda v: (length(v), v))
-    assert all(bruhat_leq(least, v) for v in members)
+    if not all(bruhat_leq(least, v) for v in members):
+        raise AssertionError(f"no Bruhat-least Demazure crystal holds {tableau.to_text()}")
     return key_of_composition(act(least, lam))
 
 
@@ -93,46 +93,44 @@ def max_right_key(tableau: SetValuedTableau) -> SetValuedTableau:
     return right_key(max_tableau(tableau))
 
 
-def _component(tableau: SetValuedTableau) -> set[SetValuedTableau]:
-    component = {tableau}
-    frontier = [tableau]
-    while frontier:
-        current = frontier.pop()
-        for i in range(1, tableau.n):
-            for image in (crystal_f(current, i), crystal_e(current, i)):
-                if image is not None and image not in component:
-                    component.add(image)
-                    frontier.append(image)
-    return component
+@lru_cache(maxsize=None)
+def _star_table(high: SetValuedTableau) -> dict[SetValuedTableau, SetValuedTableau]:
+    """Lusztig star on the component of high: the component is a normal
+    highest weight crystal, so star(high) is its unique lowest element and
+    star(f_i T) = e_{n-i} star(T); one f_i search from high fills the table."""
+    n = high.n
+    order, seen = [high], {high}
+    edges: list[tuple[int, int]] = []  # (parent position, i) of order[1:]
+    lows = []
+    for position, current in enumerate(order):
+        downs = [(i, crystal_f(current, i)) for i in range(1, n)]
+        for i, down in downs:
+            if down is not None and down not in seen:
+                seen.add(down)
+                order.append(down)
+                edges.append((position, i))
+        if all(down is None for _, down in downs):
+            lows.append(current)
+    if len(lows) != 1:
+        raise AssertionError(f"component of {high.to_text()} has {len(lows)} lowest elements")
+    stars = [lows[0]]
+    for parent, i in edges:
+        star = crystal_e(stars[parent], n - i)
+        if star is None:
+            raise AssertionError(f"e_{n - i} is undefined at the star of {order[parent].to_text()}")
+        stars.append(star)
+    return dict(zip(order, stars))
 
 
 @lru_cache(maxsize=None)
 def lusztig_star(tableau: SetValuedTableau) -> SetValuedTableau:
-    """Crystal anti-automorphism on each connected component: mirror the
-    raising path of the tableau through the component's lowest element
-    with complemented indices."""
-    n = tableau.n
-    path = []
-    current = tableau
-    while not is_highest_weight(current):
-        for i in range(1, n):
-            up = crystal_e(current, i)
-            if up is not None:
-                path.append(i)
-                current = up
-                break
-    component = _component(current)
-    lows = [
-        t
-        for t in component
-        if all(crystal_f(t, i) is None for i in range(1, n))
-    ]
-    assert len(lows) == 1, "component must have a unique lowest weight element"
-    result = lows[0]
-    for i in reversed(path):
-        result = crystal_e(result, n - i)
-        assert result is not None
-    return result
+    """Crystal anti-automorphism on each connected component: raise to the
+    highest weight element and read the component's star table."""
+    current, i = tableau, 1
+    while i < tableau.n:
+        up = crystal_e(current, i)
+        current, i = (current, i + 1) if up is None else (up, 1)
+    return _star_table(current)[tableau]
 
 
 def k_lusztig_star(tableau: SetValuedTableau) -> SetValuedTableau:

@@ -199,14 +199,11 @@ def svt_kohnert_move(
     when x' would be 0, or when a value in the run shares its box."""
     if not tableau.contains(x):
         return None
-    col = None
-    for c in range(tableau.shape[0] if tableau.shape else 0):
-        if x in tableau.column_entries(c):
-            col = c
-            break
-    assert col is not None
+    col = next((c for c in range(len(tableau.rows[0])) if x in tableau.column_entries(c)), None)
+    if col is None:
+        raise ValueError(f"{tableau.to_text()} holds {x} beyond the width of its first row")
     entries = tableau.column_entries(col)
-    row_of = {v: _cell_row(tableau, col, v) for v in entries}
+    row_of = {v: tableau.row_with(col, v) for v in entries}
     if x != min(tableau.rows[row_of[x]][col]):
         return None
     x_prime = x - 1
@@ -227,10 +224,3 @@ def svt_kohnert_move(
     target_row = row_of[x_prime + 1]
     out = out.with_cell(target_row, col, set(out.rows[target_row][col]) | {x_prime})
     return out
-
-
-def _cell_row(tableau: SetValuedTableau, c: int, value: int) -> int:
-    for r, row in enumerate(tableau.rows):
-        if c < len(row) and value in row[c]:
-            return r
-    raise ValueError(f"column {c} has no entry {value}")

@@ -34,16 +34,6 @@ def longest_element(n: int) -> Perm:
     return tuple(range(n, 0, -1))
 
 
-def is_permutation(w) -> bool:
-    return sorted(w) == list(range(1, len(w) + 1))
-
-
-def check_permutation(w: Perm) -> Perm:
-    if not is_permutation(w):
-        raise ValueError(f"not a permutation of 1..{len(w)}: {w!r}")
-    return tuple(w)
-
-
 def inverse(w: Perm) -> Perm:
     inv = [0] * len(w)
     for i, v in enumerate(w):
@@ -201,7 +191,8 @@ def sorting_permutation(a) -> tuple[tuple[int, ...], Perm]:
                 w[i] = j + 1
                 break
     w = tuple(w)
-    assert act(w, lam) == a
+    if act(w, lam) != a:
+        raise AssertionError(f"sorting permutation {w!r} does not carry {lam!r} to {a!r}")
     return lam, w
 
 
@@ -252,7 +243,8 @@ def rectangle_coset_data(w: Perm, r: int, s: int) -> RectangleCosetData:
     indices = tuple(w[m - 1] - 1 for m in range(r, 0, -1) if w[m - 1] > m)
     data = RectangleCosetData(r, s, indices)
     word = data.word()
-    assert evaluate_word(word, n) == w and len(word) == length(w)
+    if evaluate_word(word, n) != w or len(word) != length(w):
+        raise AssertionError(f"factored word {word!r} is not a reduced word of {w!r}")
     return data
 
 

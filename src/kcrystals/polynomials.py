@@ -322,5 +322,6 @@ def grothendieck(w: Perm, n: int) -> BetaPolynomial:
         raise ValueError("permutation rank must equal the variable count")
     chain = compose(longest_element(n), w)
     word = reduced_word(chain)
-    assert length(chain) == len(word)
+    if len(word) != length(chain):
+        raise AssertionError(f"reduced_word returned {word!r} for {chain!r}")
     return apply_word(staircase_monomial(n), word, "isobaric")

@@ -29,6 +29,13 @@ class SetValuedTableau:
         self.n = n
         self._hash = hash((self.rows, n))
 
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[Cell, ...], ...], n: int) -> "SetValuedTableau":
+        """Wrap rows that are already tuples of sorted cell tuples."""
+        tableau = object.__new__(cls)
+        tableau.rows, tableau.n, tableau._hash = rows, n, hash((rows, n))
+        return tableau
+
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(len(row) for row in self.rows)
@@ -56,12 +63,22 @@ class SetValuedTableau:
 
     @classmethod
     def from_text(cls, text: str, n: int) -> "SetValuedTableau":
-        rows = []
-        for row_text in text.strip().split("/"):
-            row = []
-            for cell_text in row_text.split():
-                row.append(tuple(int(v) for v in cell_text.split(",")))
-            rows.append(row)
+        """Parse the text form.  Rejects empty rows or boxes, non-integer
+        entries, entries outside [1, n] and row lengths that are not a
+        partition; semistandardness is left to ``is_semistandard``."""
+        text = text.strip()
+        rows = [row_text.split() for row_text in text.split("/")] if text else []
+        if not all(rows):
+            raise ValueError(f"empty row in {text!r}")
+        try:
+            rows = [[tuple(int(v) for v in box.split(",")) for box in row] for row in rows]
+        except ValueError:
+            raise ValueError(f"non-integer entry in {text!r}") from None
+        if not all(1 <= v <= n for row in rows for cell in row for v in cell):
+            raise ValueError(f"entry outside [1, {n}] in {text!r}")
+        widths = [len(row) for row in rows]
+        if widths != sorted(widths, reverse=True):
+            raise ValueError(f"row lengths {widths} of {text!r} are not a partition")
         return cls(rows, n)
 
     def sort_key(self) -> str:
@@ -69,14 +86,17 @@ class SetValuedTableau:
 
     # -- cell access ------------------------------------------------------
 
-    def cell(self, r: int, c: int) -> Cell:
-        """0-based access."""
-        return self.rows[r][c]
-
     def with_cell(self, r: int, c: int, cell) -> "SetValuedTableau":
-        rows = [list(row) for row in self.rows]
-        rows[r][c] = tuple(sorted(set(cell)))
-        return SetValuedTableau(rows, self.n)
+        rows, row = self.rows, self.rows[r]
+        row = row[:c] + (tuple(sorted(set(cell))),) + row[c + 1 :]
+        return SetValuedTableau._trusted(rows[:r] + (row,) + rows[r + 1 :], self.n)
+
+    def row_with(self, c: int, value: int) -> int:
+        """The row of the box in column c that holds value."""
+        for r, row in enumerate(self.rows):
+            if c < len(row) and value in row[c]:
+                return r
+        raise ValueError(f"column {c} has no entry {value}")
 
     def cells(self):
         for r, row in enumerate(self.rows):
@@ -85,9 +105,6 @@ class SetValuedTableau:
 
     def contains(self, value: int) -> bool:
         return any(value in cell for _, _, cell in self.cells())
-
-    def column(self, c: int) -> list[Cell]:
-        return [row[c] for row in self.rows if c < len(row)]
 
     def column_entries(self, c: int) -> set[int]:
         out: set[int] = set()
@@ -107,9 +124,6 @@ class SetValuedTableau:
 
     def excess(self) -> int:
         return sum(len(cell) - 1 for _, _, cell in self.cells())
-
-    def box_count(self) -> int:
-        return sum(self.shape)
 
     # -- validity -----------------------------------------------------------
 

@@ -14,6 +14,7 @@ from itertools import combinations
 
 from . import golden
 from .crystal import (
+    _pad,
     atom_subset,
     beta_character,
     crystal_e,
@@ -141,10 +142,6 @@ def _rectangles(bounds: Bounds):
     for r in range(1, bounds.max_side + 1):
         for s in range(1, bounds.max_side + 1):
             yield (s,) * r
-
-
-def _pad(shape, n):
-    return tuple(shape) + (0,) * (n - len(shape))
 
 
 def _rect_cases(bounds: Bounds, with_w: bool):
@@ -764,11 +761,17 @@ def _case_key(result: SuiteResult):
     return (result.suite, json.dumps(result.case, sort_keys=True))
 
 
-def worker_count(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return max(1, explicit)
-    env = os.environ.get("KCRYSTALS_JOBS")
-    return max(1, int(env)) if env else 1
+def worker_count(explicit: int | None, env: str | None, cpus: int | None, cases: int) -> int:
+    """Pool size: --jobs, else KCRYSTALS_JOBS (env), else 1, capped by the CPU
+    count and the number of cases; ValueError unless a positive integer."""
+    source, value = ("--jobs", explicit) if explicit is not None else ("KCRYSTALS_JOBS", env or 1)
+    try:
+        requested = int(value)
+    except ValueError:
+        requested = 0
+    if requested < 1:
+        raise ValueError(f"{source} must be a positive integer, got {value!r}")
+    return max(1, min(requested, cpus or 1, cases))
 
 
 def _run_packed(packed):
@@ -776,10 +779,12 @@ def _run_packed(packed):
 
 
 def run_suite(suite: str, bounds: Bounds, jobs: int | None = None) -> list[SuiteResult]:
+    """Run every case of a suite, sorted; raises ValueError, before any case
+    runs, on an unknown suite or a bad worker request."""
     cases = iter_cases(suite, bounds)
     packed = [(suite, case) for case in cases]
-    count = worker_count(jobs)
-    if count > 1 and len(packed) > 1:
+    count = worker_count(jobs, os.environ.get("KCRYSTALS_JOBS"), os.cpu_count(), len(packed))
+    if count > 1:
         import multiprocessing
 
         with multiprocessing.Pool(count) as pool:

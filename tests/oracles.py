@@ -3,10 +3,12 @@ Independent oracles used to derive expected values: these deliberately
 avoid the library's own code paths for the quantities they check.
 """
 
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from kcrystals.permutations import evaluate_word, length, reduced_words
 from kcrystals.polynomials import BetaPolynomial
+from kcrystals.tableaux import SetValuedTableau
 
 
 def subword_bruhat_leq(v, w) -> bool:
@@ -119,3 +121,140 @@ def schur_polynomial(shape, n: int) -> BetaPolynomial:
                 counts[v - 1] += 1
         total += BetaPolynomial.monomial(n, counts)
     return total
+
+
+# -- reference crystal kernel -------------------------------------------------
+# Signs from per-column entry sets, every result rebuilt through the public
+# normalising constructor, and the Lusztig star as the mirror of one raising
+# path through the component's lowest element.
+
+
+def reference_signature(tableau, i):
+    """Columns of the unpaired "+" and "-" signs, each left to right."""
+    width = len(tableau.rows[0]) if tableau.rows else 0
+    plus, minus = [], []
+    for c in range(width):
+        entries = {v for row in tableau.rows if c < len(row) for v in row[c]}
+        has_i, has_next = i in entries, i + 1 in entries
+        if has_i and not has_next:
+            if minus:
+                minus.pop()
+            else:
+                plus.append(c)
+        elif has_next and not has_i:
+            minus.append(c)
+    return plus, minus
+
+
+def _replaced(tableau, changes):
+    rows = [list(row) for row in tableau.rows]
+    for (r, c), cell in changes.items():
+        rows[r][c] = cell
+    return SetValuedTableau(rows, tableau.n)
+
+
+def _row_of(tableau, c, value):
+    return next(
+        r for r, row in enumerate(tableau.rows) if c < len(row) and value in row[c]
+    )
+
+
+def _cells(tableau):
+    return [(r, c, cell) for r, row in enumerate(tableau.rows) for c, cell in enumerate(row)]
+
+
+def reference_crystal_f(tableau, i):
+    plus, _ = reference_signature(tableau, i)
+    if not plus:
+        return None
+    c = plus[-1]
+    r = _row_of(tableau, c, i)
+    row = tableau.rows[r]
+    if c + 1 < len(row) and i in row[c + 1]:
+        return _replaced(
+            tableau, {(r, c + 1): set(row[c + 1]) - {i}, (r, c): set(row[c]) | {i + 1}}
+        )
+    return _replaced(tableau, {(r, c): (set(row[c]) - {i}) | {i + 1}})
+
+
+def reference_crystal_e(tableau, i):
+    _, minus = reference_signature(tableau, i)
+    if not minus:
+        return None
+    c = minus[0]
+    r = _row_of(tableau, c, i + 1)
+    row = tableau.rows[r]
+    if c > 0 and i + 1 in row[c - 1]:
+        return _replaced(
+            tableau, {(r, c - 1): set(row[c - 1]) - {i + 1}, (r, c): set(row[c]) | {i}}
+        )
+    return _replaced(tableau, {(r, c): (set(row[c]) - {i + 1}) | {i}})
+
+
+def reference_kcrystal_f(tableau, i):
+    cells = _cells(tableau)
+    if not any(i in cell for _, _, cell in cells):
+        return None
+    plus, minus = reference_signature(tableau, i)
+    if minus or not plus:
+        return None
+    c = plus[-1]
+    if any(cc >= c and i in cell and i + 1 in cell for _, cc, cell in cells):
+        return None
+    r = _row_of(tableau, c, i)
+    return _replaced(tableau, {(r, c): set(tableau.rows[r][c]) | {i + 1}})
+
+
+def reference_kcrystal_e(tableau, i):
+    both = [(r, c) for r, c, cell in _cells(tableau) if i in cell and i + 1 in cell]
+    if not both:
+        return None
+    plus, minus = reference_signature(tableau, i)
+    if minus:
+        return None
+    r, c = max(both, key=lambda rc: rc[1])
+    if any(cc > c for cc in plus):
+        return None
+    return _replaced(tableau, {(r, c): set(tableau.rows[r][c]) - {i + 1}})
+
+
+@lru_cache(maxsize=None)
+def _reference_lowest(high):
+    """The unique lowest element of the e_i/f_i component of high."""
+    n = high.n
+    component, frontier = {high}, [high]
+    while frontier:
+        current = frontier.pop()
+        for i in range(1, n):
+            for image in (reference_crystal_f(current, i), reference_crystal_e(current, i)):
+                if image is not None and image not in component:
+                    component.add(image)
+                    frontier.append(image)
+    lows = [
+        t for t in component if all(reference_crystal_f(t, i) is None for i in range(1, n))
+    ]
+    if len(lows) != 1:
+        raise AssertionError(f"component of {high.to_text()} has {len(lows)} lowest elements")
+    return lows[0]
+
+
+def reference_lusztig_star(tableau):
+    """Raise by the least available e_i to the highest weight element, then
+    apply e_{n-i} to the lowest element along the reversed path."""
+    n = tableau.n
+    path, current = [], tableau
+    while True:
+        step = next(
+            ((i, up) for i in range(1, n) if (up := reference_crystal_e(current, i)) is not None),
+            None,
+        )
+        if step is None:
+            break
+        path.append(step[0])
+        current = step[1]
+    result = _reference_lowest(current)
+    for i in reversed(path):
+        result = reference_crystal_e(result, n - i)
+        if result is None:
+            raise AssertionError(f"mirrored path breaks at {tableau.to_text()}")
+    return result

@@ -8,6 +8,7 @@ from kcrystals.kohnert import KKohnertDiagram
 from kcrystals.polynomials import parse_polynomial
 from kcrystals.skyline import SkylineTableau
 from kcrystals.tableaux import SetValuedTableau
+from kcrystals.verify import worker_count
 
 
 def run(capsys, *argv):
@@ -170,3 +171,31 @@ def test_workers_environment_variable(capsys, monkeypatch):
     monkeypatch.delenv("KCRYSTALS_JOBS")
     _, serial = run(capsys, "verify", "demazure-flag", "--max-n", "3", "--max-side", "2")
     assert out == serial
+
+
+def test_worker_count_rejects_bad_requests():
+    bad = [(0, None), (-2, None), (None, "abc"), (None, "0"), (None, "-1"), (None, "1.5")]
+    for explicit, env in bad:
+        with pytest.raises(ValueError):
+            worker_count(explicit, env, 8, 100)
+
+
+def test_worker_count_clamps_to_cpus_and_cases():
+    assert worker_count(None, None, 8, 100) == 1
+    assert worker_count(None, "", 8, 100) == 1
+    assert worker_count(None, "3", 8, 100) == 3
+    assert worker_count(64, None, 2, 100) == 2
+    assert worker_count(None, "64", 8, 5) == 5
+    assert worker_count(4, "abc", 8, 100) == 4  # --jobs wins over the variable
+    assert worker_count(4, None, None, 100) == 1
+    assert worker_count(4, None, 8, 0) == 1
+
+
+def test_bad_worker_requests_exit_with_status_2(capsys, monkeypatch):
+    argv = ["verify", "demazure-flag", "--max-n", "2", "--max-side", "1"]
+    monkeypatch.setenv("KCRYSTALS_JOBS", "abc")
+    assert main(argv) == 2
+    assert "KCRYSTALS_JOBS" in capsys.readouterr().err
+    monkeypatch.delenv("KCRYSTALS_JOBS")
+    assert main([*argv, "--jobs", "0"]) == 2
+    assert "--jobs" in capsys.readouterr().err

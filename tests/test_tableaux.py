@@ -1,0 +1,43 @@
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from kcrystals.tableaux import SetValuedTableau, enumerate_svt
+
+
+@pytest.mark.parametrize(
+    "text,n",
+    [
+        ("3 1", 2),  # entry above n
+        ("0 1", 2),  # entry below 1
+        ("1 1/", 2),  # empty row
+        ("1//2", 2),  # empty row in the middle
+        ("1,,2", 2),  # empty entry
+        ("1 a", 2),  # non-integer entry
+        ("1 1.5", 2),  # non-integer entry
+        ("1/2 2", 2),  # row lengths not a partition
+    ],
+)
+def test_from_text_rejects_malformed_input(text, n):
+    with pytest.raises(ValueError):
+        SetValuedTableau.from_text(text, n)
+
+
+def test_from_text_leaves_semistandardness_to_the_checker():
+    t = SetValuedTableau.from_text("1 2/2 2", 3)
+    assert not t.is_semistandard()
+    assert SetValuedTableau.from_text("", 3) == SetValuedTableau((), 3)
+
+
+SHAPES = [
+    (n, shape)
+    for n in (1, 2, 3, 4)
+    for shape in ((1,), (2,), (1, 1), (2, 1), (2, 2), (3, 1))
+    if len(shape) <= n
+]
+tableaux = st.sampled_from(SHAPES).flatmap(lambda case: st.sampled_from(enumerate_svt(*case)))
+
+
+@given(tableaux)
+def test_text_round_trip_of_enumerated_tableaux(t):
+    assert SetValuedTableau.from_text(t.to_text(), t.n) == t
