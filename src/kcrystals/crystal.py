@@ -150,6 +150,18 @@ def _pad(shape, n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def _raise_table(
+    n: int, shape: tuple[int, ...], i: int
+) -> dict[SetValuedTableau, SetValuedTableau]:
+    """raise_string_max(t, i) for every tableau t of enumerate_svt(n, shape),
+    as its instance in that tuple; a KeyError means the raise chain left
+    the set, which breaks an invariant of the crystal."""
+    tableaux = enumerate_svt(n, shape)
+    canonical = {t: t for t in tableaux}
+    return {t: canonical[raise_string_max(t, i)] for t in tableaux}
+
+
+@lru_cache(maxsize=None)
 def demazure_subset(
     w: Perm, shape: tuple[int, ...], n: int, word: tuple[int, ...] | None = None
 ) -> tuple[SetValuedTableau, ...]:
@@ -160,12 +172,13 @@ def demazure_subset(
     rep = stabilizer_min_rep(w, _pad(shape, n))
     if word is None:
         word = reduced_word(rep)
+    tables = [_raise_table(n, shape, i) for i in word]
     u = superstandard(shape, n)
     members = []
     for tableau in enumerate_svt(n, shape):
         current = tableau
-        for i in word:
-            current = raise_string_max(current, i)
+        for table in tables:
+            current = table[current]
         if current == u:
             members.append(tableau)
     return tuple(members)
@@ -206,10 +219,9 @@ def atom_subset(
 
 def beta_character(tableaux, n: int) -> BetaPolynomial:
     """Sum of b^excess x^weight over the given tableaux."""
-    total = BetaPolynomial.zero(n)
-    for t in tableaux:
-        total += BetaPolynomial.monomial(n, t.weight(), beta=t.excess())
-    return total
+    return BetaPolynomial.sum(
+        n, (BetaPolynomial.monomial(n, t.weight(), beta=t.excess()) for t in tableaux)
+    )
 
 
 def decompose(n: int, shape) -> list[tuple[SetValuedTableau, tuple[SetValuedTableau, ...]]]:

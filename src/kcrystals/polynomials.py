@@ -57,6 +57,17 @@ class BetaPolynomial:
         xs = tuple(xs) + (0,) * (n - len(xs))
         return cls(n, {(xs, beta): coeff})
 
+    @classmethod
+    def sum(cls, n: int, polys) -> "BetaPolynomial":
+        """The sum of polys, each in n variables, accumulated in one dict."""
+        terms: dict[TermKey, int] = {}
+        for p in polys:
+            if p.n != n:
+                raise ValueError(f"variable count mismatch: {p.n} != {n}")
+            for key, c in p.terms.items():
+                terms[key] = terms.get(key, 0) + c
+        return cls(n, terms)
+
     # -- ring structure ----------------------------------------------
 
     def _check(self, other: "BetaPolynomial") -> None:
@@ -236,7 +247,7 @@ def parse_polynomial(text: str, n: int) -> BetaPolynomial:
     text = text.strip()
     if text == "0":
         return BetaPolynomial.zero(n)
-    poly = BetaPolynomial.zero(n)
+    monomials = []
     normalized = text.replace(" - ", " + -").split(" + ")
     for chunk in normalized:
         chunk = chunk.strip()
@@ -258,8 +269,8 @@ def parse_polynomial(text: str, n: int) -> BetaPolynomial:
                 xs[j - 1] += int(m.group(3) or 1)
             else:
                 coeff *= int(m.group(4))
-        poly += BetaPolynomial.monomial(n, xs, beta=beta, coeff=coeff)
-    return poly
+        monomials.append(BetaPolynomial.monomial(n, xs, beta=beta, coeff=coeff))
+    return BetaPolynomial.sum(n, monomials)
 
 
 # -- named polynomial families ----------------------------------------------

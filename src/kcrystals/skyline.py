@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 from .crystal import atom_subset
 from .permutations import Perm, act
@@ -22,6 +22,13 @@ from .tableaux import SetValuedTableau
 Cell = tuple[int, ...]
 
 
+def _heights(shape) -> tuple[int, ...]:
+    shape = tuple(shape)
+    if any(type(h) is not int or h < 0 for h in shape):
+        raise ValueError(f"skyline heights must be nonnegative integers, got {shape!r}")
+    return shape
+
+
 @dataclass(frozen=True)
 class SkylineTableau:
     shape: tuple[int, ...]
@@ -29,15 +36,32 @@ class SkylineTableau:
 
     @classmethod
     def build(cls, shape, columns: dict[int, list]) -> "SkylineTableau":
-        shape = tuple(shape)
+        """Build from a map of column index to cells bottom-up; raises
+        ValueError naming the column on a missing, extra or zero-height
+        column, a wrong cell count, an empty cell, or an entry that is not
+        an integer in [1, number of columns]."""
+        shape = _heights(shape)
+        for c in columns:
+            if not (type(c) is int and 1 <= c <= len(shape) and shape[c - 1]):
+                raise ValueError(f"column {c!r} is not a nonzero column of shape {shape!r}")
         cols = []
         for c, height in enumerate(shape, start=1):
             if height == 0:
                 continue
-            cells = tuple(tuple(sorted(set(cell))) for cell in columns[c])
-            if len(cells) != height or any(not cell for cell in cells):
+            if c not in columns:
+                raise ValueError(f"column {c} is missing")
+            cells = columns[c]
+            if not isinstance(cells, (list, tuple)) or len(cells) != height or not all(
+                isinstance(cell, (list, tuple)) and cell for cell in cells
+            ):
                 raise ValueError(f"column {c} must have {height} nonempty cells")
-            cols.append((c, cells))
+            for cell in cells:
+                for v in cell:
+                    if type(v) is not int or not 1 <= v <= len(shape):
+                        raise ValueError(
+                            f"column {c} has entry {v!r} outside [1, {len(shape)}]"
+                        )
+            cols.append((c, tuple(tuple(sorted(set(cell))) for cell in cells)))
         return cls(shape, tuple(cols))
 
     def cell(self, c: int, level: int) -> Cell:
@@ -81,89 +105,63 @@ class SkylineTableau:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SkylineTableau":
-        return cls.build(
-            tuple(data["shape"]),
-            {int(c): cells for c, cells in data["columns"].items()},
-        )
+        """Inverse of :meth:`to_json_dict`; raises ValueError on a
+        malformed form (see :meth:`build`)."""
+        columns = {}
+        for key, cells in data["columns"].items():
+            try:
+                columns[int(key)] = cells
+            except ValueError:
+                raise ValueError(f"column {key!r} is not an integer") from None
+        return cls.build(tuple(data["shape"]), columns)
 
 
 def anchor(cell: Cell) -> int:
     return cell[-1]
 
 
-def _free_fits(
-    skyline: SkylineTableau, c: int, level: int, height: int, value: int
-) -> bool:
-    """Whether a free entry could legally live in cell (c, level): the
-    column stays weakly decreasing upward and the entry stays free."""
-    cell = skyline.cell(c, level)
-    if value >= anchor(cell):
-        return False
-    if level > 1 and min(skyline.cell(c, level - 1)) < value:
-        return False
-    if level < height and max(skyline.cell(c, level + 1)) > value:
-        return False
+def _compatible(pcells: tuple[Cell, ...], qcells: tuple[Cell, ...]) -> bool:
+    """The rules of a skyline that span columns, for the cells of a column
+    p left of a column q: cells at one level are disjoint, the triple
+    condition holds on their anchors, and no free entry of q would fit at
+    the same level of p."""
+    hp, hq = len(pcells), len(qcells)
+    # A over B in the taller column (q on a tie), C beside A in the other
+    tall, short = (qcells, pcells) if hq >= hp else (pcells, qcells)
+    for level in range(min(hp, hq)):
+        pcell, qcell = pcells[level], qcells[level]
+        if any(v in pcell for v in qcell):
+            return False
+        if level:
+            a, b, cc = anchor(tall[level]), anchor(tall[level - 1]), anchor(short[level])
+            if not (cc < a or b < cc):
+                return False
+        # a free entry sits in the leftmost cell of its level where it could
+        # live: under that cell's anchor and at least the cell above it (the
+        # cell below, weakly decreasing upward, is at least the anchor)
+        for v in qcell[:-1]:
+            if v < anchor(pcell) and (level + 1 == hp or max(pcells[level + 1]) <= v):
+                return False
     return True
 
 
 def validate_skyline(skyline: SkylineTableau, n: int | None = None) -> bool:
-    heights = {c: len(cells) for c, cells in skyline.columns}
-
     for c, cells in skyline.columns:
-        # bottom anchors name their column; columns weakly decrease upward
+        # bottom anchors name their column; cells hold distinct entries;
+        # columns weakly decrease upward
         if anchor(cells[0]) != c:
+            return False
+        if any(len(set(cell)) != len(cell) for cell in cells):
             return False
         for level in range(1, len(cells)):
             if min(cells[level - 1]) < max(cells[level]):
                 return False
         if n is not None and any(v > n or v < 1 for cell in cells for v in cell):
             return False
-
-    max_height = max(heights.values(), default=0)
-    for level in range(1, max_height + 1):
-        row = skyline.cells_at_level(level)
-        seen: set[int] = set()
-        for _, cell in row:
-            for v in cell:
-                if v in seen:
-                    return False
-                seen.add(v)
-
-    # triple condition on anchors, for every pair of columns
-    for (p, pcells), (q, qcells) in combinations(skyline.columns, 2):
-        hp, hq = len(pcells), len(qcells)
-        if hq >= hp:
-            # A over B in the right column, C beside A in the left column
-            for level in range(2, hq + 1):
-                if level <= hp:
-                    a = anchor(qcells[level - 1])
-                    b = anchor(qcells[level - 2])
-                    cc = anchor(pcells[level - 1])
-                    if not (cc < a or b < cc):
-                        return False
-        else:
-            # A over B in the left column, C beside A in the right column
-            for level in range(2, hp + 1):
-                if level <= hq:
-                    a = anchor(pcells[level - 1])
-                    b = anchor(pcells[level - 2])
-                    cc = anchor(qcells[level - 1])
-                    if not (cc < a or b < cc):
-                        return False
-
-    # free entries sit in the leftmost admissible cell of their row
-    for c, cells in skyline.columns:
-        for level in range(1, len(cells) + 1):
-            cell = cells[level - 1]
-            for v in cell[:-1]:
-                for c2, _ in skyline.columns:
-                    if c2 >= c:
-                        break
-                    if level <= heights[c2] and _free_fits(
-                        skyline, c2, level, heights[c2], v
-                    ):
-                        return False
-    return True
+    return all(
+        _compatible(pcells, qcells)
+        for (_, pcells), (_, qcells) in combinations(skyline.columns, 2)
+    )
 
 
 def _column_fillings(c: int, height: int, n: int):
@@ -192,7 +190,7 @@ def _column_fillings(c: int, height: int, n: int):
 @lru_cache(maxsize=None)
 def enumerate_skyline(a: tuple[int, ...], n: int) -> tuple[SkylineTableau, ...]:
     """All set-valued skyline tableaux of shape a with entries at most n."""
-    a = tuple(a)
+    a = _heights(a)
     nonzero = [(c, height) for c, height in enumerate(a, start=1) if height]
     per_column = []
     for c, height in nonzero:
@@ -200,13 +198,22 @@ def enumerate_skyline(a: tuple[int, ...], n: int) -> tuple[SkylineTableau, ...]:
         if not fillings:
             return ()
         per_column.append(fillings)
+    # Every filling already satisfies the rules within its column, so a
+    # column is placed only if it is compatible with each one before it.
     out = []
-    for choice in product(*per_column):
-        skyline = SkylineTableau(
-            a, tuple((c, cells) for (c, _), cells in zip(nonzero, choice))
-        )
-        if validate_skyline(skyline, n):
-            out.append(skyline)
+    placed: list[tuple[int, tuple[Cell, ...]]] = []
+
+    def extend(k: int) -> None:
+        if k == len(nonzero):
+            out.append(SkylineTableau(a, tuple(placed)))
+            return
+        for cells in per_column[k]:
+            if all(_compatible(pcells, cells) for _, pcells in placed):
+                placed.append((nonzero[k][0], cells))
+                extend(k + 1)
+                placed.pop()
+
+    extend(0)
     return tuple(sorted(out, key=SkylineTableau.sort_key))
 
 

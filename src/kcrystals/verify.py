@@ -284,10 +284,9 @@ def _check_bruhat_atom_sum(case):
     lam = _pad(shape, n)
     reps = set(coset_reps(lam, n))
     for w in reps:
-        total = BetaPolynomial.zero(n)
-        for v in bruhat_ideal(w):
-            if v in reps:
-                total += lascoux_atom(act(v, lam), n)
+        total = BetaPolynomial.sum(
+            n, (lascoux_atom(act(v, lam), n) for v in bruhat_ideal(w) if v in reps)
+        )
         if total != lascoux(act(w, lam), n):
             return f"atom sum mismatch at w={list(w)}"
     return None
@@ -460,10 +459,7 @@ def _check_character_golden(case):
         return f"lascoux((0,2,2),3) = {actual.to_text()}"
     if beta_character(enumerate_svt(3, (2, 2)), 3) != expected:
         return "tableau character disagrees with the golden polynomial"
-    diagrams = closure((0, 2, 2))
-    total = BetaPolynomial.zero(3)
-    for d in diagrams:
-        total += d.weight_monomial(3)
+    total = BetaPolynomial.sum(3, (d.weight_monomial(3) for d in closure((0, 2, 2))))
     if total != expected:
         return "diagram weights disagree with the golden polynomial"
     return None
@@ -537,21 +533,22 @@ def _check_skyline(case):
     skylines = enumerate_skyline(a, n)
     atom = set(atom_subset(w, shape, n))
     images = {}
-    total = BetaPolynomial.zero(n)
+    weights = []
     for skyline in skylines:
         t = psi(skyline, n)
         if t in images:
             return f"psi collision at {t.to_text()}"
-        if skyline.weight_monomial(n) != BetaPolynomial.monomial(n, t.weight(), beta=t.excess()):
+        weight = skyline.weight_monomial(n)
+        if weight != BetaPolynomial.monomial(n, t.weight(), beta=t.excess()):
             return f"psi does not preserve the weight of {t.to_text()}"
         if psi_inverse(t, w) != skyline:
             return f"psi_inverse(psi(S)) != S at {t.to_text()}"
         images[t] = skyline
-        total += skyline.weight_monomial(n)
+        weights.append(weight)
     if set(images) != atom:
         diff = set(images).symmetric_difference(atom)
         return f"psi image mismatch: {sorted(t.to_text() for t in diff)}"
-    if total != lascoux_atom(a, n):
+    if BetaPolynomial.sum(n, weights) != lascoux_atom(a, n):
         return "skyline character differs from the atom polynomial"
     return None
 
@@ -560,11 +557,15 @@ def _check_skyline_sum(case):
     n, shape, w = case["n"], tuple(case["shape"]), tuple(case["w"])
     lam = _pad(shape, n)
     reps = set(coset_reps(lam, n))
-    total = BetaPolynomial.zero(n)
-    for v in bruhat_ideal(tuple(w)):
-        if v in reps:
-            for skyline in enumerate_skyline(act(v, lam), n):
-                total += skyline.weight_monomial(n)
+    total = BetaPolynomial.sum(
+        n,
+        (
+            skyline.weight_monomial(n)
+            for v in bruhat_ideal(tuple(w))
+            if v in reps
+            for skyline in enumerate_skyline(act(v, lam), n)
+        ),
+    )
     if total != lascoux(act(w, lam), n):
         return "skyline sum over the Bruhat ideal differs from the polynomial"
     return None
@@ -678,9 +679,7 @@ def _check_scan_kohnert(case):
     n, shape, w = case["n"], tuple(case["shape"]), tuple(case["w"])
     lam = _pad(shape, n)
     a = act(tuple(w), lam)
-    total = BetaPolynomial.zero(n)
-    for d in closure(a):
-        total += d.weight_monomial(n)
+    total = BetaPolynomial.sum(n, (d.weight_monomial(n) for d in closure(a)))
     match = total == lascoux(a, n)
     return json.dumps(
         {"conjecture": "kohnert-closure", "match": match, "w312": avoids_pattern(tuple(w), (3, 1, 2))},
@@ -692,9 +691,7 @@ def _check_scan_skyline(case):
     n, shape, w = case["n"], tuple(case["shape"]), tuple(case["w"])
     lam = _pad(shape, n)
     a = act(tuple(w), lam)
-    total = BetaPolynomial.zero(n)
-    for skyline in enumerate_skyline(a, n):
-        total += skyline.weight_monomial(n)
+    total = BetaPolynomial.sum(n, (s.weight_monomial(n) for s in enumerate_skyline(a, n)))
     match = total == lascoux_atom(a, n)
     return json.dumps(
         {"conjecture": "skyline-atom", "match": match, "w312": avoids_pattern(tuple(w), (3, 1, 2))},

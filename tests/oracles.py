@@ -4,11 +4,13 @@ avoid the library's own code paths for the quantities they check.
 """
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
+from kcrystals.crystal import raise_string_max
 from kcrystals.permutations import evaluate_word, length, reduced_words
 from kcrystals.polynomials import BetaPolynomial
-from kcrystals.tableaux import SetValuedTableau
+from kcrystals.skyline import SkylineTableau, _column_fillings
+from kcrystals.tableaux import SetValuedTableau, enumerate_svt, superstandard
 
 
 def subword_bruhat_leq(v, w) -> bool:
@@ -258,3 +260,87 @@ def reference_lusztig_star(tableau):
         if result is None:
             raise AssertionError(f"mirrored path breaks at {tableau.to_text()}")
     return result
+
+
+def _reference_free_fits(skyline, c, level, height, value):
+    cell = skyline.cell(c, level)
+    if value >= cell[-1]:
+        return False
+    if level > 1 and min(skyline.cell(c, level - 1)) < value:
+        return False
+    if level < height and max(skyline.cell(c, level + 1)) > value:
+        return False
+    return True
+
+
+def reference_validate_skyline(skyline, n):
+    """The skyline rules checked one by one: per column, per level across
+    columns, the triple condition per pair of columns, then every free
+    entry against every cell to its left."""
+    heights = {c: len(cells) for c, cells in skyline.columns}
+    for c, cells in skyline.columns:
+        if cells[0][-1] != c:
+            return False
+        for level in range(1, len(cells)):
+            if min(cells[level - 1]) < max(cells[level]):
+                return False
+        if any(v > n or v < 1 for cell in cells for v in cell):
+            return False
+    for level in range(1, max(heights.values(), default=0) + 1):
+        entries = [v for _, cell in skyline.cells_at_level(level) for v in cell]
+        if len(entries) != len(set(entries)):
+            return False
+    for (p, pcells), (q, qcells) in combinations(skyline.columns, 2):
+        hp, hq = len(pcells), len(qcells)
+        if hq >= hp:
+            # A over B in the right column, C beside A in the left column
+            for level in range(2, hp + 1):
+                a, b, cc = qcells[level - 1][-1], qcells[level - 2][-1], pcells[level - 1][-1]
+                if not (cc < a or b < cc):
+                    return False
+        else:
+            # A over B in the left column, C beside A in the right column
+            for level in range(2, hq + 1):
+                a, b, cc = pcells[level - 1][-1], pcells[level - 2][-1], qcells[level - 1][-1]
+                if not (cc < a or b < cc):
+                    return False
+    for c, cells in skyline.columns:
+        for level, cell in enumerate(cells, start=1):
+            for v in cell[:-1]:
+                for c2, _ in skyline.columns:
+                    if c2 >= c:
+                        break
+                    if level <= heights[c2] and _reference_free_fits(
+                        skyline, c2, level, heights[c2], v
+                    ):
+                        return False
+    return True
+
+
+def reference_enumerate_skyline(a, n):
+    """Every product of column fillings that passes the skyline rules,
+    in the library's sorted order."""
+    nonzero = [(c, height) for c, height in enumerate(a, start=1) if height]
+    per_column = [list(_column_fillings(c, height, n)) for c, height in nonzero]
+    out = []
+    for choice in product(*per_column):
+        skyline = SkylineTableau(
+            tuple(a), tuple((c, cells) for (c, _), cells in zip(nonzero, choice))
+        )
+        if reference_validate_skyline(skyline, n):
+            out.append(skyline)
+    return tuple(sorted(out, key=SkylineTableau.sort_key))
+
+
+def reference_demazure_subset(w, shape, n, word):
+    """Tableaux whose raise chain along word, recomputed letter by letter,
+    ends at the superstandard tableau."""
+    u = superstandard(shape, n)
+    members = []
+    for tableau in enumerate_svt(n, shape):
+        current = tableau
+        for i in word:
+            current = raise_string_max(current, i)
+        if current == u:
+            members.append(tableau)
+    return tuple(members)

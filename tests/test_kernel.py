@@ -1,17 +1,31 @@
 """
-Differential tests of the crystal kernel against the reference
-implementations in oracles.py, over every tableau of every shape with at
-most 4 cells at n <= 4 and every rectangle up to 2x2 at n = 5.
+Differential tests against the reference implementations in oracles.py:
+the crystal kernel over every tableau of every shape with at most 4 cells
+at n <= 4 and every rectangle up to 2x2 at n = 5; the pruned skyline
+enumeration and the tabulated Demazure subsets over the compositions and
+coset representatives of those shapes.
 """
 
 import pytest
 
-from kcrystals.crystal import crystal_e, crystal_f, kcrystal_e, kcrystal_f, signature
+from kcrystals.crystal import (
+    _pad,
+    crystal_e,
+    crystal_f,
+    demazure_subset,
+    kcrystal_e,
+    kcrystal_f,
+    signature,
+)
 from kcrystals.keys import lusztig_star
+from kcrystals.permutations import act, coset_reps, reduced_words, stabilizer_min_rep
+from kcrystals.skyline import enumerate_skyline, validate_skyline
 from kcrystals.tableaux import SetValuedTableau, enumerate_svt
 from oracles import (
     reference_crystal_e,
     reference_crystal_f,
+    reference_demazure_subset,
+    reference_enumerate_skyline,
     reference_kcrystal_e,
     reference_kcrystal_f,
     reference_lusztig_star,
@@ -60,3 +74,33 @@ def test_operators_match_the_reference(n, shape):
 def test_lusztig_star_matches_the_path_mirror(n, shape):
     for t in enumerate_svt(n, shape):
         assert lusztig_star(t) == reference_lusztig_star(t), t
+
+
+RECTANGLES = [
+    (n, shape) for n in range(1, 6) for shape in ((1,), (2,), (1, 1), (2, 2)) if len(shape) <= n
+]
+SKYLINE_CASES = RECTANGLES + [
+    (n, shape)
+    for n in range(1, 5)
+    for shape in _shapes(3, n)
+    if len(set(shape)) > 1
+]
+
+
+@pytest.mark.parametrize("n,shape", SKYLINE_CASES, ids=str)
+def test_skyline_enumeration_matches_product_and_filter(n, shape):
+    lam = _pad(shape, n)
+    for v in coset_reps(lam, n):
+        a = act(v, lam)
+        skylines = enumerate_skyline(a, n)
+        assert skylines == reference_enumerate_skyline(a, n), a
+        assert all(validate_skyline(s, n) for s in skylines), a
+
+
+@pytest.mark.parametrize("n,shape", RECTANGLES, ids=str)
+def test_demazure_subset_matches_per_tableau_raise_chains(n, shape):
+    lam = _pad(shape, n)
+    for w in coset_reps(lam, n):
+        for word in reduced_words(stabilizer_min_rep(w, lam)):
+            expected = reference_demazure_subset(w, shape, n, word)
+            assert demazure_subset(w, shape, n, word) == expected, (w, word)

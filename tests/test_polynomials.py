@@ -1,3 +1,6 @@
+from functools import reduce
+from operator import add
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -35,6 +38,8 @@ def test_ring_basics():
 def test_variable_count_mismatch_is_an_error():
     with pytest.raises(ValueError):
         BetaPolynomial.one(2) + BetaPolynomial.one(3)
+    with pytest.raises(ValueError):
+        BetaPolynomial.sum(3, [BetaPolynomial.one(3), BetaPolynomial.one(2)])
 
 
 def test_swap_examples():
@@ -116,6 +121,34 @@ def test_operator_identities_on_random_polynomials(p, data):
     assert p.demazure_lascoux(i) == pi + mono(p.n, (0,) * p.n, beta=1) * (
         (mono(p.n, tuple(int(j == i + 1) for j in range(1, p.n + 1))) * p).demazure(i)
     )
+
+
+@st.composite
+def polynomial_lists(draw):
+    """Polynomials in one variable count, some followed later by their
+    negatives so that terms cancel."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    monomials = st.builds(
+        mono,
+        st.just(n),
+        st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=-4, max_value=4),
+    )
+    summands = st.lists(monomials, max_size=4).map(
+        lambda ms: reduce(add, ms, BetaPolynomial.zero(n))
+    )
+    polys = draw(st.lists(summands, max_size=6))
+    negated = [-p for p in draw(st.lists(st.sampled_from(polys), max_size=3))] if polys else []
+    return n, draw(st.permutations(polys + negated))
+
+
+@given(polynomial_lists())
+def test_sum_is_the_left_fold_of_addition(case):
+    n, polys = case
+    assert BetaPolynomial.sum(n, polys) == reduce(add, polys, BetaPolynomial.zero(n))
+    cancelled = BetaPolynomial.sum(n, polys + [-p for p in polys])
+    assert cancelled == BetaPolynomial.zero(n) and not cancelled.terms
 
 
 @given(polynomials())

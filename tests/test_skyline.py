@@ -81,3 +81,34 @@ def test_json_round_trip():
     for skyline in enumerate_skyline((2, 0, 2), 3):
         data = json.loads(json.dumps(skyline.to_json_dict()))
         assert SkylineTableau.from_json_dict(data) == skyline
+
+
+@pytest.mark.parametrize("a", [(-1, 2), (2, -1), (1.5,), ("2",)], ids=str)
+def test_enumerate_rejects_bad_heights(a):
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        enumerate_skyline(a, 3)
+
+
+@pytest.mark.parametrize(
+    "data,column",
+    [
+        ({"shape": [2, 0, 2], "columns": {"1": [[1], [1]]}}, "column 3 is missing"),
+        (
+            {"shape": [2, 0, 2], "columns": {"1": [[1], [1]], "2": [], "3": [[3], [3]]}},
+            "column 2 is not",
+        ),
+        (
+            {"shape": [2, 0, 2], "columns": {"1": [[1], [1]], "3": [[3], [3]], "4": [[4]]}},
+            "column 4 is not",
+        ),
+        ({"shape": [1], "columns": {"1": [["a"]]}}, "column 1 has entry 'a'"),
+        ({"shape": [1], "columns": {"1": [[0]]}}, "column 1 has entry 0"),
+        ({"shape": [0, 1], "columns": {"2": [[3]]}}, "column 2 has entry 3"),
+        ({"shape": [0, 1], "columns": {"2": [[]]}}, "column 2 must have 1 nonempty"),
+        ({"shape": [0, 1], "columns": {"2": [[1], [1]]}}, "column 2 must have 1 nonempty"),
+        ({"shape": [0, 1], "columns": {"x": [[1]]}}, "column 'x'"),
+    ],
+)
+def test_json_form_rejects_malformed_columns(data, column):
+    with pytest.raises(ValueError, match=column):
+        SkylineTableau.from_json_dict(data)
