@@ -30,7 +30,6 @@ from .kohnert import (
 )
 from .permutations import (
     Perm,
-    RectangleCosetData,
     avoids_pattern,
     bruhat_ideal,
     bruhat_leq,
@@ -52,6 +51,6 @@ from .polynomials import (
     parse_polynomial,
 )
 from .skyline import SkylineTableau, enumerate_skyline, psi, psi_inverse, validate_skyline
-from .tableaux import SetValuedTableau, enumerate_svt, superstandard, validate
+from .tableaux import SetValuedTableau, enumerate_svt, superstandard
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -14,7 +14,7 @@ from .kohnert import closure
 from .polynomials import lascoux, lascoux_atom
 from .skyline import enumerate_skyline
 from .tableaux import enumerate_svt
-from .verify import SUITE_NAMES, Bounds, run_suite
+from .verify import SUITES, Bounds, run_suite
 
 
 def _composition(text: str) -> tuple[int, ...]:
@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite", choices=SUITE_NAMES)
+    p.add_argument("suite", choices=SUITES)
     p.add_argument("--max-n", type=int, default=4)
     p.add_argument("--max-side", type=int, default=3)
     p.add_argument("--max-cells", type=int, default=6)

@@ -160,10 +160,6 @@ def stabilizer_min_rep(w: Perm, lam) -> Perm:
     return tuple(u)
 
 
-def is_min_coset_rep(w: Perm, lam) -> bool:
-    return stabilizer_min_rep(w, lam) == tuple(w)
-
-
 @lru_cache(maxsize=None)
 def coset_reps(lam: tuple[int, ...], n: int) -> tuple[Perm, ...]:
     """All minimal-length coset representatives for Stab(λ), sorted by
@@ -238,7 +234,7 @@ def rectangle_coset_data(w: Perm, r: int, s: int) -> RectangleCosetData:
     """
     n = len(w)
     lam = rectangle_shape(r, s, n)
-    if not is_min_coset_rep(w, lam):
+    if stabilizer_min_rep(w, lam) != tuple(w):
         raise ValueError(f"{w!r} is not a minimal coset representative for {lam!r}")
     indices = tuple(w[m - 1] - 1 for m in range(r, 0, -1) if w[m - 1] > m)
     data = RectangleCosetData(r, s, indices)

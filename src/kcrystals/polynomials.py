@@ -122,9 +122,6 @@ class BetaPolynomial:
         """Terms in the canonical order: by (b-exponent, x-exponents)."""
         return sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
 
-    def coefficient(self, xs, beta: int = 0) -> int:
-        return self.terms.get((tuple(xs), beta), 0)
-
     def beta_zero(self) -> "BetaPolynomial":
         return BetaPolynomial(
             self.n, {k: c for k, c in self.terms.items() if k[1] == 0}

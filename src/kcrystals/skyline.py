@@ -187,10 +187,14 @@ def _column_fillings(c: int, height: int, n: int):
         yield from extend([bottom])
 
 
-@lru_cache(maxsize=None)
 def enumerate_skyline(a: tuple[int, ...], n: int) -> tuple[SkylineTableau, ...]:
-    """All set-valued skyline tableaux of shape a with entries at most n."""
-    a = _heights(a)
+    """All set-valued skyline tableaux of shape a with entries at most n;
+    raises ValueError on a negative or non-integer height."""
+    return _enumerate_skyline(_heights(a), n)
+
+
+@lru_cache(maxsize=None)
+def _enumerate_skyline(a: tuple[int, ...], n: int) -> tuple[SkylineTableau, ...]:
     nonzero = [(c, height) for c, height in enumerate(a, start=1) if height]
     per_column = []
     for c, height in nonzero:
@@ -215,6 +219,12 @@ def enumerate_skyline(a: tuple[int, ...], n: int) -> tuple[SkylineTableau, ...]:
 
     extend(0)
     return tuple(sorted(out, key=SkylineTableau.sort_key))
+
+
+# Heights are checked before the cache lookup; the public name still shows
+# the cache, for callers that read or clear it.
+enumerate_skyline.cache_info = _enumerate_skyline.cache_info
+enumerate_skyline.cache_clear = _enumerate_skyline.cache_clear
 
 
 def psi(skyline: SkylineTableau, n: int) -> SetValuedTableau:

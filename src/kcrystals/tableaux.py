@@ -142,10 +142,6 @@ class SetValuedTableau:
         return True
 
 
-def validate(tableau: SetValuedTableau) -> bool:
-    return tableau.is_semistandard()
-
-
 def superstandard(shape, n: int) -> SetValuedTableau:
     """The tableau with every box of row m equal to {m}; the minimal
     highest weight element of its shape."""

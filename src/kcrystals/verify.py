@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -70,20 +71,6 @@ from .polynomials import (
 from .skyline import enumerate_skyline, psi, psi_inverse
 from .tableaux import SetValuedTableau, enumerate_svt
 
-SUITE_NAMES = (
-    "operator-algebra",
-    "crystal-axioms",
-    "k-crystal-axioms",
-    "demazure-flag",
-    "character",
-    "kohnert-bijection",
-    "skyline-bijection",
-    "keys-rectangle",
-    "grothendieck-vexillary",
-    "conjecture-scan",
-)
-
-
 @dataclass(frozen=True)
 class Bounds:
     max_n: int = 4
@@ -138,15 +125,10 @@ def _partitions(max_cells: int, max_len: int):
     return sorted(set(out))
 
 
-def _rectangles(bounds: Bounds):
-    for r in range(1, bounds.max_side + 1):
-        for s in range(1, bounds.max_side + 1):
-            yield (s,) * r
-
-
 def _rect_cases(bounds: Bounds, with_w: bool):
+    sides = range(1, bounds.max_side + 1)
     for n in range(2, bounds.max_n + 1):
-        for shape in _rectangles(bounds):
+        for shape in ((s,) * r for r in sides for s in sides):
             if len(shape) > n:
                 continue
             if not with_w:
@@ -156,93 +138,7 @@ def _rect_cases(bounds: Bounds, with_w: bool):
                 yield {"n": n, "shape": list(shape), "w": list(w)}
 
 
-def iter_cases(suite: str, bounds: Bounds) -> list[dict]:
-    cases: list[dict] = []
-    if suite == "operator-algebra":
-        for op in ("pi", "varpi", "isobaric"):
-            for n in range(2, bounds.max_n + 1):
-                cases.append({"check": "operator-relations", "op": op, "n": n})
-        for n in range(2, bounds.max_n + 1):
-            for shape in _partitions(bounds.max_cells, n):
-                cases.append(
-                    {"check": "bruhat-atom-sum", "n": n, "shape": list(shape)}
-                )
-    elif suite == "crystal-axioms":
-        for n in range(2, bounds.max_n + 1):
-            for shape in _partitions(bounds.max_cells, n):
-                cases.append({"check": "inverse-ops", "n": n, "shape": list(shape)})
-                cases.append({"check": "components", "n": n, "shape": list(shape)})
-    elif suite == "k-crystal-axioms":
-        for case in _rect_cases(bounds, with_w=False):
-            cases.append({"check": "k-ops", **case})
-            for i in range(1, case["n"]):
-                cases.append({"check": "k-strings", "i": i, **case})
-            cases.append({"check": "k-monotone", **case})
-        for case in _rect_cases(bounds, with_w=True):
-            cases.append({"check": "k-demazure", **case})
-    elif suite == "demazure-flag":
-        cases.append({"check": "flag-golden"})
-        for case in _rect_cases(bounds, with_w=True):
-            cases.append({"check": "flag", **case})
-    elif suite == "character":
-        cases.append({"check": "character-golden"})
-        for n in range(2, bounds.max_n + 1):
-            for shape in _partitions(bounds.max_cells, n):
-                cases.append({"check": "full-character", "n": n, "shape": list(shape)})
-    elif suite == "kohnert-bijection":
-        cases.append({"check": "kohnert-golden"})
-        for case in _rect_cases(bounds, with_w=True):
-            cases.append({"check": "kohnert", **case})
-            cases.append({"check": "kohnert-intertwine", **case})
-    elif suite == "skyline-bijection":
-        cases.append({"check": "skyline-golden"})
-        for case in _rect_cases(bounds, with_w=True):
-            cases.append({"check": "skyline", **case})
-            cases.append({"check": "skyline-sum", **case})
-    elif suite == "keys-rectangle":
-        for case in _rect_cases(bounds, with_w=True):
-            cases.append({"check": "key-ideal-atom", **case})
-        for case in _rect_cases(bounds, with_w=False):
-            cases.append({"check": "star-axioms", **case})
-    elif suite == "grothendieck-vexillary":
-        for name in sorted(GROTHENDIECK_GOLDENS):
-            cases.append({"check": "groth-golden", "case": name})
-    elif suite == "conjecture-scan":
-        if bounds.shape is not None:
-            shapes = [bounds.shape]
-        else:
-            shapes = [
-                shape
-                for shape in _partitions(min(bounds.max_cells, 4), bounds.max_n)
-                if len(set(shape)) > 1
-            ]
-        for shape in shapes:
-            ns = [bounds.n] if bounds.n else [max(len(shape) + 1, 3)]
-            for n in ns:
-                if len(shape) > n:
-                    continue
-                for w in coset_reps(_pad(shape, n), n):
-                    cases.append(
-                        {"check": "scan-kohnert", "n": n, "shape": list(shape), "w": list(w)}
-                    )
-                    cases.append(
-                        {"check": "scan-skyline", "n": n, "shape": list(shape), "w": list(w)}
-                    )
-                cases.append({"check": "scan-keys", "n": n, "shape": list(shape)})
-    else:
-        raise ValueError(f"unknown suite {suite!r}")
-    return cases
-
-
 # -- individual checks -------------------------------------------------------
-
-
-def _fail(suite, case, witness):
-    return SuiteResult(suite, case, "fail", witness)
-
-
-def _ok(suite, case, witness=None):
-    return SuiteResult(suite, case, "pass", witness)
 
 
 def _monomials(n: int, max_degree: int):
@@ -360,10 +256,7 @@ def _check_k_ops(case):
 
 def _check_k_strings(case):
     n, shape, i = case["n"], tuple(case["shape"]), case["i"]
-    try:
-        strings = ik_strings(n, shape, i)
-    except AssertionError as exc:
-        return str(exc)
+    strings = ik_strings(n, shape, i)
     lam = _pad(shape, n)
     subsets = {
         w: set(demazure_subset(w, shape, n)) for w in coset_reps(lam, n)
@@ -705,53 +598,171 @@ def _check_scan_keys(case):
     return json.dumps(rows, sort_keys=True)
 
 
-_CHECKS = {
-    "operator-relations": _check_operator_relations,
-    "bruhat-atom-sum": _check_bruhat_atom_sum,
-    "inverse-ops": _check_inverse_ops,
-    "components": _check_components,
-    "k-ops": _check_k_ops,
-    "k-strings": _check_k_strings,
-    "k-monotone": _check_k_monotone,
-    "k-demazure": _check_k_demazure,
-    "flag": _check_flag,
-    "flag-golden": _check_flag_golden,
-    "full-character": _check_full_character,
-    "character-golden": _check_character_golden,
-    "kohnert": _check_kohnert,
-    "kohnert-intertwine": _check_kohnert_intertwine,
-    "kohnert-golden": _check_kohnert_golden,
-    "skyline": _check_skyline,
-    "skyline-sum": _check_skyline_sum,
-    "skyline-golden": _check_skyline_golden,
-    "key-ideal-atom": _check_key_ideal_atom,
-    "star-axioms": _check_star_axioms,
-    "groth-golden": _check_groth_golden,
-    "scan-kohnert": _check_scan_kohnert,
-    "scan-skyline": _check_scan_skyline,
-    "scan-keys": _check_scan_keys,
+# -- suites ------------------------------------------------------------------
+
+
+def _partition_cases(bounds: Bounds):
+    for n in range(2, bounds.max_n + 1):
+        for shape in _partitions(bounds.max_cells, n):
+            yield {"n": n, "shape": list(shape)}
+
+
+def _operator_algebra_cases(bounds: Bounds):
+    for op in ("pi", "varpi", "isobaric"):
+        for n in range(2, bounds.max_n + 1):
+            yield _check_operator_relations, {"op": op, "n": n}
+    for case in _partition_cases(bounds):
+        yield _check_bruhat_atom_sum, case
+
+
+def _crystal_axioms_cases(bounds: Bounds):
+    for case in _partition_cases(bounds):
+        yield _check_inverse_ops, case
+        yield _check_components, case
+
+
+def _k_crystal_axioms_cases(bounds: Bounds):
+    for case in _rect_cases(bounds, with_w=False):
+        yield _check_k_ops, case
+        for i in range(1, case["n"]):
+            yield _check_k_strings, {"i": i, **case}
+        yield _check_k_monotone, case
+    for case in _rect_cases(bounds, with_w=True):
+        yield _check_k_demazure, case
+
+
+def _demazure_flag_cases(bounds: Bounds):
+    yield _check_flag_golden, {}
+    for case in _rect_cases(bounds, with_w=True):
+        yield _check_flag, case
+
+
+def _character_cases(bounds: Bounds):
+    yield _check_character_golden, {}
+    for case in _partition_cases(bounds):
+        yield _check_full_character, case
+
+
+def _kohnert_bijection_cases(bounds: Bounds):
+    yield _check_kohnert_golden, {}
+    for case in _rect_cases(bounds, with_w=True):
+        yield _check_kohnert, case
+        yield _check_kohnert_intertwine, case
+
+
+def _skyline_bijection_cases(bounds: Bounds):
+    yield _check_skyline_golden, {}
+    for case in _rect_cases(bounds, with_w=True):
+        yield _check_skyline, case
+        yield _check_skyline_sum, case
+
+
+def _keys_rectangle_cases(bounds: Bounds):
+    for case in _rect_cases(bounds, with_w=True):
+        yield _check_key_ideal_atom, case
+    for case in _rect_cases(bounds, with_w=False):
+        yield _check_star_axioms, case
+
+
+def _grothendieck_vexillary_cases(bounds: Bounds):
+    for name in sorted(GROTHENDIECK_GOLDENS):
+        yield _check_groth_golden, {"case": name}
+
+
+def _conjecture_scan_cases(bounds: Bounds):
+    if bounds.shape is not None:
+        shapes = [bounds.shape]
+    else:
+        shapes = [
+            shape
+            for shape in _partitions(min(bounds.max_cells, 4), bounds.max_n)
+            if len(set(shape)) > 1
+        ]
+    for shape in shapes:
+        n = bounds.n if bounds.n is not None else max(len(shape) + 1, 3)
+        if len(shape) > n:
+            continue
+        for w in coset_reps(_pad(shape, n), n):
+            case = {"n": n, "shape": list(shape), "w": list(w)}
+            yield _check_scan_kohnert, case
+            yield _check_scan_skyline, case
+        yield _check_scan_keys, {"n": n, "shape": list(shape)}
+
+
+class Suite:
+    """A verification suite: its case generator, which yields (check,
+    params) pairs, the checks it owns, and whether it only reports (every
+    case that does not raise passes, with the check's return value as the
+    witness) instead of failing a case whose check returns a witness."""
+
+    def __init__(self, cases, checks, report=False):
+        self.cases: Callable[[Bounds], Iterable[tuple[Callable, dict]]] = cases
+        self.checks: dict[str, Callable[[dict], str | None]] = {
+            _check_name(check): check for check in checks
+        }
+        self.report = report
+
+
+def _check_name(check) -> str:
+    """A check's name is its function name less ``_check_``, hyphenated."""
+    return check.__name__.removeprefix("_check_").replace("_", "-")
+
+
+SUITES = {
+    "operator-algebra": Suite(
+        _operator_algebra_cases, (_check_operator_relations, _check_bruhat_atom_sum)
+    ),
+    "crystal-axioms": Suite(_crystal_axioms_cases, (_check_inverse_ops, _check_components)),
+    "k-crystal-axioms": Suite(
+        _k_crystal_axioms_cases,
+        (_check_k_ops, _check_k_strings, _check_k_monotone, _check_k_demazure),
+    ),
+    "demazure-flag": Suite(_demazure_flag_cases, (_check_flag_golden, _check_flag)),
+    "character": Suite(_character_cases, (_check_character_golden, _check_full_character)),
+    "kohnert-bijection": Suite(
+        _kohnert_bijection_cases,
+        (_check_kohnert_golden, _check_kohnert, _check_kohnert_intertwine),
+    ),
+    "skyline-bijection": Suite(
+        _skyline_bijection_cases,
+        (_check_skyline_golden, _check_skyline, _check_skyline_sum),
+    ),
+    "keys-rectangle": Suite(_keys_rectangle_cases, (_check_key_ideal_atom, _check_star_axioms)),
+    "grothendieck-vexillary": Suite(_grothendieck_vexillary_cases, (_check_groth_golden,)),
+    "conjecture-scan": Suite(
+        _conjecture_scan_cases,
+        (_check_scan_kohnert, _check_scan_skyline, _check_scan_keys),
+        report=True,
+    ),
 }
 
-_REPORT_CHECKS = {"scan-kohnert", "scan-skyline", "scan-keys"}
+
+def _suite(name: str) -> Suite:
+    try:
+        return SUITES[name]
+    except KeyError:
+        raise ValueError(f"unknown suite {name!r}") from None
+
+
+def iter_cases(suite: str, bounds: Bounds) -> list[dict]:
+    return [{"check": _check_name(check), **params} for check, params in _suite(suite).cases(bounds)]
 
 
 def run_case(suite: str, case: dict) -> SuiteResult:
+    """Run one case; a check that raises fails the case.  Raises
+    ValueError on an unknown suite or a check the suite does not own."""
     started = time.monotonic()
-    check = case["check"]
+    entry = _suite(suite)
+    check = entry.checks.get(case["check"])
+    if check is None:
+        raise ValueError(f"suite {suite!r} has no check {case['check']!r}")
     try:
-        witness = _CHECKS[check](case)
+        witness = check(case)
     except Exception as exc:  # a crash is a failing case, not a crash of the run
-        result = _fail(suite, case, f"exception: {exc!r}")
-        result.elapsed = time.monotonic() - started
-        return result
-    if check in _REPORT_CHECKS:
-        result = _ok(suite, case, witness)
-    elif witness is None:
-        result = _ok(suite, case)
+        status, witness = "fail", f"exception: {exc!r}"
     else:
-        result = _fail(suite, case, witness)
-    result.elapsed = time.monotonic() - started
-    return result
+        status = "pass" if witness is None or entry.report else "fail"
+    return SuiteResult(suite, case, status, witness, time.monotonic() - started)
 
 
 def _case_key(result: SuiteResult):
@@ -771,21 +782,20 @@ def worker_count(explicit: int | None, env: str | None, cpus: int | None, cases:
     return max(1, min(requested, cpus or 1, cases))
 
 
-def _run_packed(packed):
-    return run_case(*packed)
-
-
 def run_suite(suite: str, bounds: Bounds, jobs: int | None = None) -> list[SuiteResult]:
     """Run every case of a suite, sorted; raises ValueError, before any case
-    runs, on an unknown suite or a bad worker request."""
+    runs, on an unknown suite, bounds that select no case or a bad worker
+    request."""
     cases = iter_cases(suite, bounds)
+    if not cases:
+        raise ValueError(f"the bounds select no case of suite {suite!r}")
     packed = [(suite, case) for case in cases]
     count = worker_count(jobs, os.environ.get("KCRYSTALS_JOBS"), os.cpu_count(), len(packed))
     if count > 1:
         import multiprocessing
 
         with multiprocessing.Pool(count) as pool:
-            results = pool.map(_run_packed, packed)
+            results = pool.starmap(run_case, packed)
     else:
         results = [run_case(*item) for item in packed]
     return sorted(results, key=_case_key)

@@ -27,10 +27,19 @@ def _report(number, name, ok, elapsed, budget=None):
     print(line + ")")
 
 
-def _run(number, name, suite, budget=None, bounds=BOUNDS):
+def _run(number, name, suite, budget=None, bounds=BOUNDS, checks=None):
+    """Run the suite, or only its cases of the named checks, and report."""
     started = time.monotonic()
-    results = run_suite(suite, bounds)
+    if checks is None:
+        results = run_suite(suite, bounds)
+    else:
+        results = [
+            run_case(suite, case)
+            for case in iter_cases(suite, bounds)
+            if case["check"] in checks
+        ]
     elapsed = time.monotonic() - started
+    assert results, f"no case of {suite} selected"
     failures = [r for r in results if r.status == "fail"]
     ok = not failures and (budget is None or elapsed < budget)
     _report(number, name, ok, elapsed, budget)
@@ -53,35 +62,11 @@ def test_criterion_01_golden_lascoux():
 
 
 def test_criterion_02_buch_identity():
-    started = time.monotonic()
-    cases = [c for c in iter_cases("character", BOUNDS) if c["check"] == "full-character"]
-    failures = [
-        r for c in cases if (r := run_case("character", c)).status == "fail"
-    ]
-    elapsed = time.monotonic() - started
-    ok = not failures and elapsed < 60.0
-    _report(2, "full-character-identity", ok, elapsed, 60.0)
-    assert not failures, failures[0].to_text()
-    assert elapsed < 60.0
+    _run(2, "full-character-identity", "character", budget=60.0, checks={"full-character"})
 
 
 def test_criterion_03_k_crystal_theorem():
-    started = time.monotonic()
-    cases = [
-        c
-        for c in iter_cases("k-crystal-axioms", BOUNDS)
-        if c["check"] in ("k-demazure", "k-ops")
-    ]
-    failures = [
-        r
-        for c in cases
-        if (r := run_case("k-crystal-axioms", c)).status == "fail"
-    ]
-    elapsed = time.monotonic() - started
-    ok = not failures and elapsed < 120.0
-    _report(3, "k-crystal-theorem", ok, elapsed, 120.0)
-    assert not failures, failures[0].to_text()
-    assert elapsed < 120.0
+    _run(3, "k-crystal-theorem", "k-crystal-axioms", budget=120.0, checks={"k-demazure", "k-ops"})
 
 
 def test_criterion_04_flagging():
@@ -91,20 +76,7 @@ def test_criterion_04_flagging():
 
 
 def test_criterion_05_k_strings():
-    started = time.monotonic()
-    cases = [
-        c
-        for c in iter_cases("k-crystal-axioms", BOUNDS)
-        if c["check"] in ("k-strings", "k-monotone")
-    ]
-    failures = [
-        r
-        for c in cases
-        if (r := run_case("k-crystal-axioms", c)).status == "fail"
-    ]
-    elapsed = time.monotonic() - started
-    _report(5, "k-strings", not failures, elapsed)
-    assert not failures, failures[0].to_text()
+    _run(5, "k-strings", "k-crystal-axioms", checks={"k-strings", "k-monotone"})
 
 
 def test_criterion_06_kohnert_bijection():

@@ -149,6 +149,18 @@ def test_bad_inputs_exit_with_errors(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "not-a-suite"])
     capsys.readouterr()
+    # bounds that select no case are an error, not a vacuous pass
+    for argv in (
+        ["crystal-axioms", "--max-n", "1"],
+        ["crystal-axioms", "--max-cells", "0"],
+        ["crystal-axioms", "--max-n", "-3"],
+        ["k-crystal-axioms", "--max-side", "0"],
+        ["conjecture-scan", "--shape", "2,2,2,2", "--n", "3"],
+        ["conjecture-scan", "--shape", "2,1", "--n", "0"],
+    ):
+        assert main(["verify", *argv]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "select no case" in captured.err
 
 
 def test_round_trip_serializations():

@@ -20,16 +20,16 @@ from kcrystals.crystal import (
     raise_string_max,
 )
 from kcrystals.polynomials import lascoux
-from kcrystals.tableaux import SetValuedTableau, enumerate_svt, superstandard, validate
+from kcrystals.tableaux import SetValuedTableau, enumerate_svt, superstandard
 from oracles import enumerate_ssyt
 
 T = lambda text, n=3: SetValuedTableau.from_text(text, n)
 
 
 def test_validate_examples():
-    assert validate(T("1 1/2 2"))
-    assert validate(T("1 1,2/2 3"))
-    assert not validate(T("1 2/2 2"))
+    assert T("1 1/2 2").is_semistandard()
+    assert T("1 1,2/2 3").is_semistandard()
+    assert not T("1 2/2 2").is_semistandard()
 
 
 def test_text_round_trip():
@@ -207,13 +207,13 @@ def test_partial_inverse_laws(t, i):
     down = crystal_f(t, i)
     if down is not None:
         assert crystal_e(down, i) == t
-        assert validate(down)
+        assert down.is_semistandard()
     up = crystal_e(t, i)
     if up is not None:
         assert crystal_f(up, i) == t
-        assert validate(up)
+        assert up.is_semistandard()
     drop = kcrystal_f(t, i)
     if drop is not None:
         assert kcrystal_e(drop, i) == t
         assert kcrystal_f(drop, i) is None
-        assert validate(drop)
+        assert drop.is_semistandard()

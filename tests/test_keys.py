@@ -87,10 +87,10 @@ def test_star_crystal_axiom_on_the_square():
 
 def test_k_right_key_examples():
     u = superstandard((2, 2), 3)
-    assert k_right_key(u, "rect-star") == key_of_composition((2, 2, 0))
-    assert k_right_key(T("1 1/2 2,3"), "rect-star") == T("1 1/3 3")
+    assert k_right_key(u, k_lusztig_star) == key_of_composition((2, 2, 0))
+    assert k_right_key(T("1 1/2 2,3"), k_lusztig_star) == T("1 1/3 3")
     sizes = Counter(
-        k_right_key(t, "rect-star").to_text() for t in enumerate_svt(3, (2, 2))
+        k_right_key(t, k_lusztig_star).to_text() for t in enumerate_svt(3, (2, 2))
     )
     assert sorted(sizes.values()) == [1, 4, 8]
 
@@ -101,7 +101,7 @@ def test_k_right_key_fibers_match_atoms_on_the_square():
         fiber = {
             t
             for t in enumerate_svt(3, (2, 2))
-            if k_right_key(t, "rect-star") == target
+            if k_right_key(t, k_lusztig_star) == target
         }
         assert fiber == set(atom_subset(w, (2, 2), 3))
 

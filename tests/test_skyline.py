@@ -83,8 +83,9 @@ def test_json_round_trip():
         assert SkylineTableau.from_json_dict(data) == skyline
 
 
-@pytest.mark.parametrize("a", [(-1, 2), (2, -1), (1.5,), ("2",)], ids=str)
+@pytest.mark.parametrize("a", [(-1, 2), (2, -1), (1.5,), ("2",), (2.0,)], ids=str)
 def test_enumerate_rejects_bad_heights(a):
+    enumerate_skyline((2,), 3)  # a warm cache must not answer for a bad height
     with pytest.raises(ValueError, match="nonnegative integers"):
         enumerate_skyline(a, 3)
 
