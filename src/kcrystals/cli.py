@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 
-from .crystal import crystal_f, kcrystal_f
+from .crystal import crystal_table
 from .kohnert import closure
 from .polynomials import lascoux, lascoux_atom
 from .skyline import enumerate_skyline
@@ -96,20 +96,21 @@ def cmd_graph(args) -> int:
     if list(shape) != sorted(shape, reverse=True):
         print("error: graph shape must be a partition", file=sys.stderr)
         return 2
-    tableaux = enumerate_svt(args.n, shape)
+    if args.n < 1:
+        print("error: graph needs --n >= 1", file=sys.stderr)
+        return 2
+    table = crystal_table(args.n, shape)
     lines = ["digraph crystal {", "  rankdir=TB;"]
-    for t in tableaux:
+    for t in table.tableaux:
         lines.append(f'  "{t.to_text()}";')
-    edges = []
-    for t in tableaux:
-        for i in range(1, args.n):
-            down = crystal_f(t, i)
-            if down is not None:
-                edges.append((t.to_text(), i, down.to_text(), False))
-            if args.with_k_ops:
-                drop = kcrystal_f(t, i)
-                if drop is not None:
-                    edges.append((t.to_text(), i, drop.to_text(), True))
+    ops = ("f", "fK") if args.with_k_ops else ("f",)
+    edges = [
+        (t.to_text(), i, table.tableaux[image].to_text(), op == "fK")
+        for i in range(1, args.n)
+        for op in ops
+        for t, image in zip(table.tableaux, table.map(op, i))
+        if image >= 0
+    ]
     for src, i, dst, dashed in sorted(edges):
         style = ", style=dashed" if dashed else ""
         lines.append(f'  "{src}" -> "{dst}" [label="{i}"{style}];')

@@ -2,6 +2,12 @@
 Crystal and K-crystal operators on semistandard set-valued tableaux,
 with the derived Demazure-type subsets and characters.
 
+The four operators below are the kernel.  ``crystal_table(n, shape)`` is
+the one cached crystal on a shape, which every consumer reads: the tableaux
+of ``enumerate_svt(n, shape)`` at positions 0..N-1 (text order), and each
+operator or raise map of a letter, filled on first read, as an array of
+positions.
+
 Signs are computed per column, left to right: a column containing i but
 not i+1 contributes "+", one containing i+1 but not i contributes "-",
 and a column containing both (or neither) contributes nothing.  Signs
@@ -11,6 +17,7 @@ cancel in ordered "-+" pairs: each "+" consumes the most recent pending
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -115,24 +122,63 @@ def kcrystal_e(tableau: SetValuedTableau, i: int) -> SetValuedTableau | None:
     return tableau.with_cell(r, c, set(tableau.rows[r][c]) - {i + 1})
 
 
+# Read when a map is filled, so wrappers set on these values (the benchmark's tracer) count.
+_KERNEL = {"e": crystal_e, "f": crystal_f, "eK": kcrystal_e, "fK": kcrystal_f}
+
+
+class CrystalTable:
+    """The crystal on enumerate_svt(n, shape): the tableau at position k is
+    tableaux[k], and index maps each tableau back to its position."""
+
+    def __init__(self, n: int, shape: tuple[int, ...]):
+        self.tableaux = enumerate_svt(n, shape)
+        self.index = {t: k for k, t in enumerate(self.tableaux)}
+        self._maps: dict[tuple[str, int], array] = {}
+
+    def map(self, op: str, i: int) -> array:
+        """The position op ("e", "f", "eK", "fK", or "raise": exhaust e_i,
+        then e_i^K) sends each position to, -1 where undefined, filled on
+        first read; a KeyError means an operator left the set."""
+        if (op, i) not in self._maps:
+            images = array("i")
+            if op == "raise":
+                e, ek = self.map("e", i), self.map("eK", i)
+                for k in range(len(self.tableaux)):
+                    while e[k] >= 0:
+                        k = e[k]
+                    while ek[k] >= 0:
+                        k = ek[k]
+                    images.append(k)
+            else:
+                images.extend(
+                    -1 if (u := _KERNEL[op](t, i)) is None else self.index[u] for t in self.tableaux
+                )
+            self._maps[op, i] = images
+        return self._maps[op, i]
+
+    def raise_along(self, word) -> array:
+        """The position each position reaches by the raise maps of word."""
+        ends = array("i", range(len(self.tableaux)))
+        for i in word:
+            raised = self.map("raise", i)
+            ends = array("i", [raised[k] for k in ends])
+        return ends
+
+
+crystal_table = lru_cache(maxsize=None)(CrystalTable)  # one table per (n, shape)
+
+
 def raise_string_max(tableau: SetValuedTableau, i: int) -> SetValuedTableau:
     """Apply crystal_e until exhausted, then kcrystal_e until exhausted."""
-    current = tableau
-    while (up := crystal_e(current, i)) is not None:
-        current = up
-    while (up := kcrystal_e(current, i)) is not None:
-        current = up
-    return current
-
-
-def is_highest_weight(tableau: SetValuedTableau) -> bool:
-    return all(crystal_e(tableau, i) is None for i in range(1, tableau.n))
+    table = crystal_table(tableau.n, tableau.shape)
+    return table.tableaux[table.map("raise", i)[table.index[tableau]]]
 
 
 def is_k_highest_weight(tableau: SetValuedTableau) -> bool:
-    return is_highest_weight(tableau) and all(
-        kcrystal_e(tableau, i) is None for i in range(1, tableau.n)
-    )
+    """No e_i and no e_i^K acts on the tableau."""
+    table = crystal_table(tableau.n, tableau.shape)
+    k = table.index[tableau]
+    return all(table.map(op, i)[k] < 0 for op in ("e", "eK") for i in range(1, tableau.n))
 
 
 def _rectangle_dims(shape: tuple[int, ...]) -> tuple[int, int]:
@@ -150,38 +196,19 @@ def _pad(shape, n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _raise_table(
-    n: int, shape: tuple[int, ...], i: int
-) -> dict[SetValuedTableau, SetValuedTableau]:
-    """raise_string_max(t, i) for every tableau t of enumerate_svt(n, shape),
-    as its instance in that tuple; a KeyError means the raise chain left
-    the set, which breaks an invariant of the crystal."""
-    tableaux = enumerate_svt(n, shape)
-    canonical = {t: t for t in tableaux}
-    return {t: canonical[raise_string_max(t, i)] for t in tableaux}
-
-
-@lru_cache(maxsize=None)
 def demazure_subset(
     w: Perm, shape: tuple[int, ...], n: int, word: tuple[int, ...] | None = None
 ) -> tuple[SetValuedTableau, ...]:
     """The K-Demazure subset for w: tableaux whose alternating maximal
     raise chain along a reduced word of the minimal coset representative
     of w ends at the minimal highest weight element."""
-    r, s = _rectangle_dims(shape)
+    _rectangle_dims(shape)
     rep = stabilizer_min_rep(w, _pad(shape, n))
     if word is None:
         word = reduced_word(rep)
-    tables = [_raise_table(n, shape, i) for i in word]
-    u = superstandard(shape, n)
-    members = []
-    for tableau in enumerate_svt(n, shape):
-        current = tableau
-        for table in tables:
-            current = table[current]
-        if current == u:
-            members.append(tableau)
-    return tuple(members)
+    table = crystal_table(n, shape)
+    u = table.index.get(superstandard(shape, n))
+    return tuple(t for t, end in zip(table.tableaux, table.raise_along(word)) if end == u)
 
 
 @lru_cache(maxsize=None)
@@ -227,29 +254,26 @@ def beta_character(tableaux, n: int) -> BetaPolynomial:
 def decompose(n: int, shape) -> list[tuple[SetValuedTableau, tuple[SetValuedTableau, ...]]]:
     """Connected components under e_i/f_i only, each with its unique
     highest weight element, sorted by the highest weight's text form."""
-    shape = tuple(shape)
-    tableaux = enumerate_svt(n, shape)
-    seen: set[SetValuedTableau] = set()
+    table = crystal_table(n, tuple(shape))
+    tableaux = table.tableaux
+    ups = [table.map("e", i) for i in range(1, n)]
+    edges = ups + [table.map("f", i) for i in range(1, n)]
+    seen = bytearray(len(tableaux))
     components = []
-    for start in tableaux:
-        if start in seen:
+    for start in range(len(tableaux)):
+        if seen[start]:
             continue
-        component = {start}
-        frontier = [start]
-        while frontier:
-            current = frontier.pop()
-            for i in range(1, n):
-                for image in (crystal_f(current, i), crystal_e(current, i)):
-                    if image is not None and image not in component:
-                        component.add(image)
-                        frontier.append(image)
-        seen |= component
-        highs = [t for t in component if is_highest_weight(t)]
+        seen[start] = 1
+        component = [start]
+        for k in component:
+            for edge in edges:
+                if edge[k] >= 0 and not seen[edge[k]]:
+                    seen[edge[k]] = 1
+                    component.append(edge[k])
+        highs = [tableaux[k] for k in component if all(e[k] < 0 for e in ups)]
         if len(highs) != 1:
             raise AssertionError(f"component without unique highest weight: {highs}")
-        components.append(
-            (highs[0], tuple(sorted(component, key=SetValuedTableau.sort_key)))
-        )
+        components.append((highs[0], tuple(tableaux[k] for k in sorted(component))))
     return sorted(components, key=lambda pair: pair[0].sort_key())
 
 
@@ -265,29 +289,23 @@ class IKString:
         return self.top + self.bottom
 
 
-def _f_chain(start: SetValuedTableau, i: int) -> list[SetValuedTableau]:
-    chain = [start]
-    while (down := crystal_f(chain[-1], i)) is not None:
-        chain.append(down)
-    return chain
-
-
 def ik_strings(n: int, shape, i: int) -> list[IKString]:
     """Partition of the shape's tableaux into i-K-strings."""
-    shape = tuple(shape)
-    tableaux = enumerate_svt(n, shape)
-    tops = [
-        t
-        for t in tableaux
-        if crystal_e(t, i) is None and kcrystal_e(t, i) is None
-    ]
+    table = crystal_table(n, tuple(shape))
+    tableaux = table.tableaux
+    e, ek, f, fk = (table.map(op, i) for op in ("e", "eK", "f", "fK"))
+
+    def f_chain(k: int):
+        while k >= 0:
+            yield tableaux[k]
+            k = f[k]
+
     strings = []
     covered: set[SetValuedTableau] = set()
-    for top in sorted(tops, key=SetValuedTableau.sort_key):
-        upper = _f_chain(top, i)
-        drop = kcrystal_f(top, i)
-        lower = _f_chain(drop, i) if drop is not None else []
-        string = IKString(tuple(upper), tuple(lower))
+    for top in range(len(tableaux)):  # positions follow the text order
+        if e[top] >= 0 or ek[top] >= 0:
+            continue
+        string = IKString(tuple(f_chain(top)), tuple(f_chain(fk[top])))
         overlap = covered.intersection(string.elements())
         if overlap:
             raise AssertionError(f"i-K-strings overlap at {sorted(t.to_text() for t in overlap)}")

@@ -6,14 +6,11 @@ decompositions.
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 
-from .crystal import (
-    beta_character,
-    crystal_e,
-    crystal_f,
-)
-from .permutations import Perm, act, bruhat_leq, coset_reps, length, reduced_word
+from .crystal import _pad, beta_character, crystal_table
+from .permutations import act, bruhat_leq, coset_reps, reduced_word
 from .polynomials import lascoux, lascoux_atom
 from .tableaux import SetValuedTableau, enumerate_svt, superstandard
 
@@ -60,32 +57,34 @@ def min_tableau(tableau: SetValuedTableau) -> SetValuedTableau:
     )
 
 
-def _demazure_member(tableau: SetValuedTableau, v: Perm) -> bool:
-    """Classical Demazure crystal membership by maximal raising."""
-    u = superstandard(tableau.shape, tableau.n)
-    current = tableau
-    for i in reduced_word(v):
-        while (up := crystal_e(current, i)) is not None:
-            current = up
-    return current == u
-
-
 @lru_cache(maxsize=None)
+def _right_keys(n: int, shape: tuple[int, ...]) -> dict[SetValuedTableau, SetValuedTableau]:
+    """Right key of each single-valued tableau of the shape.
+    e_i keeps the excess and e_i^K needs a box holding i and i+1, so on
+    these tableaux the table's raise maps are the classical raise."""
+    table = crystal_table(n, shape)
+    lam = _pad(shape, n)
+    u = table.index[superstandard(shape, n)]
+    reps = coset_reps(lam, n)  # sorted by (length, one-line word)
+    ends = [table.raise_along(reduced_word(v)) for v in reps]
+    keys = [key_of_composition(act(v, lam)) for v in reps]
+    out = {}
+    for k, t in enumerate(table.tableaux):
+        if t.excess():
+            continue
+        members = [m for m, end in enumerate(ends) if end[k] == u]
+        if not all(bruhat_leq(reps[members[0]], reps[m]) for m in members):
+            raise AssertionError(f"no Bruhat-least Demazure crystal holds {t.to_text()}")
+        out[t] = keys[members[0]]
+    return out
+
+
 def right_key(tableau: SetValuedTableau) -> SetValuedTableau:
     """Right key of a semistandard tableau: the key of v·λ for the
     Bruhat-least v whose classical Demazure crystal contains it."""
     if tableau.excess() != 0:
         raise ValueError("right keys are defined for single-valued tableaux")
-    n = tableau.n
-    shape = tableau.shape
-    lam = shape + (0,) * (n - len(shape))
-    members = [
-        v for v in coset_reps(lam, n) if _demazure_member(tableau, v)
-    ]
-    least = min(members, key=lambda v: (length(v), v))
-    if not all(bruhat_leq(least, v) for v in members):
-        raise AssertionError(f"no Bruhat-least Demazure crystal holds {tableau.to_text()}")
-    return key_of_composition(act(least, lam))
+    return _right_keys(tableau.n, tableau.shape)[tableau]
 
 
 def max_right_key(tableau: SetValuedTableau) -> SetValuedTableau:
@@ -94,43 +93,44 @@ def max_right_key(tableau: SetValuedTableau) -> SetValuedTableau:
 
 
 @lru_cache(maxsize=None)
-def _star_table(high: SetValuedTableau) -> dict[SetValuedTableau, SetValuedTableau]:
-    """Lusztig star on the component of high: the component is a normal
-    highest weight crystal, so star(high) is its unique lowest element and
-    star(f_i T) = e_{n-i} star(T); one f_i search from high fills the table."""
-    n = high.n
-    order, seen = [high], {high}
-    edges: list[tuple[int, int]] = []  # (parent position, i) of order[1:]
-    lows = []
-    for position, current in enumerate(order):
-        downs = [(i, crystal_f(current, i)) for i in range(1, n)]
-        for i, down in downs:
-            if down is not None and down not in seen:
-                seen.add(down)
-                order.append(down)
-                edges.append((position, i))
-        if all(down is None for _, down in downs):
-            lows.append(current)
-    if len(lows) != 1:
-        raise AssertionError(f"component of {high.to_text()} has {len(lows)} lowest elements")
-    stars = [lows[0]]
-    for parent, i in edges:
-        star = crystal_e(stars[parent], n - i)
-        if star is None:
-            raise AssertionError(f"e_{n - i} is undefined at the star of {order[parent].to_text()}")
-        stars.append(star)
-    return dict(zip(order, stars))
+def _stars(n: int, shape: tuple[int, ...]) -> array:
+    """Lusztig star of each tableau of the shape, by position.  Each e_i/f_i
+    component is a normal highest weight crystal, so the star of its highest
+    weight element is its unique lowest element and star(f_i T) =
+    e_{n-i} star(T); one f_i search from each highest element fills it."""
+    table = crystal_table(n, shape)
+    tableaux = table.tableaux
+    ups = [table.map("e", i) for i in range(1, n)]
+    downs = [table.map("f", i) for i in range(1, n)]
+    stars = array("i", [-1]) * len(tableaux)
+    for high in range(len(tableaux)):
+        if any(e[high] >= 0 for e in ups):
+            continue
+        order, parent = [high], {high: None}  # parent: (position, i) it lowers from
+        for k in order:
+            for i, f in enumerate(downs, 1):
+                if f[k] >= 0 and f[k] not in parent:
+                    parent[f[k]] = (k, i)
+                    order.append(f[k])
+        lows = [k for k in order if all(f[k] < 0 for f in downs)]
+        if len(lows) != 1:
+            raise AssertionError(
+                f"component of {tableaux[high].to_text()} has {len(lows)} lowest elements"
+            )
+        stars[high] = lows[0]
+        for child in order[1:]:
+            k, i = parent[child]
+            stars[child] = ups[n - i - 1][stars[k]]
+            if stars[child] < 0:
+                raise AssertionError(f"e_{n - i} is undefined at the star of {tableaux[k].to_text()}")
+    return stars
 
 
-@lru_cache(maxsize=None)
 def lusztig_star(tableau: SetValuedTableau) -> SetValuedTableau:
-    """Crystal anti-automorphism on each connected component: raise to the
-    highest weight element and read the component's star table."""
-    current, i = tableau, 1
-    while i < tableau.n:
-        up = crystal_e(current, i)
-        current, i = (current, i + 1) if up is None else (up, 1)
-    return _star_table(current)[tableau]
+    """Crystal anti-automorphism on each connected component, read from
+    the star map of the tableau's shape."""
+    table = crystal_table(tableau.n, tableau.shape)
+    return table.tableaux[_stars(tableau.n, tableau.shape)[table.index[tableau]]]
 
 
 def k_lusztig_star(tableau: SetValuedTableau) -> SetValuedTableau:
@@ -180,7 +180,7 @@ def key_partition_report(shape, n: int) -> list[dict]:
     w·lam, and of {T : key(T) = K_{w lam}} with the atom.  Failures are
     rows with match=False, never exceptions."""
     shape = tuple(shape)
-    lam = shape + (0,) * (n - len(shape))
+    lam = _pad(shape, n)
     is_rect = len({p for p in shape if p}) <= 1
     tableaux = enumerate_svt(n, shape)
     rows = []

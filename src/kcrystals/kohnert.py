@@ -57,10 +57,23 @@ class KKohnertDiagram:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "KKohnertDiagram":
-        return cls(
-            frozenset(tuple(b) for b in data["boxes"]),
-            frozenset(tuple(b) for b in data["marked"]),
-        )
+        """Inverse of :meth:`to_json_dict`; raises ValueError, naming the
+        key or the box, on a missing "boxes" or "marked" list or a box
+        that is not a pair of integers."""
+        parts = []
+        for key in ("boxes", "marked"):
+            boxes = data.get(key)
+            if not isinstance(boxes, (list, tuple)):
+                raise ValueError(f"diagram has no {key!r} list")
+            for box in boxes:
+                if not (
+                    isinstance(box, (list, tuple))
+                    and len(box) == 2
+                    and all(type(v) is int for v in box)
+                ):
+                    raise ValueError(f"{key} entry {box!r} is not a pair of integers")
+            parts.append(frozenset(tuple(box) for box in boxes))
+        return cls(*parts)
 
 
 def initial_diagram(a) -> KKohnertDiagram:

@@ -64,8 +64,9 @@ class SetValuedTableau:
     @classmethod
     def from_text(cls, text: str, n: int) -> "SetValuedTableau":
         """Parse the text form.  Rejects empty rows or boxes, non-integer
-        entries, entries outside [1, n] and row lengths that are not a
-        partition; semistandardness is left to ``is_semistandard``."""
+        entries, entries outside [1, n], an entry repeated in a box and row
+        lengths that are not a partition; semistandardness is left to
+        ``is_semistandard``."""
         text = text.strip()
         rows = [row_text.split() for row_text in text.split("/")] if text else []
         if not all(rows):
@@ -76,6 +77,8 @@ class SetValuedTableau:
             raise ValueError(f"non-integer entry in {text!r}") from None
         if not all(1 <= v <= n for row in rows for cell in row for v in cell):
             raise ValueError(f"entry outside [1, {n}] in {text!r}")
+        if any(len(set(cell)) != len(cell) for row in rows for cell in row):
+            raise ValueError(f"entry repeated in a box of {text!r}")
         widths = [len(row) for row in rows]
         if widths != sorted(widths, reverse=True):
             raise ValueError(f"row lengths {widths} of {text!r} are not a partition")

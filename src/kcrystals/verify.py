@@ -18,15 +18,12 @@ from .crystal import (
     _pad,
     atom_subset,
     beta_character,
-    crystal_e,
-    crystal_f,
+    crystal_table,
     decompose,
     demazure_subset,
     flagged_set,
     ik_strings,
     is_k_highest_weight,
-    kcrystal_e,
-    kcrystal_f,
     superstandard,
 )
 from .keys import (
@@ -190,12 +187,14 @@ def _check_bruhat_atom_sum(case):
 
 def _check_inverse_ops(case):
     n, shape = case["n"], tuple(case["shape"])
-    for t in enumerate_svt(n, shape):
+    table = crystal_table(n, shape)
+    maps = [(i, table.map("e", i), table.map("f", i)) for i in range(1, n)]
+    for k, t in enumerate(table.tableaux):
         wt, ex = t.weight(), t.excess()
-        for i in range(1, n):
-            down = crystal_f(t, i)
-            if down is not None:
-                if crystal_e(down, i) != t:
+        for i, e, f in maps:
+            if f[k] >= 0:
+                down = table.tableaux[f[k]]
+                if e[f[k]] != k:
                     return f"e_{i} f_{i} != id at {t.to_text()}"
                 expected = list(wt)
                 expected[i - 1] -= 1
@@ -204,8 +203,7 @@ def _check_inverse_ops(case):
                     return f"f_{i} weight law fails at {t.to_text()}"
                 if not down.is_semistandard():
                     return f"f_{i} broke semistandardness at {t.to_text()}"
-            up = crystal_e(t, i)
-            if up is not None and crystal_f(up, i) != t:
+            if e[k] >= 0 and f[e[k]] != k:
                 return f"f_{i} e_{i} != id at {t.to_text()}"
     return None
 
@@ -228,29 +226,24 @@ def _check_components(case):
 
 def _check_k_ops(case):
     n, shape = case["n"], tuple(case["shape"])
-    tableaux = enumerate_svt(n, shape)
-    by_f: dict[tuple, SetValuedTableau] = {}
-    for t in tableaux:
-        for i in range(1, n):
-            down = kcrystal_f(t, i)
-            if down is not None:
+    table = crystal_table(n, shape)
+    maps = [(i, table.map("eK", i), table.map("fK", i)) for i in range(1, n)]
+    for k, t in enumerate(table.tableaux):
+        for i, ek, fk in maps:
+            if fk[k] >= 0:
+                down = table.tableaux[fk[k]]
                 if not down.is_semistandard():
                     return f"f^K_{i} broke semistandardness at {t.to_text()}"
-                if kcrystal_f(down, i) is not None:
+                if fk[fk[k]] >= 0:
                     return f"f^K_{i} f^K_{i} != 0 at {t.to_text()}"
-                wt, expected = t.weight(), list(t.weight())
+                expected = list(t.weight())
                 expected[i] += 1
                 if down.weight() != tuple(expected) or down.excess() != t.excess() + 1:
                     return f"f^K_{i} weight law fails at {t.to_text()}"
-                by_f[(t, i)] = down
-    for t in tableaux:
-        for i in range(1, n):
-            up = kcrystal_e(t, i)
-            if up is not None and by_f.get((up, i)) != t:
+                if ek[fk[k]] != k:
+                    return f"f^K_{i} is not inverse to e^K_{i} at {t.to_text()}"
+            if ek[k] >= 0 and fk[ek[k]] != k:
                 return f"e^K_{i} is not inverse to f^K_{i} at {t.to_text()}"
-    for (t, i), down in by_f.items():
-        if kcrystal_e(down, i) != t:
-            return f"f^K_{i} is not inverse to e^K_{i} at {t.to_text()}"
     return None
 
 
@@ -499,8 +492,9 @@ def _check_key_ideal_atom(case):
 
 def _check_star_axioms(case):
     n, shape = case["n"], tuple(case["shape"])
-    tableaux = enumerate_svt(n, shape)
-    for t in tableaux:
+    table = crystal_table(n, shape)
+    tableaux, index = table.tableaux, table.index
+    for k, t in enumerate(tableaux):
         star = k_lusztig_star(t)
         if k_lusztig_star(star) != t:
             return f"rotation involution does not square to id at {t.to_text()}"
@@ -514,15 +508,13 @@ def _check_star_axioms(case):
         if len(shape) == 1 and naive != star:
             return f"single-row involutions disagree at {t.to_text()}"
         for i in range(1, n):
-            left = crystal_e(star, i)
-            down = crystal_f(t, n - i)
-            right = None if down is None else k_lusztig_star(down)
-            if left != right:
+            down = table.map("f", n - i)[k]
+            right = -1 if down < 0 else index[k_lusztig_star(tableaux[down])]
+            if table.map("e", i)[index[star]] != right:
                 return f"e_{i}(T°) != (f_{n-i}T)° at {t.to_text()}"
-            left = crystal_f(star, i)
-            up = crystal_e(t, n - i)
-            right = None if up is None else k_lusztig_star(up)
-            if left != right:
+            up = table.map("e", n - i)[k]
+            right = -1 if up < 0 else index[k_lusztig_star(tableaux[up])]
+            if table.map("f", i)[index[star]] != right:
                 return f"f_{i}(T°) != (e_{n-i}T)° at {t.to_text()}"
     return None
 
@@ -691,12 +683,14 @@ def _conjecture_scan_cases(bounds: Bounds):
 
 class Suite:
     """A verification suite: its case generator, which yields (check,
-    params) pairs, the checks it owns, and whether it only reports (every
-    case that does not raise passes, with the check's return value as the
-    witness) instead of failing a case whose check returns a witness."""
+    params) pairs, the Bounds fields the generator reads, the checks it
+    owns, and whether it only reports (every case that does not raise
+    passes, with the check's return value as the witness) instead of
+    failing a case whose check returns a witness."""
 
-    def __init__(self, cases, checks, report=False):
+    def __init__(self, cases, reads, checks, report=False):
         self.cases: Callable[[Bounds], Iterable[tuple[Callable, dict]]] = cases
+        self.reads: tuple[str, ...] = reads
         self.checks: dict[str, Callable[[dict], str | None]] = {
             _check_name(check): check for check in checks
         }
@@ -708,29 +702,46 @@ def _check_name(check) -> str:
     return check.__name__.removeprefix("_check_").replace("_", "-")
 
 
+_PARTITION_BOUNDS = ("max_n", "max_cells")
+_RECTANGLE_BOUNDS = ("max_n", "max_side")
+
 SUITES = {
     "operator-algebra": Suite(
-        _operator_algebra_cases, (_check_operator_relations, _check_bruhat_atom_sum)
+        _operator_algebra_cases,
+        _PARTITION_BOUNDS,
+        (_check_operator_relations, _check_bruhat_atom_sum),
     ),
-    "crystal-axioms": Suite(_crystal_axioms_cases, (_check_inverse_ops, _check_components)),
+    "crystal-axioms": Suite(
+        _crystal_axioms_cases, _PARTITION_BOUNDS, (_check_inverse_ops, _check_components)
+    ),
     "k-crystal-axioms": Suite(
         _k_crystal_axioms_cases,
+        _RECTANGLE_BOUNDS,
         (_check_k_ops, _check_k_strings, _check_k_monotone, _check_k_demazure),
     ),
-    "demazure-flag": Suite(_demazure_flag_cases, (_check_flag_golden, _check_flag)),
-    "character": Suite(_character_cases, (_check_character_golden, _check_full_character)),
+    "demazure-flag": Suite(
+        _demazure_flag_cases, _RECTANGLE_BOUNDS, (_check_flag_golden, _check_flag)
+    ),
+    "character": Suite(
+        _character_cases, _PARTITION_BOUNDS, (_check_character_golden, _check_full_character)
+    ),
     "kohnert-bijection": Suite(
         _kohnert_bijection_cases,
+        _RECTANGLE_BOUNDS,
         (_check_kohnert_golden, _check_kohnert, _check_kohnert_intertwine),
     ),
     "skyline-bijection": Suite(
         _skyline_bijection_cases,
+        _RECTANGLE_BOUNDS,
         (_check_skyline_golden, _check_skyline, _check_skyline_sum),
     ),
-    "keys-rectangle": Suite(_keys_rectangle_cases, (_check_key_ideal_atom, _check_star_axioms)),
-    "grothendieck-vexillary": Suite(_grothendieck_vexillary_cases, (_check_groth_golden,)),
+    "keys-rectangle": Suite(
+        _keys_rectangle_cases, _RECTANGLE_BOUNDS, (_check_key_ideal_atom, _check_star_axioms)
+    ),
+    "grothendieck-vexillary": Suite(_grothendieck_vexillary_cases, (), (_check_groth_golden,)),
     "conjecture-scan": Suite(
         _conjecture_scan_cases,
+        ("max_n", "max_cells", "shape", "n"),
         (_check_scan_kohnert, _check_scan_skyline, _check_scan_keys),
         report=True,
     ),
@@ -784,8 +795,13 @@ def worker_count(explicit: int | None, env: str | None, cpus: int | None, cases:
 
 def run_suite(suite: str, bounds: Bounds, jobs: int | None = None) -> list[SuiteResult]:
     """Run every case of a suite, sorted; raises ValueError, before any case
-    runs, on an unknown suite, bounds that select no case or a bad worker
-    request."""
+    runs, on an unknown suite, a shape or n the suite does not read, bounds
+    that select no case or a bad worker request."""
+    reads = _suite(suite).reads
+    for name in ("shape", "n"):  # the bounds that are None unless given
+        if getattr(bounds, name) is not None and name not in reads:
+            flags = ", ".join("--" + read.replace("_", "-") for read in reads) or "no bound flag"
+            raise ValueError(f"suite {suite!r} does not read --{name}; it reads {flags}")
     cases = iter_cases(suite, bounds)
     if not cases:
         raise ValueError(f"the bounds select no case of suite {suite!r}")

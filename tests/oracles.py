@@ -6,8 +6,16 @@ avoid the library's own code paths for the quantities they check.
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from kcrystals.crystal import raise_string_max
-from kcrystals.permutations import evaluate_word, length, reduced_words
+from kcrystals.keys import key_of_composition
+from kcrystals.permutations import (
+    act,
+    bruhat_leq,
+    coset_reps,
+    evaluate_word,
+    length,
+    reduced_word,
+    reduced_words,
+)
 from kcrystals.polynomials import BetaPolynomial
 from kcrystals.skyline import SkylineTableau, _column_fillings
 from kcrystals.tableaux import SetValuedTableau, enumerate_svt, superstandard
@@ -332,6 +340,17 @@ def reference_enumerate_skyline(a, n):
     return tuple(sorted(out, key=SkylineTableau.sort_key))
 
 
+def reference_raise_string_max(tableau, i):
+    """Apply reference_crystal_e until exhausted, then reference_kcrystal_e
+    until exhausted."""
+    current = tableau
+    while (up := reference_crystal_e(current, i)) is not None:
+        current = up
+    while (up := reference_kcrystal_e(current, i)) is not None:
+        current = up
+    return current
+
+
 def reference_demazure_subset(w, shape, n, word):
     """Tableaux whose raise chain along word, recomputed letter by letter,
     ends at the superstandard tableau."""
@@ -340,7 +359,55 @@ def reference_demazure_subset(w, shape, n, word):
     for tableau in enumerate_svt(n, shape):
         current = tableau
         for i in word:
-            current = raise_string_max(current, i)
+            current = reference_raise_string_max(current, i)
         if current == u:
             members.append(tableau)
     return tuple(members)
+
+
+def reference_decompose(n, shape):
+    """Components under e_i/f_i by a search from each unvisited tableau,
+    each with its unique highest weight element, sorted by that element's
+    text form."""
+    seen = set()
+    components = []
+    for start in enumerate_svt(n, shape):
+        if start in seen:
+            continue
+        component, frontier = {start}, [start]
+        while frontier:
+            current = frontier.pop()
+            for i in range(1, n):
+                for image in (reference_crystal_f(current, i), reference_crystal_e(current, i)):
+                    if image is not None and image not in component:
+                        component.add(image)
+                        frontier.append(image)
+        seen |= component
+        highs = [
+            t for t in component if all(reference_crystal_e(t, i) is None for i in range(1, n))
+        ]
+        if len(highs) != 1:
+            raise AssertionError(f"component without unique highest weight: {highs}")
+        components.append((highs[0], tuple(sorted(component, key=SetValuedTableau.sort_key))))
+    return sorted(components, key=lambda pair: pair[0].sort_key())
+
+
+def reference_right_key(tableau):
+    """The key of v·λ for the Bruhat-least coset representative v such
+    that classical raising along a reduced word of v reaches the
+    superstandard tableau."""
+    n, shape = tableau.n, tableau.shape
+    lam = shape + (0,) * (n - len(shape))
+    u = superstandard(shape, n)
+    members = []
+    for v in coset_reps(lam, n):
+        current = tableau
+        for i in reduced_word(v):
+            while (up := reference_crystal_e(current, i)) is not None:
+                current = up
+        if current == u:
+            members.append(v)
+    least = min(members, key=lambda v: (length(v), v))
+    if not all(bruhat_leq(least, v) for v in members):
+        raise AssertionError(f"no Bruhat-least Demazure crystal holds {tableau.to_text()}")
+    return key_of_composition(act(least, lam))

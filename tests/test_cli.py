@@ -145,6 +145,7 @@ def test_bad_inputs_exit_with_errors(capsys):
     assert main(["enumerate", "svt", "--shape", "1,2", "--n", "3"]) == 2
     assert main(["enumerate", "svt", "--shape", "2,1"]) == 2
     assert main(["graph", "--shape", "1,2", "--n", "3"]) == 2
+    assert main(["graph", "--shape", "2,1", "--n", "0"]) == 2
     capsys.readouterr()
     with pytest.raises(SystemExit):
         main(["verify", "not-a-suite"])
@@ -161,6 +162,16 @@ def test_bad_inputs_exit_with_errors(capsys):
         assert main(["verify", *argv]) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and "select no case" in captured.err
+    # a shape or n the suite never reads is an error, not silently ignored
+    for argv, flag in (
+        (["grothendieck-vexillary", "--shape", "5,5", "--n", "9", "--max-n", "1"], "--shape"),
+        (["grothendieck-vexillary", "--n", "9"], "--n"),
+        (["crystal-axioms", "--shape", "2,1"], "--shape"),
+        (["keys-rectangle", "--n", "3"], "--n"),
+    ):
+        assert main(["verify", *argv]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"does not read {flag}" in captured.err
 
 
 def test_round_trip_serializations():

@@ -1,7 +1,8 @@
 """
 Differential tests against the reference implementations in oracles.py:
-the crystal kernel over every tableau of every shape with at most 4 cells
-at n <= 4 and every rectangle up to 2x2 at n = 5; the pruned skyline
+the crystal kernel, the maps of the crystal table and the structures read
+from it over every tableau of every shape with at most 4 cells at n <= 4
+and every rectangle up to 2x2 at n = 5; the pruned skyline
 enumeration and the tabulated Demazure subsets over the compositions and
 coset representatives of those shapes.
 """
@@ -12,23 +13,28 @@ from kcrystals.crystal import (
     _pad,
     crystal_e,
     crystal_f,
+    crystal_table,
+    decompose,
     demazure_subset,
     kcrystal_e,
     kcrystal_f,
     signature,
 )
-from kcrystals.keys import lusztig_star
+from kcrystals.keys import lusztig_star, right_key
 from kcrystals.permutations import act, coset_reps, reduced_words, stabilizer_min_rep
 from kcrystals.skyline import enumerate_skyline, validate_skyline
 from kcrystals.tableaux import SetValuedTableau, enumerate_svt
 from oracles import (
     reference_crystal_e,
     reference_crystal_f,
+    reference_decompose,
     reference_demazure_subset,
     reference_enumerate_skyline,
     reference_kcrystal_e,
     reference_kcrystal_f,
     reference_lusztig_star,
+    reference_raise_string_max,
+    reference_right_key,
     reference_signature,
 )
 
@@ -68,6 +74,28 @@ def test_operators_match_the_reference(n, shape):
                     rebuilt = SetValuedTableau(result.rows, n)
                     assert result.rows == rebuilt.rows
                     assert hash(result) == hash(rebuilt)
+
+
+@pytest.mark.parametrize("n,shape", CASES, ids=str)
+def test_table_maps_match_the_kernel(n, shape):
+    table = crystal_table(n, shape)
+    assert table.tableaux == enumerate_svt(n, shape)
+    assert all(table.index[t] == k for k, t in enumerate(table.tableaux))
+    kernel = {"e": crystal_e, "f": crystal_f, "eK": kcrystal_e, "fK": kcrystal_f}
+    for i in range(1, n):
+        for op, operator in kernel.items():
+            images = [None if k < 0 else table.tableaux[k] for k in table.map(op, i)]
+            assert images == [operator(t, i) for t in table.tableaux], (op, i)
+        raised = [table.tableaux[k] for k in table.map("raise", i)]
+        assert raised == [reference_raise_string_max(t, i) for t in table.tableaux], i
+
+
+@pytest.mark.parametrize("n,shape", CASES, ids=str)
+def test_components_and_right_keys_match_the_references(n, shape):
+    assert decompose(n, shape) == reference_decompose(n, shape)
+    for t in enumerate_svt(n, shape):
+        if t.excess() == 0:
+            assert right_key(t) == reference_right_key(t), t
 
 
 @pytest.mark.parametrize("n,shape", CASES, ids=str)

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kcrystals import golden
 from kcrystals.kohnert import (
@@ -152,3 +154,27 @@ def test_moves_intertwine_with_phi_on_the_square():
                     assert moved == phi(moves[(x, k)], 2, 2, 3)
                 else:
                     assert moved is None
+
+
+small_diagrams = (
+    st.lists(st.integers(0, 2), min_size=1, max_size=3)
+    .filter(any)
+    .flatmap(lambda a: st.sampled_from(sorted(closure(tuple(a)), key=KKohnertDiagram.sort_key)))
+)
+BOX_MUTATIONS = [
+    lambda box: [box[0], box[1] + 0.5],  # non-integer coordinate
+    lambda box: [str(box[0]), box[1]],  # string coordinate
+    lambda box: box + [1],  # a triple
+    lambda box: box[:1],  # a single coordinate
+]
+
+
+@given(small_diagrams, st.sampled_from(["boxes", "marked"]), st.sampled_from(BOX_MUTATIONS))
+def test_json_form_round_trips_and_rejects_malformed_forms(diagram, key, mutate):
+    form = json.loads(json.dumps(diagram.to_json_dict()))
+    assert KKohnertDiagram.from_json_dict(form) == diagram
+    with pytest.raises(ValueError, match=key):
+        KKohnertDiagram.from_json_dict({k: v for k, v in form.items() if k != key})
+    boxes = form["boxes"]
+    with pytest.raises(ValueError, match="boxes entry"):
+        KKohnertDiagram.from_json_dict(dict(form, boxes=[mutate(boxes[0])] + boxes[1:]))

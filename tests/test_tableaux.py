@@ -16,6 +16,7 @@ from kcrystals.tableaux import SetValuedTableau, enumerate_svt
         ("1 a", 2),  # non-integer entry
         ("1 1.5", 2),  # non-integer entry
         ("1/2 2", 2),  # row lengths not a partition
+        ("1,1 2", 3),  # entry repeated in a box
     ],
 )
 def test_from_text_rejects_malformed_input(text, n):

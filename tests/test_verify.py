@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from kcrystals.verify import SUITES, Bounds, iter_cases, run_case
+from kcrystals.verify import SUITES, Bounds, iter_cases, run_case, run_suite
 
 # (case count, SHA-256 of json.dumps(cases, sort_keys=True)) at the default
 # bounds; pins the content and the order of every suite's case list.
@@ -20,9 +20,25 @@ FROZEN_CASES = {
     "conjecture-scan": (51, "49d35443535e389174158349fd1f59a872c02fccb15daea29e5b34943afcbf28"),
 }
 
+# SHA-256 of each suite's `verify --format json` stream at the default bounds,
+# recorded before the crystal table replaced the per-tableau caches; pins
+# every case's status and witness, byte for byte.
+FROZEN_STREAMS = {
+    "operator-algebra": "885c246500b6774a612e7e73b8899fd85f19f9b082551b6f9f307acf0a6108f7",
+    "crystal-axioms": "2cc19ecde12ae4fc31376a946daaa112e0dc6bf79765f03b24b5a119a1730fc0",
+    "k-crystal-axioms": "4b41f044765dcb3ab3b9cefd3d192cc91fcf59d35684dc620c0b538f66ba9346",
+    "demazure-flag": "0772d6ff046d5b78cc43f0c428a39ed5c4021be14a6862075b308de5dbbd55a8",
+    "character": "7e270bcbfc86b163630049fe526de08be255a0e762d4d9b16f6e636a65e475b8",
+    "kohnert-bijection": "26e8369d0511e0374ff4aaf9dda5029042fd2e78302b2e0fbd377799ddde4a2e",
+    "skyline-bijection": "3487aa7d5bb064366120d516225a80ab17a47934259c49c4b6ae58ce4b0f1458",
+    "keys-rectangle": "4f2ac8d00f7eb5dd7b81f15d2bb783bff5fece31852174ffce6e5dddcb56c7fd",
+    "grothendieck-vexillary": "611ebff55d614c237e58e466ac09f17283a309b3b5f8ebb44d5eb6c8ece0cd23",
+    "conjecture-scan": "e224591799699a7101d435a47194fd231d5b658cd6b549a160fd1d8b4797d2f6",
+}
+
 
 def test_every_suite_has_a_frozen_case_list():
-    assert list(FROZEN_CASES) == list(SUITES)
+    assert list(FROZEN_CASES) == list(SUITES) == list(FROZEN_STREAMS)
 
 
 @pytest.mark.parametrize("suite", FROZEN_CASES)
@@ -30,6 +46,12 @@ def test_case_lists_are_frozen(suite):
     cases = iter_cases(suite, Bounds())
     digest = hashlib.sha256(json.dumps(cases, sort_keys=True).encode()).hexdigest()
     assert (len(cases), digest) == FROZEN_CASES[suite]
+
+
+@pytest.mark.parametrize("suite", FROZEN_STREAMS)
+def test_json_streams_are_frozen(suite):
+    stream = "".join(result.to_json() + "\n" for result in run_suite(suite, Bounds(), jobs=1))
+    assert hashlib.sha256(stream.encode()).hexdigest() == FROZEN_STREAMS[suite]
 
 
 def test_run_case_rejects_a_check_of_another_suite():
