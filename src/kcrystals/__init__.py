@@ -22,8 +22,6 @@ from .kohnert import (
     KKohnertDiagram,
     closure,
     initial_diagram,
-    k_kohnert_moves,
-    kohnert_moves,
     phi,
     phi_inverse,
     svt_kohnert_move,
@@ -37,7 +35,6 @@ from .permutations import (
     flag_vector,
     lehmer_code,
     length,
-    rectangle_coset_data,
     reduced_word,
     reduced_words,
     stabilizer_min_rep,
@@ -45,7 +42,6 @@ from .permutations import (
 from .polynomials import (
     BetaPolynomial,
     grothendieck,
-    key_polynomial,
     lascoux,
     lascoux_atom,
     parse_polynomial,

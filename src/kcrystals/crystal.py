@@ -105,21 +105,20 @@ def kcrystal_f(tableau: SetValuedTableau, i: int) -> SetValuedTableau | None:
 
 
 def kcrystal_e(tableau: SetValuedTableau, i: int) -> SetValuedTableau | None:
-    """K-raising: remove the i+1 from the rightmost box holding both i and
-    i+1, provided the tableau is i-highest and no unpaired "+" lies
-    strictly to the right of that box."""
-    both = [
-        (r, c) for r, c, cell in tableau.cells() if i in cell and i + 1 in cell
-    ]
+    """K-raising, derived from the inverse law the k-ops check tests:
+    e^K_i(T) is the U with kcrystal_f(U) = T, if there is one.  kcrystal_f
+    adds an i+1 to a box right of every box holding both i and i+1, so U
+    is T with the i+1 removed from the rightmost such box (a column holds
+    each value once, so the box is unique), and kcrystal_f(U) = T exactly
+    when U is i-highest and its rightmost unpaired "+" is in that box's
+    column."""
+    both = [(c, r) for r, c, cell in tableau.cells() if i in cell and i + 1 in cell]
     if not both:
         return None
-    plus, minus = signature(tableau, i)
-    if minus:
-        return None
-    r, c = max(both, key=lambda rc: rc[1])
-    if any(cc > c for cc in plus):
-        return None
-    return tableau.with_cell(r, c, set(tableau.rows[r][c]) - {i + 1})
+    c, r = max(both)
+    out = tableau.with_cell(r, c, set(tableau.rows[r][c]) - {i + 1})
+    plus, minus = signature(out, i)
+    return None if minus or plus[-1:] != [c] else out
 
 
 # Read when a map is filled, so wrappers set on these values (the benchmark's tracer) count.
@@ -131,9 +130,17 @@ class CrystalTable:
     tableaux[k], and index maps each tableau back to its position."""
 
     def __init__(self, n: int, shape: tuple[int, ...]):
+        self.n, self.shape = n, shape
         self.tableaux = enumerate_svt(n, shape)
         self.index = {t: k for k, t in enumerate(self.tableaux)}
         self._maps: dict[tuple[str, int], array] = {}
+
+    def position(self, tableau: SetValuedTableau) -> int:
+        """The position of tableau; ValueError if it is not in this crystal."""
+        k = self.index.get(tableau)
+        if k is None:
+            raise ValueError(f"{tableau.to_text()} is not in the crystal of {self.shape} at n={self.n}")
+        return k
 
     def map(self, op: str, i: int) -> array:
         """The position op ("e", "f", "eK", "fK", or "raise": exhaust e_i,
@@ -171,13 +178,13 @@ crystal_table = lru_cache(maxsize=None)(CrystalTable)  # one table per (n, shape
 def raise_string_max(tableau: SetValuedTableau, i: int) -> SetValuedTableau:
     """Apply crystal_e until exhausted, then kcrystal_e until exhausted."""
     table = crystal_table(tableau.n, tableau.shape)
-    return table.tableaux[table.map("raise", i)[table.index[tableau]]]
+    return table.tableaux[table.map("raise", i)[table.position(tableau)]]
 
 
 def is_k_highest_weight(tableau: SetValuedTableau) -> bool:
     """No e_i and no e_i^K acts on the tableau."""
     table = crystal_table(tableau.n, tableau.shape)
-    k = table.index[tableau]
+    k = table.position(tableau)
     return all(table.map(op, i)[k] < 0 for op in ("e", "eK") for i in range(1, tableau.n))
 
 

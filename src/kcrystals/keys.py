@@ -58,8 +58,8 @@ def min_tableau(tableau: SetValuedTableau) -> SetValuedTableau:
 
 
 @lru_cache(maxsize=None)
-def _right_keys(n: int, shape: tuple[int, ...]) -> dict[SetValuedTableau, SetValuedTableau]:
-    """Right key of each single-valued tableau of the shape.
+def _right_keys(n: int, shape: tuple[int, ...]) -> dict[int, SetValuedTableau]:
+    """Right key of each single-valued tableau of the shape, by position.
     e_i keeps the excess and e_i^K needs a box holding i and i+1, so on
     these tableaux the table's raise maps are the classical raise."""
     table = crystal_table(n, shape)
@@ -75,7 +75,7 @@ def _right_keys(n: int, shape: tuple[int, ...]) -> dict[SetValuedTableau, SetVal
         members = [m for m, end in enumerate(ends) if end[k] == u]
         if not all(bruhat_leq(reps[members[0]], reps[m]) for m in members):
             raise AssertionError(f"no Bruhat-least Demazure crystal holds {t.to_text()}")
-        out[t] = keys[members[0]]
+        out[k] = keys[members[0]]
     return out
 
 
@@ -84,7 +84,8 @@ def right_key(tableau: SetValuedTableau) -> SetValuedTableau:
     Bruhat-least v whose classical Demazure crystal contains it."""
     if tableau.excess() != 0:
         raise ValueError("right keys are defined for single-valued tableaux")
-    return _right_keys(tableau.n, tableau.shape)[tableau]
+    k = crystal_table(tableau.n, tableau.shape).position(tableau)
+    return _right_keys(tableau.n, tableau.shape)[k]
 
 
 def max_right_key(tableau: SetValuedTableau) -> SetValuedTableau:
@@ -130,7 +131,7 @@ def lusztig_star(tableau: SetValuedTableau) -> SetValuedTableau:
     """Crystal anti-automorphism on each connected component, read from
     the star map of the tableau's shape."""
     table = crystal_table(tableau.n, tableau.shape)
-    return table.tableaux[_stars(tableau.n, tableau.shape)[table.index[tableau]]]
+    return table.tableaux[_stars(tableau.n, tableau.shape)[table.position(tableau)]]
 
 
 def k_lusztig_star(tableau: SetValuedTableau) -> SetValuedTableau:

@@ -8,13 +8,20 @@ A diagram is a finite set of boxes (x, y) in the positive quadrant
 drops the top unmarked box of a column into the rightmost open position
 to its left in the same row, never passing over a marked box; the
 K-variant leaves a marked copy at the origin.
+
+``closure_table(a)`` is the one cached closure of a composition, which
+the bijection checks read: its diagrams in canonical order, the single
+moves of each as positions, and, filled on first read, the position of
+each phi image in the crystal table of the rectangle.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .crystal import _rectangle_dims, crystal_table
 from .polynomials import BetaPolynomial
 from .tableaux import SetValuedTableau
 
@@ -122,28 +129,58 @@ def single_moves(
     return out
 
 
-def kohnert_moves(diagram: KKohnertDiagram) -> set[KKohnertDiagram]:
-    return {d for _, k, d in single_moves(diagram) if not k}
+class ClosureTable:
+    """All diagrams reachable from the skyline of a by (K-)Kohnert moves,
+    sorted canonically, with the single moves of each diagram as positions
+    and, filled on first read, the position of each phi image."""
+
+    def __init__(self, a: tuple[int, ...]):
+        self.a = a
+        order = [initial_diagram(a)]  # in the order found
+        found = {order[0]: 0}
+        found_moves = []
+        for d in order:
+            entries = []
+            for x, is_k, image in single_moves(d):
+                if image not in found:
+                    found[image] = len(order)
+                    order.append(image)
+                entries.append((x, is_k, found[image]))
+            found_moves.append(entries)
+        rank = sorted(range(len(order)), key=lambda j: order[j].sort_key())
+        position = {j: k for k, j in enumerate(rank)}
+        self.diagrams = tuple(order[j] for j in rank)
+        self._moves, self._starts = array("i"), array("i", [0])
+        for j in rank:
+            for x, is_k, image in found_moves[j]:
+                self._moves.extend((x, is_k, position[image]))
+            self._starts.append(len(self._moves))
+        self._phi: array | None = None
+
+    def moves(self, k: int) -> list[tuple[int, bool, int]]:
+        """single_moves(diagrams[k]) with each image as its position."""
+        m, starts = self._moves, self._starts
+        return [(m[j], bool(m[j + 1]), m[j + 2]) for j in range(starts[k], starts[k + 1], 3)]
+
+    def phi_positions(self) -> array:
+        """The position of each diagram's phi image in crystal_table(n,
+        shape).tableaux, where n = len(a) and shape is the rectangle of a's
+        nonzero parts; phi's ValueError where a is not a rectangle."""
+        if self._phi is None:
+            r, s = _rectangle_dims(self.a)
+            n = len(self.a)
+            table = crystal_table(n, (s,) * r)
+            self._phi = array("i", (table.position(phi(d, r, s, n)) for d in self.diagrams))
+        return self._phi
 
 
-def k_kohnert_moves(diagram: KKohnertDiagram) -> set[KKohnertDiagram]:
-    return {d for _, k, d in single_moves(diagram) if k}
+closure_table = lru_cache(maxsize=None)(ClosureTable)  # one table per composition
 
 
-@lru_cache(maxsize=None)
 def closure(a: tuple[int, ...]) -> tuple[KKohnertDiagram, ...]:
     """All diagrams reachable from the skyline of a by (K-)Kohnert moves,
     sorted canonically."""
-    start = initial_diagram(a)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        current = frontier.pop()
-        for _, _, image in single_moves(current):
-            if image not in seen:
-                seen.add(image)
-                frontier.append(image)
-    return tuple(sorted(seen, key=KKohnertDiagram.sort_key))
+    return closure_table(a).diagrams
 
 
 # -- correspondence with rectangular set-valued tableaux ---------------------

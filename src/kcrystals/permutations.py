@@ -16,7 +16,6 @@ in positions ``i`` and ``i+1``).
 [(1, 2, 1), (2, 1, 2)]
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _all_perms
 
@@ -192,56 +191,10 @@ def sorting_permutation(a) -> tuple[tuple[int, ...], Perm]:
     return lam, w
 
 
-@dataclass(frozen=True)
-class RectangleCosetData:
-    """Indices of the staircase-factored reduced expression of a minimal
-    coset representative for an r x s rectangle.
-
-    The word is the concatenation, for j = k down to 0, of the descending
-    runs (indices[j], indices[j]-1, ..., r-j); ``indices`` is strictly
-    decreasing and may be empty (identity).
-    """
-
-    r: int
-    s: int
-    indices: tuple[int, ...]
-
-    @property
-    def k(self) -> int | None:
-        return len(self.indices) - 1 if self.indices else None
-
-    def word(self) -> tuple[int, ...]:
-        out = []
-        for j in range(len(self.indices) - 1, -1, -1):
-            out.extend(range(self.indices[j], self.r - j - 1, -1))
-        return tuple(out)
-
-    def permutation(self, n: int) -> Perm:
-        return evaluate_word(self.word(), n)
-
-
 def rectangle_shape(r: int, s: int, n: int) -> tuple[int, ...]:
     if r > n:
         raise ValueError(f"rectangle with {r} rows needs n >= {r}")
     return (s,) * r + (0,) * (n - r)
-
-
-def rectangle_coset_data(w: Perm, r: int, s: int) -> RectangleCosetData:
-    """Factor a minimal coset representative for the r x s rectangle.
-
-    >>> rectangle_coset_data((2, 3, 1), 2, 2).indices
-    (2, 1)
-    """
-    n = len(w)
-    lam = rectangle_shape(r, s, n)
-    if stabilizer_min_rep(w, lam) != tuple(w):
-        raise ValueError(f"{w!r} is not a minimal coset representative for {lam!r}")
-    indices = tuple(w[m - 1] - 1 for m in range(r, 0, -1) if w[m - 1] > m)
-    data = RectangleCosetData(r, s, indices)
-    word = data.word()
-    if evaluate_word(word, n) != w or len(word) != length(w):
-        raise AssertionError(f"factored word {word!r} is not a reduced word of {w!r}")
-    return data
 
 
 def flag_vector(w: Perm, r: int, s: int) -> tuple[int, ...]:

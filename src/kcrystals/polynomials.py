@@ -310,12 +310,6 @@ def lascoux_atom(a, n: int) -> BetaPolynomial:
     return apply_word(BetaPolynomial.monomial(n, lam), reversed(word), "varpi_atom")
 
 
-def key_polynomial(a, n: int) -> BetaPolynomial:
-    """Key polynomial (Demazure character): the pi chain onto x^λ."""
-    lam, word = _sorted_parts(a, n)
-    return apply_word(BetaPolynomial.monomial(n, lam), reversed(word), "pi")
-
-
 def staircase_monomial(n: int) -> BetaPolynomial:
     return BetaPolynomial.monomial(n, tuple(range(n - 1, -1, -1)))
 

@@ -6,15 +6,21 @@ Columns are bottom-justified: column c of shape a holds cells at levels
 1..a_c, level 1 at the bottom.  Within a cell the largest entry is its
 anchor, the rest are free.  Going up a column, cells weakly decrease in
 the set sense (min of the lower cell >= max of the cell above it).
+
+``psi_table(a, n)`` is the one cached psi record of a composition, which
+psi_inverse and the bijection check read: the skylines of shape a by
+position and the position of each psi image in the crystal table of the
+rectangle.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .crystal import atom_subset
+from .crystal import _rectangle_dims, atom_subset, crystal_table
 from .permutations import Perm, act
 from .polynomials import BetaPolynomial
 from .tableaux import SetValuedTableau
@@ -63,13 +69,6 @@ class SkylineTableau:
                         )
             cols.append((c, tuple(tuple(sorted(set(cell))) for cell in cells)))
         return cls(shape, tuple(cols))
-
-    def cell(self, c: int, level: int) -> Cell:
-        """1-based column and level (level 1 = bottom)."""
-        for col, cells in self.columns:
-            if col == c:
-                return cells[level - 1]
-        raise KeyError(f"no column {c}")
 
     def cells_at_level(self, level: int) -> list[tuple[int, Cell]]:
         return [
@@ -265,15 +264,24 @@ def psi(skyline: SkylineTableau, n: int) -> SetValuedTableau:
     return tableau
 
 
-@lru_cache(maxsize=None)
-def _psi_table(a: tuple[int, ...], n: int) -> dict[SetValuedTableau, SkylineTableau]:
-    table = {}
-    for skyline in enumerate_skyline(a, n):
-        image = psi(skyline, n)
-        if image in table:
-            raise AssertionError(f"psi is not injective at {image!r}")
-        table[image] = skyline
-    return table
+class PsiTable:
+    """psi on enumerate_skyline(a, n): skylines[k] maps to the tableau at
+    position images[k] of its crystal table, and preimage inverts images;
+    raises if two skylines share an image."""
+
+    def __init__(self, a: tuple[int, ...], n: int):
+        self.skylines = enumerate_skyline(a, n)
+        r, s = _rectangle_dims(a)
+        table = crystal_table(n, (s,) * r)
+        self.images = array("i", (table.position(psi(skyline, n)) for skyline in self.skylines))
+        self.preimage: dict[int, int] = {}
+        for j, k in enumerate(self.images):
+            if k in self.preimage:
+                raise AssertionError(f"psi is not injective at {table.tableaux[k]!r}")
+            self.preimage[k] = j
+
+
+psi_table = lru_cache(maxsize=None)(PsiTable)  # one table per (a, n)
 
 
 def psi_inverse(tableau: SetValuedTableau, w: Perm) -> SkylineTableau:
@@ -281,10 +289,10 @@ def psi_inverse(tableau: SetValuedTableau, w: Perm) -> SkylineTableau:
     shape = tableau.shape
     n = tableau.n
     lam = shape + (0,) * (n - len(shape))
-    a = act(w, lam)
-    skyline = _psi_table(a, n).get(tableau)
-    if skyline is None:
+    table = psi_table(act(w, lam), n)
+    j = table.preimage.get(crystal_table(n, shape).index.get(tableau))
+    if j is None:
         if tableau not in set(atom_subset(w, shape, n)):
             raise ValueError(f"{tableau!r} is not in the atom of {w}")
         raise AssertionError(f"atom member missing from psi image: {tableau!r}")
-    return skyline
+    return table.skylines[j]

@@ -34,14 +34,7 @@ from .keys import (
     max_right_key,
     preceq,
 )
-from .kohnert import (
-    KKohnertDiagram,
-    closure,
-    phi,
-    phi_inverse,
-    single_moves,
-    svt_kohnert_move,
-)
+from .kohnert import KKohnertDiagram, closure, closure_table, phi, phi_inverse, svt_kohnert_move
 from .permutations import (
     act,
     avoids_pattern,
@@ -65,7 +58,7 @@ from .polynomials import (
     lascoux_atom,
     parse_polynomial,
 )
-from .skyline import enumerate_skyline, psi, psi_inverse
+from .skyline import enumerate_skyline, psi, psi_inverse, psi_table
 from .tableaux import SetValuedTableau, enumerate_svt
 
 @dataclass(frozen=True)
@@ -353,14 +346,12 @@ def _check_character_golden(case):
 
 def _check_kohnert(case):
     n, shape, w = case["n"], tuple(case["shape"]), tuple(case["w"])
-    lam = _pad(shape, n)
-    r, s = len(shape), shape[0]
-    a = act(w, lam)
-    diagrams = closure(a)
+    table = closure_table(act(w, _pad(shape, n)))
+    tableaux = crystal_table(n, shape).tableaux
     flagged = set(flagged_set(w, shape, n))
     images = {}
-    for d in diagrams:
-        t = phi(d, r, s, n)
+    for d, k in zip(table.diagrams, table.phi_positions()):
+        t = tableaux[k]
         if t in images:
             return f"phi collision at {t.to_text()}"
         if d.weight_monomial(n) != BetaPolynomial.monomial(n, t.weight(), beta=t.excess()):
@@ -376,21 +367,20 @@ def _check_kohnert(case):
 
 def _check_kohnert_intertwine(case):
     n, shape, w = case["n"], tuple(case["shape"]), tuple(case["w"])
-    lam = _pad(shape, n)
-    r, s = len(shape), shape[0]
-    for d in closure(act(w, lam)):
-        t = phi(d, r, s, n)
-        diagram_moves = {
-            (x, k): image for x, k, image in single_moves(d)
-        }
+    table = closure_table(act(w, _pad(shape, n)))
+    tableaux = crystal_table(n, shape).tableaux
+    images = table.phi_positions()
+    for k, d in enumerate(table.diagrams):
+        t = tableaux[images[k]]
+        diagram_moves = {(x, is_k): images[j] for x, is_k, j in table.moves(k)}
         for x in sorted({x for x, _ in d.boxes}):
-            for k in (False, True):
-                moved = svt_kohnert_move(t, x, k)
-                key = (x, k)
+            for is_k in (False, True):
+                moved = svt_kohnert_move(t, x, is_k)
+                key = (x, is_k)
                 if (key in diagram_moves) != (moved is not None):
-                    return f"move availability differs at {t.to_text()}, x={x}, k={k}"
-                if moved is not None and phi(diagram_moves[key], r, s, n) != moved:
-                    return f"moves do not intertwine at {t.to_text()}, x={x}, k={k}"
+                    return f"move availability differs at {t.to_text()}, x={x}, k={is_k}"
+                if moved is not None and tableaux[diagram_moves[key]] != moved:
+                    return f"moves do not intertwine at {t.to_text()}, x={x}, k={is_k}"
     return None
 
 
@@ -414,14 +404,14 @@ def _check_kohnert_golden(case):
 
 def _check_skyline(case):
     n, shape, w = case["n"], tuple(case["shape"]), tuple(case["w"])
-    lam = _pad(shape, n)
-    a = act(w, lam)
-    skylines = enumerate_skyline(a, n)
+    a = act(w, _pad(shape, n))
+    table = psi_table(a, n)
+    tableaux = crystal_table(n, shape).tableaux
     atom = set(atom_subset(w, shape, n))
     images = {}
     weights = []
-    for skyline in skylines:
-        t = psi(skyline, n)
+    for skyline, k in zip(table.skylines, table.images):
+        t = tableaux[k]
         if t in images:
             return f"psi collision at {t.to_text()}"
         weight = skyline.weight_monomial(n)

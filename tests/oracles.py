@@ -216,16 +216,18 @@ def reference_kcrystal_f(tableau, i):
 
 
 def reference_kcrystal_e(tableau, i):
-    both = [(r, c) for r, c, cell in _cells(tableau) if i in cell and i + 1 in cell]
-    if not both:
-        return None
-    plus, minus = reference_signature(tableau, i)
-    if minus:
-        return None
-    r, c = max(both, key=lambda rc: rc[1])
-    if any(cc > c for cc in plus):
-        return None
-    return _replaced(tableau, {(r, c): set(tableau.rows[r][c]) - {i + 1}})
+    """The unique U with reference_kcrystal_f(U, i) == tableau, searched
+    over the removals of i+1 from each box holding both i and i+1."""
+    found = [
+        u
+        for r, c, cell in _cells(tableau)
+        if i in cell and i + 1 in cell
+        if reference_kcrystal_f(u := _replaced(tableau, {(r, c): set(cell) - {i + 1}}), i)
+        == tableau
+    ]
+    if len(found) > 1:
+        raise AssertionError(f"f^K_{i} is not injective onto {tableau.to_text()}")
+    return found[0] if found else None
 
 
 @lru_cache(maxsize=None)
@@ -271,12 +273,12 @@ def reference_lusztig_star(tableau):
 
 
 def _reference_free_fits(skyline, c, level, height, value):
-    cell = skyline.cell(c, level)
-    if value >= cell[-1]:
+    cells = dict(skyline.columns)[c]
+    if value >= cells[level - 1][-1]:
         return False
-    if level > 1 and min(skyline.cell(c, level - 1)) < value:
+    if level > 1 and min(cells[level - 2]) < value:
         return False
-    if level < height and max(skyline.cell(c, level + 1)) > value:
+    if level < height and max(cells[level]) > value:
         return False
     return True
 

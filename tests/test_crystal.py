@@ -19,6 +19,7 @@ from kcrystals.crystal import (
     kcrystal_f,
     raise_string_max,
 )
+from kcrystals.keys import lusztig_star, right_key
 from kcrystals.polynomials import lascoux
 from kcrystals.tableaux import SetValuedTableau, enumerate_svt, superstandard
 from oracles import enumerate_ssyt
@@ -89,6 +90,16 @@ def test_kcrystal_e_examples():
     assert kcrystal_e(T("1 1,2/2 3"), 1) == T("1 1/2 3")
 
 
+def test_kcrystal_e_inverts_kcrystal_f_on_a_three_by_three_square():
+    # Removing the 4 of the box {2,3,4} pairs column 2 with column 1 and
+    # frees the "+" of column 3, where f^K_3 would add the 4 instead.
+    witness = T("1 1 1,2,3/2 2,3,4 5/4 5 6", 6)
+    removed = T("1 1 1,2,3/2 2,3 5/4 5 6", 6)
+    assert kcrystal_e(witness, 3) is None
+    assert kcrystal_f(removed, 3) == T("1 1 1,2,3,4/2 2,3 5/4 5 6", 6)
+    assert kcrystal_e(kcrystal_f(removed, 3), 3) == removed
+
+
 def test_kcrystal_edges_match_the_golden_graph():
     edges = []
     for t in enumerate_svt(3, (2, 2)):
@@ -105,6 +116,16 @@ def test_raise_string_max_examples():
     u = superstandard((2, 2), 3)
     assert raise_string_max(u, 1) == u
     assert raise_string_max(T("1 1/2 2,3"), 2) == T("1 1/2 2")
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [lambda t: raise_string_max(t, 1), is_k_highest_weight, right_key, lusztig_star],
+    ids=["raise_string_max", "is_k_highest_weight", "right_key", "lusztig_star"],
+)
+def test_tableau_readers_reject_a_tableau_outside_the_crystal(reader):
+    with pytest.raises(ValueError, match=r"not in the crystal of \(2, 2\) at n=3"):
+        reader(T("2 1/3 3"))
 
 
 def test_demazure_subset_examples():

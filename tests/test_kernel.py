@@ -3,8 +3,8 @@ Differential tests against the reference implementations in oracles.py:
 the crystal kernel, the maps of the crystal table and the structures read
 from it over every tableau of every shape with at most 4 cells at n <= 4
 and every rectangle up to 2x2 at n = 5; the pruned skyline
-enumeration and the tabulated Demazure subsets over the compositions and
-coset representatives of those shapes.
+enumeration, the tabulated Demazure subsets and the closure and psi
+tables over the compositions and coset representatives of those shapes.
 """
 
 import pytest
@@ -21,8 +21,9 @@ from kcrystals.crystal import (
     signature,
 )
 from kcrystals.keys import lusztig_star, right_key
+from kcrystals.kohnert import closure_table, phi, single_moves
 from kcrystals.permutations import act, coset_reps, reduced_words, stabilizer_min_rep
-from kcrystals.skyline import enumerate_skyline, validate_skyline
+from kcrystals.skyline import enumerate_skyline, psi, psi_table, validate_skyline
 from kcrystals.tableaux import SetValuedTableau, enumerate_svt
 from oracles import (
     reference_crystal_e,
@@ -74,6 +75,25 @@ def test_operators_match_the_reference(n, shape):
                     rebuilt = SetValuedTableau(result.rows, n)
                     assert result.rows == rebuilt.rows
                     assert hash(result) == hash(rebuilt)
+
+
+def test_k_operators_match_the_reference_on_a_three_by_three_component():
+    # The e_i/f_i component of a tableau of shape (3,3,3) at n = 6 where an
+    # e^K_i that checks the signature before removing the i+1 goes wrong.
+    component = {SetValuedTableau.from_text("1 1 1,2,3/2 2,3,4 5/4 5 6", 6)}
+    frontier = list(component)
+    while frontier:
+        t = frontier.pop()
+        for i in range(1, 6):
+            for image in (reference_crystal_e(t, i), reference_crystal_f(t, i)):
+                if image is not None and image not in component:
+                    component.add(image)
+                    frontier.append(image)
+    assert len(component) == 336
+    for t in component:
+        for i in range(1, 6):
+            assert kcrystal_e(t, i) == reference_kcrystal_e(t, i), (t, i)
+            assert kcrystal_f(t, i) == reference_kcrystal_f(t, i), (t, i)
 
 
 @pytest.mark.parametrize("n,shape", CASES, ids=str)
@@ -132,3 +152,22 @@ def test_demazure_subset_matches_per_tableau_raise_chains(n, shape):
         for word in reduced_words(stabilizer_min_rep(w, lam)):
             expected = reference_demazure_subset(w, shape, n, word)
             assert demazure_subset(w, shape, n, word) == expected, (w, word)
+
+
+@pytest.mark.parametrize("n,shape", RECTANGLES, ids=str)
+def test_closure_and_psi_tables_match_the_kernel(n, shape):
+    lam = _pad(shape, n)
+    r, s = len(shape), shape[0]
+    tableaux = crystal_table(n, shape).tableaux
+    for v in coset_reps(lam, n):
+        a = act(v, lam)
+        closure = closure_table(a)
+        for k, d in enumerate(closure.diagrams):
+            moves = [(x, is_k, closure.diagrams[j]) for x, is_k, j in closure.moves(k)]
+            assert moves == single_moves(d), (a, d)
+            assert tableaux[closure.phi_positions()[k]] == phi(d, r, s, n), (a, d)
+        skylines = psi_table(a, n)
+        assert skylines.skylines == enumerate_skyline(a, n)
+        for skyline, k in zip(skylines.skylines, skylines.images):
+            assert tableaux[k] == psi(skyline, n), (a, skyline)
+        assert skylines.preimage == {k: j for j, k in enumerate(skylines.images)}

@@ -9,8 +9,6 @@ from kcrystals.kohnert import (
     KKohnertDiagram,
     closure,
     initial_diagram,
-    k_kohnert_moves,
-    kohnert_moves,
     phi,
     phi_inverse,
     single_moves,
@@ -26,6 +24,10 @@ def D(boxes, marked=()):
     return KKohnertDiagram(frozenset(boxes), frozenset(marked))
 
 
+def moves(diagram, k_variant):
+    return {d for _, is_k, d in single_moves(diagram) if is_k == k_variant}
+
+
 def test_initial_diagram_examples():
     assert initial_diagram((0, 2, 2)) == D({(2, 1), (2, 2), (3, 1), (3, 2)})
     assert initial_diagram(()) == D(set())
@@ -34,19 +36,19 @@ def test_initial_diagram_examples():
 
 def test_kohnert_moves_examples():
     start = initial_diagram((0, 2, 2))
-    results = kohnert_moves(start)
+    results = moves(start, False)
     assert D({(1, 2), (2, 1), (3, 1), (3, 2)}) in results
     assert D({(2, 1), (2, 2), (1, 2), (3, 1)}) in results
-    assert kohnert_moves(D({(1, 1), (1, 2)})) == set()
+    assert moves(D({(1, 1), (1, 2)}), False) == set()
 
 
 def test_k_kohnert_moves_examples():
     start = initial_diagram((0, 2, 2))
-    results = k_kohnert_moves(start)
+    results = moves(start, True)
     assert D({(1, 2), (2, 1), (2, 2), (3, 1), (3, 2)}, {(2, 2)}) in results
     # marked boxes never move again
     marked = D({(1, 1), (2, 1)}, {(2, 1)})
-    assert kohnert_moves(marked) == set()
+    assert moves(marked, False) == set()
 
 
 def test_moves_never_pass_marked_boxes():

@@ -15,7 +15,6 @@ from kcrystals.permutations import (
     lehmer_code,
     length,
     longest_element,
-    rectangle_coset_data,
     reduced_word,
     reduced_words,
     sorting_permutation,
@@ -119,28 +118,6 @@ def test_sorting_permutation_spec_cases():
     lam, w = sorting_permutation((4, 0, 2, 0, 0))
     assert lam == (4, 2, 0, 0, 0)
     assert w == (1, 3, 2, 4, 5)
-
-
-def test_rectangle_coset_data_examples():
-    assert rectangle_coset_data((1, 2, 3), 2, 2).indices == ()
-    assert rectangle_coset_data((1, 2, 3), 2, 2).k is None
-    assert rectangle_coset_data((1, 3, 2), 2, 2).indices == (2,)
-    assert rectangle_coset_data((2, 3, 1), 2, 2).indices == (2, 1)
-    assert rectangle_coset_data((2, 3, 1), 2, 2).permutation(3) == (2, 3, 1)
-
-
-def test_rectangle_coset_data_rejects_non_representatives():
-    with pytest.raises(ValueError):
-        rectangle_coset_data((3, 2, 1), 2, 2)
-
-
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_rectangle_coset_data_round_trips(n):
-    for r in range(1, min(3, n) + 1):
-        for w in coset_reps((2,) * r + (0,) * (n - r), n):
-            data = rectangle_coset_data(w, r, 2)
-            assert data.permutation(n) == w
-            assert len(data.word()) == length(w)
 
 
 def test_flag_vector_examples():

@@ -36,7 +36,8 @@ def test_enumerate_counts():
     # sorted shapes have the single constant filling
     only = enumerate_skyline((2, 2, 0), 3)
     assert len(only) == 1
-    assert only[0].cell(1, 1) == (1,) and only[0].cell(2, 1) == (2,)
+    columns = dict(only[0].columns)
+    assert columns[1][0] == (1,) and columns[2][0] == (2,)
     two = enumerate_skyline((0, 1), 2)
     assert {json.dumps(s.to_json_dict(), sort_keys=True) for s in two} == {
         json.dumps(
