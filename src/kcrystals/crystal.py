@@ -18,6 +18,7 @@ cancel in ordered "-+" pairs: each "+" consumes the most recent pending
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -253,9 +254,7 @@ def atom_subset(
 
 def beta_character(tableaux, n: int) -> BetaPolynomial:
     """Sum of b^excess x^weight over the given tableaux."""
-    return BetaPolynomial.sum(
-        n, (BetaPolynomial.monomial(n, t.weight(), beta=t.excess()) for t in tableaux)
-    )
+    return BetaPolynomial(n, Counter((t.weight(), t.excess()) for t in tableaux))
 
 
 def decompose(n: int, shape) -> list[tuple[SetValuedTableau, tuple[SetValuedTableau, ...]]]:

@@ -25,22 +25,37 @@ from .permutations import (
 TermKey = tuple[tuple[int, ...], int]
 
 
+def _variable_count(n) -> int:
+    if type(n) is not int or n < 0:
+        raise ValueError(f"variable count must be a non-negative int, got {n!r}")
+    return n
+
+
 class BetaPolynomial:
     """Element of Z[b][x_1, ..., x_n]."""
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: dict[TermKey, int] | None = None):
-        self.n = n
+        n = _variable_count(n)
         clean: dict[TermKey, int] = {}
         for (xs, be), c in (terms or {}).items():
-            if c == 0:
-                continue
             xs = tuple(xs)
-            if len(xs) != n or any(e < 0 for e in xs) or be < 0:
+            exponents = xs + (be,)
+            if type(c) is not int or set(map(type, exponents)) != {int}:
+                raise TypeError(f"exponents and coefficient must be ints: {(xs, be)!r}: {c!r}")
+            if len(xs) != n or min(exponents) < 0:
                 raise ValueError(f"bad exponent key {(xs, be)!r} for n={n}")
-            clean[(xs, be)] = c
-        self.terms = clean
+            if c:
+                clean[(xs, be)] = c
+        self.n, self.terms = n, clean
+
+    @classmethod
+    def _trusted(cls, n: int, terms: dict[TermKey, int]) -> "BetaPolynomial":
+        """Wrap terms whose keys are already valid for n, dropping zeros."""
+        poly = object.__new__(cls)
+        poly.n, poly.terms = n, {key: c for key, c in terms.items() if c}
+        return poly
 
     # -- constructors ------------------------------------------------
 
@@ -60,13 +75,13 @@ class BetaPolynomial:
     @classmethod
     def sum(cls, n: int, polys) -> "BetaPolynomial":
         """The sum of polys, each in n variables, accumulated in one dict."""
-        terms: dict[TermKey, int] = {}
+        n, terms = _variable_count(n), {}
         for p in polys:
             if p.n != n:
                 raise ValueError(f"variable count mismatch: {p.n} != {n}")
             for key, c in p.terms.items():
                 terms[key] = terms.get(key, 0) + c
-        return cls(n, terms)
+        return cls._trusted(n, terms)
 
     # -- ring structure ----------------------------------------------
 
@@ -75,28 +90,34 @@ class BetaPolynomial:
             raise ValueError(f"variable count mismatch: {self.n} != {other.n}")
 
     def __add__(self, other: "BetaPolynomial") -> "BetaPolynomial":
+        if not isinstance(other, BetaPolynomial):
+            return NotImplemented
         self._check(other)
         terms = dict(self.terms)
         for key, c in other.terms.items():
             terms[key] = terms.get(key, 0) + c
-        return BetaPolynomial(self.n, terms)
+        return BetaPolynomial._trusted(self.n, terms)
 
     def __neg__(self) -> "BetaPolynomial":
-        return BetaPolynomial(self.n, {k: -c for k, c in self.terms.items()})
+        return BetaPolynomial._trusted(self.n, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "BetaPolynomial") -> "BetaPolynomial":
+        if not isinstance(other, BetaPolynomial):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other) -> "BetaPolynomial":
-        if isinstance(other, int):
-            return BetaPolynomial(self.n, {k: c * other for k, c in self.terms.items()})
+        if type(other) is int:
+            return BetaPolynomial._trusted(self.n, {k: c * other for k, c in self.terms.items()})
+        if not isinstance(other, BetaPolynomial):
+            return NotImplemented
         self._check(other)
         terms: dict[TermKey, int] = {}
         for (xs1, b1), c1 in self.terms.items():
             for (xs2, b2), c2 in other.terms.items():
                 key = (tuple(a + b for a, b in zip(xs1, xs2)), b1 + b2)
                 terms[key] = terms.get(key, 0) + c1 * c2
-        return BetaPolynomial(self.n, terms)
+        return BetaPolynomial._trusted(self.n, terms)
 
     __rmul__ = __mul__
 
@@ -123,16 +144,16 @@ class BetaPolynomial:
         return sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
 
     def beta_zero(self) -> "BetaPolynomial":
-        return BetaPolynomial(
+        return BetaPolynomial._trusted(
             self.n, {k: c for k, c in self.terms.items() if k[1] == 0}
         )
 
     def extend(self, m: int) -> "BetaPolynomial":
         """Embed into Z[b][x_1..x_m] for m >= n."""
-        if m < self.n:
-            raise ValueError("cannot shrink the variable set")
+        if type(m) is not int or m < self.n:
+            raise ValueError(f"cannot embed n={self.n} variables into {m!r}")
         pad = (0,) * (m - self.n)
-        return BetaPolynomial(
+        return BetaPolynomial._trusted(
             m, {(xs + pad, be): c for (xs, be), c in self.terms.items()}
         )
 
@@ -150,7 +171,7 @@ class BetaPolynomial:
             ys[i - 1], ys[i] = ys[i], ys[i - 1]
             key = (tuple(ys), be)
             terms[key] = terms.get(key, 0) + c
-        return BetaPolynomial(self.n, terms)
+        return BetaPolynomial._trusted(self.n, terms)
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i < self.n:
@@ -169,26 +190,30 @@ class BetaPolynomial:
             a, b = xs[i - 1], xs[i]
             if a == b:
                 continue
-            sign = 1 if a > b else -1
-            lo, hi = min(a, b), max(a, b)
-            for p in range(lo, hi):
-                ys = list(xs)
-                ys[i - 1], ys[i] = p, a + b - 1 - p
-                key = (tuple(ys), be)
-                terms[key] = terms.get(key, 0) + sign * c
-        return BetaPolynomial(self.n, terms)
+            if a < b:
+                a, b, c = b, a, -c
+            head, tail = xs[: i - 1], xs[i + 1 :]
+            for p in range(b, a):
+                key = (head + (p, a + b - 1 - p) + tail, be)
+                terms[key] = terms.get(key, 0) + c
+        return BetaPolynomial._trusted(self.n, terms)
+
+    def _shift(self, j: int, beta: int = 0) -> "BetaPolynomial":
+        """The product with b^beta x_j: raise exponent j of every term."""
+        k, terms = j - 1, self.terms.items()
+        return BetaPolynomial._trusted(
+            self.n, {(xs[:k] + (xs[k] + 1,) + xs[j:], be + beta): c for (xs, be), c in terms}
+        )
 
     def demazure(self, i: int) -> "BetaPolynomial":
         """pi_i f = (x_i f - x_{i+1} s_i f) / (x_i - x_{i+1})."""
-        xi = BetaPolynomial.monomial(self.n, tuple(int(j == i) for j in range(1, self.n + 1)))
-        return (xi * self).divided_difference(i)
+        self._check_index(i)
+        return self._shift(i).divided_difference(i)
 
     def demazure_lascoux(self, i: int) -> "BetaPolynomial":
         """varpi_i f = pi_i((1 + b x_{i+1}) f)."""
-        xnext = BetaPolynomial.monomial(
-            self.n, tuple(int(j == i + 1) for j in range(1, self.n + 1)), beta=1
-        )
-        return (self + xnext * self).demazure(i)
+        self._check_index(i)
+        return (self + self._shift(i + 1, beta=1)).demazure(i)
 
     def demazure_lascoux_atom(self, i: int) -> "BetaPolynomial":
         """varpi_i f - f."""
@@ -201,10 +226,8 @@ class BetaPolynomial:
         chain from the staircase monomial reproduces classical Schubert
         polynomials at b = 0 and is stable under adding variables.
         """
-        xnext = BetaPolynomial.monomial(
-            self.n, tuple(int(j == i + 1) for j in range(1, self.n + 1)), beta=1
-        )
-        return (self + xnext * self).divided_difference(i)
+        self._check_index(i)
+        return (self + self._shift(i + 1, beta=1)).divided_difference(i)
 
     # -- text form ------------------------------------------------------
 
@@ -240,7 +263,7 @@ _FACTOR_RE = re.compile(r"^(?:b(?:\^(\d+))?|x(\d+)(?:\^(\d+))?|(-?\d+))$")
 
 
 def parse_polynomial(text: str, n: int) -> BetaPolynomial:
-    """Inverse of :meth:`BetaPolynomial.to_text`."""
+    """Inverse of :meth:`BetaPolynomial.to_text`: accepts canonical text only."""
     text = text.strip()
     if text == "0":
         return BetaPolynomial.zero(n)
@@ -267,7 +290,11 @@ def parse_polynomial(text: str, n: int) -> BetaPolynomial:
             else:
                 coeff *= int(m.group(4))
         monomials.append(BetaPolynomial.monomial(n, xs, beta=beta, coeff=coeff))
-    return BetaPolynomial.sum(n, monomials)
+    poly = BetaPolynomial.sum(n, monomials)
+    canonical = poly.to_text()
+    if canonical != text:
+        raise ValueError(f"{text!r} is not canonical; its canonical form is {canonical!r}")
+    return poly
 
 
 # -- named polynomial families ----------------------------------------------

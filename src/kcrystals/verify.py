@@ -169,10 +169,9 @@ def _check_bruhat_atom_sum(case):
     n, shape = case["n"], tuple(case["shape"])
     lam = _pad(shape, n)
     reps = set(coset_reps(lam, n))
+    atoms = {v: lascoux_atom(act(v, lam), n) for v in reps}
     for w in reps:
-        total = BetaPolynomial.sum(
-            n, (lascoux_atom(act(v, lam), n) for v in bruhat_ideal(w) if v in reps)
-        )
+        total = BetaPolynomial.sum(n, (atoms[v] for v in bruhat_ideal(w) if v in atoms))
         if total != lascoux(act(w, lam), n):
             return f"atom sum mismatch at w={list(w)}"
     return None

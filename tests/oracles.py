@@ -93,6 +93,26 @@ def oracle_isobaric(p: BetaPolynomial, i: int) -> BetaPolynomial:
     return divide_by_root_difference(numerator, i)
 
 
+def _variable(n: int, j: int, beta: int = 0) -> BetaPolynomial:
+    """The monomial b^beta x_j in n variables."""
+    return BetaPolynomial.monomial(n, tuple(int(k == j) for k in range(1, n + 1)), beta=beta)
+
+
+def reference_demazure(p: BetaPolynomial, i: int) -> BetaPolynomial:
+    """pi_i through the generic product with x_i."""
+    return (_variable(p.n, i) * p).divided_difference(i)
+
+
+def reference_demazure_lascoux(p: BetaPolynomial, i: int) -> BetaPolynomial:
+    """varpi_i = pi_i((1 + b x_{i+1}) f) through the generic product."""
+    return reference_demazure(p + _variable(p.n, i + 1, beta=1) * p, i)
+
+
+def reference_isobaric_beta(p: BetaPolynomial, i: int) -> BetaPolynomial:
+    """partial_i((1 + b x_{i+1}) f) through the generic product."""
+    return (p + _variable(p.n, i + 1, beta=1) * p).divided_difference(i)
+
+
 def enumerate_ssyt(n: int, shape) -> list[tuple[tuple[int, ...], ...]]:
     """Semistandard Young tableaux as tuples of rows of integers."""
     shape = tuple(s for s in shape if s)

@@ -1,3 +1,4 @@
+import re
 from functools import reduce
 from operator import add
 
@@ -18,6 +19,9 @@ from kcrystals.polynomials import (
 from oracles import (
     oracle_divided_difference,
     oracle_isobaric,
+    reference_demazure,
+    reference_demazure_lascoux,
+    reference_isobaric_beta,
     schur_polynomial,
 )
 
@@ -81,15 +85,10 @@ def test_isobaric_beta_examples_from_division_oracle():
     assert mono(2, (1, 1)).isobaric_beta(1) == mono(2, (1, 1), beta=1, coeff=-1)
 
 
-exponent_vectors = st.integers(min_value=2, max_value=4).flatmap(
-    lambda n: st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n)
-)
-
-
 @st.composite
-def polynomials(draw):
-    xs = draw(exponent_vectors)
-    n = len(xs)
+def polynomials(draw, n=None):
+    if n is None:
+        n = draw(st.integers(min_value=2, max_value=4))
     poly = BetaPolynomial.zero(n)
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         exps = draw(
@@ -120,6 +119,106 @@ def test_operator_identities_on_random_polynomials(p, data):
     assert p.demazure_lascoux(i) == pi + mono(p.n, (0,) * p.n, beta=1) * (
         (mono(p.n, tuple(int(j == i + 1) for j in range(1, p.n + 1))) * p).demazure(i)
     )
+
+
+@given(polynomials(), st.data())
+def test_fast_operators_match_the_product_references(p, data):
+    i = data.draw(st.integers(min_value=1, max_value=p.n - 1))
+    assert p.demazure(i) == reference_demazure(p, i)
+    assert p.demazure_lascoux(i) == reference_demazure_lascoux(p, i)
+    assert p.isobaric_beta(i) == reference_isobaric_beta(p, i)
+
+
+@given(polynomials(), st.data())
+def test_internal_results_pass_the_public_constructor(p, data):
+    """No zero coefficient, and every key of length n with non-negative
+    exponents, in every result the ring builds without validation."""
+    n = p.n
+    q = data.draw(polynomials(n))
+    i = data.draw(st.integers(min_value=1, max_value=n - 1))
+    k = data.draw(st.integers(min_value=-2, max_value=2))
+    results = [
+        p + q, p - q, p - p, p * q, p * k, k * p, -p,
+        p.swap(i), p.divided_difference(i),
+        p.demazure(i), p.demazure_lascoux(i), p.isobaric_beta(i),
+        p.beta_zero(), p.extend(n + 1), BetaPolynomial.sum(n, [p, q, -p]),
+    ]
+    for r in results:
+        assert BetaPolynomial(r.n, r.terms) == r
+
+
+@pytest.mark.parametrize("op", ["demazure", "demazure_lascoux", "isobaric_beta"])
+@pytest.mark.parametrize("i", [0, 3])
+def test_operator_index_out_of_range_is_a_value_error(op, i):
+    with pytest.raises(ValueError, match="out of range"):
+        getattr(mono(3, (1, 0, 2)), op)(i)
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [
+        lambda p: p * 1.5,
+        lambda p: 1.5 * p,
+        lambda p: p * "a",
+        lambda p: p * True,
+        lambda p: p + 1,
+        lambda p: 1 + p,
+        lambda p: p - 1,
+    ],
+)
+def test_foreign_operands_raise_type_error(operation):
+    with pytest.raises(TypeError):
+        operation(mono(2, (1, 0)))
+
+
+@pytest.mark.parametrize(
+    "n,terms,error",
+    [
+        (-1, {}, ValueError),
+        (1.5, {}, ValueError),
+        (True, {}, ValueError),
+        ("2", {}, ValueError),
+        (2, {((1, 0), 0): 1.5}, TypeError),
+        (2, {((1, 0), 0): True}, TypeError),
+        (2, {((1, 0), 0): "1"}, TypeError),
+        (2, {((1.0, 0), 0): 1}, TypeError),
+        (2, {((True, 0), 0): 1}, TypeError),
+        (2, {((1, 0), 1.0): 1}, TypeError),
+        (2, {((1, 0, 0), 0): 1}, ValueError),
+        (2, {((1, -1), 0): 1}, ValueError),
+        (2, {((1, 0), -1): 1}, ValueError),
+    ],
+)
+def test_public_constructor_rejects_bad_data(n, terms, error):
+    with pytest.raises(error):
+        BetaPolynomial(n, terms)
+
+
+@pytest.mark.parametrize("n", [-1, 1.5, True])
+def test_sum_and_extend_reject_a_bad_variable_count(n):
+    with pytest.raises(ValueError):
+        BetaPolynomial.sum(n, [])
+    with pytest.raises(ValueError):
+        BetaPolynomial.one(1).extend(n)
+
+
+@pytest.mark.parametrize(
+    "text,canonical",
+    [
+        ("x1 + x1", "2*x1"),
+        ("x1^0", "1"),
+        ("b^0*x2", "x2"),
+        ("0*x1", "0"),
+        ("2*3*x1", "6*x1"),
+        ("1*x1", "x1"),
+        ("x1 + 0", "x1"),
+        ("x1*x1", "x1^2"),
+        ("x1 + x2", "x2 + x1"),
+    ],
+)
+def test_parse_polynomial_rejects_non_canonical_text(text, canonical):
+    with pytest.raises(ValueError, match=re.escape(repr(canonical))):
+        parse_polynomial(text, 2)
 
 
 @st.composite
