@@ -18,6 +18,7 @@ each phi image in the crystal table of the rectangle.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -197,23 +198,23 @@ def phi(diagram: KKohnertDiagram, r: int, s: int, n: int) -> SetValuedTableau:
             raise ValueError(f"box {(x, y)} above row {s}; not a rectangle image")
         bucket = marked_of if (x, y) in diagram.marked else rows_of
         bucket.setdefault(y, []).append(x)
-    cells: list[list[set[int]]] = [[set() for _ in range(s)] for _ in range(r)]
+    columns: list[list[tuple[int, ...]]] = []  # tableau columns s-1, ..., 0
     for y in range(1, s + 1):
         unmarked = sorted(rows_of.get(y, []))
         if len(unmarked) != r:
             raise ValueError(
                 f"diagram row {y} has {len(unmarked)} unmarked boxes, expected {r}"
             )
-        col = s - y
-        for row_idx, x in enumerate(unmarked):
-            cells[row_idx][col].add(x)
+        cells = [[x] for x in unmarked]
         for x in sorted(marked_of.get(y, [])):
-            below = [u for u in unmarked if u < x]
+            below = bisect_left(unmarked, x)  # unmarked boxes left of x
             if not below:
                 raise ValueError(f"marked box {(x, y)} has no unmarked box to its left")
-            row_idx = unmarked.index(max(below))
-            cells[row_idx][col].add(x)
-    tableau = SetValuedTableau(cells, n)
+            cells[below - 1].append(x)
+        columns.append([tuple(cell) for cell in cells])
+    columns.reverse()
+    rows = tuple(tuple(column[row_idx] for column in columns) for row_idx in range(r))
+    tableau = SetValuedTableau._trusted(rows, n)
     if not tableau.is_semistandard():
         raise ValueError(f"diagram does not map to a semistandard tableau: {tableau!r}")
     return tableau
@@ -247,30 +248,41 @@ def svt_kohnert_move(
     run of values x'+1..x-1 slides down one box, and x' lands in the box
     that held x'+1.  Returns None when x is not the minimum of its box,
     when x' would be 0, or when a value in the run shares its box."""
-    if not tableau.contains(x):
+    rows = tableau.rows
+    col = -1
+    for row in rows:
+        for c, cell in enumerate(row if col < 0 else row[:col]):
+            if x in cell:
+                col = c
+                break
+    if col < 0:
         return None
-    col = next((c for c in range(len(tableau.rows[0])) if x in tableau.column_entries(c)), None)
-    if col is None:
+    if col >= len(rows[0]):
         raise ValueError(f"{tableau.to_text()} holds {x} beyond the width of its first row")
-    entries = tableau.column_entries(col)
-    row_of = {v: tableau.row_with(col, v) for v in entries}
-    if x != min(tableau.rows[row_of[x]][col]):
+    row_of: dict[int, int] = {}  # each entry of the column, at its topmost row
+    for r, row in enumerate(rows):
+        if col < len(row):
+            for v in row[col]:
+                row_of.setdefault(v, r)
+    if x != min(rows[row_of[x]][col]):
         return None
     x_prime = x - 1
-    while x_prime >= 1 and x_prime in entries:
+    while x_prime >= 1 and x_prime in row_of:
         x_prime -= 1
     if x_prime == 0:
         return None
     for v in range(x_prime + 1, x):
-        if tableau.rows[row_of[v]][col] != (v,):
+        if rows[row_of[v]][col] != (v,):
             return None
-    out = tableau
+    # the slide, on copies of the column's cells in the rows it touches
+    cells = {row_of[v]: set(rows[row_of[v]][col]) for v in range(x_prime + 1, x + 1)}
     if not k_variant:
-        out = out.with_cell(row_of[x], col, set(out.rows[row_of[x]][col]) - {x})
+        cells[row_of[x]].discard(x)
     for v in range(x - 1, x_prime, -1):
-        below = row_of[v + 1]
-        out = out.with_cell(below, col, set(out.rows[below][col]) | {v})
-        out = out.with_cell(row_of[v], col, set(out.rows[row_of[v]][col]) - {v})
-    target_row = row_of[x_prime + 1]
-    out = out.with_cell(target_row, col, set(out.rows[target_row][col]) | {x_prime})
-    return out
+        cells[row_of[v + 1]].add(v)
+        cells[row_of[v]].discard(v)
+    cells[row_of[x_prime + 1]].add(x_prime)
+    out = list(rows)
+    for r, cell in cells.items():
+        out[r] = rows[r][:col] + (tuple(sorted(cell)),) + rows[r][col + 1 :]
+    return SetValuedTableau._trusted(tuple(out), tableau.n)

@@ -69,6 +69,7 @@ class BetaPolynomial:
 
     @classmethod
     def monomial(cls, n: int, xs, beta: int = 0, coeff: int = 1) -> "BetaPolynomial":
+        n = _variable_count(n)
         xs = tuple(xs) + (0,) * (n - len(xs))
         return cls(n, {(xs, beta): coeff})
 
@@ -264,6 +265,7 @@ _FACTOR_RE = re.compile(r"^(?:b(?:\^(\d+))?|x(\d+)(?:\^(\d+))?|(-?\d+))$")
 
 def parse_polynomial(text: str, n: int) -> BetaPolynomial:
     """Inverse of :meth:`BetaPolynomial.to_text`: accepts canonical text only."""
+    n = _variable_count(n)
     text = text.strip()
     if text == "0":
         return BetaPolynomial.zero(n)

@@ -129,18 +129,20 @@ def _compatible(pcells: tuple[Cell, ...], qcells: tuple[Cell, ...]) -> bool:
     tall, short = (qcells, pcells) if hq >= hp else (pcells, qcells)
     for level in range(min(hp, hq)):
         pcell, qcell = pcells[level], qcells[level]
-        if any(v in pcell for v in qcell):
-            return False
-        if level:
-            a, b, cc = anchor(tall[level]), anchor(tall[level - 1]), anchor(short[level])
-            if not (cc < a or b < cc):
+        for v in qcell:
+            if v in pcell:
                 return False
+        if level and tall[level][-1] <= short[level][-1] <= tall[level - 1][-1]:
+            return False
         # a free entry sits in the leftmost cell of its level where it could
         # live: under that cell's anchor and at least the cell above it (the
         # cell below, weakly decreasing upward, is at least the anchor)
-        for v in qcell[:-1]:
-            if v < anchor(pcell) and (level + 1 == hp or max(pcells[level + 1]) <= v):
-                return False
+        if len(qcell) > 1:
+            cap = pcell[-1]
+            floor = pcells[level + 1][-1] if level + 1 < hp else None
+            for v in qcell[:-1]:
+                if v < cap and (floor is None or floor <= v):
+                    return False
     return True
 
 
@@ -211,7 +213,10 @@ def _enumerate_skyline(a: tuple[int, ...], n: int) -> tuple[SkylineTableau, ...]
             out.append(SkylineTableau(a, tuple(placed)))
             return
         for cells in per_column[k]:
-            if all(_compatible(pcells, cells) for _, pcells in placed):
+            for _, pcells in placed:
+                if not _compatible(pcells, cells):
+                    break
+            else:
                 placed.append((nonzero[k][0], cells))
                 extend(k + 1)
                 placed.pop()
@@ -237,28 +242,26 @@ def psi(skyline: SkylineTableau, n: int) -> SetValuedTableau:
     s = widths.pop()
     r = len(heights)
 
-    straightened: list[list[list[int]]] = []
+    columns: list[tuple[Cell, ...]] = []  # tableau columns s-1, ..., 0
     for level in range(1, s + 1):
         row = skyline.cells_at_level(level)
         if len(row) != r:
             raise ValueError(f"level {level} has {len(row)} cells, expected {r}")
         anchors = sorted(anchor(cell) for _, cell in row)
         frees = sorted(v for _, cell in row for v in cell[:-1])
-        cells: list[list[int]] = [[a] for a in anchors]
+        below: list[list[int]] = [[] for _ in anchors]  # the free entries of each cell
         for v in frees:
-            for a, cell in zip(anchors, cells):
+            for a, cell in zip(anchors, below):
                 if v < a:
-                    cell.append(v)
+                    if not cell or cell[-1] != v:  # a repeated free entry is one entry
+                        cell.append(v)
                     break
             else:
                 raise ValueError(f"free entry {v} fits under no anchor")
-        straightened.append([sorted(cell) for cell in cells])
-
-    rows = [
-        [straightened[s - 1 - col][row_idx] for col in range(s)]
-        for row_idx in range(r)
-    ]
-    tableau = SetValuedTableau(rows, n)
+        columns.append(tuple((*cell, a) for cell, a in zip(below, anchors)))
+    columns.reverse()
+    rows = tuple(tuple(column[row_idx] for column in columns) for row_idx in range(r))
+    tableau = SetValuedTableau._trusted(rows, n)
     if not tableau.is_semistandard():
         raise ValueError(f"image is not semistandard: {tableau!r}")
     return tableau

@@ -433,3 +433,114 @@ def reference_right_key(tableau):
     if not all(bruhat_leq(least, v) for v in members):
         raise AssertionError(f"no Bruhat-least Demazure crystal holds {tableau.to_text()}")
     return key_of_composition(act(least, lam))
+
+
+def reference_svt_kohnert_move(tableau, x, k_variant=False):
+    """The tableau Kohnert move one cell at a time: every removal and
+    addition builds a new tableau."""
+    if not tableau.contains(x):
+        return None
+    col = next((c for c in range(len(tableau.rows[0])) if x in tableau.column_entries(c)), None)
+    if col is None:
+        raise ValueError(f"{tableau.to_text()} holds {x} beyond the width of its first row")
+    entries = tableau.column_entries(col)
+    row_of = {v: tableau.row_with(col, v) for v in entries}
+    if x != min(tableau.rows[row_of[x]][col]):
+        return None
+    x_prime = x - 1
+    while x_prime >= 1 and x_prime in entries:
+        x_prime -= 1
+    if x_prime == 0:
+        return None
+    for v in range(x_prime + 1, x):
+        if tableau.rows[row_of[v]][col] != (v,):
+            return None
+    out = tableau
+    if not k_variant:
+        out = out.with_cell(row_of[x], col, set(out.rows[row_of[x]][col]) - {x})
+    for v in range(x - 1, x_prime, -1):
+        below = row_of[v + 1]
+        out = out.with_cell(below, col, set(out.rows[below][col]) | {v})
+        out = out.with_cell(row_of[v], col, set(out.rows[row_of[v]][col]) - {v})
+    target_row = row_of[x_prime + 1]
+    return out.with_cell(target_row, col, set(out.rows[target_row][col]) | {x_prime})
+
+
+def reference_phi(diagram, r, s, n):
+    """phi with set cells, each marked box placed by a scan of the
+    unmarked boxes, through the normalising tableau constructor."""
+    rows_of, marked_of = {}, {}
+    for x, y in diagram.boxes:
+        if y > s:
+            raise ValueError(f"box {(x, y)} above row {s}; not a rectangle image")
+        bucket = marked_of if (x, y) in diagram.marked else rows_of
+        bucket.setdefault(y, []).append(x)
+    cells = [[set() for _ in range(s)] for _ in range(r)]
+    for y in range(1, s + 1):
+        unmarked = sorted(rows_of.get(y, []))
+        if len(unmarked) != r:
+            raise ValueError(
+                f"diagram row {y} has {len(unmarked)} unmarked boxes, expected {r}"
+            )
+        for row_idx, x in enumerate(unmarked):
+            cells[row_idx][s - y].add(x)
+        for x in sorted(marked_of.get(y, [])):
+            below = [u for u in unmarked if u < x]
+            if not below:
+                raise ValueError(f"marked box {(x, y)} has no unmarked box to its left")
+            cells[unmarked.index(max(below))][s - y].add(x)
+    tableau = SetValuedTableau(cells, n)
+    if not tableau.is_semistandard():
+        raise ValueError(f"diagram does not map to a semistandard tableau: {tableau!r}")
+    return tableau
+
+
+def reference_psi(skyline, n):
+    """psi with list cells, sorted and read through the normalising
+    tableau constructor."""
+    heights = [h for h in skyline.shape if h]
+    widths = set(heights)
+    if len(widths) != 1:
+        raise ValueError("shape must be a rearranged rectangle")
+    s = widths.pop()
+    r = len(heights)
+    straightened = []
+    for level in range(1, s + 1):
+        row = skyline.cells_at_level(level)
+        if len(row) != r:
+            raise ValueError(f"level {level} has {len(row)} cells, expected {r}")
+        anchors = sorted(cell[-1] for _, cell in row)
+        frees = sorted(v for _, cell in row for v in cell[:-1])
+        cells = [[a] for a in anchors]
+        for v in frees:
+            for a, cell in zip(anchors, cells):
+                if v < a:
+                    cell.append(v)
+                    break
+            else:
+                raise ValueError(f"free entry {v} fits under no anchor")
+        straightened.append([sorted(cell) for cell in cells])
+    rows = [[straightened[s - 1 - col][row_idx] for col in range(s)] for row_idx in range(r)]
+    tableau = SetValuedTableau(rows, n)
+    if not tableau.is_semistandard():
+        raise ValueError(f"image is not semistandard: {tableau!r}")
+    return tableau
+
+
+def reference_compatible(pcells, qcells):
+    """The cross-column skyline rules for columns p left of q, through
+    any/max generators."""
+    hp, hq = len(pcells), len(qcells)
+    tall, short = (qcells, pcells) if hq >= hp else (pcells, qcells)
+    for level in range(min(hp, hq)):
+        pcell, qcell = pcells[level], qcells[level]
+        if any(v in pcell for v in qcell):
+            return False
+        if level:
+            a, b, cc = tall[level][-1], tall[level - 1][-1], short[level][-1]
+            if not (cc < a or b < cc):
+                return False
+        for v in qcell[:-1]:
+            if v < pcell[-1] and (level + 1 == hp or max(pcells[level + 1]) <= v):
+                return False
+    return True

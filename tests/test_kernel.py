@@ -4,7 +4,8 @@ the crystal kernel, the maps of the crystal table and the structures read
 from it over every tableau of every shape with at most 4 cells at n <= 4
 and every rectangle up to 2x2 at n = 5; the pruned skyline
 enumeration, the tabulated Demazure subsets and the closure and psi
-tables over the compositions and coset representatives of those shapes.
+tables over the compositions and coset representatives of those shapes;
+the tableau Kohnert move, phi, psi and the cross-column skyline rules.
 """
 
 import pytest
@@ -21,11 +22,19 @@ from kcrystals.crystal import (
     signature,
 )
 from kcrystals.keys import lusztig_star, right_key
-from kcrystals.kohnert import closure_table, phi, single_moves
+from kcrystals.kohnert import closure_table, phi, single_moves, svt_kohnert_move
 from kcrystals.permutations import act, coset_reps, reduced_words, stabilizer_min_rep
-from kcrystals.skyline import enumerate_skyline, psi, psi_table, validate_skyline
+from kcrystals.skyline import (
+    _column_fillings,
+    _compatible,
+    enumerate_skyline,
+    psi,
+    psi_table,
+    validate_skyline,
+)
 from kcrystals.tableaux import SetValuedTableau, enumerate_svt
 from oracles import (
+    reference_compatible,
     reference_crystal_e,
     reference_crystal_f,
     reference_decompose,
@@ -34,9 +43,12 @@ from oracles import (
     reference_kcrystal_e,
     reference_kcrystal_f,
     reference_lusztig_star,
+    reference_phi,
+    reference_psi,
     reference_raise_string_max,
     reference_right_key,
     reference_signature,
+    reference_svt_kohnert_move,
 )
 
 
@@ -171,3 +183,49 @@ def test_closure_and_psi_tables_match_the_kernel(n, shape):
         for skyline, k in zip(skylines.skylines, skylines.images):
             assert tableaux[k] == psi(skyline, n), (a, skyline)
         assert skylines.preimage == {k: j for j, k in enumerate(skylines.images)}
+
+
+MOVE_CASES = [
+    (n, (s,) * r) for n in range(1, 5) for r in range(1, min(n, 3) + 1) for s in range(1, 4)
+] + [(5, shape) for shape in ((1,), (2,), (1, 1), (2, 2))]
+
+
+@pytest.mark.parametrize("n,shape", MOVE_CASES, ids=str)
+def test_svt_kohnert_move_matches_the_reference(n, shape):
+    for t in enumerate_svt(n, shape):
+        for x in range(1, n + 1):
+            for k_variant in (False, True):
+                moved = svt_kohnert_move(t, x, k_variant)
+                expected = reference_svt_kohnert_move(t, x, k_variant)
+                if expected is None:
+                    assert moved is None, (t, x, k_variant)
+                else:
+                    assert moved.rows == expected.rows, (t, x, k_variant)
+                    assert hash(moved) == hash(expected), (t, x, k_variant)
+
+
+@pytest.mark.parametrize("n,shape", RECTANGLES, ids=str)
+def test_phi_and_psi_match_the_references(n, shape):
+    lam = _pad(shape, n)
+    r, s = len(shape), shape[0]
+    for v in coset_reps(lam, n):
+        a = act(v, lam)
+        for d in closure_table(a).diagrams:
+            image, expected = phi(d, r, s, n), reference_phi(d, r, s, n)
+            assert (image.rows, hash(image)) == (expected.rows, hash(expected)), (a, d)
+        for skyline in enumerate_skyline(a, n):
+            image, expected = psi(skyline, n), reference_psi(skyline, n)
+            assert (image.rows, hash(image)) == (expected.rows, hash(expected)), (a, skyline)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_compatible_matches_the_reference(n):
+    fillings = [
+        cells for c in range(1, n + 1) for h in range(1, 4) for cells in _column_fillings(c, h, n)
+    ]
+    for pcells in fillings:
+        for qcells in fillings:
+            assert _compatible(pcells, qcells) == reference_compatible(pcells, qcells), (
+                pcells,
+                qcells,
+            )

@@ -200,6 +200,10 @@ def test_sum_and_extend_reject_a_bad_variable_count(n):
         BetaPolynomial.sum(n, [])
     with pytest.raises(ValueError):
         BetaPolynomial.one(1).extend(n)
+    with pytest.raises(ValueError, match="variable count"):
+        BetaPolynomial.monomial(n, (1,))
+    with pytest.raises(ValueError, match="variable count"):
+        parse_polynomial("x1", n)
 
 
 @pytest.mark.parametrize(
