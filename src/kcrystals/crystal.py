@@ -6,7 +6,8 @@ The four operators below are the kernel.  ``crystal_table(n, shape)`` is
 the one cached crystal on a shape, which every consumer reads: the tableaux
 of ``enumerate_svt(n, shape)`` at positions 0..N-1 (text order), and each
 operator or raise map of a letter, filled on first read, as an array of
-positions.
+positions; each position's weight, excess and semistandard flag are also
+filled on first read.
 
 Signs are computed per column, left to right: a column containing i but
 not i+1 contributes "+", one containing i+1 but not i contributes "-",
@@ -20,7 +21,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .permutations import (
     Perm,
@@ -99,8 +100,10 @@ def kcrystal_f(tableau: SetValuedTableau, i: int) -> SetValuedTableau | None:
     if minus or not plus:
         return None
     c = plus[-1]
-    if any(cc >= c and i in cell and i + 1 in cell for _, cc, cell in tableau.cells()):
-        return None
+    for row in tableau.rows:
+        for cell in row[c:]:
+            if i in cell and i + 1 in cell:
+                return None
     r = tableau.row_with(c, i)
     return tableau.with_cell(r, c, set(tableau.rows[r][c]) | {i + 1})
 
@@ -113,7 +116,12 @@ def kcrystal_e(tableau: SetValuedTableau, i: int) -> SetValuedTableau | None:
     each value once, so the box is unique), and kcrystal_f(U) = T exactly
     when U is i-highest and its rightmost unpaired "+" is in that box's
     column."""
-    both = [(c, r) for r, c, cell in tableau.cells() if i in cell and i + 1 in cell]
+    both = [
+        (c, r)
+        for r, row in enumerate(tableau.rows)
+        for c, cell in enumerate(row)
+        if i in cell and i + 1 in cell
+    ]
     if not both:
         return None
     c, r = max(both)
@@ -128,7 +136,8 @@ _KERNEL = {"e": crystal_e, "f": crystal_f, "eK": kcrystal_e, "fK": kcrystal_f}
 
 class CrystalTable:
     """The crystal on enumerate_svt(n, shape): the tableau at position k is
-    tableaux[k], and index maps each tableau back to its position."""
+    tableaux[k], and index maps each tableau back to its position; the maps
+    and the per-position statistics are filled on first read."""
 
     def __init__(self, n: int, shape: tuple[int, ...]):
         self.n, self.shape = n, shape
@@ -163,6 +172,16 @@ class CrystalTable:
                 )
             self._maps[op, i] = images
         return self._maps[op, i]
+
+    @cached_property
+    def stats(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(weight, excess) of the tableau at each position."""
+        return tuple((t.weight(), t.excess()) for t in self.tableaux)
+
+    @cached_property
+    def semistandard(self) -> bytes:
+        """Whether the tableau at each position is semistandard."""
+        return bytes(t.is_semistandard() for t in self.tableaux)
 
     def raise_along(self, word) -> array:
         """The position each position reaches by the raise maps of word."""

@@ -45,15 +45,15 @@ def key_of_composition(a) -> SetValuedTableau:
 
 def max_tableau(tableau: SetValuedTableau) -> SetValuedTableau:
     """Greatest entry in each box."""
-    return SetValuedTableau(
-        [[(cell[-1],) for cell in row] for row in tableau.rows], tableau.n
+    return SetValuedTableau._trusted(
+        tuple(tuple((cell[-1],) for cell in row) for row in tableau.rows), tableau.n
     )
 
 
 def min_tableau(tableau: SetValuedTableau) -> SetValuedTableau:
     """Least entry in each box."""
-    return SetValuedTableau(
-        [[(cell[0],) for cell in row] for row in tableau.rows], tableau.n
+    return SetValuedTableau._trusted(
+        tuple(tuple((cell[0],) for cell in row) for row in tableau.rows), tableau.n
     )
 
 
@@ -88,9 +88,19 @@ def right_key(tableau: SetValuedTableau) -> SetValuedTableau:
     return _right_keys(tableau.n, tableau.shape)[k]
 
 
+@lru_cache(maxsize=None)
+def _max_right_keys(n: int, shape: tuple[int, ...]) -> tuple[SetValuedTableau, ...]:
+    """Right key of the greatest-entry tableau of each tableau of the shape,
+    by position; the greatest entries of a semistandard tableau form one."""
+    table = crystal_table(n, shape)
+    keys = _right_keys(n, shape)
+    return tuple(keys[table.position(max_tableau(t))] for t in table.tableaux)
+
+
 def max_right_key(tableau: SetValuedTableau) -> SetValuedTableau:
     """Right key of the greatest-entry tableau."""
-    return right_key(max_tableau(tableau))
+    k = crystal_table(tableau.n, tableau.shape).position(tableau)
+    return _max_right_keys(tableau.n, tableau.shape)[k]
 
 
 @lru_cache(maxsize=None)
@@ -140,11 +150,18 @@ def k_lusztig_star(tableau: SetValuedTableau) -> SetValuedTableau:
     if len(widths) > 1:
         raise ValueError("the rotation involution needs a rectangular shape")
     n = tableau.n
-    rows = [
-        [tuple(sorted(n + 1 - v for v in cell)) for cell in reversed(row)]
+    rows = tuple(
+        tuple(tuple(n + 1 - v for v in reversed(cell)) for cell in reversed(row))
         for row in reversed(tableau.rows)
-    ]
-    return SetValuedTableau(rows, n)
+    )
+    return SetValuedTableau._trusted(rows, n)
+
+
+@lru_cache(maxsize=None)
+def _rotations(n: int, shape: tuple[int, ...]) -> array:
+    """Position of k_lusztig_star of each tableau of a rectangle, by position."""
+    table = crystal_table(n, shape)
+    return array("i", (table.position(k_lusztig_star(t)) for t in table.tableaux))
 
 
 def k_right_key(tableau: SetValuedTableau, star) -> SetValuedTableau:

@@ -234,7 +234,15 @@ enumerate_skyline.cache_clear = _enumerate_skyline.cache_clear
 def psi(skyline: SkylineTableau, n: int) -> SetValuedTableau:
     """Straighten each row (anchors sorted, free entries redistributed to
     the leftmost cell they fit under) and read row L, bottom-up, as
-    tableau column s+1-L."""
+    tableau column s+1-L; raises ValueError on a skyline that
+    validate_skyline rejects."""
+    if not validate_skyline(skyline, n):
+        raise ValueError(f"{skyline!r} is not a valid skyline tableau with entries at most {n}")
+    return _psi(skyline, n)
+
+
+def _psi(skyline: SkylineTableau, n: int) -> SetValuedTableau:
+    """psi of a skyline that is already valid, as enumerate_skyline's are."""
     heights = [h for h in skyline.shape if h]
     widths = set(heights)
     if len(widths) != 1:
@@ -276,7 +284,7 @@ class PsiTable:
         self.skylines = enumerate_skyline(a, n)
         r, s = _rectangle_dims(a)
         table = crystal_table(n, (s,) * r)
-        self.images = array("i", (table.position(psi(skyline, n)) for skyline in self.skylines))
+        self.images = array("i", (table.position(_psi(skyline, n)) for skyline in self.skylines))
         self.preimage: dict[int, int] = {}
         for j, k in enumerate(self.images):
             if k in self.preimage:

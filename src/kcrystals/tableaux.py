@@ -120,27 +120,30 @@ class SetValuedTableau:
 
     def weight(self) -> tuple[int, ...]:
         counts = [0] * self.n
-        for _, _, cell in self.cells():
-            for v in cell:
-                counts[v - 1] += 1
+        for row in self.rows:
+            for cell in row:
+                for v in cell:
+                    counts[v - 1] += 1
         return tuple(counts)
 
     def excess(self) -> int:
-        return sum(len(cell) - 1 for _, _, cell in self.cells())
+        return sum(len(cell) - 1 for row in self.rows for cell in row)
 
     # -- validity -----------------------------------------------------------
 
     def is_semistandard(self) -> bool:
-        shape = self.shape
-        if list(shape) != sorted(shape, reverse=True):
+        rows, n = self.rows, self.n
+        shape = [len(row) for row in rows]
+        if shape != sorted(shape, reverse=True):
             return False
-        for r, c, cell in self.cells():
-            if not cell or cell[0] < 1 or cell[-1] > self.n:
-                return False
-            if c + 1 < len(self.rows[r]) and cell[-1] > self.rows[r][c + 1][0]:
-                return False
-            if r + 1 < len(self.rows) and c < len(self.rows[r + 1]):
-                if cell[-1] >= self.rows[r + 1][c][0]:
+        for r, row in enumerate(rows):
+            below = rows[r + 1] if r + 1 < len(rows) else ()
+            for c, cell in enumerate(row):
+                if not cell or cell[0] < 1 or cell[-1] > n:
+                    return False
+                if c + 1 < len(row) and cell[-1] > row[c + 1][0]:
+                    return False
+                if c < len(below) and cell[-1] >= below[c][0]:
                     return False
         return True
 
@@ -176,8 +179,8 @@ def enumerate_svt(n: int, shape: tuple[int, ...]) -> tuple[SetValuedTableau, ...
     coords = [(r, c) for r, width in enumerate(shape) for c in range(width)]
 
     def fill(idx: int) -> None:
-        if idx == len(coords):
-            results.append(SetValuedTableau(rows, n))
+        if idx == len(coords):  # cells come sorted from combinations
+            results.append(SetValuedTableau._trusted(tuple(map(tuple, rows)), n))
             return
         r, c = coords[idx]
         lo = 1

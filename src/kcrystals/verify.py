@@ -24,15 +24,14 @@ from .crystal import (
     demazure_subset,
     flagged_set,
     ik_strings,
-    is_k_highest_weight,
     superstandard,
 )
 from .keys import (
-    k_lusztig_star,
+    _max_right_keys,
+    _rotations,
+    _stars,
     key_of_composition,
     key_partition_report,
-    lusztig_star,
-    max_right_key,
     preceq,
 )
 from .kohnert import KKohnertDiagram, closure, closure_table, phi, phi_inverse, svt_kohnert_move
@@ -182,19 +181,20 @@ def _check_inverse_ops(case):
     n, shape = case["n"], tuple(case["shape"])
     table = crystal_table(n, shape)
     maps = [(i, table.map("e", i), table.map("f", i)) for i in range(1, n)]
+    stats, semistandard = table.stats, table.semistandard
     for k, t in enumerate(table.tableaux):
-        wt, ex = t.weight(), t.excess()
+        wt, ex = stats[k]
         for i, e, f in maps:
-            if f[k] >= 0:
-                down = table.tableaux[f[k]]
-                if e[f[k]] != k:
+            down = f[k]
+            if down >= 0:
+                if e[down] != k:
                     return f"e_{i} f_{i} != id at {t.to_text()}"
                 expected = list(wt)
                 expected[i - 1] -= 1
                 expected[i] += 1
-                if down.weight() != tuple(expected) or down.excess() != ex:
+                if stats[down] != (tuple(expected), ex):
                     return f"f_{i} weight law fails at {t.to_text()}"
-                if not down.is_semistandard():
+                if not semistandard[down]:
                     return f"f_{i} broke semistandardness at {t.to_text()}"
             if e[k] >= 0 and f[e[k]] != k:
                 return f"f_{i} e_{i} != id at {t.to_text()}"
@@ -205,13 +205,14 @@ def _check_components(case):
     n, shape = case["n"], tuple(case["shape"])
     comps = decompose(n, shape)  # raises if a component lacks a unique highest
     total = sum(len(comp) for _, comp in comps)
-    tableaux = enumerate_svt(n, shape)
+    table = crystal_table(n, shape)
+    tableaux = table.tableaux
     if total != len(tableaux):
         return f"components cover {total} of {len(tableaux)} tableaux"
     u = superstandard(shape, n)
     for high, comp in comps:
         if high == u:
-            singletons = {t for t in tableaux if t.excess() == 0}
+            singletons = {t for t, (_, ex) in zip(tableaux, table.stats) if ex == 0}
             if set(comp) != singletons:
                 return "component of the minimal highest weight element is not the single-valued one"
     return None
@@ -221,19 +222,21 @@ def _check_k_ops(case):
     n, shape = case["n"], tuple(case["shape"])
     table = crystal_table(n, shape)
     maps = [(i, table.map("eK", i), table.map("fK", i)) for i in range(1, n)]
+    stats, semistandard = table.stats, table.semistandard
     for k, t in enumerate(table.tableaux):
+        wt, ex = stats[k]
         for i, ek, fk in maps:
-            if fk[k] >= 0:
-                down = table.tableaux[fk[k]]
-                if not down.is_semistandard():
+            down = fk[k]
+            if down >= 0:
+                if not semistandard[down]:
                     return f"f^K_{i} broke semistandardness at {t.to_text()}"
-                if fk[fk[k]] >= 0:
+                if fk[down] >= 0:
                     return f"f^K_{i} f^K_{i} != 0 at {t.to_text()}"
-                expected = list(t.weight())
+                expected = list(wt)
                 expected[i] += 1
-                if down.weight() != tuple(expected) or down.excess() != t.excess() + 1:
+                if stats[down] != (tuple(expected), ex + 1):
                     return f"f^K_{i} weight law fails at {t.to_text()}"
-                if ek[fk[k]] != k:
+                if ek[down] != k:
                     return f"f^K_{i} is not inverse to e^K_{i} at {t.to_text()}"
             if ek[k] >= 0 and fk[ek[k]] != k:
                 return f"e^K_{i} is not inverse to f^K_{i} at {t.to_text()}"
@@ -278,8 +281,10 @@ def _check_k_demazure(case):
     n, shape, w = case["n"], tuple(case["shape"]), tuple(case["w"])
     lam = _pad(shape, n)
     u = superstandard(shape, n)
-    tableaux = enumerate_svt(n, shape)
-    doubly_highest = [t for t in tableaux if is_k_highest_weight(t)]
+    table = crystal_table(n, shape)
+    tableaux = table.tableaux
+    ups = [table.map(op, i) for op in ("e", "eK") for i in range(1, n)]
+    doubly_highest = [t for k, t in enumerate(tableaux) if all(up[k] < 0 for up in ups)]
     if doubly_highest != [u]:
         return f"minimal highest weight element is not unique: {[t.to_text() for t in doubly_highest]}"
     words = sorted(reduced_words(stabilizer_min_rep(w, lam)))
@@ -473,15 +478,16 @@ def _check_skyline_golden(case):
 
 def _check_key_ideal_atom(case):
     n, shape, w = case["n"], tuple(case["shape"]), tuple(case["w"])
-    lam = _pad(shape, n)
-    a = act(tuple(w), lam)
-    target = key_of_composition(a)
-    tableaux = enumerate_svt(n, shape)
-    ideal = {t for t in tableaux if preceq(max_right_key(t), target)}
-    atom = {t for t in tableaux if max_right_key(t) == target}
-    if ideal != set(demazure_subset(tuple(w), shape, n)):
+    target = key_of_composition(act(w, _pad(shape, n)))
+    keys = _max_right_keys(n, shape)
+    verdicts = {key: (preceq(key, target), key == target) for key in set(keys)}
+    tableaux = crystal_table(n, shape).tableaux
+    # both subsets, like these, list tableaux in table (text) order
+    ideal = tuple(t for t, key in zip(tableaux, keys) if verdicts[key][0])
+    atom = tuple(t for t, key in zip(tableaux, keys) if verdicts[key][1])
+    if ideal != demazure_subset(w, shape, n):
         return "key ideal differs from the K-Demazure subset"
-    if atom != set(atom_subset(tuple(w), shape, n)):
+    if atom != atom_subset(w, shape, n):
         return "key fiber differs from the atom subset"
     return None
 
@@ -489,28 +495,32 @@ def _check_key_ideal_atom(case):
 def _check_star_axioms(case):
     n, shape = case["n"], tuple(case["shape"])
     table = crystal_table(n, shape)
-    tableaux, index = table.tableaux, table.index
-    for k, t in enumerate(tableaux):
-        star = k_lusztig_star(t)
-        if k_lusztig_star(star) != t:
+    rotations, stars, stats = _rotations(n, shape), _stars(n, shape), table.stats
+    # (i, e_i, f_i, e_{n-i}, f_{n-i})
+    maps = [
+        (i, table.map("e", i), table.map("f", i), table.map("e", n - i), table.map("f", n - i))
+        for i in range(1, n)
+    ]
+    for k, t in enumerate(table.tableaux):
+        reversed_weight = stats[k][0][::-1]
+        star = rotations[k]
+        if rotations[star] != k:
             return f"rotation involution does not square to id at {t.to_text()}"
-        if star.weight() != tuple(reversed(t.weight())):
+        if stats[star][0] != reversed_weight:
             return f"rotation involution weight law fails at {t.to_text()}"
-        naive = lusztig_star(t)
-        if lusztig_star(naive) != t:
+        naive = stars[k]
+        if stars[naive] != k:
             return f"path-mirror involution does not square to id at {t.to_text()}"
-        if naive.weight() != tuple(reversed(t.weight())):
+        if stats[naive][0] != reversed_weight:
             return f"path-mirror weight law fails at {t.to_text()}"
         if len(shape) == 1 and naive != star:
             return f"single-row involutions disagree at {t.to_text()}"
-        for i in range(1, n):
-            down = table.map("f", n - i)[k]
-            right = -1 if down < 0 else index[k_lusztig_star(tableaux[down])]
-            if table.map("e", i)[index[star]] != right:
+        for i, e, f, e_mirror, f_mirror in maps:
+            down = f_mirror[k]
+            if e[star] != (-1 if down < 0 else rotations[down]):
                 return f"e_{i}(T°) != (f_{n-i}T)° at {t.to_text()}"
-            up = table.map("e", n - i)[k]
-            right = -1 if up < 0 else index[k_lusztig_star(tableaux[up])]
-            if table.map("f", i)[index[star]] != right:
+            up = e_mirror[k]
+            if f[star] != (-1 if up < 0 else rotations[up]):
                 return f"f_{i}(T°) != (e_{n-i}T)° at {t.to_text()}"
     return None
 

@@ -414,6 +414,48 @@ def reference_decompose(n, shape):
     return sorted(components, key=lambda pair: pair[0].sort_key())
 
 
+def reference_weight(tableau):
+    """Entry counts, one pass over the cells."""
+    counts = [0] * tableau.n
+    for _, _, cell in _cells(tableau):
+        for v in cell:
+            counts[v - 1] += 1
+    return tuple(counts)
+
+
+def reference_excess(tableau):
+    return sum(len(cell) - 1 for _, _, cell in _cells(tableau))
+
+
+def reference_is_semistandard(tableau):
+    """Every box nonempty with entries in [1, n], rows weakly and columns
+    strictly increasing from box to box, and rows of partition lengths."""
+    rows, n = tableau.rows, tableau.n
+    shape = [len(row) for row in rows]
+    if shape != sorted(shape, reverse=True):
+        return False
+    for r, c, cell in _cells(tableau):
+        if not cell or min(cell) < 1 or max(cell) > n:
+            return False
+        if c + 1 < len(rows[r]) and max(cell) > min(rows[r][c + 1]):
+            return False
+        if r + 1 < len(rows) and c < len(rows[r + 1]) and max(cell) >= min(rows[r + 1][c]):
+            return False
+    return True
+
+
+def reference_max_tableau(tableau):
+    """Greatest entry in each box, through the normalising constructor."""
+    return SetValuedTableau([[(max(cell),) for cell in row] for row in tableau.rows], tableau.n)
+
+
+def reference_k_lusztig_star(tableau):
+    """Rotate by 180 degrees and complement, through the normalising constructor."""
+    n = tableau.n
+    rows = [[[n + 1 - v for v in cell] for cell in reversed(row)] for row in reversed(tableau.rows)]
+    return SetValuedTableau(rows, n)
+
+
 def reference_right_key(tableau):
     """The key of v·λ for the Bruhat-least coset representative v such
     that classical raising along a reduced word of v reaches the

@@ -19,7 +19,7 @@ from kcrystals.crystal import (
     kcrystal_f,
     raise_string_max,
 )
-from kcrystals.keys import lusztig_star, right_key
+from kcrystals.keys import lusztig_star, max_right_key, right_key
 from kcrystals.polynomials import lascoux
 from kcrystals.tableaux import SetValuedTableau, enumerate_svt, superstandard
 from oracles import enumerate_ssyt
@@ -120,8 +120,8 @@ def test_raise_string_max_examples():
 
 @pytest.mark.parametrize(
     "reader",
-    [lambda t: raise_string_max(t, 1), is_k_highest_weight, right_key, lusztig_star],
-    ids=["raise_string_max", "is_k_highest_weight", "right_key", "lusztig_star"],
+    [lambda t: raise_string_max(t, 1), is_k_highest_weight, right_key, max_right_key, lusztig_star],
+    ids=["raise_string_max", "is_k_highest_weight", "right_key", "max_right_key", "lusztig_star"],
 )
 def test_tableau_readers_reject_a_tableau_outside_the_crystal(reader):
     with pytest.raises(ValueError, match=r"not in the crystal of \(2, 2\) at n=3"):

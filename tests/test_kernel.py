@@ -5,8 +5,11 @@ from it over every tableau of every shape with at most 4 cells at n <= 4
 and every rectangle up to 2x2 at n = 5; the pruned skyline
 enumeration, the tabulated Demazure subsets and the closure and psi
 tables over the compositions and coset representatives of those shapes;
-the tableau Kohnert move, phi, psi and the cross-column skyline rules.
+the tableau Kohnert move, phi, psi and the cross-column skyline rules;
+the table's per-position statistics, max-right keys and rotations.
 """
+
+from itertools import combinations
 
 import pytest
 
@@ -21,7 +24,15 @@ from kcrystals.crystal import (
     kcrystal_f,
     signature,
 )
-from kcrystals.keys import lusztig_star, right_key
+from kcrystals.keys import (
+    _max_right_keys,
+    _rotations,
+    k_lusztig_star,
+    lusztig_star,
+    max_right_key,
+    max_tableau,
+    right_key,
+)
 from kcrystals.kohnert import closure_table, phi, single_moves, svt_kohnert_move
 from kcrystals.permutations import act, coset_reps, reduced_words, stabilizer_min_rep
 from kcrystals.skyline import (
@@ -40,15 +51,20 @@ from oracles import (
     reference_decompose,
     reference_demazure_subset,
     reference_enumerate_skyline,
+    reference_excess,
+    reference_is_semistandard,
+    reference_k_lusztig_star,
     reference_kcrystal_e,
     reference_kcrystal_f,
     reference_lusztig_star,
+    reference_max_tableau,
     reference_phi,
     reference_psi,
     reference_raise_string_max,
     reference_right_key,
     reference_signature,
     reference_svt_kohnert_move,
+    reference_weight,
 )
 
 
@@ -134,6 +150,67 @@ def test_components_and_right_keys_match_the_references(n, shape):
 def test_lusztig_star_matches_the_path_mirror(n, shape):
     for t in enumerate_svt(n, shape):
         assert lusztig_star(t) == reference_lusztig_star(t), t
+
+
+TABLE_CASES = [(2, (2,)), (3, (2, 1)), (3, (2, 2)), (4, (1, 1, 1)), (4, (2, 2)), (4, (3, 1))]
+
+
+def _same_object(tableau, expected) -> bool:
+    """Equal rows and hash: a trusted tableau is one the constructor would build."""
+    return (tableau.rows, hash(tableau)) == (expected.rows, hash(expected))
+
+
+@pytest.mark.parametrize("n,shape", TABLE_CASES, ids=str)
+def test_table_statistics_match_the_tableaux(n, shape):
+    table = crystal_table(n, shape)
+    assert list(table.stats) == [(t.weight(), t.excess()) for t in table.tableaux]
+    assert list(table.semistandard) == [t.is_semistandard() for t in table.tableaux]
+    for t in table.tableaux:
+        assert _same_object(t, SetValuedTableau(t.rows, n)), t
+        assert (t.weight(), t.excess()) == (reference_weight(t), reference_excess(t)), t
+        assert t.is_semistandard() and reference_is_semistandard(t), t
+        # every one-box change, semistandard or not
+        for r, row in enumerate(t.rows):
+            for c in range(len(row)):
+                for size in range(1, n + 1):
+                    for cell in combinations(range(1, n + 1), size):
+                        rows = [list(row) for row in t.rows]
+                        rows[r][c] = cell
+                        u = SetValuedTableau(rows, n)
+                        assert u.is_semistandard() == reference_is_semistandard(u), u
+
+
+def test_is_semistandard_matches_the_reference_off_the_table():
+    for rows in (
+        [[(1,)], [(2,), (3,)]],
+        [[(1,), (2,)], [(2,)]],
+        [[(0,), (1,)]],
+        [[(1,), (4,)]],
+        [[(1, 2), (2,)], [(3,), (3,)]],
+        [],
+    ):
+        t = SetValuedTableau(rows, 3)
+        assert t.is_semistandard() == reference_is_semistandard(t), rows
+
+
+@pytest.mark.parametrize("n,shape", TABLE_CASES, ids=str)
+def test_max_right_keys_match_the_reference(n, shape):
+    tableaux = crystal_table(n, shape).tableaux
+    for t in tableaux:
+        assert _same_object(max_tableau(t), reference_max_tableau(t)), t
+    keys = _max_right_keys(n, shape)
+    assert list(keys) == [reference_right_key(reference_max_tableau(t)) for t in tableaux]
+    assert tuple(max_right_key(t) for t in tableaux) == keys
+
+
+@pytest.mark.parametrize(
+    "n,shape", [(n, shape) for n, shape in TABLE_CASES if len(set(shape)) == 1], ids=str
+)
+def test_rotation_positions_match_the_rotation(n, shape):
+    table = crystal_table(n, shape)
+    for t in table.tableaux:
+        assert _same_object(k_lusztig_star(t), reference_k_lusztig_star(t)), t
+    assert list(_rotations(n, shape)) == [table.index[k_lusztig_star(t)] for t in table.tableaux]
 
 
 RECTANGLES = [

@@ -60,6 +60,12 @@ def test_max_right_key_examples():
     assert max_right_key(T("1 1/2 2,3")) == T("1 1/3 3")
 
 
+def test_max_right_key_rejects_a_tableau_outside_the_crystal():
+    # not semistandard, though its greatest-entry tableau 1/2 is
+    with pytest.raises(ValueError, match=r"1/1,2 is not in the crystal"):
+        max_right_key(T("1/1,2", 2))
+
+
 def test_lusztig_star_examples():
     assert lusztig_star(superstandard((2, 2), 3)) == T("2 2/3 3")
     assert lusztig_star(T("1 1/2 3")) == T("1 2/3 3")

@@ -56,6 +56,14 @@ def test_psi_golden_pairs():
         assert psi(skyline, 3).to_text() == pair["tableau"]
 
 
+def test_psi_rejects_an_invalid_skyline():
+    # both level-2 cells hold the free entry 1; psi would drop one entry
+    skyline = SkylineTableau((0, 2, 2), ((2, ((2,), (1, 2))), (3, ((3,), (1, 3)))))
+    assert not validate_skyline(skyline, 3)
+    with pytest.raises(ValueError, match="not a valid skyline tableau"):
+        psi(skyline, 3)
+
+
 def test_psi_inverse_round_trip():
     w = (1, 3, 2)
     for skyline in enumerate_skyline((2, 0, 2), 3):

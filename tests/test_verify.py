@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+from kcrystals import crystal, keys
+from kcrystals.tableaux import SetValuedTableau
 from kcrystals.verify import SUITES, Bounds, iter_cases, run_case, run_suite
 
 # (case count, SHA-256 of json.dumps(cases, sort_keys=True)) at the default
@@ -61,3 +63,103 @@ def test_run_case_rejects_a_check_of_another_suite():
         run_case("character", case)
     with pytest.raises(ValueError, match="unknown suite"):
         run_case("not-a-suite", case)
+
+
+# -- fault injection ---------------------------------------------------------
+# Tables are rebuilt from a wrong kernel, and each check must return the
+# witness that the per-tableau form of the check (before the table held
+# statistics, max-right keys and rotations) returned for the same fault.
+
+TABLE_CACHES = (
+    crystal.crystal_table,
+    crystal.demazure_subset,
+    keys._right_keys,
+    keys._max_right_keys,
+    keys._stars,
+    keys._rotations,
+)
+
+
+def _clear_tables():
+    for cached in TABLE_CACHES:
+        cached.cache_clear()
+
+
+@pytest.fixture
+def kernel(monkeypatch):
+    """Sets kernel operators for the tables built inside a test; the tables
+    and every cache read from them are cleared before and after."""
+    _clear_tables()
+    yield lambda op, fn: monkeypatch.setitem(crystal._KERNEL, op, fn)
+    monkeypatch.undo()
+    _clear_tables()
+
+
+def _letters_swapped(op):
+    """op at letter 3 - i: a wrong-weight operator at n = 3."""
+    return lambda t, i: op(t, 3 - i)
+
+
+def _twice(op):
+    """op applied twice: a wrong-weight operator at every n."""
+
+    def twice(t, i):
+        once = op(t, i)
+        return None if once is None else op(once, i)
+
+    return twice
+
+
+def _conjugated(op, a, b):
+    """op conjugated by the swap of tableaux a and b, which have one weight
+    and excess but are not each other's rotation."""
+
+    def swap(t):
+        return b if t == a else a if t == b else t
+
+    def conjugated(t, i):
+        image = op(swap(t), i)
+        return None if image is None else swap(image)
+
+    return conjugated
+
+
+def test_inverse_ops_witness_under_a_wrong_weight_f(kernel):
+    kernel("e", _letters_swapped(crystal.crystal_e))
+    kernel("f", _letters_swapped(crystal.crystal_f))
+    case = {"check": "inverse-ops", "n": 3, "shape": [2, 1]}
+    assert run_case("crystal-axioms", case).witness == "f_1 weight law fails at 1 1,2,3/2"
+
+
+def test_inverse_ops_witness_under_a_one_sided_fault(kernel):
+    kernel("f", _twice(crystal.crystal_f))
+    case = {"check": "inverse-ops", "n": 3, "shape": [2, 2]}
+    assert run_case("crystal-axioms", case).witness == "f_2 e_2 != id at 1 1,2/3 3"
+
+
+def test_k_ops_witness_under_a_wrong_weight_f(kernel):
+    kernel("eK", _letters_swapped(crystal.kcrystal_e))
+    kernel("fK", _letters_swapped(crystal.kcrystal_f))
+    case = {"check": "k-ops", "n": 3, "shape": [2, 2]}
+    assert run_case("k-crystal-axioms", case).witness == "f^K_1 weight law fails at 1 1,2/2 3"
+
+
+@pytest.mark.parametrize(
+    "n,shape,witness",
+    [
+        (3, [2, 2], "path-mirror weight law fails at 1 1,2/2 3"),
+        (3, [2], "path-mirror involution does not square to id at 1 1"),
+    ],
+)
+def test_star_axioms_witness_under_a_wrong_weight_f(kernel, n, shape, witness):
+    kernel("f", _twice(crystal.crystal_f))
+    case = {"check": "star-axioms", "n": n, "shape": shape}
+    assert run_case("keys-rectangle", case).witness == witness
+
+
+def test_star_axioms_witness_when_the_crystal_is_not_rotation_symmetric(kernel):
+    a, b = SetValuedTableau.from_text("1 2/3 3,4", 4), SetValuedTableau.from_text("1 2,3/3 4", 4)
+    kernel("e", _conjugated(crystal.crystal_e, a, b))
+    kernel("f", _conjugated(crystal.crystal_f, a, b))
+    case = {"check": "star-axioms", "n": 4, "shape": [2, 2]}
+    assert run_case("keys-rectangle", case).witness == "e_3(T°) != (f_1T)° at 1 1,2/3 4"
