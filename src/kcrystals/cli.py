@@ -52,8 +52,11 @@ def cmd_lascoux(args) -> int:
 
 def cmd_enumerate(args) -> int:
     items: list[tuple[str, dict]]
-    if args.kind in ("svt", "skyline") and args.n < 1:
+    if args.kind in ("svt", "skyline") and (args.n is None or args.n < 1):
         print("error: --n is required for svt and skyline", file=sys.stderr)
+        return 2
+    if args.kind == "kohnert" and args.n is not None:
+        print("error: enumerate kohnert does not read --n; --shape alone sets the diagrams", file=sys.stderr)
         return 2
     if args.kind == "svt":
         shape = tuple(sorted((p for p in args.shape if p), reverse=True))
@@ -163,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="stream tableaux, diagrams, or skylines")
     p.add_argument("kind", choices=("svt", "kohnert", "skyline"))
     p.add_argument("--shape", type=_composition, required=True)
-    p.add_argument("--n", type=int, default=0)
+    p.add_argument("--n", type=int, default=None)
     p.add_argument("--count", action="store_true")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_enumerate)

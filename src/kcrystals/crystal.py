@@ -245,14 +245,11 @@ def flagged_set(
     """Tableaux whose row-m entries are bounded by the flag of w."""
     r, s = _rectangle_dims(shape)
     bounds = flag_vector(w, r, s)
+    # a semistandard row's greatest entry is the last of its last box
     return tuple(
         t
-        for t in enumerate_svt(n, shape)
-        if all(
-            max(cell) <= bounds[m]
-            for m, row in enumerate(t.rows)
-            for cell in row
-        )
+        for t in crystal_table(n, shape).tableaux
+        if all(row[-1][-1] <= bound for row, bound in zip(t.rows, bounds))
     )
 
 

@@ -9,18 +9,23 @@ drops the top unmarked box of a column into the rightmost open position
 to its left in the same row, never passing over a marked box; the
 K-variant leaves a marked copy at the origin.
 
-``closure_table(a)`` is the one cached closure of a composition, which
-the bijection checks read: its diagrams in canonical order, the single
-moves of each as positions, and, filled on first read, the position of
-each phi image in the crystal table of the rectangle.
+The diagrams of one rearrangement class of compositions form one
+``KohnertGraph``, explored on demand: each diagram has a position, and
+its single moves (as positions), the position of its phi image in the
+crystal table of the rectangle and each bijection check's verdict on it
+are filled on first read, once per diagram.  ``closure_table(a)`` is the
+one cached closure of a composition, as the graph of its class and the
+positions reachable from the skyline of a, in canonical order.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
+from weakref import WeakValueDictionary
 
 from .crystal import _rectangle_dims, crystal_table
 from .polynomials import BetaPolynomial
@@ -130,58 +135,109 @@ def single_moves(
     return out
 
 
-class ClosureTable:
-    """All diagrams reachable from the skyline of a by (K-)Kohnert moves,
-    sorted canonically, with the single moves of each diagram as positions
-    and, filled on first read, the position of each phi image."""
+class KohnertGraph:
+    """The (K-)Kohnert moves among the diagrams of one rearrangement class
+    of compositions, explored on demand.  A move keeps each row's count of
+    unmarked boxes, so every closure of the class lies in this graph and
+    in no other.  Each diagram found gets a position; its single moves,
+    the position of its phi image and each check's verdict on it are
+    filled on first read, once per diagram however many closures hold it."""
 
-    def __init__(self, a: tuple[int, ...]):
-        self.a = a
-        order = [initial_diagram(a)]  # in the order found
-        found = {order[0]: 0}
-        found_moves = []
-        for d in order:
-            entries = []
-            for x, is_k, image in single_moves(d):
-                if image not in found:
-                    found[image] = len(order)
-                    order.append(image)
-                entries.append((x, is_k, found[image]))
-            found_moves.append(entries)
-        rank = sorted(range(len(order)), key=lambda j: order[j].sort_key())
-        position = {j: k for k, j in enumerate(rank)}
-        self.diagrams = tuple(order[j] for j in rank)
-        self._moves, self._starts = array("i"), array("i", [0])
-        for j in rank:
-            for x, is_k, image in found_moves[j]:
-                self._moves.extend((x, is_k, position[image]))
-            self._starts.append(len(self._moves))
-        self._phi: array | None = None
+    def __init__(self, parts: tuple[int, ...]):
+        self.parts, self.n = parts, len(parts)
+        self.diagrams: list[KKohnertDiagram] = []
+        self.index: dict[KKohnertDiagram, int] = {}
+        self._moves: list[array | None] = []  # flat (x, is_k, image) triples
+        self._phi = array("i")
+        self._verdicts: dict[Callable, tuple[bytearray, dict[int, str]]] = {}
 
-    def moves(self, k: int) -> list[tuple[int, bool, int]]:
-        """single_moves(diagrams[k]) with each image as its position."""
-        m, starts = self._moves, self._starts
-        return [(m[j], bool(m[j + 1]), m[j + 2]) for j in range(starts[k], starts[k + 1], 3)]
+    def position(self, diagram: KKohnertDiagram) -> int:
+        """The position of diagram, added unexplored if it is new."""
+        p = self.index.get(diagram)
+        if p is None:
+            p = self.index[diagram] = len(self.diagrams)
+            self.diagrams.append(diagram)
+            self._moves.append(None)
+            self._phi.append(-1)
+        return p
 
-    def phi_positions(self) -> array:
+    def _explored(self, p: int) -> array:
+        moves = self._moves[p]
+        if moves is None:
+            moves = self._moves[p] = array("i")
+            for x, is_k, image in single_moves(self.diagrams[p]):
+                moves.extend((x, is_k, self.position(image)))
+        return moves
+
+    def moves(self, p: int) -> list[tuple[int, bool, int]]:
+        """single_moves(diagrams[p]) with each image as its position."""
+        m = self._explored(p)
+        return [(m[j], bool(m[j + 1]), m[j + 2]) for j in range(0, len(m), 3)]
+
+    def closure(self, a: tuple[int, ...]) -> array:
+        """The positions reachable from the skyline of a, in canonical order."""
+        order = [self.position(initial_diagram(a))]
+        seen = set(order)
+        for p in order:
+            for q in self._explored(p)[2::3]:
+                if q not in seen:
+                    seen.add(q)
+                    order.append(q)
+        diagrams = self.diagrams
+        order.sort(key=lambda p: diagrams[p].sort_key())
+        return array("i", order)
+
+    def phi_positions(self, positions) -> array:
         """The position of each diagram's phi image in crystal_table(n,
-        shape).tableaux, where n = len(a) and shape is the rectangle of a's
-        nonzero parts; phi's ValueError where a is not a rectangle."""
-        if self._phi is None:
-            r, s = _rectangle_dims(self.a)
-            n = len(self.a)
-            table = crystal_table(n, (s,) * r)
-            self._phi = array("i", (table.position(phi(d, r, s, n)) for d in self.diagrams))
-        return self._phi
+        shape), where shape is the rectangle of the class, indexed by
+        diagram position: filled first for the listed positions, in order,
+        and -1 where not filled; phi's ValueError where the class is not a
+        rectangle."""
+        images = self._phi
+        missing = [p for p in positions if images[p] < 0]
+        if missing:
+            r, s = _rectangle_dims(self.parts)
+            table = crystal_table(self.n, (s,) * r)
+            for p in missing:
+                images[p] = table.position(phi(self.diagrams[p], r, s, self.n))
+        return images
+
+    def verdict(self, judge, p: int, *args) -> str | None:
+        """judge's verdict on the diagram at p: judge(*args), a witness or
+        None for a pass, run on the first read only.  A judge that raises
+        records nothing, so each later read raises again."""
+        known, witnesses = self._verdicts.setdefault(judge, (bytearray(), {}))
+        if p >= len(known):
+            known.extend(bytes(len(self.diagrams) - len(known)))
+        if not known[p]:
+            witness = judge(*args)
+            if witness is not None:
+                witnesses[p] = witness
+            known[p] = 1
+        return witnesses.get(p)
 
 
-closure_table = lru_cache(maxsize=None)(ClosureTable)  # one table per composition
+# A class's graph lives as long as one of its closures is cached, so
+# closure_table.cache_clear() frees every graph.
+_graphs: WeakValueDictionary[tuple[int, ...], KohnertGraph] = WeakValueDictionary()
+
+
+@lru_cache(maxsize=None)
+def closure_table(a: tuple[int, ...]) -> tuple[KohnertGraph, array]:
+    """The graph of a's rearrangement class and the positions in it of the
+    diagrams reachable from the skyline of a, in canonical order."""
+    parts = tuple(sorted(a))
+    graph = _graphs.get(parts)
+    if graph is None:
+        graph = _graphs[parts] = KohnertGraph(parts)
+    return graph, graph.closure(a)
 
 
 def closure(a: tuple[int, ...]) -> tuple[KKohnertDiagram, ...]:
     """All diagrams reachable from the skyline of a by (K-)Kohnert moves,
     sorted canonically."""
-    return closure_table(a).diagrams
+    graph, positions = closure_table(a)
+    return tuple(graph.diagrams[p] for p in positions)
 
 
 # -- correspondence with rectangular set-valued tableaux ---------------------

@@ -23,9 +23,25 @@ class SetValuedTableau:
     __slots__ = ("rows", "n", "_hash")
 
     def __init__(self, rows, n: int):
-        self.rows: tuple[tuple[Cell, ...], ...] = tuple(
-            tuple(tuple(sorted(set(cell))) for cell in row) for row in rows
-        )
+        """Rows of cells, each a collection of entries.  Raises ValueError
+        on an empty row or cell, an entry that is not an int in [1, n] and
+        row lengths that are not a partition; semistandardness is left to
+        ``is_semistandard``."""
+        out = []
+        for row in rows:
+            cells = [tuple(cell) for cell in row]
+            if not cells or not all(cells):
+                raise ValueError(f"empty row or cell in row {len(out) + 1} of {rows!r}")
+            for v in (v for cell in cells for v in cell):
+                if type(v) is not int:
+                    raise ValueError(f"non-integer entry {v!r} in {rows!r}")
+                if not 1 <= v <= n:
+                    raise ValueError(f"entry {v} outside [1, {n}] in {rows!r}")
+            out.append(tuple(tuple(sorted(set(cell))) for cell in cells))
+        widths = [len(row) for row in out]
+        if widths != sorted(widths, reverse=True):
+            raise ValueError(f"row lengths {widths} of {rows!r} are not a partition")
+        self.rows: tuple[tuple[Cell, ...], ...] = tuple(out)
         self.n = n
         self._hash = hash((self.rows, n))
 
@@ -64,9 +80,8 @@ class SetValuedTableau:
     @classmethod
     def from_text(cls, text: str, n: int) -> "SetValuedTableau":
         """Parse the text form.  Rejects empty rows or boxes, non-integer
-        entries, entries outside [1, n], an entry repeated in a box and row
-        lengths that are not a partition; semistandardness is left to
-        ``is_semistandard``."""
+        entries, an entry repeated in a box and whatever the constructor
+        rejects; semistandardness is left to ``is_semistandard``."""
         text = text.strip()
         rows = [row_text.split() for row_text in text.split("/")] if text else []
         if not all(rows):
@@ -75,13 +90,8 @@ class SetValuedTableau:
             rows = [[tuple(int(v) for v in box.split(",")) for box in row] for row in rows]
         except ValueError:
             raise ValueError(f"non-integer entry in {text!r}") from None
-        if not all(1 <= v <= n for row in rows for cell in row for v in cell):
-            raise ValueError(f"entry outside [1, {n}] in {text!r}")
         if any(len(set(cell)) != len(cell) for row in rows for cell in row):
             raise ValueError(f"entry repeated in a box of {text!r}")
-        widths = [len(row) for row in rows]
-        if widths != sorted(widths, reverse=True):
-            raise ValueError(f"row lengths {widths} of {text!r} are not a partition")
         return cls(rows, n)
 
     def sort_key(self) -> str:

@@ -358,43 +358,61 @@ def _check_character_golden(case):
     return None
 
 
+def _round_trip_witness(d, t, n: int) -> str | None:
+    """_check_kohnert's verdict on one diagram d with phi image t."""
+    if (d.column_heights(n), len(d.marked)) != (t.weight(), t.excess()):
+        return f"phi does not preserve the weight of {t.to_text()}"
+    if phi_inverse(t) != d:
+        return f"phi_inverse(phi(D)) != D at {t.to_text()}"
+    return None
+
+
 def _check_kohnert(case):
     n, shape, w = case["n"], tuple(case["shape"]), tuple(case["w"])
-    table = closure_table(act(w, _pad(shape, n)))
+    graph, positions = closure_table(act(w, _pad(shape, n)))
     tableaux = crystal_table(n, shape).tableaux
     flagged = set(flagged_set(w, shape, n))
-    images = {}
-    for d, k in zip(table.diagrams, table.phi_positions()):
-        t = tableaux[k]
-        if t in images:
-            return f"phi collision at {t.to_text()}"
-        if (d.column_heights(n), len(d.marked)) != (t.weight(), t.excess()):
-            return f"phi does not preserve the weight of {t.to_text()}"
-        if phi_inverse(t) != d:
-            return f"phi_inverse(phi(D)) != D at {t.to_text()}"
-        images[t] = d
-    if set(images) != flagged:
-        diff = set(images).symmetric_difference(flagged)
+    images = graph.phi_positions(positions)
+    seen = set()
+    for p in positions:
+        k = images[p]
+        if k in seen:
+            return f"phi collision at {tableaux[k].to_text()}"
+        witness = graph.verdict(_round_trip_witness, p, graph.diagrams[p], tableaux[k], n)
+        if witness is not None:
+            return witness
+        seen.add(k)
+    found = {tableaux[k] for k in seen}
+    if found != flagged:
+        diff = found.symmetric_difference(flagged)
         return f"phi image mismatch: {sorted(t.to_text() for t in diff)}"
+    return None
+
+
+def _intertwine_witness(graph, p: int, images, tableaux) -> str | None:
+    """_check_kohnert_intertwine's verdict on the diagram at p."""
+    t = tableaux[images[p]]
+    diagram_moves = {(x, is_k): images[q] for x, is_k, q in graph.moves(p)}
+    for x in sorted({x for x, _ in graph.diagrams[p].boxes}):
+        for is_k in (False, True):
+            moved = svt_kohnert_move(t, x, is_k)
+            key = (x, is_k)
+            if (key in diagram_moves) != (moved is not None):
+                return f"move availability differs at {t.to_text()}, x={x}, k={is_k}"
+            if moved is not None and tableaux[diagram_moves[key]] != moved:
+                return f"moves do not intertwine at {t.to_text()}, x={x}, k={is_k}"
     return None
 
 
 def _check_kohnert_intertwine(case):
     n, shape, w = case["n"], tuple(case["shape"]), tuple(case["w"])
-    table = closure_table(act(w, _pad(shape, n)))
+    graph, positions = closure_table(act(w, _pad(shape, n)))
     tableaux = crystal_table(n, shape).tableaux
-    images = table.phi_positions()
-    for k, d in enumerate(table.diagrams):
-        t = tableaux[images[k]]
-        diagram_moves = {(x, is_k): images[j] for x, is_k, j in table.moves(k)}
-        for x in sorted({x for x, _ in d.boxes}):
-            for is_k in (False, True):
-                moved = svt_kohnert_move(t, x, is_k)
-                key = (x, is_k)
-                if (key in diagram_moves) != (moved is not None):
-                    return f"move availability differs at {t.to_text()}, x={x}, k={is_k}"
-                if moved is not None and tableaux[diagram_moves[key]] != moved:
-                    return f"moves do not intertwine at {t.to_text()}, x={x}, k={is_k}"
+    images = graph.phi_positions(positions)
+    for p in positions:
+        witness = graph.verdict(_intertwine_witness, p, graph, p, images, tableaux)
+        if witness is not None:
+            return witness
     return None
 
 

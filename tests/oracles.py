@@ -7,6 +7,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from kcrystals.keys import key_of_composition
+from kcrystals.kohnert import initial_diagram, single_moves
 from kcrystals.permutations import (
     act,
     bruhat_leq,
@@ -475,6 +476,22 @@ def reference_right_key(tableau):
     if not all(bruhat_leq(least, v) for v in members):
         raise AssertionError(f"no Bruhat-least Demazure crystal holds {tableau.to_text()}")
     return key_of_composition(act(least, lam))
+
+
+def reference_closure(a):
+    """The closure of one composition on its own: a breadth-first search
+    from the skyline of a that keeps every diagram it finds.  Returns the
+    diagrams in canonical order and each diagram's single moves."""
+    order = [initial_diagram(a)]
+    found = set(order)
+    moves = {}
+    for d in order:
+        moves[d] = single_moves(d)
+        for _, _, image in moves[d]:
+            if image not in found:
+                found.add(image)
+                order.append(image)
+    return sorted(order, key=lambda d: d.sort_key()), moves
 
 
 def reference_svt_kohnert_move(tableau, x, k_variant=False):

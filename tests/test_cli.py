@@ -55,6 +55,15 @@ def test_enumerate_kohnert(capsys):
     assert len(set(parsed)) == 13
 
 
+def test_enumerate_kohnert_rejects_an_explicit_n(capsys):
+    # a diagram's columns are the composition's parts, so --n has no meaning
+    for n in ("1", "0", "3"):
+        assert main(["enumerate", "kohnert", "--shape", "2,0,2", "--n", n, "--count"]) == 2, n
+        captured = capsys.readouterr()
+        assert captured.out == "" and "does not read --n" in captured.err
+    assert run(capsys, "enumerate", "kohnert", "--shape", "2,0,2", "--count") == (0, "5\n")
+
+
 def test_enumerate_skyline(capsys):
     code, out = run(capsys, "enumerate", "skyline", "--shape", "2,0,2", "--n", "3")
     lines = out.strip().splitlines()

@@ -1,4 +1,6 @@
 import json
+from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -8,6 +10,7 @@ from kcrystals import golden
 from kcrystals.kohnert import (
     KKohnertDiagram,
     closure,
+    closure_table,
     initial_diagram,
     phi,
     phi_inverse,
@@ -16,6 +19,7 @@ from kcrystals.kohnert import (
 )
 from kcrystals.polynomials import BetaPolynomial, lascoux
 from kcrystals.tableaux import SetValuedTableau
+from oracles import reference_closure
 
 T = lambda text, n=3: SetValuedTableau.from_text(text, n)
 
@@ -66,6 +70,42 @@ def test_closure_counts():
         D({(1, 1)}),
         D({(1, 1), (2, 1)}, {(2, 1)}),
     }
+
+
+# every composition with n <= 4 and parts at most 3, grouped by class
+CLASSES: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+for _a in (a for n in range(1, 5) for a in product(range(4), repeat=n)):
+    CLASSES.setdefault(tuple(sorted(_a)), []).append(_a)
+
+_reference = lru_cache(maxsize=None)(reference_closure)
+
+
+def _query_order(order):
+    """Each class in turn, its compositions by closure size, smallest first,
+    or with the antidominant one (whose closure holds all the others) first."""
+    if order == "smallest first":
+        key = lambda a: (len(_reference(a)[0]), a)
+    else:
+        key = None
+    return [a for members in CLASSES.values() for a in sorted(members, key=key)]
+
+
+@pytest.mark.parametrize("order", ["smallest first", "antidominant first"])
+def test_graph_closures_match_the_reference(order):
+    assert (1, 0, 2, 2) in CLASSES[(0, 1, 2, 2)]
+    closure_table.cache_clear()
+    try:
+        for a in _query_order(order):
+            diagrams, moves = _reference(a)
+            assert closure(a) == tuple(diagrams), a
+            graph, positions = closure_table(a)
+            assert graph is closure_table(tuple(sorted(a)))[0], a  # one graph per class
+            for p in positions:
+                d = graph.diagrams[p]
+                assert graph.index[d] == p
+                assert [(x, k, graph.diagrams[q]) for x, k, q in graph.moves(p)] == moves[d], (a, d)
+    finally:
+        closure_table.cache_clear()
 
 
 def test_closure_matches_the_golden_grid():

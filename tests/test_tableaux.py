@@ -24,6 +24,31 @@ def test_from_text_rejects_malformed_input(text, n):
         SetValuedTableau.from_text(text, n)
 
 
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ([[(1,), (1.0,)]], "non-integer entry 1.0"),
+        ([[(1,), ("2",)]], "non-integer entry '2'"),
+        ([[(True,)]], "non-integer entry True"),
+        ([[(0,), (1,)]], "entry 0 outside"),
+        ([[(1,), (4,)]], "entry 4 outside"),
+        ([[(1,), ()]], "empty row or cell in row 1"),
+        ([[(1,)], []], "empty row or cell in row 2"),
+        ([[(1,)], [(2,), (3,)]], r"row lengths \[1, 2\]"),
+    ],
+)
+def test_constructor_rejects_invalid_rows(rows, message):
+    with pytest.raises(ValueError, match=message):
+        SetValuedTableau(rows, 3)
+
+
+def test_constructor_keeps_non_semistandard_fillings():
+    t = SetValuedTableau([[{2, 1}, [1]], [(1,)]], 3)
+    assert t.rows == (((1, 2), (1,)), ((1,),)) and not t.is_semistandard()
+    assert t.weight() == (3, 1, 0)
+    assert SetValuedTableau((), 3).rows == ()
+
+
 def test_from_text_leaves_semistandardness_to_the_checker():
     t = SetValuedTableau.from_text("1 2/2 2", 3)
     assert not t.is_semistandard()

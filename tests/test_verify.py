@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from kcrystals import crystal, keys
+from kcrystals import crystal, keys, kohnert, verify
+from kcrystals.kohnert import KKohnertDiagram, initial_diagram
 from kcrystals.tableaux import SetValuedTableau
 from kcrystals.verify import SUITES, Bounds, iter_cases, run_case, run_suite
 
@@ -163,3 +164,244 @@ def test_star_axioms_witness_when_the_crystal_is_not_rotation_symmetric(kernel):
     kernel("f", _conjugated(crystal.crystal_f, a, b))
     case = {"check": "star-axioms", "n": 4, "shape": [2, 2]}
     assert run_case("keys-rectangle", case).witness == "e_3(T°) != (f_1T)° at 1 1,2/3 4"
+
+
+def test_kohnert_bijection_is_the_same_on_two_workers():
+    assert run_suite("kohnert-bijection", Bounds(), jobs=2) == run_suite(
+        "kohnert-bijection", Bounds(), jobs=1
+    )
+
+
+# -- fault injection in the Kohnert checks -------------------------------------
+# Each fault runs every kohnert and kohnert-intertwine case of the square
+# (2, 2) at n = 3 and at n = 4, in suite order from empty caches and then in
+# reverse order from the filled ones.  The expected witnesses are those the
+# checks returned when every composition built its own closure table, before
+# one graph per rearrangement class held each diagram's verdicts.
+
+KOHNERT_CACHES = (kohnert.closure_table, crystal.crystal_table, crystal.flagged_set)
+
+
+@pytest.fixture
+def kohnert_fault(monkeypatch):
+    """The monkeypatch for a test's fault; the closure, crystal and flagged
+    caches are cleared before and after."""
+    for cached in KOHNERT_CACHES:
+        cached.cache_clear()
+    yield monkeypatch
+    monkeypatch.undo()
+    for cached in KOHNERT_CACHES:
+        cached.cache_clear()
+
+
+def _square_witnesses(n):
+    """Witness by (check, w) of each failing kohnert-bijection case of the
+    (2, 2) square at n, in suite order and then in reverse order."""
+    cases = [
+        case
+        for case in iter_cases("kohnert-bijection", Bounds(max_n=n, max_side=2))
+        if case.get("n") == n and case.get("shape") == [2, 2]
+    ]
+    runs = []
+    for order in (cases, cases[::-1]):
+        results = [run_case("kohnert-bijection", case) for case in order]
+        runs.append({
+            (r.case["check"], tuple(r.case["w"])): r.witness for r in results if r.status == "fail"
+        })
+    return runs
+
+
+SQUARE_W = {3: [(1, 2, 3), (1, 3, 2), (2, 3, 1)]}
+SQUARE_W[4] = [(1, 2, 3, 4), (1, 3, 2, 4), (1, 4, 2, 3), (2, 3, 1, 4), (2, 4, 1, 3), (3, 4, 1, 2)]
+ROW_PAIR = initial_diagram((2, 2, 0))  # columns 1 and 2 full: in every closure of the class
+SPLIT_PAIR = initial_diagram((2, 0, 2))
+
+
+def _each(check, witnesses_by_w):
+    return {(check, w): witness for w, witness in witnesses_by_w.items()}
+
+
+def _moves_with_k_swapped(monkeypatch):
+    move = verify.svt_kohnert_move
+    monkeypatch.setattr(verify, "svt_kohnert_move", lambda t, x, k=False: move(t, x, not k))
+
+
+def _no_move_from_column_3(monkeypatch):
+    move = verify.svt_kohnert_move
+    monkeypatch.setattr(
+        verify, "svt_kohnert_move", lambda t, x, k=False: None if x == 3 else move(t, x, k)
+    )
+
+
+def _phi_raises_on_the_row_pair(monkeypatch):
+    phi = kohnert.phi
+
+    def raising(d, r, s, n):
+        if d == ROW_PAIR:
+            raise ValueError("injected fault")
+        return phi(d, r, s, n)
+
+    monkeypatch.setattr(kohnert, "phi", raising)
+
+
+def _phi_sends_the_split_pair_to_the_row_pair(monkeypatch):
+    phi = kohnert.phi
+    monkeypatch.setattr(
+        kohnert, "phi", lambda d, r, s, n: phi(ROW_PAIR if d == SPLIT_PAIR else d, r, s, n)
+    )
+
+
+def _phi_inverse_drops_a_single_mark(monkeypatch):
+    inverse = verify.phi_inverse
+
+    def dropping(t):
+        d = inverse(t)
+        return KKohnertDiagram(d.boxes - d.marked, frozenset()) if len(d.marked) == 1 else d
+
+    monkeypatch.setattr(verify, "phi_inverse", dropping)
+
+
+def _phi_inverse_raises_at_one_tableau(monkeypatch):
+    inverse = verify.phi_inverse
+
+    def raising(t):
+        if t.to_text() == "1 2/2 3":
+            raise RuntimeError("injected fault")
+        return inverse(t)
+
+    monkeypatch.setattr(verify, "phi_inverse", raising)
+
+
+def _flagged_set_drops_its_last(monkeypatch):
+    flagged = verify.flagged_set
+    monkeypatch.setattr(verify, "flagged_set", lambda w, shape, n: flagged(w, shape, n)[:-1])
+
+
+PHI_RAISES = "exception: ValueError('injected fault')"
+KOHNERT_FAULTS = {
+    "moves with k swapped": (
+        _moves_with_k_swapped,
+        _each(
+            "kohnert-intertwine",
+            {
+                (1, 3, 2): "moves do not intertwine at 1 1/2 3, x=3, k=False",
+                (2, 3, 1): "moves do not intertwine at 1 1,2/3 3, x=3, k=False",
+            },
+        ),
+        _each(
+            "kohnert-intertwine",
+            {
+                (1, 3, 2, 4): "moves do not intertwine at 1 1/2 3, x=3, k=False",
+                (1, 4, 2, 3): "moves do not intertwine at 1 1/2 3, x=3, k=False",
+                (2, 3, 1, 4): "moves do not intertwine at 1 1,2/3 3, x=3, k=False",
+                (2, 4, 1, 3): "moves do not intertwine at 1 1,2/2,3 4, x=4, k=False",
+                (3, 4, 1, 2): "moves do not intertwine at 1 1,2/2,3 4, x=4, k=False",
+            },
+        ),
+    ),
+    "no move from column 3": (
+        _no_move_from_column_3,
+        _each(
+            "kohnert-intertwine",
+            {
+                (1, 3, 2): "move availability differs at 1 1/2 3, x=3, k=False",
+                (2, 3, 1): "move availability differs at 1 1,2/3 3, x=3, k=False",
+            },
+        ),
+        _each(
+            "kohnert-intertwine",
+            {
+                (1, 3, 2, 4): "move availability differs at 1 1/2 3, x=3, k=False",
+                (1, 4, 2, 3): "move availability differs at 1 1/2 3, x=3, k=False",
+                (2, 3, 1, 4): "move availability differs at 1 1,2/3 3, x=3, k=False",
+                (2, 4, 1, 3): "move availability differs at 1 1,2/3 3, x=3, k=False",
+                (3, 4, 1, 2): "move availability differs at 1 1,2/3 3, x=3, k=False",
+            },
+        ),
+    ),
+    # every case of the class, not only the first, reports the exception
+    "phi raises on one diagram": (
+        _phi_raises_on_the_row_pair,
+        {(check, w): PHI_RAISES for w in SQUARE_W[3] for check in ("kohnert", "kohnert-intertwine")},
+        {(check, w): PHI_RAISES for w in SQUARE_W[4] for check in ("kohnert", "kohnert-intertwine")},
+    ),
+    "phi collides": (
+        _phi_sends_the_split_pair_to_the_row_pair,
+        {
+            (check, w): witness
+            for w in SQUARE_W[3][1:]
+            for check, witness in (
+                ("kohnert", "phi collision at 1 1/2 2"),
+                ("kohnert-intertwine", "move availability differs at 1 1/2 2, x=3, k=False"),
+            )
+        },
+        {
+            (check, w): witness
+            for w in SQUARE_W[4][1:]
+            for check, witness in (
+                ("kohnert", "phi collision at 1 1/2 2"),
+                ("kohnert-intertwine", "move availability differs at 1 1/2 2, x=3, k=False"),
+            )
+        },
+    ),
+    "phi_inverse drops a single mark": (
+        _phi_inverse_drops_a_single_mark,
+        _each(
+            "kohnert",
+            {
+                (1, 3, 2): "phi_inverse(phi(D)) != D at 1 1/2 2,3",
+                (2, 3, 1): "phi_inverse(phi(D)) != D at 1 1,2/2 3",
+            },
+        ),
+        _each(
+            "kohnert",
+            {
+                (1, 3, 2, 4): "phi_inverse(phi(D)) != D at 1 1/2 2,3",
+                (1, 4, 2, 3): "phi_inverse(phi(D)) != D at 1 1/2 2,3",
+                (2, 3, 1, 4): "phi_inverse(phi(D)) != D at 1 1,2/2 3",
+                (2, 4, 1, 3): "phi_inverse(phi(D)) != D at 1 1,2/2 3",
+                (3, 4, 1, 2): "phi_inverse(phi(D)) != D at 1 1,2/2 3",
+            },
+        ),
+    ),
+    "phi_inverse raises at one tableau": (
+        _phi_inverse_raises_at_one_tableau,
+        {("kohnert", (2, 3, 1)): "exception: RuntimeError('injected fault')"},
+        {
+            ("kohnert", w): "exception: RuntimeError('injected fault')"
+            for w in ((2, 3, 1, 4), (2, 4, 1, 3), (3, 4, 1, 2))
+        },
+    ),
+    "flagged set drops its last": (
+        _flagged_set_drops_its_last,
+        _each(
+            "kohnert",
+            {
+                (1, 2, 3): "phi image mismatch: ['1 1/2 2']",
+                (1, 3, 2): "phi image mismatch: ['1 1/3 3']",
+                (2, 3, 1): "phi image mismatch: ['2 2/3 3']",
+            },
+        ),
+        _each(
+            "kohnert",
+            {
+                (1, 2, 3, 4): "phi image mismatch: ['1 1/2 2']",
+                (1, 3, 2, 4): "phi image mismatch: ['1 1/3 3']",
+                (1, 4, 2, 3): "phi image mismatch: ['1 1/4 4']",
+                (2, 3, 1, 4): "phi image mismatch: ['2 2/3 3']",
+                (2, 4, 1, 3): "phi image mismatch: ['2 2/4 4']",
+                (3, 4, 1, 2): "phi image mismatch: ['3 3/4 4']",
+            },
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", KOHNERT_FAULTS)
+def test_kohnert_witnesses_under_a_fault(kohnert_fault, fault):
+    inject, *expected = KOHNERT_FAULTS[fault]
+    inject(kohnert_fault)
+    for n, witnesses in zip((3, 4), expected):
+        for cached in KOHNERT_CACHES:
+            cached.cache_clear()
+        assert _square_witnesses(n) == [witnesses, witnesses], n
