@@ -4,6 +4,7 @@ import json
 import pytest
 
 from kcrystals import crystal, keys, kohnert, verify
+from kcrystals.permutations import bruhat_leq
 from kcrystals.kohnert import KKohnertDiagram, initial_diagram
 from kcrystals.tableaux import SetValuedTableau
 from kcrystals.verify import SUITES, Bounds, iter_cases, run_case, run_suite
@@ -87,13 +88,19 @@ def _clear_tables():
 
 
 @pytest.fixture
-def kernel(monkeypatch):
-    """Sets kernel operators for the tables built inside a test; the tables
-    and every cache read from them are cleared before and after."""
+def table_fault(monkeypatch):
+    """The monkeypatch for a test's fault; the tables and every cache read
+    from them are cleared before and after."""
     _clear_tables()
-    yield lambda op, fn: monkeypatch.setitem(crystal._KERNEL, op, fn)
+    yield monkeypatch
     monkeypatch.undo()
     _clear_tables()
+
+
+@pytest.fixture
+def kernel(table_fault):
+    """Sets kernel operators for the tables built inside a test."""
+    return lambda op, fn: table_fault.setitem(crystal._KERNEL, op, fn)
 
 
 def _letters_swapped(op):
@@ -164,6 +171,114 @@ def test_star_axioms_witness_when_the_crystal_is_not_rotation_symmetric(kernel):
     kernel("f", _conjugated(crystal.crystal_f, a, b))
     case = {"check": "star-axioms", "n": 4, "shape": [2, 2]}
     assert run_case("keys-rectangle", case).witness == "e_3(T°) != (f_1T)° at 1 1,2/3 4"
+
+
+# -- fault injection in the subset checks --------------------------------------
+# Each fault runs every case of six checks at --max-n 4 --max-side 2 from
+# empty tables.  The failure counts, first witnesses and the SHA-256 of every
+# failing (case, witness) pair were read off the checks when each Demazure
+# and flagged subset was its own cache of tableaux.
+
+SUBSET_CHECKS = {
+    "k-strings": "k-crystal-axioms",
+    "k-monotone": "k-crystal-axioms",
+    "k-demazure": "k-crystal-axioms",
+    "flag": "demazure-flag",
+    "key-ideal-atom": "keys-rectangle",
+    "skyline": "skyline-bijection",
+}
+
+
+def _subset_failures():
+    """The (case, witness) of each failing case of each subset check, in
+    suite order."""
+    failures = {}
+    for check, suite in SUBSET_CHECKS.items():
+        cases = iter_cases(suite, Bounds(max_n=4, max_side=2))
+        results = [run_case(suite, case) for case in cases if case["check"] == check]
+        failures[check] = [(r.case, r.witness) for r in results if r.status == "fail"]
+    return failures
+
+
+def _e_at_letter_1_only(t, i):
+    return crystal.crystal_e(t, i) if i == 1 else None
+
+
+def _ek_never_at_letter_2(t, i):
+    return None if i == 2 else crystal.kcrystal_e(t, i)
+
+
+def _bruhat_reversed(v, w):
+    return bruhat_leq(w, v)
+
+
+SUBSET_FAULTS = {
+    "eK never acts": (
+        lambda mp: mp.setitem(crystal._KERNEL, "eK", lambda t, i: None),
+        {
+            "k-strings": (22, 'exception: AssertionError("i-K-strings overlap at [\'1,2\']")'),
+            "k-demazure": (36, "minimal highest weight element is not unique: ['1', '1,2']"),
+            "flag": (26, "flag mismatch: ['1,2']"),
+            "key-ideal-atom": (26, "key ideal differs from the K-Demazure subset"),
+            "skyline": (26, "psi image mismatch: ['1,2']"),
+        },
+        "0722f3b89c183f6a2010c6ca5535fa19b2350c1945b28db2260ad4871640726f",
+    ),
+    "e acts at letter 1 only": (
+        lambda mp: mp.setitem(crystal._KERNEL, "e", _e_at_letter_1_only),
+        {
+            "k-strings": (16, "string at 1,3 meets the subset of w=[3, 1, 2] in ['1,2,3', '2,3']"),
+            "k-monotone": (2, "monotonicity fails for v=[1, 4, 2, 3] <= w=[3, 4, 1, 2]"),
+            "k-demazure": (32, "minimal highest weight element is not unique: ['1', '1,3', '3']"),
+            "flag": (20, "flag mismatch: ['1,3', '3']"),
+            "key-ideal-atom": (32, "exception: IndexError('list index out of range')"),
+            "skyline": (20, "psi image mismatch: ['1,3', '3']"),
+        },
+        "d6626ee5de486033b1f0cbe0dc10f1550bb16af8b14ba0e31b549da631f0c0eb",
+    ),
+    "eK never acts at letter 2": (
+        lambda mp: mp.setitem(crystal._KERNEL, "eK", _ek_never_at_letter_2),
+        {
+            "k-strings": (12, 'exception: AssertionError("i-K-strings overlap at [\'1,2,3\']")'),
+            "k-monotone": (2, "monotonicity fails for v=[1, 4, 2, 3] <= w=[3, 4, 1, 2]"),
+            "k-demazure": (24, "character mismatch: x3 + x2 + x1 + b*x1*x3 + b*x1*x2"),
+            "flag": (20, "flag mismatch: ['1,2,3', '2,3']"),
+            "key-ideal-atom": (20, "key ideal differs from the K-Demazure subset"),
+            "skyline": (17, "psi image mismatch: ['1,2,3', '2,3']"),
+        },
+        "92e64e5ffe8db5a8ab9e54d238b81382f642e3a8b3bfe8464efaff8feb652fee",
+    ),
+    "fK applied twice": (
+        lambda mp: mp.setitem(crystal._KERNEL, "fK", _twice(crystal.kcrystal_f)),
+        {
+            "k-strings": (
+                22,
+                'exception: AssertionError("tableaux not covered by i-K-strings: [\'1,2\']")',
+            ),
+        },
+        "19e9c12103c563ec2adf86ede62790ffa7cdb0ecbebe7ead3708bdc4be10ead3",
+    ),
+    "Bruhat order reversed": (
+        lambda mp: mp.setattr(verify, "bruhat_leq", _bruhat_reversed),
+        {"k-monotone": (10, "monotonicity fails for v=[2, 1] <= w=[1, 2]")},
+        "c63bff57a682bfbdc480b0775c3b438efb3d57569d073bf11830129d0b9d16fd",
+    ),
+}
+
+
+def test_every_subset_check_fails_under_some_fault():
+    assert set(SUBSET_CHECKS) == {check for _, first, _ in SUBSET_FAULTS.values() for check in first}
+
+
+@pytest.mark.parametrize("fault", SUBSET_FAULTS)
+def test_subset_check_witnesses_under_a_fault(table_fault, fault):
+    inject, expected, digest = SUBSET_FAULTS[fault]
+    inject(table_fault)
+    failures = _subset_failures()
+    first = {check: (len(fails), fails[0][1]) for check, fails in failures.items() if fails}
+    assert first == expected
+    dump = json.dumps(list(failures.values()), sort_keys=True)
+    assert hashlib.sha256(dump.encode()).hexdigest() == digest
 
 
 def test_kohnert_bijection_is_the_same_on_two_workers():
