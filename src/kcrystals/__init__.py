@@ -16,7 +16,6 @@ from .crystal import (
     ik_strings,
     kcrystal_e,
     kcrystal_f,
-    raise_string_max,
 )
 from .kohnert import (
     KKohnertDiagram,

@@ -3,11 +3,13 @@ Crystal and K-crystal operators on semistandard set-valued tableaux,
 with the derived Demazure-type subsets and characters.
 
 The four operators below are the kernel.  ``crystal_table(n, shape)`` is
-the one cached crystal on a shape, which every consumer reads: the tableaux
-of ``enumerate_svt(n, shape)`` at positions 0..N-1 (text order), and each
-operator or raise map of a letter, filled on first read, as an array of
-positions; each position's weight, excess and semistandard flag are also
-filled on first read.
+the one cached crystal on a shape and owns all that is derived from it,
+so ``crystal_table.cache_clear()`` is the only reset: the tableaux of
+``enumerate_svt(n, shape)`` at positions 0..N-1 (text order), then, filled
+on first read, each operator or raise map of a letter as an array of
+positions, each position's weight, excess and semistandard flag, the
+K-Demazure subset of each reduced word as a bitset (an int whose bit k is
+position k) and what other modules build from it (``derived``).
 
 Signs are computed per column, left to right: a column containing i but
 not i+1 contributes "+", one containing i+1 but not i contributes "-",
@@ -20,14 +22,15 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .permutations import (
     Perm,
     bruhat_ideal,
     coset_reps,
+    evaluate_word,
     flag_vector,
+    length,
     reduced_word,
     stabilizer_min_rep,
 )
@@ -134,16 +137,27 @@ def kcrystal_e(tableau: SetValuedTableau, i: int) -> SetValuedTableau | None:
 _KERNEL = {"e": crystal_e, "f": crystal_f, "eK": kcrystal_e, "fK": kcrystal_f}
 
 
+def _flags(bits: int, size: int) -> str:
+    """bits as size characters, "1" at each position in it and "0" elsewhere."""
+    return bin(bits)[:1:-1].ljust(size, "0")
+
+
+def _from_flags(flags: str) -> int:
+    """The bitset of the positions where flags holds "1"; inverts _flags."""
+    return int(flags[::-1], 2) if flags else 0
+
+
 class CrystalTable:
-    """The crystal on enumerate_svt(n, shape): the tableau at position k is
-    tableaux[k], and index maps each tableau back to its position; the maps
-    and the per-position statistics are filled on first read."""
+    """The crystal on enumerate_svt(n, shape): tableaux[k] is the tableau at
+    position k and index inverts it; all else is filled on first read."""
 
     def __init__(self, n: int, shape: tuple[int, ...]):
         self.n, self.shape = n, shape
         self.tableaux = enumerate_svt(n, shape)
         self.index = {t: k for k, t in enumerate(self.tableaux)}
         self._maps: dict[tuple[str, int], array] = {}
+        self._demazure: dict[tuple[int, ...], int] = {}
+        self._derived: dict = {}
 
     def position(self, tableau: SetValuedTableau) -> int:
         """The position of tableau; ValueError if it is not in this crystal."""
@@ -183,29 +197,52 @@ class CrystalTable:
         """Whether the tableau at each position is semistandard."""
         return bytes(t.is_semistandard() for t in self.tableaux)
 
-    def raise_along(self, word) -> array:
-        """The position each position reaches by the raise maps of word."""
-        ends = array("i", range(len(self.tableaux)))
-        for i in word:
-            raised = self.map("raise", i)
-            ends = array("i", [raised[k] for k in ends])
-        return ends
+    def members(self, bits: int) -> tuple[SetValuedTableau, ...]:
+        """The tableaux at the positions in bits, in table order."""
+        return tuple(self.tableaux[k] for k, flag in enumerate(_flags(bits, 0)) if flag == "1")
+
+    def demazure_word(self, word: tuple[int, ...]) -> int:
+        """The positions whose raise chain along word, first letter first, ends at
+        the superstandard tableau: word[0]'s raise preimage of word[1:]'s subset."""
+        if word not in self._demazure:
+            if word:
+                rest = _flags(self.demazure_word(word[1:]), len(self.tableaux))
+                self._demazure[word] = _from_flags("".join([rest[k] for k in self.map("raise", word[0])]))
+            else:
+                u = self.index.get(superstandard(self.shape, self.n))
+                self._demazure[word] = 0 if u is None else 1 << u
+        return self._demazure[word]
+
+    def demazure(self, w: Perm) -> int:
+        """The subset of the canonical reduced word of w's minimal coset representative."""
+        return self.demazure_word(reduced_word(stabilizer_min_rep(w, _pad(self.shape, self.n))))
+
+    def atom(self, w: Perm) -> int:
+        """The K-Demazure subset of w less those of all smaller coset representatives."""
+        lam = _pad(self.shape, self.n)
+        rep = stabilizer_min_rep(w, lam)
+        bits = self.demazure(rep)
+        reps = set(coset_reps(lam, self.n))
+        for v in bruhat_ideal(rep):
+            if v != rep and v in reps:
+                bits &= ~self.demazure(v)
+        return bits
+
+    def flagged(self, w: Perm) -> int:
+        """The tableaux of a rectangle whose row m's greatest entry, the last
+        of its last box, is at most the m-th bound of the flag of w."""
+        bounds = flag_vector(w, *_rectangle_dims(self.shape))
+        rows_within = (all(row[-1][-1] <= b for row, b in zip(t.rows, bounds)) for t in self.tableaux)
+        return _from_flags("".join("01"[within] for within in rows_within))
+
+    def derived(self, build):
+        """build(self), run on first read and kept with the table."""
+        if build not in self._derived:
+            self._derived[build] = build(self)
+        return self._derived[build]
 
 
 crystal_table = lru_cache(maxsize=None)(CrystalTable)  # one table per (n, shape)
-
-
-def raise_string_max(tableau: SetValuedTableau, i: int) -> SetValuedTableau:
-    """Apply crystal_e until exhausted, then kcrystal_e until exhausted."""
-    table = crystal_table(tableau.n, tableau.shape)
-    return table.tableaux[table.map("raise", i)[table.position(tableau)]]
-
-
-def is_k_highest_weight(tableau: SetValuedTableau) -> bool:
-    """No e_i and no e_i^K acts on the tableau."""
-    table = crystal_table(tableau.n, tableau.shape)
-    k = table.position(tableau)
-    return all(table.map(op, i)[k] < 0 for op in ("e", "eK") for i in range(1, tableau.n))
 
 
 def _rectangle_dims(shape: tuple[int, ...]) -> tuple[int, int]:
@@ -222,50 +259,34 @@ def _pad(shape, n: int) -> tuple[int, ...]:
     return shape + (0,) * (n - len(shape))
 
 
-@lru_cache(maxsize=None)
-def demazure_subset(
-    w: Perm, shape: tuple[int, ...], n: int, word: tuple[int, ...] | None = None
-) -> tuple[SetValuedTableau, ...]:
-    """The K-Demazure subset for w: tableaux whose alternating maximal
-    raise chain along a reduced word of the minimal coset representative
-    of w ends at the minimal highest weight element."""
+def demazure_subset(w: Perm, shape: tuple[int, ...], n: int, word=None) -> tuple[SetValuedTableau, ...]:
+    """The K-Demazure subset for w: tableaux whose alternating maximal raise
+    chain along word ends at the minimal highest weight element; ValueError
+    unless word (by default the canonical one) is a reduced word of w's
+    minimal coset representative."""
     _rectangle_dims(shape)
     rep = stabilizer_min_rep(w, _pad(shape, n))
-    if word is None:
-        word = reduced_word(rep)
-    table = crystal_table(n, shape)
-    u = table.index.get(superstandard(shape, n))
-    return tuple(t for t, end in zip(table.tableaux, table.raise_along(word)) if end == u)
+    word = reduced_word(rep) if word is None else tuple(word)
+    letters = all(isinstance(i, int) and 0 < i < n for i in word)
+    if not letters or len(word) != length(rep) or evaluate_word(word, n) != rep:
+        raise ValueError(f"{word!r} is not a reduced word of {rep!r}, w's minimal coset representative")
+    table = crystal_table(n, tuple(shape))
+    return table.members(table.demazure_word(word))
 
 
-@lru_cache(maxsize=None)
-def flagged_set(
-    w: Perm, shape: tuple[int, ...], n: int
-) -> tuple[SetValuedTableau, ...]:
+def flagged_set(w: Perm, shape: tuple[int, ...], n: int) -> tuple[SetValuedTableau, ...]:
     """Tableaux whose row-m entries are bounded by the flag of w."""
-    r, s = _rectangle_dims(shape)
-    bounds = flag_vector(w, r, s)
-    # a semistandard row's greatest entry is the last of its last box
-    return tuple(
-        t
-        for t in crystal_table(n, shape).tableaux
-        if all(row[-1][-1] <= bound for row, bound in zip(t.rows, bounds))
-    )
+    _rectangle_dims(shape)
+    table = crystal_table(n, tuple(shape))
+    return table.members(table.flagged(w))
 
 
-def atom_subset(
-    w: Perm, shape: tuple[int, ...], n: int
-) -> tuple[SetValuedTableau, ...]:
+def atom_subset(w: Perm, shape: tuple[int, ...], n: int) -> tuple[SetValuedTableau, ...]:
     """The K-Demazure subset of w minus those of all strictly smaller
     coset representatives."""
-    lam = _pad(shape, n)
-    rep = stabilizer_min_rep(w, lam)
-    members = set(demazure_subset(rep, shape, n))
-    reps = set(coset_reps(lam, n))
-    for v in bruhat_ideal(rep):
-        if v != rep and v in reps:
-            members -= set(demazure_subset(v, shape, n))
-    return tuple(sorted(members, key=SetValuedTableau.sort_key))
+    _rectangle_dims(shape)
+    table = crystal_table(n, tuple(shape))
+    return table.members(table.atom(w))
 
 
 def beta_character(tableaux, n: int) -> BetaPolynomial:
@@ -299,43 +320,27 @@ def decompose(n: int, shape) -> list[tuple[SetValuedTableau, tuple[SetValuedTabl
     return sorted(components, key=lambda pair: pair[0].sort_key())
 
 
-@dataclass(frozen=True)
-class IKString:
-    """A two-row string: an f_i chain from its top element, at most one
-    K-edge from the top, and the f_i chain below it (one step shorter)."""
-
-    top: tuple[SetValuedTableau, ...]
-    bottom: tuple[SetValuedTableau, ...]
-
-    def elements(self) -> tuple[SetValuedTableau, ...]:
-        return self.top + self.bottom
-
-
-def ik_strings(n: int, shape, i: int) -> list[IKString]:
-    """Partition of the shape's tableaux into i-K-strings."""
+def ik_strings(n: int, shape, i: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Partition of the positions of crystal_table(n, shape) into
+    i-K-strings, each (top, bottom): the f_i chain from its top element
+    and the f_i chain from the top's f_i^K image, one step shorter."""
     table = crystal_table(n, tuple(shape))
-    tableaux = table.tableaux
     e, ek, f, fk = (table.map(op, i) for op in ("e", "eK", "f", "fK"))
 
     def f_chain(k: int):
         while k >= 0:
-            yield tableaux[k]
+            yield k
             k = f[k]
 
-    strings = []
-    covered: set[SetValuedTableau] = set()
-    for top in range(len(tableaux)):  # positions follow the text order
-        if e[top] >= 0 or ek[top] >= 0:
-            continue
-        string = IKString(tuple(f_chain(top)), tuple(f_chain(fk[top])))
-        overlap = covered.intersection(string.elements())
-        if overlap:
-            raise AssertionError(f"i-K-strings overlap at {sorted(t.to_text() for t in overlap)}")
-        covered.update(string.elements())
-        strings.append(string)
-    missing = set(tableaux) - covered
-    if missing:
-        raise AssertionError(
-            f"tableaux not covered by i-K-strings: {sorted(t.to_text() for t in missing)}"
-        )
+    tops = [k for k in range(len(table.tableaux)) if e[k] < 0 and ek[k] < 0]
+    strings = [(tuple(f_chain(top)), tuple(f_chain(fk[top]))) for top in tops]
+    covered = 0
+    for top, bottom in strings:
+        elements = sum(1 << k for k in {*top, *bottom})
+        if overlap := covered & elements:
+            raise AssertionError(f"i-K-strings overlap at {[t.to_text() for t in table.members(overlap)]}")
+        covered |= elements
+    if missing := covered ^ ((1 << len(table.tableaux)) - 1):
+        texts = [t.to_text() for t in table.members(missing)]
+        raise AssertionError(f"tableaux not covered by i-K-strings: {texts}")
     return strings

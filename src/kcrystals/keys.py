@@ -2,17 +2,19 @@
 Key tableaux, right keys, the two entanglement-reversing involutions on
 set-valued tableaux, and the derived key maps used to probe atom
 decompositions.
+
+Right keys, max-right keys, Lusztig stars and rotations by position are
+built once per crystal table and kept with it (``CrystalTable.derived``).
 """
 
 from __future__ import annotations
 
 from array import array
-from functools import lru_cache
 
-from .crystal import _pad, beta_character, crystal_table
-from .permutations import act, bruhat_leq, coset_reps, reduced_word
+from .crystal import CrystalTable, _flags, _pad, beta_character, crystal_table
+from .permutations import act, bruhat_leq, coset_reps
 from .polynomials import lascoux, lascoux_atom
-from .tableaux import SetValuedTableau, enumerate_svt, superstandard
+from .tableaux import SetValuedTableau, enumerate_svt
 
 
 def is_key_tableau(tableau: SetValuedTableau) -> bool:
@@ -57,24 +59,20 @@ def min_tableau(tableau: SetValuedTableau) -> SetValuedTableau:
     )
 
 
-@lru_cache(maxsize=None)
-def _right_keys(n: int, shape: tuple[int, ...]) -> dict[int, SetValuedTableau]:
-    """Right key of each single-valued tableau of the shape, by position.
-    e_i keeps the excess and e_i^K needs a box holding i and i+1, so on
-    these tableaux the table's raise maps are the classical raise."""
-    table = crystal_table(n, shape)
-    lam = _pad(shape, n)
-    u = table.index[superstandard(shape, n)]
-    reps = coset_reps(lam, n)  # sorted by (length, one-line word)
-    ends = [table.raise_along(reduced_word(v)) for v in reps]
+def _right_keys(table: CrystalTable) -> dict[int, SetValuedTableau]:
+    """Right key of each single-valued tableau of the table, by position; on
+    these e_i keeps the excess and e_i^K never acts, so the subsets are classical."""
+    lam = _pad(table.shape, table.n)
+    reps = coset_reps(lam, table.n)  # sorted by (length, one-line word)
+    subsets = [_flags(table.demazure(v), len(table.tableaux)) for v in reps]
     keys = [key_of_composition(act(v, lam)) for v in reps]
     out = {}
-    for k, t in enumerate(table.tableaux):
-        if t.excess():
+    for k, (_, excess) in enumerate(table.stats):
+        if excess:
             continue
-        members = [m for m, end in enumerate(ends) if end[k] == u]
+        members = [m for m, subset in enumerate(subsets) if subset[k] == "1"]
         if not all(bruhat_leq(reps[members[0]], reps[m]) for m in members):
-            raise AssertionError(f"no Bruhat-least Demazure crystal holds {t.to_text()}")
+            raise AssertionError(f"no Bruhat-least Demazure crystal holds {table.tableaux[k].to_text()}")
         out[k] = keys[members[0]]
     return out
 
@@ -84,33 +82,29 @@ def right_key(tableau: SetValuedTableau) -> SetValuedTableau:
     Bruhat-least v whose classical Demazure crystal contains it."""
     if tableau.excess() != 0:
         raise ValueError("right keys are defined for single-valued tableaux")
-    k = crystal_table(tableau.n, tableau.shape).position(tableau)
-    return _right_keys(tableau.n, tableau.shape)[k]
+    table = crystal_table(tableau.n, tableau.shape)
+    return table.derived(_right_keys)[table.position(tableau)]
 
 
-@lru_cache(maxsize=None)
-def _max_right_keys(n: int, shape: tuple[int, ...]) -> tuple[SetValuedTableau, ...]:
-    """Right key of the greatest-entry tableau of each tableau of the shape,
+def _max_right_keys(table: CrystalTable) -> tuple[SetValuedTableau, ...]:
+    """Right key of the greatest-entry tableau of each tableau of the table,
     by position; the greatest entries of a semistandard tableau form one."""
-    table = crystal_table(n, shape)
-    keys = _right_keys(n, shape)
+    keys = table.derived(_right_keys)
     return tuple(keys[table.position(max_tableau(t))] for t in table.tableaux)
 
 
 def max_right_key(tableau: SetValuedTableau) -> SetValuedTableau:
     """Right key of the greatest-entry tableau."""
-    k = crystal_table(tableau.n, tableau.shape).position(tableau)
-    return _max_right_keys(tableau.n, tableau.shape)[k]
+    table = crystal_table(tableau.n, tableau.shape)
+    return table.derived(_max_right_keys)[table.position(tableau)]
 
 
-@lru_cache(maxsize=None)
-def _stars(n: int, shape: tuple[int, ...]) -> array:
-    """Lusztig star of each tableau of the shape, by position.  Each e_i/f_i
+def _stars(table: CrystalTable) -> array:
+    """Lusztig star of each tableau of the table, by position.  Each e_i/f_i
     component is a normal highest weight crystal, so the star of its highest
     weight element is its unique lowest element and star(f_i T) =
     e_{n-i} star(T); one f_i search from each highest element fills it."""
-    table = crystal_table(n, shape)
-    tableaux = table.tableaux
+    n, tableaux = table.n, table.tableaux
     ups = [table.map("e", i) for i in range(1, n)]
     downs = [table.map("f", i) for i in range(1, n)]
     stars = array("i", [-1]) * len(tableaux)
@@ -141,7 +135,7 @@ def lusztig_star(tableau: SetValuedTableau) -> SetValuedTableau:
     """Crystal anti-automorphism on each connected component, read from
     the star map of the tableau's shape."""
     table = crystal_table(tableau.n, tableau.shape)
-    return table.tableaux[_stars(tableau.n, tableau.shape)[table.position(tableau)]]
+    return table.tableaux[table.derived(_stars)[table.position(tableau)]]
 
 
 def k_lusztig_star(tableau: SetValuedTableau) -> SetValuedTableau:
@@ -157,10 +151,8 @@ def k_lusztig_star(tableau: SetValuedTableau) -> SetValuedTableau:
     return SetValuedTableau._trusted(rows, n)
 
 
-@lru_cache(maxsize=None)
-def _rotations(n: int, shape: tuple[int, ...]) -> array:
+def _rotations(table: CrystalTable) -> array:
     """Position of k_lusztig_star of each tableau of a rectangle, by position."""
-    table = crystal_table(n, shape)
     return array("i", (table.position(k_lusztig_star(t)) for t in table.tableaux))
 
 

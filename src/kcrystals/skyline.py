@@ -303,7 +303,7 @@ def psi_inverse(tableau: SetValuedTableau, w: Perm) -> SkylineTableau:
     table = psi_table(act(w, lam), n)
     j = table.preimage.get(crystal_table(n, shape).index.get(tableau))
     if j is None:
-        if tableau not in set(atom_subset(w, shape, n)):
+        if tableau not in atom_subset(w, shape, n):
             raise ValueError(f"{tableau!r} is not in the atom of {w}")
         raise AssertionError(f"atom member missing from psi image: {tableau!r}")
     return table.skylines[j]

@@ -16,8 +16,8 @@ from itertools import combinations
 
 from . import golden
 from .crystal import (
+    _from_flags,
     _pad,
-    atom_subset,
     beta_character,
     crystal_table,
     decompose,
@@ -246,33 +246,27 @@ def _check_k_ops(case):
 def _check_k_strings(case):
     n, shape, i = case["n"], tuple(case["shape"]), case["i"]
     strings = ik_strings(n, shape, i)
-    lam = _pad(shape, n)
-    subsets = {
-        w: set(demazure_subset(w, shape, n)) for w in coset_reps(lam, n)
-    }
-    for string in strings:
-        if string.bottom and len(string.bottom) != len(string.top) - 1:
-            return f"string at {string.top[0].to_text()} has uneven rows"
-        elements = set(string.elements())
-        top = string.top[0]
+    table = crystal_table(n, shape)
+    subsets = {w: table.demazure(w) for w in coset_reps(_pad(shape, n), n)}
+    for top, bottom in strings:
+        head = table.tableaux[top[0]].to_text()
+        if bottom and len(bottom) != len(top) - 1:
+            return f"string at {head} has uneven rows"
+        elements = sum(1 << k for k in {*top, *bottom})
         for w, subset in subsets.items():
-            meet = subset & elements
-            if meet not in (set(), elements, {top}):
-                return (
-                    f"string at {top.to_text()} meets the subset of w={list(w)} "
-                    f"in {sorted(t.to_text() for t in meet)}"
-                )
+            if (meet := subset & elements) not in (0, elements, 1 << top[0]):
+                texts = [t.to_text() for t in table.members(meet)]
+                return f"string at {head} meets the subset of w={list(w)} in {texts}"
     return None
 
 
 def _check_k_monotone(case):
     n, shape = case["n"], tuple(case["shape"])
-    lam = _pad(shape, n)
-    reps = coset_reps(lam, n)
+    table = crystal_table(n, shape)
+    reps = coset_reps(_pad(shape, n), n)
     for v in reps:
-        sv = set(demazure_subset(v, shape, n))
         for w in reps:
-            if bruhat_leq(v, w) and not sv <= set(demazure_subset(w, shape, n)):
+            if bruhat_leq(v, w) and table.demazure(v) & ~table.demazure(w):
                 return f"monotonicity fails for v={list(v)} <= w={list(w)}"
     return None
 
@@ -282,33 +276,30 @@ def _check_k_demazure(case):
     lam = _pad(shape, n)
     u = superstandard(shape, n)
     table = crystal_table(n, shape)
-    tableaux = table.tableaux
     ups = [table.map(op, i) for op in ("e", "eK") for i in range(1, n)]
-    doubly_highest = [t for k, t in enumerate(tableaux) if all(up[k] < 0 for up in ups)]
+    doubly_highest = [t for k, t in enumerate(table.tableaux) if all(up[k] < 0 for up in ups)]
     if doubly_highest != [u]:
         return f"minimal highest weight element is not unique: {[t.to_text() for t in doubly_highest]}"
     words = sorted(reduced_words(stabilizer_min_rep(w, lam)))
-    baseline = demazure_subset(w, shape, n, words[0])
+    baseline = table.demazure_word(words[0])
     for word in words[1:]:
-        if demazure_subset(w, shape, n, word) != baseline:
+        if table.demazure_word(word) != baseline:
             return f"subset depends on the reduced word {word}"
-    if u not in baseline:
+    if not baseline >> table.index[u] & 1:
         return "minimal highest weight element missing from the subset"
-    character = beta_character(baseline, n)
+    character = beta_character(table.members(baseline), n)
     if character != lascoux(act(w, lam), n):
         return f"character mismatch: {character.to_text()}"
-    if tuple(w) == stabilizer_min_rep(longest_element(n), lam) and set(baseline) != set(tableaux):
+    if tuple(w) == stabilizer_min_rep(longest_element(n), lam) and baseline != (1 << len(table.tableaux)) - 1:
         return "top subset is not everything"
     return None
 
 
 def _check_flag(case):
     n, shape, w = case["n"], tuple(case["shape"]), tuple(case["w"])
-    left = set(demazure_subset(w, shape, n))
-    right = set(flagged_set(w, shape, n))
-    if left != right:
-        diff = left.symmetric_difference(right)
-        return f"flag mismatch: {sorted(t.to_text() for t in diff)}"
+    table = crystal_table(n, shape)
+    if diff := table.demazure(w) ^ table.flagged(w):
+        return f"flag mismatch: {[t.to_text() for t in table.members(diff)]}"
     return None
 
 
@@ -370,22 +361,19 @@ def _round_trip_witness(d, t, n: int) -> str | None:
 def _check_kohnert(case):
     n, shape, w = case["n"], tuple(case["shape"]), tuple(case["w"])
     graph, positions = closure_table(act(w, _pad(shape, n)))
-    tableaux = crystal_table(n, shape).tableaux
-    flagged = set(flagged_set(w, shape, n))
+    table = crystal_table(n, shape)
     images = graph.phi_positions(positions)
     seen = set()
     for p in positions:
         k = images[p]
         if k in seen:
-            return f"phi collision at {tableaux[k].to_text()}"
-        witness = graph.verdict(_round_trip_witness, p, graph.diagrams[p], tableaux[k], n)
+            return f"phi collision at {table.tableaux[k].to_text()}"
+        witness = graph.verdict(_round_trip_witness, p, graph.diagrams[p], table.tableaux[k], n)
         if witness is not None:
             return witness
         seen.add(k)
-    found = {tableaux[k] for k in seen}
-    if found != flagged:
-        diff = found.symmetric_difference(flagged)
-        return f"phi image mismatch: {sorted(t.to_text() for t in diff)}"
+    if diff := sum(1 << k for k in seen) ^ table.flagged(w):
+        return f"phi image mismatch: {[t.to_text() for t in table.members(diff)]}"
     return None
 
 
@@ -437,25 +425,23 @@ def _check_kohnert_golden(case):
 def _check_skyline(case):
     n, shape, w = case["n"], tuple(case["shape"]), tuple(case["w"])
     a = act(w, _pad(shape, n))
-    table = psi_table(a, n)
-    tableaux = crystal_table(n, shape).tableaux
-    atom = set(atom_subset(w, shape, n))
-    images = {}
+    mapped = psi_table(a, n)
+    table = crystal_table(n, shape)
+    images = set()
     weights = Counter()
-    for skyline, k in zip(table.skylines, table.images):
-        t = tableaux[k]
-        if t in images:
+    for skyline, k in zip(mapped.skylines, mapped.images):
+        t = table.tableaux[k]
+        if k in images:
             return f"psi collision at {t.to_text()}"
         weight = (skyline.weight(n), skyline.excess())
         if weight != (t.weight(), t.excess()):
             return f"psi does not preserve the weight of {t.to_text()}"
         if psi_inverse(t, w) != skyline:
             return f"psi_inverse(psi(S)) != S at {t.to_text()}"
-        images[t] = skyline
+        images.add(k)
         weights[weight] += 1
-    if set(images) != atom:
-        diff = set(images).symmetric_difference(atom)
-        return f"psi image mismatch: {sorted(t.to_text() for t in diff)}"
+    if diff := sum(1 << k for k in images) ^ table.atom(w):
+        return f"psi image mismatch: {[t.to_text() for t in table.members(diff)]}"
     if BetaPolynomial(n, weights) != lascoux_atom(a, n):
         return "skyline character differs from the atom polynomial"
     return None
@@ -497,15 +483,14 @@ def _check_skyline_golden(case):
 def _check_key_ideal_atom(case):
     n, shape, w = case["n"], tuple(case["shape"]), tuple(case["w"])
     target = key_of_composition(act(w, _pad(shape, n)))
-    keys = _max_right_keys(n, shape)
-    verdicts = {key: (preceq(key, target), key == target) for key in set(keys)}
-    tableaux = crystal_table(n, shape).tableaux
-    # both subsets, like these, list tableaux in table (text) order
-    ideal = tuple(t for t, key in zip(tableaux, keys) if verdicts[key][0])
-    atom = tuple(t for t, key in zip(tableaux, keys) if verdicts[key][1])
-    if ideal != demazure_subset(w, shape, n):
+    table = crystal_table(n, shape)
+    keys = table.derived(_max_right_keys)
+    verdicts = {key: ("01"[preceq(key, target)], "01"[key == target]) for key in set(keys)}
+    ideal = _from_flags("".join(verdicts[key][0] for key in keys))
+    atom = _from_flags("".join(verdicts[key][1] for key in keys))
+    if ideal != table.demazure(w):
         return "key ideal differs from the K-Demazure subset"
-    if atom != atom_subset(w, shape, n):
+    if atom != table.atom(w):
         return "key fiber differs from the atom subset"
     return None
 
@@ -513,7 +498,7 @@ def _check_key_ideal_atom(case):
 def _check_star_axioms(case):
     n, shape = case["n"], tuple(case["shape"])
     table = crystal_table(n, shape)
-    rotations, stars, stats = _rotations(n, shape), _stars(n, shape), table.stats
+    rotations, stars, stats = table.derived(_rotations), table.derived(_stars), table.stats
     # (i, e_i, f_i, e_{n-i}, f_{n-i})
     maps = [
         (i, table.map("e", i), table.map("f", i), table.map("e", n - i), table.map("f", n - i))

@@ -10,14 +10,13 @@ from kcrystals.crystal import (
     beta_character,
     crystal_e,
     crystal_f,
+    crystal_table,
     decompose,
     demazure_subset,
     flagged_set,
     ik_strings,
-    is_k_highest_weight,
     kcrystal_e,
     kcrystal_f,
-    raise_string_max,
 )
 from kcrystals.keys import lusztig_star, max_right_key, right_key
 from kcrystals.polynomials import lascoux
@@ -111,17 +110,22 @@ def test_kcrystal_edges_match_the_golden_graph():
     assert set(edges) == expected and len(edges) == 6
 
 
-def test_raise_string_max_examples():
-    assert raise_string_max(T("2 2/3 3"), 1) == T("1 1/3 3")
+def test_raise_map_examples():
+    table = crystal_table(3, (2, 2))
+
+    def raised(t, i):
+        return table.tableaux[table.map("raise", i)[table.position(t)]]
+
+    assert raised(T("2 2/3 3"), 1) == T("1 1/3 3")
     u = superstandard((2, 2), 3)
-    assert raise_string_max(u, 1) == u
-    assert raise_string_max(T("1 1/2 2,3"), 2) == T("1 1/2 2")
+    assert raised(u, 1) == u
+    assert raised(T("1 1/2 2,3"), 2) == T("1 1/2 2")
 
 
 @pytest.mark.parametrize(
     "reader",
-    [lambda t: raise_string_max(t, 1), is_k_highest_weight, right_key, max_right_key, lusztig_star],
-    ids=["raise_string_max", "is_k_highest_weight", "right_key", "max_right_key", "lusztig_star"],
+    [lambda t: crystal_table(3, (2, 2)).position(t), right_key, max_right_key, lusztig_star],
+    ids=["position", "right_key", "max_right_key", "lusztig_star"],
 )
 def test_tableau_readers_reject_a_tableau_outside_the_crystal(reader):
     with pytest.raises(ValueError, match=r"not in the crystal of \(2, 2\) at n=3"):
@@ -142,6 +146,27 @@ def test_demazure_subset_accepts_any_coset_member():
     by_rep = demazure_subset((1, 3, 2), (2, 2), 3)
     by_other = demazure_subset((3, 1, 2), (2, 2), 3)  # same coset mod the stabilizer
     assert set(by_rep) == set(by_other)
+
+
+def test_demazure_subset_accepts_a_reduced_word_as_any_sequence():
+    by_word = demazure_subset((2, 3, 1), (2, 2), 3, [1, 2])
+    assert by_word == demazure_subset((2, 3, 1), (2, 2), 3, (1, 2))
+    assert by_word == demazure_subset((2, 3, 1), (2, 2), 3)
+
+
+@pytest.mark.parametrize(
+    "w,word",
+    [
+        ((1, 2, 3), (2,)),  # a reduced word, of s_2, not of the identity
+        ((1, 2, 3), (2, 2)),  # not reduced
+        ((2, 3, 1), (2, 1)),  # of (3, 1, 2), another coset
+        ((1, 3, 2), (3,)),  # a letter past n - 1
+        ((1, 3, 2), (0,)),
+    ],
+)
+def test_demazure_subset_rejects_a_word_of_another_element(w, word):
+    with pytest.raises(ValueError, match="is not a reduced word of"):
+        demazure_subset(w, (2, 2), 3, word)
 
 
 def test_flagged_set_examples():
@@ -194,25 +219,28 @@ def test_singleton_component_matches_ssyt_enumeration(shape, n):
 
 
 def test_ik_string_through_the_figure():
+    tableaux = crystal_table(3, (2, 2)).tableaux
     strings = ik_strings(3, (2, 2), 2)
-    top_chain = next(s for s in strings if s.top[0] == T("1 1/2 2"))
-    assert [t.to_text() for t in top_chain.top] == ["1 1/2 2", "1 1/2 3", "1 1/3 3"]
-    assert [t.to_text() for t in top_chain.bottom] == ["1 1/2 2,3", "1 1/2,3 3"]
+    top, bottom = next(s for s in strings if tableaux[s[0][0]] == T("1 1/2 2"))
+    assert [tableaux[k].to_text() for k in top] == ["1 1/2 2", "1 1/2 3", "1 1/3 3"]
+    assert [tableaux[k].to_text() for k in bottom] == ["1 1/2 2,3", "1 1/2,3 3"]
 
 
 @pytest.mark.parametrize("i", [1, 2])
 def test_ik_strings_partition_the_square(i):
     strings = ik_strings(3, (2, 2), i)
-    total = sum(len(s.elements()) for s in strings)
-    assert total == 13
-    for s in strings:
-        if s.bottom:
-            assert len(s.bottom) == len(s.top) - 1
+    positions = sorted(k for top, bottom in strings for k in top + bottom)
+    assert positions == list(range(13))
+    for top, bottom in strings:
+        if bottom:
+            assert len(bottom) == len(top) - 1
 
 
 def test_unique_doubly_highest_element():
     u = superstandard((2, 2), 3)
-    doubly = [t for t in enumerate_svt(3, (2, 2)) if is_k_highest_weight(t)]
+    table = crystal_table(3, (2, 2))
+    ups = [table.map(op, i) for op in ("e", "eK") for i in (1, 2)]
+    doubly = [t for k, t in enumerate(table.tableaux) if all(up[k] < 0 for up in ups)]
     assert doubly == [u]
 
 

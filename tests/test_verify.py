@@ -4,9 +4,11 @@ import json
 import pytest
 
 from kcrystals import crystal, keys, kohnert, verify
-from kcrystals.permutations import bruhat_leq
+from kcrystals.crystal import _pad, atom_subset, demazure_subset, flagged_set
+from kcrystals.keys import lusztig_star, max_right_key, right_key
 from kcrystals.kohnert import KKohnertDiagram, initial_diagram
-from kcrystals.tableaux import SetValuedTableau
+from kcrystals.permutations import bruhat_leq, coset_reps
+from kcrystals.tableaux import SetValuedTableau, enumerate_svt
 from kcrystals.verify import SUITES, Bounds, iter_cases, run_case, run_suite
 
 # (case count, SHA-256 of json.dumps(cases, sort_keys=True)) at the default
@@ -71,30 +73,18 @@ def test_run_case_rejects_a_check_of_another_suite():
 # Tables are rebuilt from a wrong kernel, and each check must return the
 # witness that the per-tableau form of the check (before the table held
 # statistics, max-right keys and rotations) returned for the same fault.
-
-TABLE_CACHES = (
-    crystal.crystal_table,
-    crystal.demazure_subset,
-    keys._right_keys,
-    keys._max_right_keys,
-    keys._stars,
-    keys._rotations,
-)
-
-
-def _clear_tables():
-    for cached in TABLE_CACHES:
-        cached.cache_clear()
+# Everything derived from a crystal is held by its table, so clearing the
+# tables is the one reset.
 
 
 @pytest.fixture
 def table_fault(monkeypatch):
-    """The monkeypatch for a test's fault; the tables and every cache read
-    from them are cleared before and after."""
-    _clear_tables()
+    """The monkeypatch for a test's fault; the tables are cleared before
+    and after."""
+    crystal.crystal_table.cache_clear()
     yield monkeypatch
     monkeypatch.undo()
-    _clear_tables()
+    crystal.crystal_table.cache_clear()
 
 
 @pytest.fixture
@@ -281,6 +271,37 @@ def test_subset_check_witnesses_under_a_fault(table_fault, fault):
     assert hashlib.sha256(dump.encode()).hexdigest() == digest
 
 
+def test_clearing_the_tables_rebuilds_every_derived_structure(table_fault):
+    """Each reader, read once, reads the faults set afterwards when only
+    crystal_table's cache is cleared: nothing derived from a crystal
+    outlives its table.  The kernel fault relabels two pairs of tableaux
+    of one weight and excess, one single-valued; the flag and the
+    rotation, which no kernel operator reaches, get faults of their own."""
+    n, shape = 4, (2, 2)
+    reps = coset_reps(_pad(shape, n), n)
+    tableaux = enumerate_svt(n, shape)
+    readers = {
+        "demazure_subset": lambda: [demazure_subset(w, shape, n) for w in reps],
+        "flagged_set": lambda: [flagged_set(w, shape, n) for w in reps],
+        "atom_subset": lambda: [atom_subset(w, shape, n) for w in reps],
+        "right_key": lambda: [right_key(t) for t in tableaux if t.excess() == 0],
+        "max_right_key": lambda: [max_right_key(t) for t in tableaux],
+        "lusztig_star": lambda: [lusztig_star(t) for t in tableaux],
+        "rotations": lambda: list(crystal.crystal_table(n, shape).derived(keys._rotations)),
+    }
+    before = {name: read() for name, read in readers.items()}
+    for op in ("e", "f"):
+        conjugated = crystal._KERNEL[op]
+        for a, b in (("1 2/3 4", "1 3/2 4"), ("1 2/3 3,4", "1 2,3/3 4")):
+            a, b = SetValuedTableau.from_text(a, n), SetValuedTableau.from_text(b, n)
+            conjugated = _conjugated(conjugated, a, b)
+        table_fault.setitem(crystal._KERNEL, op, conjugated)
+    table_fault.setattr(crystal, "flag_vector", lambda w, r, s: (n,) * r)
+    table_fault.setattr(keys, "k_lusztig_star", lambda t: t)
+    crystal.crystal_table.cache_clear()
+    assert [name for name, read in readers.items() if read() == before[name]] == []
+
+
 def test_kohnert_bijection_is_the_same_on_two_workers():
     assert run_suite("kohnert-bijection", Bounds(), jobs=2) == run_suite(
         "kohnert-bijection", Bounds(), jobs=1
@@ -294,13 +315,13 @@ def test_kohnert_bijection_is_the_same_on_two_workers():
 # checks returned when every composition built its own closure table, before
 # one graph per rearrangement class held each diagram's verdicts.
 
-KOHNERT_CACHES = (kohnert.closure_table, crystal.crystal_table, crystal.flagged_set)
+KOHNERT_CACHES = (kohnert.closure_table, crystal.crystal_table)
 
 
 @pytest.fixture
 def kohnert_fault(monkeypatch):
-    """The monkeypatch for a test's fault; the closure, crystal and flagged
-    caches are cleared before and after."""
+    """The monkeypatch for a test's fault; the closure and crystal caches
+    are cleared before and after."""
     for cached in KOHNERT_CACHES:
         cached.cache_clear()
     yield monkeypatch
@@ -388,8 +409,13 @@ def _phi_inverse_raises_at_one_tableau(monkeypatch):
 
 
 def _flagged_set_drops_its_last(monkeypatch):
-    flagged = verify.flagged_set
-    monkeypatch.setattr(verify, "flagged_set", lambda w, shape, n: flagged(w, shape, n)[:-1])
+    flagged = crystal.CrystalTable.flagged
+
+    def dropping(table, w):
+        bits = flagged(table, w)
+        return bits & ~(1 << (bits.bit_length() - 1))
+
+    monkeypatch.setattr(crystal.CrystalTable, "flagged", dropping)
 
 
 PHI_RAISES = "exception: ValueError('injected fault')"
