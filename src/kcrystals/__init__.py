@@ -5,6 +5,8 @@ Kohnert and skyline models, key tableaux, and exhaustive small-rank
 verification suites.
 """
 
+from types import ModuleType as _Module
+
 from .crystal import (
     atom_subset,
     beta_character,
@@ -48,4 +50,4 @@ from .polynomials import (
 from .skyline import SkylineTableau, enumerate_skyline, psi, psi_inverse, validate_skyline
 from .tableaux import SetValuedTableau, enumerate_svt, superstandard
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _Module)]

@@ -259,33 +259,39 @@ def _pad(shape, n: int) -> tuple[int, ...]:
     return shape + (0,) * (n - len(shape))
 
 
+def _subset_table(w: Perm, shape: tuple[int, ...], n: int) -> CrystalTable:
+    """crystal_table(n, shape) for a subset reader; ValueError unless shape
+    is a rectangle and w a permutation of 1..n."""
+    _rectangle_dims(shape)
+    if len(w) != n or set(w) != set(range(1, n + 1)):
+        raise ValueError(f"w={w!r} is not a permutation of 1..{n}")
+    return crystal_table(n, tuple(shape))
+
+
 def demazure_subset(w: Perm, shape: tuple[int, ...], n: int, word=None) -> tuple[SetValuedTableau, ...]:
     """The K-Demazure subset for w: tableaux whose alternating maximal raise
     chain along word ends at the minimal highest weight element; ValueError
     unless word (by default the canonical one) is a reduced word of w's
     minimal coset representative."""
-    _rectangle_dims(shape)
+    table = _subset_table(w, shape, n)
     rep = stabilizer_min_rep(w, _pad(shape, n))
     word = reduced_word(rep) if word is None else tuple(word)
     letters = all(isinstance(i, int) and 0 < i < n for i in word)
     if not letters or len(word) != length(rep) or evaluate_word(word, n) != rep:
         raise ValueError(f"{word!r} is not a reduced word of {rep!r}, w's minimal coset representative")
-    table = crystal_table(n, tuple(shape))
     return table.members(table.demazure_word(word))
 
 
 def flagged_set(w: Perm, shape: tuple[int, ...], n: int) -> tuple[SetValuedTableau, ...]:
     """Tableaux whose row-m entries are bounded by the flag of w."""
-    _rectangle_dims(shape)
-    table = crystal_table(n, tuple(shape))
+    table = _subset_table(w, shape, n)
     return table.members(table.flagged(w))
 
 
 def atom_subset(w: Perm, shape: tuple[int, ...], n: int) -> tuple[SetValuedTableau, ...]:
     """The K-Demazure subset of w minus those of all strictly smaller
     coset representatives."""
-    _rectangle_dims(shape)
-    table = crystal_table(n, tuple(shape))
+    table = _subset_table(w, shape, n)
     return table.members(table.atom(w))
 
 

@@ -3,18 +3,20 @@ Key tableaux, right keys, the two entanglement-reversing involutions on
 set-valued tableaux, and the derived key maps used to probe atom
 decompositions.
 
-Right keys, max-right keys, Lusztig stars and rotations by position are
-built once per crystal table and kept with it (``CrystalTable.derived``).
+Right keys, max-right keys, Lusztig stars, rotations and the key maps of
+``key_partition_report`` (composed from them with the position of each
+least-entry tableau) are built once per crystal table and kept with it
+(``CrystalTable.derived``), each as one entry per position.
 """
 
 from __future__ import annotations
 
 from array import array
 
-from .crystal import CrystalTable, _flags, _pad, beta_character, crystal_table
+from .crystal import CrystalTable, _flags, _from_flags, _pad, _rectangle_dims, beta_character, crystal_table
 from .permutations import act, bruhat_leq, coset_reps
 from .polynomials import lascoux, lascoux_atom
-from .tableaux import SetValuedTableau, enumerate_svt
+from .tableaux import SetValuedTableau
 
 
 def is_key_tableau(tableau: SetValuedTableau) -> bool:
@@ -140,9 +142,7 @@ def lusztig_star(tableau: SetValuedTableau) -> SetValuedTableau:
 
 def k_lusztig_star(tableau: SetValuedTableau) -> SetValuedTableau:
     """Rotate the rectangle 180 degrees and complement every entry."""
-    widths = {len(row) for row in tableau.rows}
-    if len(widths) > 1:
-        raise ValueError("the rotation involution needs a rectangular shape")
+    _rectangle_dims(tableau.shape)
     n = tableau.n
     rows = tuple(
         tuple(tuple(n + 1 - v for v in reversed(cell)) for cell in reversed(row))
@@ -156,13 +156,6 @@ def _rotations(table: CrystalTable) -> array:
     return array("i", (table.position(k_lusztig_star(t)) for t in table.tableaux))
 
 
-def k_right_key(tableau: SetValuedTableau, star) -> SetValuedTableau:
-    """Right key of min(T°)° for the involution ° = star; the outer star
-    acts on a single-valued tableau, where both involutions agree with
-    classical evacuation."""
-    return right_key(lusztig_star(min_tableau(star(tableau))))
-
-
 def preceq(key1: SetValuedTableau, key2: SetValuedTableau) -> bool:
     """Entrywise comparison of two single-valued tableaux."""
     if key1.shape != key2.shape:
@@ -174,35 +167,43 @@ def preceq(key1: SetValuedTableau, key2: SetValuedTableau) -> bool:
     )
 
 
-# The key maps of key_partition_report, in report order.  The lambdas read
-# the involutions when called, so wrappers set on this module's names (the
-# benchmark's tracer) see those calls too.
-KEY_MAPS = {
-    "calK": max_right_key,
-    "K-naive": lambda tableau: k_right_key(tableau, lusztig_star),
-    "K-rect": lambda tableau: k_right_key(tableau, k_lusztig_star),
-}
+def _key_subsets(keys, a) -> tuple[int, int]:
+    """The positions whose key, in keys listed by position, is <= the key
+    tableau of a, and those whose key is that tableau, as bitsets; each
+    distinct key is compared once."""
+    target = key_of_composition(a)
+    verdicts = {key: ("01"[preceq(key, target)], "01"[key == target]) for key in set(keys)}
+    ideal = _from_flags("".join(verdicts[key][0] for key in keys))
+    atom = _from_flags("".join(verdicts[key][1] for key in keys))
+    return ideal, atom
+
+
+def _key_maps(table: CrystalTable) -> dict[str, tuple[SetValuedTableau, ...]]:
+    """The key of each tableau of the table, by position, under calK
+    (max_right_key) and, for ° = lusztig_star (K-naive) and on a rectangle
+    k_lusztig_star (K-rect), the right key of min(T°)°, whose outer star
+    acts on a single-valued tableau: there both involutions are evacuation."""
+    right, stars = table.derived(_right_keys), table.derived(_stars)
+    least = [table.position(min_tableau(t)) for t in table.tableaux]
+    maps = {"calK": table.derived(_max_right_keys), "K-naive": tuple(right[stars[least[k]]] for k in stars)}
+    if len({p for p in table.shape if p}) <= 1:
+        maps["K-rect"] = tuple(right[stars[least[k]]] for k in table.derived(_rotations))
+    return maps
 
 
 def key_partition_report(shape, n: int) -> list[dict]:
-    """For each coset representative w and each key map, compare the
-    character of {T : key(T) <= K_{w lam}} with the Lascoux polynomial of
-    w·lam, and of {T : key(T) = K_{w lam}} with the atom.  Failures are
-    rows with match=False, never exceptions."""
+    """For each key map (see _key_maps) and each coset representative w,
+    compare the character of {T : key(T) <= K_{w lam}} with the Lascoux
+    polynomial of w·lam, and of {T : key(T) = K_{w lam}} with the atom.
+    Failures are rows with match=False, never exceptions."""
     shape = tuple(shape)
     lam = _pad(shape, n)
-    is_rect = len({p for p in shape if p}) <= 1
-    tableaux = enumerate_svt(n, shape)
+    table = crystal_table(n, shape)
     rows = []
-    for key_map, key in KEY_MAPS.items():
-        if key_map == "K-rect" and not is_rect:
-            continue
-        keys = {t: key(t) for t in tableaux}
+    for key_map, keys in table.derived(_key_maps).items():
         for w in coset_reps(lam, n):
             a = act(w, lam)
-            target = key_of_composition(a)
-            ideal = [t for t in tableaux if preceq(keys[t], target)]
-            atom = [t for t in tableaux if keys[t] == target]
+            ideal, atom = _key_subsets(keys, a)
             for mode, subset, expected in (
                 ("ideal", ideal, lascoux(a, n)),
                 ("atom", atom, lascoux_atom(a, n)),
@@ -213,7 +214,7 @@ def key_partition_report(shape, n: int) -> list[dict]:
                         "w": list(w),
                         "involution": key_map,
                         "mode": mode,
-                        "match": beta_character(subset, n) == expected,
+                        "match": beta_character(table.members(subset), n) == expected,
                     }
                 )
     return rows

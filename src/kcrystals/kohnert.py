@@ -13,9 +13,11 @@ The diagrams of one rearrangement class of compositions form one
 ``KohnertGraph``, explored on demand: each diagram has a position, and
 its single moves (as positions), the position of its phi image in the
 crystal table of the rectangle and each bijection check's verdict on it
-are filled on first read, once per diagram.  ``closure_table(a)`` is the
-one cached closure of a composition, as the graph of its class and the
-positions reachable from the skyline of a, in canonical order.
+are filled on first read, once per diagram.  ``kohnert_graph(parts)`` is
+the one cached graph of a class, keyed by its sorted composition, so
+``kohnert_graph.cache_clear()`` is the only reset; each graph keeps the
+closure of each composition of its class, found on first read.
+``closure_table(a)`` reads the graph of a's class and that closure.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
-from weakref import WeakValueDictionary
 
 from .crystal import _rectangle_dims, crystal_table
 from .polynomials import BetaPolynomial
@@ -150,6 +151,7 @@ class KohnertGraph:
         self._moves: list[array | None] = []  # flat (x, is_k, image) triples
         self._phi = array("i")
         self._verdicts: dict[Callable, tuple[bytearray, dict[int, str]]] = {}
+        self._closures: dict[tuple[int, ...], array] = {}
 
     def position(self, diagram: KKohnertDiagram) -> int:
         """The position of diagram, added unexplored if it is new."""
@@ -175,17 +177,19 @@ class KohnertGraph:
         return [(m[j], bool(m[j + 1]), m[j + 2]) for j in range(0, len(m), 3)]
 
     def closure(self, a: tuple[int, ...]) -> array:
-        """The positions reachable from the skyline of a, in canonical order."""
-        order = [self.position(initial_diagram(a))]
-        seen = set(order)
-        for p in order:
-            for q in self._explored(p)[2::3]:
-                if q not in seen:
-                    seen.add(q)
-                    order.append(q)
-        diagrams = self.diagrams
-        order.sort(key=lambda p: diagrams[p].sort_key())
-        return array("i", order)
+        """The positions reachable from the skyline of a, in canonical order,
+        found on the first read for a."""
+        if a not in self._closures:
+            order = [self.position(initial_diagram(a))]
+            seen = set(order)
+            for p in order:
+                for q in self._explored(p)[2::3]:
+                    if q not in seen:
+                        seen.add(q)
+                        order.append(q)
+            order.sort(key=lambda p: self.diagrams[p].sort_key())
+            self._closures[a] = array("i", order)
+        return self._closures[a]
 
     def phi_positions(self, positions) -> array:
         """The position of each diagram's phi image in crystal_table(n,
@@ -217,19 +221,13 @@ class KohnertGraph:
         return witnesses.get(p)
 
 
-# A class's graph lives as long as one of its closures is cached, so
-# closure_table.cache_clear() frees every graph.
-_graphs: WeakValueDictionary[tuple[int, ...], KohnertGraph] = WeakValueDictionary()
+kohnert_graph = lru_cache(maxsize=None)(KohnertGraph)  # one graph per class tuple(sorted(a))
 
 
-@lru_cache(maxsize=None)
 def closure_table(a: tuple[int, ...]) -> tuple[KohnertGraph, array]:
     """The graph of a's rearrangement class and the positions in it of the
     diagrams reachable from the skyline of a, in canonical order."""
-    parts = tuple(sorted(a))
-    graph = _graphs.get(parts)
-    if graph is None:
-        graph = _graphs[parts] = KohnertGraph(parts)
+    graph = kohnert_graph(tuple(sorted(a)))
     return graph, graph.closure(a)
 
 
@@ -279,10 +277,7 @@ def phi(diagram: KKohnertDiagram, r: int, s: int, n: int) -> SetValuedTableau:
 def phi_inverse(tableau: SetValuedTableau) -> KKohnertDiagram:
     """Inverse reading: cell minima of tableau column c become unmarked
     boxes in diagram row s+1-c, the other entries marked boxes."""
-    r, widths = len(tableau.rows), {len(row) for row in tableau.rows}
-    if len(widths) > 1:
-        raise ValueError("tableau shape must be a rectangle")
-    s = widths.pop() if widths else 0
+    _, s = _rectangle_dims(tableau.shape)
     boxes: set[Box] = set()
     marked: set[Box] = set()
     for rr, c, cell in tableau.cells():

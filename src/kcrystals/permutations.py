@@ -176,19 +176,8 @@ def sorting_permutation(a) -> tuple[tuple[int, ...], Perm]:
     ((2, 2, 0), (2, 3, 1))
     """
     a = tuple(a)
-    lam = tuple(sorted(a, reverse=True))
-    w = [0] * len(a)
-    taken = [False] * len(a)
-    for i, part in enumerate(lam):
-        for j in range(len(a)):
-            if not taken[j] and a[j] == part:
-                taken[j] = True
-                w[i] = j + 1
-                break
-    w = tuple(w)
-    if act(w, lam) != a:
-        raise AssertionError(f"sorting permutation {w!r} does not carry {lam!r} to {a!r}")
-    return lam, w
+    order = sorted(range(len(a)), key=lambda j: (-a[j], j))
+    return tuple(a[j] for j in order), tuple(j + 1 for j in order)
 
 
 def rectangle_shape(r: int, s: int, n: int) -> tuple[int, ...]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .crystal import _rectangle_dims, atom_subset, crystal_table
+from .crystal import _pad, _rectangle_dims, atom_subset, crystal_table
 from .permutations import Perm, act
 from .polynomials import BetaPolynomial
 from .tableaux import SetValuedTableau
@@ -243,13 +243,7 @@ def psi(skyline: SkylineTableau, n: int) -> SetValuedTableau:
 
 def _psi(skyline: SkylineTableau, n: int) -> SetValuedTableau:
     """psi of a skyline that is already valid, as enumerate_skyline's are."""
-    heights = [h for h in skyline.shape if h]
-    widths = set(heights)
-    if len(widths) != 1:
-        raise ValueError("shape must be a rearranged rectangle")
-    s = widths.pop()
-    r = len(heights)
-
+    r, s = _rectangle_dims(skyline.shape)
     columns: list[tuple[Cell, ...]] = []  # tableau columns s-1, ..., 0
     for level in range(1, s + 1):
         row = skyline.cells_at_level(level)
@@ -299,8 +293,7 @@ def psi_inverse(tableau: SetValuedTableau, w: Perm) -> SkylineTableau:
     """Inverse of psi on the atom of w; raises if the tableau is outside."""
     shape = tableau.shape
     n = tableau.n
-    lam = shape + (0,) * (n - len(shape))
-    table = psi_table(act(w, lam), n)
+    table = psi_table(act(w, _pad(shape, n)), n)
     j = table.preimage.get(crystal_table(n, shape).index.get(tableau))
     if j is None:
         if tableau not in atom_subset(w, shape, n):

@@ -16,7 +16,6 @@ from itertools import combinations
 
 from . import golden
 from .crystal import (
-    _from_flags,
     _pad,
     beta_character,
     crystal_table,
@@ -27,12 +26,11 @@ from .crystal import (
     superstandard,
 )
 from .keys import (
+    _key_subsets,
     _max_right_keys,
     _rotations,
     _stars,
-    key_of_composition,
     key_partition_report,
-    preceq,
 )
 from .kohnert import KKohnertDiagram, closure, closure_table, phi, phi_inverse, svt_kohnert_move
 from .permutations import (
@@ -427,20 +425,16 @@ def _check_skyline(case):
     a = act(w, _pad(shape, n))
     mapped = psi_table(a, n)
     table = crystal_table(n, shape)
-    images = set()
     weights = Counter()
     for skyline, k in zip(mapped.skylines, mapped.images):
         t = table.tableaux[k]
-        if k in images:
-            return f"psi collision at {t.to_text()}"
         weight = (skyline.weight(n), skyline.excess())
         if weight != (t.weight(), t.excess()):
             return f"psi does not preserve the weight of {t.to_text()}"
         if psi_inverse(t, w) != skyline:
             return f"psi_inverse(psi(S)) != S at {t.to_text()}"
-        images.add(k)
         weights[weight] += 1
-    if diff := sum(1 << k for k in images) ^ table.atom(w):
+    if diff := sum(1 << k for k in mapped.images) ^ table.atom(w):
         return f"psi image mismatch: {[t.to_text() for t in table.members(diff)]}"
     if BetaPolynomial(n, weights) != lascoux_atom(a, n):
         return "skyline character differs from the atom polynomial"
@@ -482,12 +476,8 @@ def _check_skyline_golden(case):
 
 def _check_key_ideal_atom(case):
     n, shape, w = case["n"], tuple(case["shape"]), tuple(case["w"])
-    target = key_of_composition(act(w, _pad(shape, n)))
     table = crystal_table(n, shape)
-    keys = table.derived(_max_right_keys)
-    verdicts = {key: ("01"[preceq(key, target)], "01"[key == target]) for key in set(keys)}
-    ideal = _from_flags("".join(verdicts[key][0] for key in keys))
-    atom = _from_flags("".join(verdicts[key][1] for key in keys))
+    ideal, atom = _key_subsets(table.derived(_max_right_keys), act(w, _pad(shape, n)))
     if ideal != table.demazure(w):
         return "key ideal differs from the K-Demazure subset"
     if atom != table.atom(w):
@@ -569,32 +559,26 @@ def _check_groth_golden(case):
     return None
 
 
+def _scan(case, conjecture: str, objects, character, polynomial) -> str:
+    """Whether the character of objects(a, n) equals polynomial(a, n) at
+    a = w·lam, as a report line that also says whether w avoids 312."""
+    n, w = case["n"], tuple(case["w"])
+    a = act(w, _pad(case["shape"], n))
+    match = character(objects(a, n), n) == polynomial(a, n)
+    report = {"conjecture": conjecture, "match": match, "w312": avoids_pattern(w, (3, 1, 2))}
+    return json.dumps(report, sort_keys=True)
+
+
 def _check_scan_kohnert(case):
-    n, shape, w = case["n"], tuple(case["shape"]), tuple(case["w"])
-    lam = _pad(shape, n)
-    a = act(tuple(w), lam)
-    match = _diagram_character(closure(a), n) == lascoux(a, n)
-    return json.dumps(
-        {"conjecture": "kohnert-closure", "match": match, "w312": avoids_pattern(tuple(w), (3, 1, 2))},
-        sort_keys=True,
-    )
+    return _scan(case, "kohnert-closure", lambda a, n: closure(a), _diagram_character, lascoux)
 
 
 def _check_scan_skyline(case):
-    n, shape, w = case["n"], tuple(case["shape"]), tuple(case["w"])
-    lam = _pad(shape, n)
-    a = act(tuple(w), lam)
-    match = _skyline_character(enumerate_skyline(a, n), n) == lascoux_atom(a, n)
-    return json.dumps(
-        {"conjecture": "skyline-atom", "match": match, "w312": avoids_pattern(tuple(w), (3, 1, 2))},
-        sort_keys=True,
-    )
+    return _scan(case, "skyline-atom", enumerate_skyline, _skyline_character, lascoux_atom)
 
 
 def _check_scan_keys(case):
-    n, shape = case["n"], tuple(case["shape"])
-    rows = key_partition_report(shape, n)
-    return json.dumps(rows, sort_keys=True)
+    return json.dumps(key_partition_report(case["shape"], case["n"]), sort_keys=True)
 
 
 # -- suites ------------------------------------------------------------------

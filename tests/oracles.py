@@ -450,6 +450,11 @@ def reference_max_tableau(tableau):
     return SetValuedTableau([[(max(cell),) for cell in row] for row in tableau.rows], tableau.n)
 
 
+def reference_min_tableau(tableau):
+    """Least entry in each box, through the normalising constructor."""
+    return SetValuedTableau([[(min(cell),) for cell in row] for row in tableau.rows], tableau.n)
+
+
 def reference_k_lusztig_star(tableau):
     """Rotate by 180 degrees and complement, through the normalising constructor."""
     n = tableau.n

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -174,6 +175,13 @@ def test_flagged_set_examples():
     assert flagged_set((1, 2, 3), (2, 2), 3) == (u,)
     assert set(flagged_set((1, 3, 2), (2, 2), 3)) == set(demazure_subset((1, 3, 2), (2, 2), 3))
     assert len(flagged_set((2, 3, 1), (2, 2), 3)) == 13
+
+
+@pytest.mark.parametrize("reader", [demazure_subset, flagged_set, atom_subset])
+@pytest.mark.parametrize("w", [(2, 1), (1, 2, 4), (1, 1, 3), (1, 2, 3, 4)])
+def test_subset_readers_reject_a_w_that_is_not_a_permutation_of_1_to_n(reader, w):
+    with pytest.raises(ValueError, match=re.escape(f"w={w!r} is not a permutation of 1..3")):
+        reader(w, (1,), 3)
 
 
 def test_flagged_set_rejects_non_rectangles():

@@ -25,6 +25,7 @@ from kcrystals.crystal import (
     signature,
 )
 from kcrystals.keys import (
+    _key_maps,
     _max_right_keys,
     _rotations,
     k_lusztig_star,
@@ -58,6 +59,7 @@ from oracles import (
     reference_kcrystal_f,
     reference_lusztig_star,
     reference_max_tableau,
+    reference_min_tableau,
     reference_phi,
     reference_psi,
     reference_raise_string_max,
@@ -216,6 +218,23 @@ def test_rotation_positions_match_the_rotation(n, shape):
     for t in table.tableaux:
         assert _same_object(k_lusztig_star(t), reference_k_lusztig_star(t)), t
     assert list(table.derived(_rotations)) == [table.index[k_lusztig_star(t)] for t in table.tableaux]
+
+
+@pytest.mark.parametrize("n,shape", TABLE_CASES, ids=str)
+def test_key_maps_match_the_composed_references(n, shape):
+    """calK is the right key of the greatest-entry tableau, and each other
+    key map the right key of min(T°)° for its involution °, the rotation
+    only on a rectangle."""
+    tableaux = crystal_table(n, shape).tableaux
+    involutions = {"K-naive": reference_lusztig_star}
+    if len(set(shape)) == 1:
+        involutions["K-rect"] = reference_k_lusztig_star
+    maps = crystal_table(n, shape).derived(_key_maps)
+    assert list(maps) == ["calK", *involutions]
+    assert list(maps["calK"]) == [reference_right_key(reference_max_tableau(t)) for t in tableaux]
+    for name, star in involutions.items():
+        expected = [reference_right_key(reference_lusztig_star(reference_min_tableau(star(t)))) for t in tableaux]
+        assert list(maps[name]) == expected, name
 
 
 RECTANGLES = [

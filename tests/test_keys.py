@@ -2,11 +2,11 @@ from collections import Counter
 
 import pytest
 
-from kcrystals.crystal import atom_subset, demazure_subset, crystal_e, crystal_f
+from kcrystals.crystal import atom_subset, demazure_subset, crystal_e, crystal_f, crystal_table
 from kcrystals.keys import (
+    _key_maps,
     is_key_tableau,
     k_lusztig_star,
-    k_right_key,
     key_of_composition,
     key_partition_report,
     lusztig_star,
@@ -91,24 +91,27 @@ def test_star_crystal_axiom_on_the_square():
             assert crystal_e(star, i) == (None if down is None else k_lusztig_star(down))
 
 
-def test_k_right_key_examples():
-    u = superstandard((2, 2), 3)
-    assert k_right_key(u, k_lusztig_star) == key_of_composition((2, 2, 0))
-    assert k_right_key(T("1 1/2 2,3"), k_lusztig_star) == T("1 1/3 3")
-    sizes = Counter(
-        k_right_key(t, k_lusztig_star).to_text() for t in enumerate_svt(3, (2, 2))
-    )
+def _k_rect_keys(n, shape):
+    """The K-rect key map of key_partition_report (the right key of
+    min(T°)° for the rotation °), by tableau."""
+    table = crystal_table(n, shape)
+    return dict(zip(table.tableaux, table.derived(_key_maps)["K-rect"]))
+
+
+def test_k_rect_key_examples():
+    keys = _k_rect_keys(3, (2, 2))
+    assert list(keys) == list(enumerate_svt(3, (2, 2)))
+    assert keys[superstandard((2, 2), 3)] == key_of_composition((2, 2, 0))
+    assert keys[T("1 1/2 2,3")] == T("1 1/3 3")
+    sizes = Counter(key.to_text() for key in keys.values())
     assert sorted(sizes.values()) == [1, 4, 8]
 
 
-def test_k_right_key_fibers_match_atoms_on_the_square():
+def test_k_rect_key_fibers_match_atoms_on_the_square():
+    keys = _k_rect_keys(3, (2, 2))
     for w, a in (((1, 2, 3), (2, 2, 0)), ((1, 3, 2), (2, 0, 2)), ((2, 3, 1), (0, 2, 2))):
         target = key_of_composition(a)
-        fiber = {
-            t
-            for t in enumerate_svt(3, (2, 2))
-            if k_right_key(t, k_lusztig_star) == target
-        }
+        fiber = {t for t, key in keys.items() if key == target}
         assert fiber == set(atom_subset(w, (2, 2), 3))
 
 

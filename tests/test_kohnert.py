@@ -12,6 +12,7 @@ from kcrystals.kohnert import (
     closure,
     closure_table,
     initial_diagram,
+    kohnert_graph,
     phi,
     phi_inverse,
     single_moves,
@@ -93,19 +94,21 @@ def _query_order(order):
 @pytest.mark.parametrize("order", ["smallest first", "antidominant first"])
 def test_graph_closures_match_the_reference(order):
     assert (1, 0, 2, 2) in CLASSES[(0, 1, 2, 2)]
-    closure_table.cache_clear()
+    kohnert_graph.cache_clear()
     try:
         for a in _query_order(order):
             diagrams, moves = _reference(a)
             assert closure(a) == tuple(diagrams), a
             graph, positions = closure_table(a)
             assert graph is closure_table(tuple(sorted(a)))[0], a  # one graph per class
+            assert graph is kohnert_graph(tuple(sorted(a))), a
+            assert closure_table(a)[1] is positions, a  # each closure found once
             for p in positions:
                 d = graph.diagrams[p]
                 assert graph.index[d] == p
                 assert [(x, k, graph.diagrams[q]) for x, k, q in graph.moves(p)] == moves[d], (a, d)
     finally:
-        closure_table.cache_clear()
+        kohnert_graph.cache_clear()
 
 
 def test_closure_matches_the_golden_grid():

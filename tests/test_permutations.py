@@ -1,10 +1,12 @@
 from itertools import permutations as all_perms
+from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from kcrystals.permutations import (
+    act,
     avoids_pattern,
     bruhat_ideal,
     bruhat_leq,
@@ -118,6 +120,15 @@ def test_sorting_permutation_spec_cases():
     lam, w = sorting_permutation((4, 0, 2, 0, 0))
     assert lam == (4, 2, 0, 0, 0)
     assert w == (1, 3, 2, 4, 5)
+
+
+def test_sorting_permutation_carries_lam_to_a_and_is_minimal():
+    for n in range(1, 6):
+        for a in product(range(4), repeat=n):
+            lam, w = sorting_permutation(a)
+            assert lam == tuple(sorted(a, reverse=True)), a
+            assert act(w, lam) == a, a
+            assert stabilizer_min_rep(w, lam) == w, a
 
 
 def test_flag_vector_examples():

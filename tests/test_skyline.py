@@ -72,6 +72,15 @@ def test_psi_inverse_round_trip():
         psi_inverse(SetValuedTableau.from_text("1 1/2 2", 3), w)
 
 
+def test_psi_reads_its_rectangle_through_the_crystal_helper():
+    # the empty skyline is the empty rectangle; a skyline of two heights is no rectangle
+    empty = SkylineTableau.build((0, 0), {})
+    assert psi(empty, 2) == SetValuedTableau([], 2)
+    assert psi_inverse(psi(empty, 2), (2, 1)) == empty
+    with pytest.raises(ValueError, match=r"shape \(1, 2\) is not a rectangle"):
+        psi(SkylineTableau.build((1, 2), {1: [(1,)], 2: [(2,), (1,)]}), 2)
+
+
 def test_psi_lands_in_the_atom_with_matching_weights():
     for n, shape in ((3, (2, 2)), (4, (2, 2)), (3, (3, 3))):
         lam = shape + (0,) * (n - len(shape))

@@ -1,7 +1,10 @@
-"""Library invariants must be real exceptions, which survive python -O."""
+"""Invariants of the library source: its invariants are real exceptions,
+which survive python -O, and the package exports functions and classes,
+not its submodules."""
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import kcrystals
 
@@ -17,3 +20,8 @@ def test_no_assert_statements_in_the_library():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_the_package_exports_no_module():
+    assert [name for name in kcrystals.__all__ if isinstance(getattr(kcrystals, name), ModuleType)] == []
+    assert all(hasattr(kcrystals, name) for name in kcrystals.__all__)

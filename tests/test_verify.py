@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from kcrystals import crystal, keys, kohnert, verify
+from kcrystals import crystal, keys, kohnert, skyline, verify
 from kcrystals.crystal import _pad, atom_subset, demazure_subset, flagged_set
 from kcrystals.keys import lusztig_star, max_right_key, right_key
 from kcrystals.kohnert import KKohnertDiagram, initial_diagram
@@ -58,6 +58,16 @@ def test_case_lists_are_frozen(suite):
 def test_json_streams_are_frozen(suite):
     stream = "".join(result.to_json() + "\n" for result in run_suite(suite, Bounds(), jobs=1))
     assert hashlib.sha256(stream.encode()).hexdigest() == FROZEN_STREAMS[suite]
+
+
+def test_conjecture_scan_on_a_rectangle_is_frozen():
+    """The stream of `verify conjecture-scan --shape 2,2 --n 4`, the only run
+    that reaches the K-rect key map, as recorded before the key maps were
+    read from the crystal table."""
+    stream = "".join(r.to_json() + "\n" for r in run_suite("conjecture-scan", Bounds(shape=(2, 2), n=4), jobs=1))
+    assert hashlib.sha256(stream.encode()).hexdigest() == (
+        "5884af2c5cc30d97bddb4e26521c67d1be17942deba8b0fbaad6cf912896e6d1"
+    )
 
 
 def test_run_case_rejects_a_check_of_another_suite():
@@ -315,12 +325,12 @@ def test_kohnert_bijection_is_the_same_on_two_workers():
 # checks returned when every composition built its own closure table, before
 # one graph per rearrangement class held each diagram's verdicts.
 
-KOHNERT_CACHES = (kohnert.closure_table, crystal.crystal_table)
+KOHNERT_CACHES = (kohnert.kohnert_graph, crystal.crystal_table)
 
 
 @pytest.fixture
 def kohnert_fault(monkeypatch):
-    """The monkeypatch for a test's fault; the closure and crystal caches
+    """The monkeypatch for a test's fault; the graph and crystal caches
     are cleared before and after."""
     for cached in KOHNERT_CACHES:
         cached.cache_clear()
@@ -546,3 +556,33 @@ def test_kohnert_witnesses_under_a_fault(kohnert_fault, fault):
         for cached in KOHNERT_CACHES:
             cached.cache_clear()
         assert _square_witnesses(n) == [witnesses, witnesses], n
+
+
+# -- fault injection in the skyline check --------------------------------------
+
+
+def test_a_psi_collision_fails_the_skyline_check(monkeypatch):
+    """With every skyline of a shape sent to the psi image of the first one,
+    the psi table refuses to build, and each skyline case of more than one
+    skyline fails with that exception as its witness."""
+    real = skyline._psi
+    monkeypatch.setattr(skyline, "_psi", lambda s, n: real(skyline.enumerate_skyline(s.shape, n)[0], n))
+    skyline.psi_table.cache_clear()
+    try:
+        cases = iter_cases("skyline-bijection", Bounds(max_n=3, max_side=2))
+        results = [run_case("skyline-bijection", c) for c in cases if c["check"] == "skyline" and c["n"] == 3]
+    finally:
+        monkeypatch.undo()
+        skyline.psi_table.cache_clear()
+    witnesses = {(tuple(r.case["shape"]), tuple(r.case["w"])): r.witness for r in results if r.status == "fail"}
+    assert len(results) == 12
+    assert witnesses == {
+        ((1,), (2, 1, 3)): "exception: AssertionError(\"psi is not injective at SetValuedTableau('1,2', n=3)\")",
+        ((1,), (3, 1, 2)): "exception: AssertionError(\"psi is not injective at SetValuedTableau('1,2,3', n=3)\")",
+        ((2,), (2, 1, 3)): "exception: AssertionError(\"psi is not injective at SetValuedTableau('1 1,2', n=3)\")",
+        ((2,), (3, 1, 2)): "exception: AssertionError(\"psi is not injective at SetValuedTableau('1 1,2,3', n=3)\")",
+        ((1, 1), (1, 3, 2)): "exception: AssertionError(\"psi is not injective at SetValuedTableau('1/2,3', n=3)\")",
+        ((1, 1), (2, 3, 1)): "exception: AssertionError(\"psi is not injective at SetValuedTableau('1,2/3', n=3)\")",
+        ((2, 2), (1, 3, 2)): "exception: AssertionError(\"psi is not injective at SetValuedTableau('1 1/2 2,3', n=3)\")",
+        ((2, 2), (2, 3, 1)): "exception: AssertionError(\"psi is not injective at SetValuedTableau('1 1,2/2 3', n=3)\")",
+    }
