@@ -28,16 +28,12 @@ def _composition(text: str) -> tuple[int, ...]:
 
 
 def cmd_lascoux(args) -> int:
-    weight = args.weight
-    if len(weight) > args.n:
-        print(f"error: weight {weight} longer than n={args.n}", file=sys.stderr)
-        return 2
-    poly = (lascoux_atom if args.atom else lascoux)(weight, args.n)
+    poly = (lascoux_atom if args.atom else lascoux)(args.weight, args.n)
     if args.format == "json":
         print(
             json.dumps(
                 {
-                    "weight": list(weight),
+                    "weight": list(args.weight),
                     "n": args.n,
                     "atom": bool(args.atom),
                     "polynomial": poly.to_text(),
@@ -51,7 +47,6 @@ def cmd_lascoux(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    items: list[tuple[str, dict]]
     if args.kind in ("svt", "skyline") and (args.n is None or args.n < 1):
         print("error: --n is required for svt and skyline", file=sys.stderr)
         return 2
@@ -59,50 +54,30 @@ def cmd_enumerate(args) -> int:
         print("error: enumerate kohnert does not read --n; --shape alone sets the diagrams", file=sys.stderr)
         return 2
     if args.kind == "svt":
-        shape = tuple(sorted((p for p in args.shape if p), reverse=True))
-        if tuple(p for p in args.shape if p) != shape:
-            print("error: svt shape must be a partition", file=sys.stderr)
-            return 2
-        tableaux = enumerate_svt(args.n, shape)
-        items = [
-            (
-                t.to_text(),
-                {"tableau": t.to_text(), "weight": list(t.weight()), "excess": t.excess()},
-            )
-            for t in tableaux
-        ]
+        objects = enumerate_svt(args.n, args.shape)
     elif args.kind == "kohnert":
-        diagrams = closure(args.shape)
-        items = [
-            (json.dumps(d.to_json_dict(), sort_keys=True), d.to_json_dict())
-            for d in diagrams
-        ]
-    elif args.kind == "skyline":
-        skylines = enumerate_skyline(args.shape, args.n)
-        items = [
-            (json.dumps(s.to_json_dict(), sort_keys=True), s.to_json_dict())
-            for s in skylines
-        ]
+        objects = closure(args.shape)
     else:
-        print(f"error: unknown kind {args.kind!r}", file=sys.stderr)
-        return 2
+        objects = enumerate_skyline(args.shape, args.n)
     if args.count:
-        print(len(items))
+        print(len(objects))
         return 0
-    for text, payload in items:
-        print(json.dumps(payload, sort_keys=True) if args.format == "json" else text)
+    for obj in objects:
+        if args.kind != "svt":
+            print(json.dumps(obj.to_json_dict(), sort_keys=True))
+        elif args.format == "json":
+            payload = {"tableau": obj.to_text(), "weight": list(obj.weight()), "excess": obj.excess()}
+            print(json.dumps(payload, sort_keys=True))
+        else:
+            print(obj.to_text())
     return 0
 
 
 def cmd_graph(args) -> int:
-    shape = tuple(p for p in args.shape if p)
-    if list(shape) != sorted(shape, reverse=True):
-        print("error: graph shape must be a partition", file=sys.stderr)
-        return 2
     if args.n < 1:
         print("error: graph needs --n >= 1", file=sys.stderr)
         return 2
-    table = crystal_table(args.n, shape)
+    table = crystal_table(args.n, args.shape)
     lines = ["digraph crystal {", "  rankdir=TB;"]
     for t in table.tableaux:
         lines.append(f'  "{t.to_text()}";')
@@ -127,16 +102,11 @@ def cmd_verify(args) -> int:
         max_n=args.max_n,
         max_side=args.max_side,
         max_cells=args.max_cells,
-        shape=tuple(args.shape) if args.shape else None,
+        shape=args.shape,
         n=args.n,
     )
-    try:
-        results = run_suite(args.suite, bounds, args.jobs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     failures = 0
-    for result in results:
+    for result in run_suite(args.suite, bounds, args.jobs):
         line = (
             result.to_json(args.timings)
             if args.format == "json"
@@ -175,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", type=_composition, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--with-k-ops", action="store_true")
-    p.add_argument("--format", choices=("dot",), default="dot")
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("verify", help="run a named verification suite")
@@ -195,7 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # the library rejects bad input with ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -259,6 +259,14 @@ def _pad(shape, n: int) -> tuple[int, ...]:
     return shape + (0,) * (n - len(shape))
 
 
+def _heights(a) -> tuple[int, ...]:
+    """a as a tuple; ValueError unless its parts are nonnegative integers."""
+    a = tuple(a)
+    if any(type(h) is not int or h < 0 for h in a):
+        raise ValueError(f"composition parts must be nonnegative integers, got {a!r}")
+    return a
+
+
 def _subset_table(w: Perm, shape: tuple[int, ...], n: int) -> CrystalTable:
     """crystal_table(n, shape) for a subset reader; ValueError unless shape
     is a rectangle and w a permutation of 1..n."""

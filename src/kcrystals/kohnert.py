@@ -28,7 +28,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .crystal import _rectangle_dims, crystal_table
+from .crystal import _heights, _rectangle_dims, crystal_table
 from .polynomials import BetaPolynomial
 from .tableaux import SetValuedTableau
 
@@ -91,10 +91,11 @@ class KKohnertDiagram:
 
 
 def initial_diagram(a) -> KKohnertDiagram:
-    """Skyline of the weak composition a, nothing marked."""
+    """Skyline of the weak composition a, nothing marked; ValueError unless
+    its parts are nonnegative integers."""
     boxes = {
         (x, y)
-        for x, height in enumerate(a, start=1)
+        for x, height in enumerate(_heights(a), start=1)
         for y in range(1, height + 1)
     }
     return KKohnertDiagram(frozenset(boxes), frozenset())
@@ -226,7 +227,9 @@ kohnert_graph = lru_cache(maxsize=None)(KohnertGraph)  # one graph per class tup
 
 def closure_table(a: tuple[int, ...]) -> tuple[KohnertGraph, array]:
     """The graph of a's rearrangement class and the positions in it of the
-    diagrams reachable from the skyline of a, in canonical order."""
+    diagrams reachable from the skyline of a, in canonical order; ValueError,
+    before any cache is read, unless its parts are nonnegative integers."""
+    a = _heights(a)
     graph = kohnert_graph(tuple(sorted(a)))
     return graph, graph.closure(a)
 

@@ -349,8 +349,8 @@ def grothendieck(w: Perm, n: int) -> BetaPolynomial:
     Computed by walking a reduced word of w0·w down from the staircase
     monomial with the deformed divided differences.
     """
-    if len(w) != n:
-        raise ValueError("permutation rank must equal the variable count")
+    if len(w) != n or set(w) != set(range(1, n + 1)):
+        raise ValueError(f"w={w!r} is not a permutation of 1..{n}")
     chain = compose(longest_element(n), w)
     word = reduced_word(chain)
     if len(word) != length(chain):

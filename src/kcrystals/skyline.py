@@ -20,19 +20,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .crystal import _pad, _rectangle_dims, atom_subset, crystal_table
+from .crystal import _heights, _pad, _rectangle_dims, _subset_table, atom_subset, crystal_table
 from .permutations import Perm, act
 from .polynomials import BetaPolynomial
 from .tableaux import SetValuedTableau
 
 Cell = tuple[int, ...]
-
-
-def _heights(shape) -> tuple[int, ...]:
-    shape = tuple(shape)
-    if any(type(h) is not int or h < 0 for h in shape):
-        raise ValueError(f"skyline heights must be nonnegative integers, got {shape!r}")
-    return shape
 
 
 @dataclass(frozen=True)
@@ -290,11 +283,12 @@ psi_table = lru_cache(maxsize=None)(PsiTable)  # one table per (a, n)
 
 
 def psi_inverse(tableau: SetValuedTableau, w: Perm) -> SkylineTableau:
-    """Inverse of psi on the atom of w; raises if the tableau is outside."""
-    shape = tableau.shape
-    n = tableau.n
+    """Inverse of psi on the atom of w; raises if the tableau is outside,
+    ValueError unless w is a permutation of 1..n."""
+    shape, n = tableau.shape, tableau.n
+    crystal = _subset_table(w, shape, n)
     table = psi_table(act(w, _pad(shape, n)), n)
-    j = table.preimage.get(crystal_table(n, shape).index.get(tableau))
+    j = table.preimage.get(crystal.index.get(tableau))
     if j is None:
         if tableau not in atom_subset(w, shape, n):
             raise ValueError(f"{tableau!r} is not in the atom of {w}")

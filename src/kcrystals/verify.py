@@ -140,8 +140,7 @@ def _monomials(n: int, max_degree: int):
     yield from rec([], max_degree)
 
 
-def _check_operator_relations(case):
-    op, n = case["op"], case["n"]
+def _check_operator_relations(op, n):
     for exps in _monomials(n, 4):
         p = BetaPolynomial.monomial(n, exps)
         for i in range(1, n):
@@ -163,8 +162,7 @@ def _check_operator_relations(case):
     return None
 
 
-def _check_bruhat_atom_sum(case):
-    n, shape = case["n"], tuple(case["shape"])
+def _check_bruhat_atom_sum(n, shape):
     lam = _pad(shape, n)
     reps = set(coset_reps(lam, n))
     atoms = {v: lascoux_atom(act(v, lam), n) for v in reps}
@@ -175,8 +173,7 @@ def _check_bruhat_atom_sum(case):
     return None
 
 
-def _check_inverse_ops(case):
-    n, shape = case["n"], tuple(case["shape"])
+def _check_inverse_ops(n, shape):
     table = crystal_table(n, shape)
     maps = [(i, table.map("e", i), table.map("f", i)) for i in range(1, n)]
     stats, semistandard = table.stats, table.semistandard
@@ -199,25 +196,18 @@ def _check_inverse_ops(case):
     return None
 
 
-def _check_components(case):
-    n, shape = case["n"], tuple(case["shape"])
-    comps = decompose(n, shape)  # raises if a component lacks a unique highest
-    total = sum(len(comp) for _, comp in comps)
+def _check_components(n, shape):
     table = crystal_table(n, shape)
-    tableaux = table.tableaux
-    if total != len(tableaux):
-        return f"components cover {total} of {len(tableaux)} tableaux"
     u = superstandard(shape, n)
-    for high, comp in comps:
+    for high, comp in decompose(n, shape):  # raises if a component lacks a unique highest
         if high == u:
-            singletons = {t for t, (_, ex) in zip(tableaux, table.stats) if ex == 0}
+            singletons = {t for t, (_, ex) in zip(table.tableaux, table.stats) if ex == 0}
             if set(comp) != singletons:
                 return "component of the minimal highest weight element is not the single-valued one"
     return None
 
 
-def _check_k_ops(case):
-    n, shape = case["n"], tuple(case["shape"])
+def _check_k_ops(n, shape):
     table = crystal_table(n, shape)
     maps = [(i, table.map("eK", i), table.map("fK", i)) for i in range(1, n)]
     stats, semistandard = table.stats, table.semistandard
@@ -241,8 +231,7 @@ def _check_k_ops(case):
     return None
 
 
-def _check_k_strings(case):
-    n, shape, i = case["n"], tuple(case["shape"]), case["i"]
+def _check_k_strings(n, shape, i):
     strings = ik_strings(n, shape, i)
     table = crystal_table(n, shape)
     subsets = {w: table.demazure(w) for w in coset_reps(_pad(shape, n), n)}
@@ -258,8 +247,7 @@ def _check_k_strings(case):
     return None
 
 
-def _check_k_monotone(case):
-    n, shape = case["n"], tuple(case["shape"])
+def _check_k_monotone(n, shape):
     table = crystal_table(n, shape)
     reps = coset_reps(_pad(shape, n), n)
     for v in reps:
@@ -269,8 +257,7 @@ def _check_k_monotone(case):
     return None
 
 
-def _check_k_demazure(case):
-    n, shape, w = case["n"], tuple(case["shape"]), tuple(case["w"])
+def _check_k_demazure(n, shape, w):
     lam = _pad(shape, n)
     u = superstandard(shape, n)
     table = crystal_table(n, shape)
@@ -288,20 +275,19 @@ def _check_k_demazure(case):
     character = beta_character(table.members(baseline), n)
     if character != lascoux(act(w, lam), n):
         return f"character mismatch: {character.to_text()}"
-    if tuple(w) == stabilizer_min_rep(longest_element(n), lam) and baseline != (1 << len(table.tableaux)) - 1:
+    if w == stabilizer_min_rep(longest_element(n), lam) and baseline != (1 << len(table.tableaux)) - 1:
         return "top subset is not everything"
     return None
 
 
-def _check_flag(case):
-    n, shape, w = case["n"], tuple(case["shape"]), tuple(case["w"])
+def _check_flag(n, shape, w):
     table = crystal_table(n, shape)
     if diff := table.demazure(w) ^ table.flagged(w):
         return f"flag mismatch: {[t.to_text() for t in table.members(diff)]}"
     return None
 
 
-def _check_flag_golden(case):
+def _check_flag_golden():
     five = flagged_set((1, 3, 2), (2, 2), 3)
     if len(five) != 5:
         return f"expected 5 flagged tableaux, got {len(five)}"
@@ -313,8 +299,7 @@ def _check_flag_golden(case):
     return None
 
 
-def _check_full_character(case):
-    n, shape = case["n"], tuple(case["shape"])
+def _check_full_character(n, shape):
     lam = _pad(shape, n)
     top = tuple(reversed(lam))
     total = beta_character(enumerate_svt(n, shape), n)
@@ -335,7 +320,7 @@ def _skyline_character(skylines, n: int) -> BetaPolynomial:
     return BetaPolynomial(n, Counter((s.weight(n), s.excess()) for s in skylines))
 
 
-def _check_character_golden(case):
+def _check_character_golden():
     expected = parse_polynomial(golden.text("lascoux_022.txt"), 3)
     actual = lascoux((0, 2, 2), 3)
     if actual != expected:
@@ -356,8 +341,7 @@ def _round_trip_witness(d, t, n: int) -> str | None:
     return None
 
 
-def _check_kohnert(case):
-    n, shape, w = case["n"], tuple(case["shape"]), tuple(case["w"])
+def _check_kohnert(n, shape, w):
     graph, positions = closure_table(act(w, _pad(shape, n)))
     table = crystal_table(n, shape)
     images = graph.phi_positions(positions)
@@ -390,8 +374,7 @@ def _intertwine_witness(graph, p: int, images, tableaux) -> str | None:
     return None
 
 
-def _check_kohnert_intertwine(case):
-    n, shape, w = case["n"], tuple(case["shape"]), tuple(case["w"])
+def _check_kohnert_intertwine(n, shape, w):
     graph, positions = closure_table(act(w, _pad(shape, n)))
     tableaux = crystal_table(n, shape).tableaux
     images = graph.phi_positions(positions)
@@ -402,7 +385,7 @@ def _check_kohnert_intertwine(case):
     return None
 
 
-def _check_kohnert_golden(case):
+def _check_kohnert_golden():
     diagrams = closure((0, 2, 2))
     expected = {
         KKohnertDiagram.from_json_dict(d).sort_key()
@@ -420,8 +403,7 @@ def _check_kohnert_golden(case):
     return None
 
 
-def _check_skyline(case):
-    n, shape, w = case["n"], tuple(case["shape"]), tuple(case["w"])
+def _check_skyline(n, shape, w):
     a = act(w, _pad(shape, n))
     mapped = psi_table(a, n)
     table = crystal_table(n, shape)
@@ -441,13 +423,12 @@ def _check_skyline(case):
     return None
 
 
-def _check_skyline_sum(case):
-    n, shape, w = case["n"], tuple(case["shape"]), tuple(case["w"])
+def _check_skyline_sum(n, shape, w):
     lam = _pad(shape, n)
     reps = set(coset_reps(lam, n))
     skylines = (
         skyline
-        for v in bruhat_ideal(tuple(w))
+        for v in bruhat_ideal(w)
         if v in reps
         for skyline in enumerate_skyline(act(v, lam), n)
     )
@@ -456,7 +437,7 @@ def _check_skyline_sum(case):
     return None
 
 
-def _check_skyline_golden(case):
+def _check_skyline_golden():
     skylines = enumerate_skyline((2, 0, 2), 3)
     if len(skylines) != 4:
         return f"expected 4 skylines for (2,0,2), got {len(skylines)}"
@@ -474,8 +455,7 @@ def _check_skyline_golden(case):
     return None
 
 
-def _check_key_ideal_atom(case):
-    n, shape, w = case["n"], tuple(case["shape"]), tuple(case["w"])
+def _check_key_ideal_atom(n, shape, w):
     table = crystal_table(n, shape)
     ideal, atom = _key_subsets(table.derived(_max_right_keys), act(w, _pad(shape, n)))
     if ideal != table.demazure(w):
@@ -485,8 +465,7 @@ def _check_key_ideal_atom(case):
     return None
 
 
-def _check_star_axioms(case):
-    n, shape = case["n"], tuple(case["shape"])
+def _check_star_axioms(n, shape):
     table = crystal_table(n, shape)
     rotations, stars, stats = table.derived(_rotations), table.derived(_stars), table.stats
     # (i, e_i, f_i, e_{n-i}, f_{n-i})
@@ -541,7 +520,7 @@ GROTHENDIECK_GOLDENS = {
 
 
 def _check_groth_golden(case):
-    data = GROTHENDIECK_GOLDENS[case["case"]]
+    data = GROTHENDIECK_GOLDENS[case]
     m = data["m"]
     chain = evaluate_word(data["word"], m)
     perm = compose(longest_element(m), inverse(chain))
@@ -559,26 +538,25 @@ def _check_groth_golden(case):
     return None
 
 
-def _scan(case, conjecture: str, objects, character, polynomial) -> str:
+def _scan(n, shape, w, conjecture: str, objects, character, polynomial) -> str:
     """Whether the character of objects(a, n) equals polynomial(a, n) at
     a = w·lam, as a report line that also says whether w avoids 312."""
-    n, w = case["n"], tuple(case["w"])
-    a = act(w, _pad(case["shape"], n))
+    a = act(w, _pad(shape, n))
     match = character(objects(a, n), n) == polynomial(a, n)
     report = {"conjecture": conjecture, "match": match, "w312": avoids_pattern(w, (3, 1, 2))}
     return json.dumps(report, sort_keys=True)
 
 
-def _check_scan_kohnert(case):
-    return _scan(case, "kohnert-closure", lambda a, n: closure(a), _diagram_character, lascoux)
+def _check_scan_kohnert(n, shape, w):
+    return _scan(n, shape, w, "kohnert-closure", lambda a, n: closure(a), _diagram_character, lascoux)
 
 
-def _check_scan_skyline(case):
-    return _scan(case, "skyline-atom", enumerate_skyline, _skyline_character, lascoux_atom)
+def _check_scan_skyline(n, shape, w):
+    return _scan(n, shape, w, "skyline-atom", enumerate_skyline, _skyline_character, lascoux_atom)
 
 
-def _check_scan_keys(case):
-    return json.dumps(key_partition_report(case["shape"], case["n"]), sort_keys=True)
+def _check_scan_keys(n, shape):
+    return json.dumps(key_partition_report(shape, n), sort_keys=True)
 
 
 # -- suites ------------------------------------------------------------------
@@ -677,12 +655,13 @@ class Suite:
     params) pairs, the Bounds fields the generator reads, the checks it
     owns, and whether it only reports (every case that does not raise
     passes, with the check's return value as the witness) instead of
-    failing a case whose check returns a witness."""
+    failing a case whose check returns a witness.  A check takes its
+    params as keyword arguments, list values as tuples."""
 
     def __init__(self, cases, reads, checks, report=False):
         self.cases: Callable[[Bounds], Iterable[tuple[Callable, dict]]] = cases
         self.reads: tuple[str, ...] = reads
-        self.checks: dict[str, Callable[[dict], str | None]] = {
+        self.checks: dict[str, Callable[..., str | None]] = {
             _check_name(check): check for check in checks
         }
         self.report = report
@@ -751,15 +730,17 @@ def iter_cases(suite: str, bounds: Bounds) -> list[dict]:
 
 
 def run_case(suite: str, case: dict) -> SuiteResult:
-    """Run one case; a check that raises fails the case.  Raises
-    ValueError on an unknown suite or a check the suite does not own."""
+    """Run one case: its check, given the other keys of the case as keyword
+    arguments, list values as tuples; a check that raises fails the case.
+    Raises ValueError on an unknown suite or a check the suite does not own."""
     started = time.monotonic()
     entry = _suite(suite)
     check = entry.checks.get(case["check"])
     if check is None:
         raise ValueError(f"suite {suite!r} has no check {case['check']!r}")
+    params = {k: tuple(v) if isinstance(v, list) else v for k, v in case.items() if k != "check"}
     try:
-        witness = check(case)
+        witness = check(**params)
     except Exception as exc:  # a crash is a failing case, not a crash of the run
         status, witness = "fail", f"exception: {exc!r}"
     else:
@@ -771,17 +752,12 @@ def _case_key(result: SuiteResult):
     return (result.suite, json.dumps(result.case, sort_keys=True))
 
 
-def worker_count(explicit: int | None, env: str | None, cpus: int | None, cases: int) -> int:
-    """Pool size: --jobs, else KCRYSTALS_JOBS (env), else 1, capped by the CPU
-    count and the number of cases; ValueError unless a positive integer."""
-    source, value = ("--jobs", explicit) if explicit is not None else ("KCRYSTALS_JOBS", env or 1)
-    try:
-        requested = int(value)
-    except ValueError:
-        requested = 0
-    if requested < 1:
-        raise ValueError(f"{source} must be a positive integer, got {value!r}")
-    return max(1, min(requested, cpus or 1, cases))
+def worker_count(jobs: int | None, cpus: int | None, cases: int) -> int:
+    """Pool size: --jobs, else 1, capped by the CPU count and the number of
+    cases; ValueError unless --jobs is a positive integer."""
+    if jobs is not None and (type(jobs) is not int or jobs < 1):
+        raise ValueError(f"--jobs must be a positive integer, got {jobs!r}")
+    return max(1, min(jobs or 1, cpus or 1, cases))
 
 
 def run_suite(suite: str, bounds: Bounds, jobs: int | None = None) -> list[SuiteResult]:
@@ -797,7 +773,7 @@ def run_suite(suite: str, bounds: Bounds, jobs: int | None = None) -> list[Suite
     if not cases:
         raise ValueError(f"the bounds select no case of suite {suite!r}")
     packed = [(suite, case) for case in cases]
-    count = worker_count(jobs, os.environ.get("KCRYSTALS_JOBS"), os.cpu_count(), len(packed))
+    count = worker_count(jobs, os.cpu_count(), len(packed))
     if count > 1:
         import multiprocessing
 

@@ -196,38 +196,54 @@ def test_round_trip_serializations():
     assert parse_polynomial(p.to_text(), 3) == p
 
 
-def test_workers_environment_variable(capsys, monkeypatch):
-    monkeypatch.setenv("KCRYSTALS_JOBS", "2")
-    code, out = run(capsys, "verify", "demazure-flag", "--max-n", "3", "--max-side", "2")
+def test_workers_match_a_serial_run(capsys):
+    argv = ("verify", "demazure-flag", "--max-n", "3", "--max-side", "2")
+    code, pooled = run(capsys, *argv, "--jobs", "2")
     assert code == 0
-    monkeypatch.delenv("KCRYSTALS_JOBS")
-    _, serial = run(capsys, "verify", "demazure-flag", "--max-n", "3", "--max-side", "2")
-    assert out == serial
+    assert run(capsys, *argv, "--jobs", "1") == (0, pooled)
 
 
 def test_worker_count_rejects_bad_requests():
-    bad = [(0, None), (-2, None), (None, "abc"), (None, "0"), (None, "-1"), (None, "1.5")]
-    for explicit, env in bad:
-        with pytest.raises(ValueError):
-            worker_count(explicit, env, 8, 100)
+    for jobs in (0, -2, 1.5):
+        with pytest.raises(ValueError, match="--jobs"):
+            worker_count(jobs, 8, 100)
 
 
 def test_worker_count_clamps_to_cpus_and_cases():
-    assert worker_count(None, None, 8, 100) == 1
-    assert worker_count(None, "", 8, 100) == 1
-    assert worker_count(None, "3", 8, 100) == 3
-    assert worker_count(64, None, 2, 100) == 2
-    assert worker_count(None, "64", 8, 5) == 5
-    assert worker_count(4, "abc", 8, 100) == 4  # --jobs wins over the variable
-    assert worker_count(4, None, None, 100) == 1
-    assert worker_count(4, None, 8, 0) == 1
+    assert worker_count(None, 8, 100) == 1
+    assert worker_count(3, 8, 100) == 3
+    assert worker_count(64, 2, 100) == 2
+    assert worker_count(64, 8, 5) == 5
+    assert worker_count(4, None, 100) == 1
+    assert worker_count(4, 8, 0) == 1
 
 
-def test_bad_worker_requests_exit_with_status_2(capsys, monkeypatch):
+def test_bad_worker_requests_exit_with_status_2(capsys):
     argv = ["verify", "demazure-flag", "--max-n", "2", "--max-side", "1"]
-    monkeypatch.setenv("KCRYSTALS_JOBS", "abc")
-    assert main(argv) == 2
-    assert "KCRYSTALS_JOBS" in capsys.readouterr().err
-    monkeypatch.delenv("KCRYSTALS_JOBS")
     assert main([*argv, "--jobs", "0"]) == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+def test_library_errors_exit_with_status_2(capsys):
+    # the library's ValueError is reported once, by main, before any output
+    for argv, message in (
+        (["lascoux", "--weight", "1,2,3,4", "--n", "3"], "longer than n=3"),
+        (["enumerate", "svt", "--shape", "1,2", "--n", "3"], "shape must be a partition: (1, 2)"),
+        (["graph", "--shape", "1,2", "--n", "3"], "shape must be a partition: (1, 2)"),
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_enumerate_count_is_the_number_of_lines(capsys):
+    for argv in (
+        ["svt", "--shape", "2,1", "--n", "3"],
+        ["svt", "--shape", "2,2", "--n", "3", "--format", "json"],
+        ["kohnert", "--shape", "0,2,0,2"],
+        ["skyline", "--shape", "0,2,0,2", "--n", "4"],
+    ):
+        code, out = run(capsys, "enumerate", *argv)
+        assert code == 0 and out
+        assert run(capsys, "enumerate", *argv, "--count") == (0, f"{len(out.splitlines())}\n")

@@ -39,6 +39,13 @@ def test_initial_diagram_examples():
     assert initial_diagram((1,)) == D({(1, 1)})
 
 
+@pytest.mark.parametrize("a", [(-1, 2), (2, -1), (1.5,), ("2",)], ids=str)
+def test_closures_reject_bad_parts(a):
+    for build in (initial_diagram, closure, closure_table):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            build(a)
+
+
 def test_kohnert_moves_examples():
     start = initial_diagram((0, 2, 2))
     results = moves(start, False)

@@ -335,6 +335,12 @@ def test_grothendieck_beta_zero_is_schur_for_grassmannian_permutations():
     assert grothendieck(w, 5).beta_zero() == schur_polynomial((2, 2), 3).extend(5)
 
 
+@pytest.mark.parametrize("w", [(2, 2, 1), (1, 2), (1, 2, 4), (0, 1, 2)], ids=str)
+def test_grothendieck_rejects_a_non_permutation(w):
+    with pytest.raises(ValueError, match=r"is not a permutation of 1\.\.3"):
+        grothendieck(w, 3)
+
+
 def test_grothendieck_stability_under_adding_variables():
     w = (2, 1, 3)
     assert grothendieck(w, 3).extend(4) == grothendieck((2, 1, 3, 4), 4)

@@ -72,6 +72,14 @@ def test_psi_inverse_round_trip():
         psi_inverse(SetValuedTableau.from_text("1 1/2 2", 3), w)
 
 
+@pytest.mark.parametrize("w", [(3, 1, 1), (1, 1, 2), (2, 2, 2), (1, 2), (1, 2, 3, 4)], ids=str)
+def test_psi_inverse_rejects_a_w_that_is_not_a_permutation(w):
+    # a non-permutation names no atom; it must not reach the psi table of another rectangle
+    tableau = SetValuedTableau.from_text("1 1/2 2", 3)
+    with pytest.raises(ValueError, match=r"is not a permutation of 1\.\.3"):
+        psi_inverse(tableau, w)
+
+
 def test_psi_reads_its_rectangle_through_the_crystal_helper():
     # the empty skyline is the empty rectangle; a skyline of two heights is no rectangle
     empty = SkylineTableau.build((0, 0), {})
