@@ -4,9 +4,9 @@ with Demazure-type divided-difference operators.
 
 Terms are stored as a dict mapping ``(x_exponents, b_exponent)`` to a
 nonzero integer coefficient.  The deformation exponent gets its own slot
-so the variable-swap action never touches it.  All divided differences
-are computed monomial-wise by telescoping, so no polynomial division is
-ever performed.
+so the variable-swap action never touches it.  Every operator is one
+telescoping pass that writes each term's quotient monomial-wise into one
+accumulator, so no polynomial division is ever performed.
 """
 
 from __future__ import annotations
@@ -174,51 +174,48 @@ class BetaPolynomial:
             terms[key] = terms.get(key, 0) + c
         return BetaPolynomial._trusted(self.n, terms)
 
-    def _check_index(self, i: int) -> None:
+    def _check_index(self, i: int) -> int:
         if not 1 <= i < self.n:
             raise ValueError(f"operator index {i} out of range for n={self.n}")
+        return i
 
-    def divided_difference(self, i: int) -> "BetaPolynomial":
-        """(f - s_i f) / (x_i - x_{i+1}), monomial-wise.
+    def _telescope(self, i: int, lift: int, deform: int, minus: bool = False) -> "BetaPolynomial":
+        """partial_i(x_i^lift (1 + b x_{i+1})^deform f), less f if minus.
 
         For exponents (a, b) at positions (i, i+1) the quotient telescopes
         into the exponent pairs p+q = a+b-1 with min(a,b) <= p, q < max(a,b),
         with sign +1 if a > b and -1 if a < b (zero if a = b).
         """
-        self._check_index(i)
-        terms: dict[TermKey, int] = {}
+        terms: dict[TermKey, int] = {key: -c for key, c in self.terms.items()} if minus else {}
+        get = terms.get
         for (xs, be), c in self.terms.items():
-            a, b = xs[i - 1], xs[i]
-            if a == b:
-                continue
-            if a < b:
-                a, b, c = b, a, -c
             head, tail = xs[: i - 1], xs[i + 1 :]
-            for p in range(b, a):
-                key = (head + (p, a + b - 1 - p) + tail, be)
-                terms[key] = terms.get(key, 0) + c
+            a = xs[i - 1] + lift
+            for d in range(deform + 1):
+                hi, lo, sign = a, xs[i] + d, c
+                if hi < lo:
+                    hi, lo, sign = lo, hi, -c
+                top = hi + lo - 1
+                for p in range(lo, hi):
+                    key = (head + (p, top - p) + tail, be + d)
+                    terms[key] = get(key, 0) + sign
         return BetaPolynomial._trusted(self.n, terms)
 
-    def _shift(self, j: int, beta: int = 0) -> "BetaPolynomial":
-        """The product with b^beta x_j: raise exponent j of every term."""
-        k, terms = j - 1, self.terms.items()
-        return BetaPolynomial._trusted(
-            self.n, {(xs[:k] + (xs[k] + 1,) + xs[j:], be + beta): c for (xs, be), c in terms}
-        )
+    def divided_difference(self, i: int) -> "BetaPolynomial":
+        """partial_i f = (f - s_i f) / (x_i - x_{i+1}), monomial-wise."""
+        return self._telescope(self._check_index(i), 0, 0)
 
     def demazure(self, i: int) -> "BetaPolynomial":
         """pi_i f = (x_i f - x_{i+1} s_i f) / (x_i - x_{i+1})."""
-        self._check_index(i)
-        return self._shift(i).divided_difference(i)
+        return self._telescope(self._check_index(i), 1, 0)
 
     def demazure_lascoux(self, i: int) -> "BetaPolynomial":
         """varpi_i f = pi_i((1 + b x_{i+1}) f)."""
-        self._check_index(i)
-        return (self + self._shift(i + 1, beta=1)).demazure(i)
+        return self._telescope(self._check_index(i), 1, 1)
 
     def demazure_lascoux_atom(self, i: int) -> "BetaPolynomial":
         """varpi_i f - f."""
-        return self.demazure_lascoux(i) - self
+        return self._telescope(self._check_index(i), 1, 1, minus=True)
 
     def isobaric_beta(self, i: int) -> "BetaPolynomial":
         """The deformed divided difference partial_i((1 + b x_{i+1}) f).
@@ -227,8 +224,7 @@ class BetaPolynomial:
         chain from the staircase monomial reproduces classical Schubert
         polynomials at b = 0 and is stable under adding variables.
         """
-        self._check_index(i)
-        return (self + self._shift(i + 1, beta=1)).divided_difference(i)
+        return self._telescope(self._check_index(i), 0, 1)
 
     # -- text form ------------------------------------------------------
 
@@ -302,18 +298,21 @@ def parse_polynomial(text: str, n: int) -> BetaPolynomial:
 # -- named polynomial families ----------------------------------------------
 
 
+# Method names, so that a method replaced on the class is the one a chain applies.
+_OPERATORS = dict(
+    pi="demazure", varpi="demazure_lascoux", varpi_atom="demazure_lascoux_atom", isobaric="isobaric_beta"
+)
+
+
 def apply_word(p: BetaPolynomial, word, op: str) -> BetaPolynomial:
     """Apply a chain of operators, first letter first.
 
     ``op`` is one of ``pi`` (Demazure), ``varpi`` (Demazure-Lascoux),
     ``varpi_atom``, or ``isobaric`` (deformed divided difference).
     """
-    method = {
-        "pi": BetaPolynomial.demazure,
-        "varpi": BetaPolynomial.demazure_lascoux,
-        "varpi_atom": BetaPolynomial.demazure_lascoux_atom,
-        "isobaric": BetaPolynomial.isobaric_beta,
-    }[op]
+    if op not in _OPERATORS:
+        raise ValueError(f"unknown operator {op!r}; expected one of {', '.join(_OPERATORS)}")
+    method = getattr(BetaPolynomial, _OPERATORS[op])
     for i in word:
         p = method(p, i)
     return p

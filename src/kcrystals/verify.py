@@ -12,7 +12,7 @@ import time
 from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 from . import golden
 from .crystal import (
@@ -130,45 +130,44 @@ def _rect_cases(bounds: Bounds, with_w: bool):
 
 
 def _monomials(n: int, max_degree: int):
-    def rec(prefix, remaining):
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for e in range(remaining + 1):
-            yield from rec(prefix + [e], remaining - e)
-
-    yield from rec([], max_degree)
+    """Exponent vectors of degree at most max_degree, in lexicographic order."""
+    return [e for e in product(range(max_degree + 1), repeat=n) if sum(e) <= max_degree]
 
 
 def _check_operator_relations(op, n):
     for exps in _monomials(n, 4):
         p = BetaPolynomial.monomial(n, exps)
+        once = {}
         for i in range(1, n):
-            once = apply_word(p, [i], op)
-            twice = apply_word(once, [i], op)
-            if op in ("pi", "varpi") and twice != once:
+            once[i] = apply_word(p, [i], op)
+            if op in ("pi", "varpi") and apply_word(once[i], [i], op) != once[i]:
                 return f"{op}_{i} not idempotent at x^{exps}"
         for i in range(1, n - 1):
-            aba = apply_word(p, [i, i + 1, i], op)
-            bab = apply_word(p, [i + 1, i, i + 1], op)
-            if aba != bab:
+            if apply_word(once[i], [i + 1, i], op) != apply_word(once[i + 1], [i, i + 1], op):
                 return f"{op} braid relation fails at x^{exps}, i={i}"
         for i, j in combinations(range(1, n), 2):
-            if j - i > 1:
-                ij = apply_word(p, [i, j], op)
-                ji = apply_word(p, [j, i], op)
-                if ij != ji:
-                    return f"{op}_{i},{op}_{j} do not commute at x^{exps}"
+            if j - i > 1 and apply_word(once[i], [j], op) != apply_word(once[j], [i], op):
+                return f"{op}_{i},{op}_{j} do not commute at x^{exps}"
     return None
 
 
 def _check_bruhat_atom_sum(n, shape):
+    """Walked in coset_reps order, the Lascoux polynomial and atom of a = v.lam
+    are varpi_i and varpi_i - 1 of those of a with a_i < a_{i+1} swapped."""
     lam = _pad(shape, n)
-    reps = set(coset_reps(lam, n))
-    atoms = {v: lascoux_atom(act(v, lam), n) for v in reps}
+    reps = coset_reps(lam, n)
+    lascoux_of = {lam: BetaPolynomial.monomial(n, lam)}
+    atom_of = dict(lascoux_of)
+    for v in reps[1:]:
+        a = act(v, lam)
+        i = next(i for i in range(1, n) if a[i - 1] < a[i])
+        b = a[: i - 1] + (a[i], a[i - 1]) + a[i + 1 :]
+        lascoux_of[a] = lascoux_of[b].demazure_lascoux(i)
+        atom_of[a] = atom_of[b].demazure_lascoux_atom(i)
+    reps = set(reps)
     for w in reps:
-        total = BetaPolynomial.sum(n, (atoms[v] for v in bruhat_ideal(w) if v in atoms))
-        if total != lascoux(act(w, lam), n):
+        ideal = (atom_of[act(v, lam)] for v in bruhat_ideal(w) if v in reps)
+        if BetaPolynomial.sum(n, ideal) != lascoux_of[act(w, lam)]:
             return f"atom sum mismatch at w={list(w)}"
     return None
 

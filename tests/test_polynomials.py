@@ -127,6 +127,7 @@ def test_fast_operators_match_the_product_references(p, data):
     assert p.demazure(i) == reference_demazure(p, i)
     assert p.demazure_lascoux(i) == reference_demazure_lascoux(p, i)
     assert p.isobaric_beta(i) == reference_isobaric_beta(p, i)
+    assert p.demazure_lascoux_atom(i) == reference_demazure_lascoux(p, i) - p
 
 
 @given(polynomials(), st.data())
@@ -140,18 +141,26 @@ def test_internal_results_pass_the_public_constructor(p, data):
     results = [
         p + q, p - q, p - p, p * q, p * k, k * p, -p,
         p.swap(i), p.divided_difference(i),
-        p.demazure(i), p.demazure_lascoux(i), p.isobaric_beta(i),
+        p.demazure(i), p.demazure_lascoux(i), p.demazure_lascoux_atom(i), p.isobaric_beta(i),
         p.beta_zero(), p.extend(n + 1), BetaPolynomial.sum(n, [p, q, -p]),
     ]
     for r in results:
         assert BetaPolynomial(r.n, r.terms) == r
 
 
-@pytest.mark.parametrize("op", ["demazure", "demazure_lascoux", "isobaric_beta"])
+@pytest.mark.parametrize(
+    "op", ["divided_difference", "demazure", "demazure_lascoux", "demazure_lascoux_atom", "isobaric_beta"]
+)
 @pytest.mark.parametrize("i", [0, 3])
 def test_operator_index_out_of_range_is_a_value_error(op, i):
     with pytest.raises(ValueError, match="out of range"):
         getattr(mono(3, (1, 0, 2)), op)(i)
+
+
+@pytest.mark.parametrize("op", ["bogus", "demazure", ""])
+def test_apply_word_rejects_an_unknown_operator(op):
+    with pytest.raises(ValueError, match=f"unknown operator {op!r}; expected one of pi, varpi, varpi_atom, isobaric"):
+        apply_word(mono(3, (1, 0, 2)), [1], op)
 
 
 @pytest.mark.parametrize(

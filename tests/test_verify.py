@@ -7,7 +7,8 @@ from kcrystals import crystal, keys, kohnert, skyline, verify
 from kcrystals.crystal import _pad, atom_subset, demazure_subset, flagged_set
 from kcrystals.keys import lusztig_star, max_right_key, right_key
 from kcrystals.kohnert import KKohnertDiagram, initial_diagram
-from kcrystals.permutations import bruhat_leq, coset_reps
+from kcrystals.permutations import act, bruhat_leq, coset_reps
+from kcrystals.polynomials import BetaPolynomial, lascoux, lascoux_atom
 from kcrystals.tableaux import SetValuedTableau, enumerate_svt
 from kcrystals.verify import SUITES, Bounds, iter_cases, run_case, run_suite
 
@@ -586,3 +587,94 @@ def test_a_psi_collision_fails_the_skyline_check(monkeypatch):
         ((2, 2), (1, 3, 2)): "exception: AssertionError(\"psi is not injective at SetValuedTableau('1 1/2 2,3', n=3)\")",
         ((2, 2), (2, 3, 1)): "exception: AssertionError(\"psi is not injective at SetValuedTableau('1 1,2/2 3', n=3)\")",
     }
+
+
+# -- fault injection in the operator checks ------------------------------------
+# Each fault makes one operator of the ring wrong at a single index and runs
+# every case of one operator-algebra check at the default bounds.  The
+# failure count, first witness and the SHA-256 of every failing (case,
+# witness) pair were read off the checks when each chain was applied letter
+# by letter from the monomial and each Lascoux polynomial and atom was built
+# by `lascoux` and `lascoux_atom`.
+
+
+def _varpi_is_pi_at_index_1(monkeypatch):
+    """varpi_1 replaced by pi_1: still idempotent, but no longer braids
+    with varpi_2."""
+    varpi = BetaPolynomial.demazure_lascoux
+    monkeypatch.setattr(
+        BetaPolynomial, "demazure_lascoux", lambda p, i: p.demazure(i) if i == 1 else varpi(p, i)
+    )
+
+
+def _atom_operator_is_zero_at_index_2(monkeypatch):
+    atom = BetaPolynomial.demazure_lascoux_atom
+    monkeypatch.setattr(
+        BetaPolynomial,
+        "demazure_lascoux_atom",
+        lambda p, i: BetaPolynomial.zero(p.n) if i == 2 else atom(p, i),
+    )
+
+
+OPERATOR_FAULTS = {
+    "varpi is pi at index 1": (
+        _varpi_is_pi_at_index_1,
+        "operator-relations",
+        (2, "varpi braid relation fails at x^(0, 1, 0), i=1"),
+        "f4ee2194491d32be41b7b0d305b70ac173c1e1c00e2675c50ba7de8573b54e9d",
+    ),
+    "atom operator is zero at index 2": (
+        _atom_operator_is_zero_at_index_2,
+        "bruhat-atom-sum",
+        (45, "atom sum mismatch at w=[3, 1, 2]"),
+        "ea73fae14bac21352b9a046b3a69ae3511408877dd07d1e4005f0405f0c54816",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", OPERATOR_FAULTS)
+def test_operator_check_witnesses_under_a_fault(monkeypatch, fault):
+    inject, check, expected, digest = OPERATOR_FAULTS[fault]
+    inject(monkeypatch)
+    cases = [case for case in iter_cases("operator-algebra", Bounds()) if case["check"] == check]
+    results = [run_case("operator-algebra", case) for case in cases]
+    failures = [(r.case, r.witness) for r in results if r.status == "fail"]
+    assert (len(failures), failures[0][1]) == expected
+    dump = json.dumps(failures, sort_keys=True)
+    assert hashlib.sha256(dump.encode()).hexdigest() == digest
+
+
+def _recorded(method, seen):
+    """method, appending each result to seen."""
+
+    def recording(p, i):
+        seen.append(method(p, i))
+        return seen[-1]
+
+    return recording
+
+
+def test_the_atom_sum_walk_builds_lascoux_polynomials_and_atoms(monkeypatch):
+    """bruhat-atom-sum builds the Lascoux polynomial and atom of each coset
+    rep after the identity, in coset_reps order, with one demazure_lascoux
+    and one demazure_lascoux_atom call; each result must be what `lascoux`
+    and `lascoux_atom` give, for every partition of at most 5 cells at n <= 4."""
+    seen = {"demazure_lascoux": [], "demazure_lascoux_atom": []}
+    for name, results in seen.items():
+        monkeypatch.setattr(BetaPolynomial, name, _recorded(getattr(BetaPolynomial, name), results))
+    walked = 0
+    for n in range(2, 5):
+        for shape in verify._partitions(5, n):
+            lam = _pad(shape, n)
+            compositions = [act(v, lam) for v in coset_reps(lam, n)[1:]]
+            expected = {
+                "demazure_lascoux": [lascoux(a, n) for a in compositions],
+                "demazure_lascoux_atom": [lascoux_atom(a, n) for a in compositions],
+            }
+            for results in seen.values():
+                results.clear()
+            case = {"check": "bruhat-atom-sum", "n": n, "shape": list(shape)}
+            assert run_case("operator-algebra", case).status == "pass"
+            assert seen == expected, case
+            walked += len(compositions)
+    assert walked == 157
