@@ -149,9 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=SUITES)
-    p.add_argument("--max-n", type=int, default=4)
-    p.add_argument("--max-side", type=int, default=3)
-    p.add_argument("--max-cells", type=int, default=6)
+    p.add_argument("--max-n", type=int, default=Bounds.max_n)
+    p.add_argument("--max-side", type=int, default=Bounds.max_side)
+    p.add_argument("--max-cells", type=int, default=Bounds.max_cells)
     p.add_argument("--shape", type=_composition, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--jobs", type=int, default=None)

@@ -26,6 +26,7 @@ from functools import cached_property, lru_cache
 
 from .permutations import (
     Perm,
+    _pad,
     bruhat_ideal,
     coset_reps,
     evaluate_word,
@@ -215,7 +216,7 @@ class CrystalTable:
 
     def demazure(self, w: Perm) -> int:
         """The subset of the canonical reduced word of w's minimal coset representative."""
-        return self.demazure_word(reduced_word(stabilizer_min_rep(w, _pad(self.shape, self.n))))
+        return self.demazure_word(reduced_word(stabilizer_min_rep(w, self.shape)))
 
     def atom(self, w: Perm) -> int:
         """The K-Demazure subset of w less those of all smaller coset representatives."""
@@ -254,11 +255,6 @@ def _rectangle_dims(shape: tuple[int, ...]) -> tuple[int, int]:
     return r, s
 
 
-def _pad(shape, n: int) -> tuple[int, ...]:
-    shape = tuple(shape)
-    return shape + (0,) * (n - len(shape))
-
-
 def _heights(a) -> tuple[int, ...]:
     """a as a tuple; ValueError unless its parts are nonnegative integers."""
     a = tuple(a)
@@ -282,7 +278,7 @@ def demazure_subset(w: Perm, shape: tuple[int, ...], n: int, word=None) -> tuple
     unless word (by default the canonical one) is a reduced word of w's
     minimal coset representative."""
     table = _subset_table(w, shape, n)
-    rep = stabilizer_min_rep(w, _pad(shape, n))
+    rep = stabilizer_min_rep(w, shape)
     word = reduced_word(rep) if word is None else tuple(word)
     letters = all(isinstance(i, int) and 0 < i < n for i in word)
     if not letters or len(word) != length(rep) or evaluate_word(word, n) != rep:

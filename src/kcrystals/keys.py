@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from array import array
 
-from .crystal import CrystalTable, _flags, _from_flags, _pad, _rectangle_dims, beta_character, crystal_table
-from .permutations import act, bruhat_leq, coset_reps
+from .crystal import CrystalTable, _flags, _from_flags, _rectangle_dims, beta_character, crystal_table
+from .permutations import _pad, act, bruhat_leq, coset_reps
 from .polynomials import lascoux, lascoux_atom
 from .tableaux import SetValuedTableau
 

@@ -8,6 +8,10 @@ Composition is right-to-left: ``compose(v, w)(i) = v(w(i))``.  A word
 each letter in order (right multiplication by ``s_i`` swaps the entries
 in positions ``i`` and ``i+1``).
 
+The quotient by the stabilizer of λ (a partition padded with zeros to
+length n) is one ``sorting_permutation`` per rearrangement a of λ: the
+minimal-length coset representative w with a = w·λ.
+
 >>> evaluate_word((1, 2), 3)
 (2, 3, 1)
 >>> length((2, 3, 1))
@@ -17,7 +21,7 @@ in positions ``i`` and ``i+1``).
 """
 
 from functools import lru_cache
-from itertools import permutations as _all_perms
+from itertools import combinations, permutations as _all_perms
 
 Perm = tuple[int, ...]
 
@@ -110,20 +114,11 @@ def reduced_words(w: Perm) -> frozenset[tuple[int, ...]]:
 
 
 def bruhat_leq(v: Perm, w: Perm) -> bool:
-    """Strong Bruhat order test via the lifting property.
-
-    Walk one reduced word of w from the left; left-multiply v by each
-    letter whenever that shortens v.  Then v <= w iff v is consumed.
-    """
+    """Strong Bruhat order by the tableau criterion: v <= w iff, for every
+    k, the first k values of v, sorted, are entrywise at most those of w."""
     if len(v) != len(w):
         raise ValueError("rank mismatch")
-    u = list(v)
-    for i in reduced_word(w):
-        # left multiplication by s_i swaps the values i and i+1
-        a, b = u.index(i), u.index(i + 1)
-        if a > b:
-            u[a], u[b] = u[b], u[a]
-    return u == sorted(u)
+    return all(a <= b for k in range(1, len(v)) for a, b in zip(sorted(v[:k]), sorted(w[:k])))
 
 
 @lru_cache(maxsize=None)
@@ -135,37 +130,20 @@ def bruhat_ideal(w: Perm) -> frozenset[Perm]:
     return frozenset(reachable)
 
 
-def _blocks(lam) -> list[range]:
-    """Maximal runs of equal parts of a weakly decreasing composition."""
+def _pad(parts, n: int) -> tuple[int, ...]:
+    """parts followed by zeros up to length n; ValueError if it is longer."""
+    parts = tuple(parts)
+    if len(parts) > n:
+        raise ValueError(f"{parts!r} is longer than n={n}")
+    return parts + (0,) * (n - len(parts))
+
+
+def _dominant(lam, n: int) -> tuple[int, ...]:
+    """_pad(lam, n); ValueError unless lam is weakly decreasing."""
+    lam = _pad(lam, n)
     if list(lam) != sorted(lam, reverse=True):
-        raise ValueError(f"not sorted descending: {lam!r}")
-    blocks, start = [], 0
-    for i in range(1, len(lam) + 1):
-        if i == len(lam) or lam[i] != lam[start]:
-            blocks.append(range(start, i))
-            start = i
-    return blocks
-
-
-def stabilizer_min_rep(w: Perm, lam) -> Perm:
-    """Minimal-length representative of w·Stab(λ): sort w within λ-blocks.
-
-    >>> stabilizer_min_rep((3, 2, 1), (2, 2, 0))
-    (2, 3, 1)
-    """
-    u = list(w)
-    for block in _blocks(lam):
-        u[block.start:block.stop] = sorted(u[block.start:block.stop])
-    return tuple(u)
-
-
-@lru_cache(maxsize=None)
-def coset_reps(lam: tuple[int, ...], n: int) -> tuple[Perm, ...]:
-    """All minimal-length coset representatives for Stab(λ), sorted by
-    (length, one-line word)."""
-    lam = tuple(lam) + (0,) * (n - len(lam))
-    reps = {stabilizer_min_rep(w, lam) for w in _all_perms(range(1, n + 1))}
-    return tuple(sorted(reps, key=lambda u: (length(u), u)))
+        raise ValueError(f"{lam!r} is not weakly decreasing")
+    return lam
 
 
 def sorting_permutation(a) -> tuple[tuple[int, ...], Perm]:
@@ -180,26 +158,32 @@ def sorting_permutation(a) -> tuple[tuple[int, ...], Perm]:
     return tuple(a[j] for j in order), tuple(j + 1 for j in order)
 
 
-def rectangle_shape(r: int, s: int, n: int) -> tuple[int, ...]:
-    if r > n:
-        raise ValueError(f"rectangle with {r} rows needs n >= {r}")
-    return (s,) * r + (0,) * (n - r)
+def stabilizer_min_rep(w: Perm, lam) -> Perm:
+    """Minimal-length representative of w·Stab(λ), λ padded to the rank of
+    w: the sorting permutation of w·λ.
+
+    >>> stabilizer_min_rep((3, 2, 1), (2, 2))
+    (2, 3, 1)
+    """
+    return sorting_permutation(act(w, _dominant(lam, len(w))))[1]
+
+
+@lru_cache(maxsize=None)
+def coset_reps(lam: tuple[int, ...], n: int) -> tuple[Perm, ...]:
+    """The minimal-length coset representatives for Stab(λ), by (length, word)."""
+    reps = (sorting_permutation(a)[1] for a in set(_all_perms(_dominant(lam, n))))
+    return tuple(sorted(reps, key=lambda u: (length(u), u)))
 
 
 def flag_vector(w: Perm, r: int, s: int) -> tuple[int, ...]:
     """Row entry bounds (b_1, ..., b_r) for the flagged tableaux indexed by
     w over the r x s rectangle: b_m is the m-th value of the minimal coset
     representative of w."""
-    n = len(w)
-    lam = rectangle_shape(r, s, n)
-    u = stabilizer_min_rep(w, lam)
-    return u[:r]
+    return stabilizer_min_rep(w, (s,) * r)[:r]
 
 
 def avoids_pattern(w: Perm, pattern) -> bool:
     """True iff no subsequence of w is order-isomorphic to ``pattern``."""
-    from itertools import combinations
-
     k = len(pattern)
     rel = tuple(sorted(range(k), key=lambda t: pattern[t]))
     for positions in combinations(range(len(w)), k):

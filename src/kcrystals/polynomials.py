@@ -15,6 +15,7 @@ import re
 
 from .permutations import (
     Perm,
+    _pad,
     compose,
     length,
     longest_element,
@@ -319,11 +320,7 @@ def apply_word(p: BetaPolynomial, word, op: str) -> BetaPolynomial:
 
 
 def _sorted_parts(a, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    a = tuple(a)
-    if len(a) > n:
-        raise ValueError(f"composition {a!r} longer than n={n}")
-    a = a + (0,) * (n - len(a))
-    lam, w = sorting_permutation(a)
+    lam, w = sorting_permutation(_pad(a, n))
     return lam, reduced_word(w)
 
 def lascoux(a, n: int) -> BetaPolynomial:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .crystal import _heights, _pad, _rectangle_dims, _subset_table, atom_subset, crystal_table
-from .permutations import Perm, act
+from .crystal import _heights, _rectangle_dims, _subset_table, atom_subset, crystal_table
+from .permutations import Perm, _pad, act
 from .polynomials import BetaPolynomial
 from .tableaux import SetValuedTableau
 

@@ -16,7 +16,6 @@ from itertools import combinations, product
 
 from . import golden
 from .crystal import (
-    _pad,
     beta_character,
     crystal_table,
     decompose,
@@ -34,6 +33,7 @@ from .keys import (
 )
 from .kohnert import KKohnertDiagram, closure, closure_table, phi, phi_inverse, svt_kohnert_move
 from .permutations import (
+    _pad,
     act,
     avoids_pattern,
     bruhat_ideal,

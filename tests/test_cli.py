@@ -3,12 +3,12 @@ import json
 import pytest
 
 from kcrystals import golden
-from kcrystals.cli import main
+from kcrystals.cli import build_parser, main
 from kcrystals.kohnert import KKohnertDiagram
 from kcrystals.polynomials import parse_polynomial
 from kcrystals.skyline import SkylineTableau
 from kcrystals.tableaux import SetValuedTableau
-from kcrystals.verify import worker_count
+from kcrystals.verify import Bounds, worker_count
 
 
 def run(capsys, *argv):
@@ -117,6 +117,11 @@ def test_verify_json_format(capsys):
     rows = [json.loads(line) for line in out.strip().splitlines()]
     assert len(rows) == 3 and all(r["status"] == "pass" for r in rows)
     assert all("elapsed" not in r for r in rows)
+
+
+def test_verify_bounds_default_to_bounds():
+    args = build_parser().parse_args(["verify", "character"])
+    assert Bounds(args.max_n, args.max_side, args.max_cells, args.shape, args.n) == Bounds()
 
 
 def test_verify_conjecture_scan_reports_the_key_counterexample(capsys):

@@ -184,6 +184,12 @@ def test_subset_readers_reject_a_w_that_is_not_a_permutation_of_1_to_n(reader, w
         reader(w, (1,), 3)
 
 
+@pytest.mark.parametrize("reader", [demazure_subset, flagged_set, atom_subset])
+def test_subset_readers_reject_a_shape_longer_than_n(reader):
+    with pytest.raises(ValueError, match="longer than n=3"):
+        reader((1, 2, 3), (1, 1, 1, 1), 3)
+
+
 def test_flagged_set_rejects_non_rectangles():
     with pytest.raises(ValueError):
         flagged_set((1, 2, 3), (2, 1), 3)

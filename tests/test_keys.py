@@ -156,3 +156,8 @@ def test_single_row_involutions_agree():
 def test_report_is_trivial_on_a_single_box():
     rows = key_partition_report((1,), 2)
     assert rows and all(r["match"] for r in rows)
+
+
+def test_report_rejects_a_shape_longer_than_n():
+    with pytest.raises(ValueError, match="longer than n=3"):
+        key_partition_report((1, 1, 1, 1), 3)

@@ -56,12 +56,17 @@ def test_bruhat_examples():
     assert not bruhat_leq((1, 3, 2), (2, 1, 3))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_bruhat_leq_agrees_with_all_words_oracle(n):
+    """Every pair against the ideal's membership, and at n <= 4 against the
+    slower all-reduced-words oracle."""
     elements = [tuple(p) for p in all_perms(range(1, n + 1))]
-    for v in elements:
-        for w in elements:
-            assert bruhat_leq(v, w) == subword_bruhat_leq(v, w)
+    for w in elements:
+        ideal = bruhat_ideal(w)
+        for v in elements:
+            assert bruhat_leq(v, w) == (v in ideal)
+            if n <= 4:
+                assert bruhat_leq(v, w) == subword_bruhat_leq(v, w)
 
 
 def test_bruhat_ideal_examples():
@@ -85,12 +90,44 @@ def test_stabilizer_min_rep_examples():
     assert stabilizer_min_rep((1, 3, 2), (2, 2, 0)) == (1, 3, 2)
 
 
-@pytest.mark.parametrize("lam", [(2, 2, 0), (3, 1, 0), (1, 1, 1), (2, 0, 0)])
-def test_min_rep_against_brute_force(lam):
-    for w in all_perms(range(1, 4)):
-        rep = stabilizer_min_rep(tuple(w), lam)
-        assert rep == brute_min_coset_rep(tuple(w), lam)
-        assert bruhat_leq(rep, tuple(w))
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_min_rep_against_brute_force(n):
+    """Each representative, and the quotient as the set of them, for every
+    weakly decreasing λ of length n with parts at most 2."""
+    elements = [tuple(w) for w in all_perms(range(1, n + 1))]
+    for lam in product(range(3), repeat=n):
+        if list(lam) != sorted(lam, reverse=True):
+            continue
+        brute = {w: brute_min_coset_rep(w, lam) for w in elements}
+        for w, rep in brute.items():
+            assert stabilizer_min_rep(w, lam) == rep, (w, lam)
+            assert bruhat_leq(rep, w)
+        assert coset_reps(lam, n) == tuple(sorted(set(brute.values()), key=lambda u: (length(u), u)))
+
+
+def test_a_short_lam_is_padded_to_the_rank():
+    assert stabilizer_min_rep((1, 3, 2), (1,)) == (1, 2, 3)
+    assert coset_reps((2,), 3) == coset_reps((2, 0, 0), 3)
+
+
+@pytest.mark.parametrize(
+    "call,args",
+    [(coset_reps, ((1, 0, 0, 0), 3)), (stabilizer_min_rep, ((2, 1), (1, 1, 0))), (flag_vector, ((1, 2, 3), 4, 2))],
+    ids=["coset_reps", "stabilizer_min_rep", "flag_vector"],
+)
+def test_a_lam_longer_than_n_is_rejected(call, args):
+    with pytest.raises(ValueError, match="longer than n"):
+        call(*args)
+
+
+@pytest.mark.parametrize(
+    "call,args",
+    [(coset_reps, ((0, 1), 2)), (stabilizer_min_rep, ((1, 2, 3), (1, 2)))],
+    ids=["coset_reps", "stabilizer_min_rep"],
+)
+def test_a_lam_that_is_not_weakly_decreasing_is_rejected(call, args):
+    with pytest.raises(ValueError, match="not weakly decreasing"):
+        call(*args)
 
 
 def test_coset_reps_examples():

@@ -7,7 +7,7 @@ from kcrystals import crystal, keys, kohnert, skyline, verify
 from kcrystals.crystal import _pad, atom_subset, demazure_subset, flagged_set
 from kcrystals.keys import lusztig_star, max_right_key, right_key
 from kcrystals.kohnert import KKohnertDiagram, initial_diagram
-from kcrystals.permutations import act, bruhat_leq, coset_reps
+from kcrystals.permutations import act, bruhat_ideal, bruhat_leq, coset_reps
 from kcrystals.polynomials import BetaPolynomial, lascoux, lascoux_atom
 from kcrystals.tableaux import SetValuedTableau, enumerate_svt
 from kcrystals.verify import SUITES, Bounds, iter_cases, run_case, run_suite
@@ -638,6 +638,48 @@ def test_operator_check_witnesses_under_a_fault(monkeypatch, fault):
     inject(monkeypatch)
     cases = [case for case in iter_cases("operator-algebra", Bounds()) if case["check"] == check]
     results = [run_case("operator-algebra", case) for case in cases]
+    failures = [(r.case, r.witness) for r in results if r.status == "fail"]
+    assert (len(failures), failures[0][1]) == expected
+    dump = json.dumps(failures, sort_keys=True)
+    assert hashlib.sha256(dump.encode()).hexdigest() == digest
+
+
+# -- fault injection at the names verify imports ---------------------------------
+# Each fault replaces one name in verify and runs every case of one check of
+# one suite, pinned the same way as OPERATOR_FAULTS (read off the checks
+# before the coset representatives became sorting permutations).
+
+
+def _ideal_without_w(w):
+    return bruhat_ideal(w) - {w}
+
+
+def _lascoux_reversed(a, n):
+    return lascoux(tuple(reversed(tuple(a))), n)
+
+
+IMPORT_FAULTS = {
+    "Bruhat ideal drops w": (
+        ("bruhat_ideal", _ideal_without_w),
+        ("skyline-bijection", "skyline-sum", Bounds(max_n=4, max_side=2)),
+        (38, "skyline sum over the Bruhat ideal differs from the polynomial"),
+        "3ba4bbaa206db0010de58d0e7f4870ac654e2743366636891f70e6a740170e9e",
+    ),
+    "Lascoux polynomial of the reversed composition": (
+        ("lascoux", _lascoux_reversed),
+        ("character", "full-character", Bounds(max_n=4, max_cells=4)),
+        (25, "character of all tableaux differs from the top polynomial"),
+        "b1007440fb5756303d45b051a373c96a4583db9258fc4b70ef1c5fb43fac8f43",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", IMPORT_FAULTS)
+def test_check_witnesses_under_a_fault_at_an_import(monkeypatch, fault):
+    (name, replacement), (suite, check, bounds), expected, digest = IMPORT_FAULTS[fault]
+    monkeypatch.setattr(verify, name, replacement)
+    cases = [case for case in iter_cases(suite, bounds) if case["check"] == check]
+    results = [run_case(suite, case) for case in cases]
     failures = [(r.case, r.witness) for r in results if r.status == "fail"]
     assert (len(failures), failures[0][1]) == expected
     dump = json.dumps(failures, sort_keys=True)
