@@ -90,8 +90,16 @@ def test_stabilizer_min_rep_examples():
     assert stabilizer_min_rep((1, 3, 2), (2, 2, 0)) == (1, 3, 2)
 
 
+@pytest.mark.parametrize("lam", [(2, 2, 0), (3, 1, 0), (1, 1, 1), (2, 0, 0)])
+def test_min_rep_against_brute_force(lam):
+    for w in all_perms(range(1, 4)):
+        rep = stabilizer_min_rep(tuple(w), lam)
+        assert rep == brute_min_coset_rep(tuple(w), lam)
+        assert bruhat_leq(rep, tuple(w))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_min_rep_against_brute_force(n):
+def test_min_rep_and_quotient_against_brute_force(n):
     """Each representative, and the quotient as the set of them, for every
     weakly decreasing λ of length n with parts at most 2."""
     elements = [tuple(w) for w in all_perms(range(1, n + 1))]
