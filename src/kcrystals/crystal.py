@@ -2,14 +2,21 @@
 Crystal and K-crystal operators on semistandard set-valued tableaux,
 with the derived Demazure-type subsets and characters.
 
-The four operators below are the kernel.  ``crystal_table(n, shape)`` is
-the one cached crystal on a shape and owns all that is derived from it,
-so ``crystal_table.cache_clear()`` is the only reset: the tableaux of
-``enumerate_svt(n, shape)`` at positions 0..N-1 (text order), then, filled
-on first read, each operator or raise map of a letter as an array of
-positions, each position's weight, excess and semistandard flag, the
-K-Demazure subset of each reduced word as a bitset (an int whose bit k is
-position k) and what other modules build from it (``derived``).
+``crystal_table(n, shape)`` is the one cached crystal on a shape and owns
+all that is derived from it, so ``crystal_table.cache_clear()`` is the
+only reset: the tableaux of ``enumerate_svt(n, shape)`` at positions
+0..N-1 (text order), then, filled on first read, each operator or raise
+map of a letter as an array of positions, each position's weight, excess
+and semistandard flag, the K-Demazure subset of each reduced word and
+the flagged subsets as bitsets (an int whose bit k is position k) and
+what other modules build from it (``derived``).
+
+The table fills the maps of e_i, f_i, e^K_i and f^K_i from codes, one int
+per position that packs its boxes column by column as entry bitmasks
+(``CrystalTable``), without building a tableau; ``_KERNEL`` holds the four
+fills and is the one place a fault can be swapped in.  ``crystal_e``,
+``crystal_f``, ``kcrystal_e`` and ``kcrystal_f`` act on one tableau and are
+the reference the fills are tested against.
 
 Signs are computed per column, left to right: a column containing i but
 not i+1 contributes "+", one containing i+1 but not i contributes "-",
@@ -39,6 +46,22 @@ from .polynomials import BetaPolynomial
 from .tableaux import SetValuedTableau, enumerate_svt, superstandard
 
 
+def _pair(signs) -> tuple[list[int], list[int]]:
+    """Columns of the unpaired "+" (sign > 0) and "-" (sign < 0) among the
+    signs of the columns, left to right, each list left to right."""
+    unpaired_plus: list[int] = []
+    pending_minus: list[int] = []
+    for c, sign in enumerate(signs):
+        if sign < 0:
+            pending_minus.append(c)
+        elif sign > 0:
+            if pending_minus:
+                pending_minus.pop()
+            else:
+                unpaired_plus.append(c)
+    return unpaired_plus, pending_minus
+
+
 def signature(tableau: SetValuedTableau, i: int) -> tuple[list[int], list[int]]:
     """Columns of the unpaired "+" and "-" signs, each left to right."""
     rows = tableau.rows
@@ -55,17 +78,7 @@ def signature(tableau: SetValuedTableau, i: int) -> tuple[list[int], list[int]]:
                 signs[c] += 1
             if j in cell:
                 signs[c] -= 1
-    unpaired_plus: list[int] = []
-    pending_minus: list[int] = []
-    for c, sign in enumerate(signs):
-        if sign < 0:
-            pending_minus.append(c)
-        elif sign > 0:
-            if pending_minus:
-                pending_minus.pop()
-            else:
-                unpaired_plus.append(c)
-    return unpaired_plus, pending_minus
+    return _pair(signs)
 
 
 def crystal_f(tableau: SetValuedTableau, i: int) -> SetValuedTableau | None:
@@ -134,8 +147,78 @@ def kcrystal_e(tableau: SetValuedTableau, i: int) -> SetValuedTableau | None:
     return None if minus or plus[-1:] != [c] else out
 
 
-# Read when a map is filled, so wrappers set on these values (the benchmark's tracer) count.
-_KERNEL = {"e": crystal_e, "f": crystal_f, "eK": kcrystal_e, "fK": kcrystal_f}
+def _fill_f(table: "CrystalTable", i: int) -> array:
+    """crystal_f on every code: the box of the rightmost unpaired "+" trades
+    its i for i+1, or, when the box to its right holds i, takes i+1 and
+    that box gives up its i."""
+    signs, column, step, positions = table._signs(i), table._column, table._step, table._positions
+    images = array("i")
+    for code in positions:
+        plus, _ = signs(code)
+        if not plus:
+            images.append(-1)
+            continue
+        box = code >> i & column[plus[-1]]  # bit 0 of the box holding i
+        right = box << (step + i)
+        taken = right if code & right else box << i
+        images.append(positions[code - taken + (box << (i + 1))])
+    return images
+
+
+def _fill_e(table: "CrystalTable", i: int) -> array:
+    """crystal_e on every code: the box of the leftmost unpaired "-" trades
+    its i+1 for i, or, when the box to its left holds i+1, takes i and that
+    box gives up its i+1."""
+    signs, column, step, positions = table._signs(i), table._column, table._step, table._positions
+    images = array("i")
+    for code in positions:
+        _, minus = signs(code)
+        if not minus:
+            images.append(-1)
+            continue
+        box = code >> (i + 1) & column[minus[0]]  # bit 0 of the box holding i+1
+        left = (box << (i + 1)) >> step  # 0 in the first column
+        taken = left if code & left else box << (i + 1)
+        images.append(positions[code - taken + (box << i)])
+    return images
+
+
+def _fill_fk(table: "CrystalTable", i: int) -> array:
+    """kcrystal_f on every code: an i-highest code whose rightmost unpaired
+    "+" is in column c, with no box at or right of c holding both i and
+    i+1, adds i+1 to the box of that "+"."""
+    signs, column, right_of, positions = table._signs(i), table._column, table._right_of, table._positions
+    images = array("i")
+    for code in positions:
+        plus, minus = signs(code)
+        if minus or not plus or (code & code >> 1) >> i & right_of[plus[-1]]:
+            images.append(-1)
+        else:
+            images.append(positions[code | (code >> i & column[plus[-1]]) << (i + 1)])
+    return images
+
+
+def _fill_ek(table: "CrystalTable", i: int) -> array:
+    """kcrystal_e on every code: the rightmost box holding both i and i+1,
+    the highest such slot, gives up its i+1 when the result is i-highest
+    with its rightmost unpaired "+" in that box's column."""
+    signs, slots, step, positions = table._signs(i), table._right_of[0], table._step, table._positions
+    images = array("i")
+    for code in positions:
+        both = (code & code >> 1) >> i & slots
+        if not both:
+            images.append(-1)
+            continue
+        top = both.bit_length() - 1
+        out = code - (1 << (top + i + 1))
+        plus, minus = signs(out)
+        images.append(-1 if minus or plus[-1:] != [top // step] else positions[out])
+    return images
+
+
+# Each entry fills one whole map, (table, i) -> array of positions; the one
+# place a test swaps in a fault.
+_KERNEL = {"e": _fill_e, "f": _fill_f, "eK": _fill_ek, "fK": _fill_fk}
 
 
 def _flags(bits: int, size: int) -> str:
@@ -150,30 +233,80 @@ def _from_flags(flags: str) -> int:
 
 class CrystalTable:
     """The crystal on enumerate_svt(n, shape): tableaux[k] is the tableau at
-    position k and index inverts it; all else is filled on first read."""
+    position k; all else is filled on first read.
+
+    Each position also has a code, an int that packs its boxes column by
+    column into slots of n + 1 bits, bit v set when the box holds v.  Every
+    column has one slot per row of the shape, empty below a shorter column,
+    so the box right of a box is `_step` bits higher.  The codes key the one
+    position lookup, in position order."""
 
     def __init__(self, n: int, shape: tuple[int, ...]):
         self.n, self.shape = n, shape
         self.tableaux = enumerate_svt(n, shape)
-        self.index = {t: k for k, t in enumerate(self.tableaux)}
+        self._parts = tuple(p for p in shape if p)
+        width, height = n + 1, len(self._parts)
+        self._width, self._height, self._step = width, height, width * height
+        # bit 0 of each slot of column c, and of each slot of the columns >= c
+        columns = self._parts[0] if self._parts else 0
+        self._column = [sum(1 << (c * height + m) * width for m in range(height)) for c in range(columns)]
+        self._right_of = [sum(self._column[c:]) for c in range(columns + 1)]
+        self._positions = {self._encode(t): k for k, t in enumerate(self.tableaux)}
         self._maps: dict[tuple[str, int], array] = {}
         self._demazure: dict[tuple[int, ...], int] = {}
         self._derived: dict = {}
 
+    def _encode(self, tableau: SetValuedTableau) -> int:
+        """The code of a tableau of this shape: bit v of slot c*height + m is
+        set when box (m, c) holds v."""
+        code, width, height = 0, self._width, self._height
+        for m, row in enumerate(tableau.rows):
+            for c, cell in enumerate(row):
+                shift = (c * height + m) * width
+                for v in cell:
+                    code |= 1 << (shift + v)
+        return code
+
     def position(self, tableau: SetValuedTableau) -> int:
-        """The position of tableau; ValueError if it is not in this crystal."""
-        k = self.index.get(tableau)
+        """The position of tableau, looked up by its code; ValueError if it
+        is not in this crystal."""
+        k = None
+        if tableau.n == self.n and tableau.shape == self._parts:
+            k = self._positions.get(self._encode(tableau))
         if k is None:
             raise ValueError(f"{tableau.to_text()} is not in the crystal of {self.shape} at n={self.n}")
         return k
 
+    def _signs(self, i: int):
+        """signature() at letter i as a function of a code.  ORing a code
+        with its shifts by one to height - 1 slots puts column c's entries
+        in slot c*height; bits i and i+1 of those slots are the sign key,
+        and each distinct key is paired once per function."""
+        shifts = [m * self._width for m in range(1, self._height)]
+        columns = [c * self._step for c in range(len(self._column))]
+        mask = sum(3 << s for s in columns)
+        pairs: dict[int, tuple[list[int], list[int]]] = {}
+
+        def signs(code: int) -> tuple[list[int], list[int]]:
+            fold = code
+            for shift in shifts:
+                fold |= code >> shift
+            key = fold >> i & mask
+            if key not in pairs:
+                pairs[key] = _pair((key >> s & 1) - (key >> s + 1 & 1) for s in columns)
+            return pairs[key]
+
+        return signs
+
     def map(self, op: str, i: int) -> array:
         """The position op ("e", "f", "eK", "fK", or "raise": exhaust e_i,
         then e_i^K) sends each position to, -1 where undefined, filled on
-        first read; a KeyError means an operator left the set."""
+        first read.  _KERNEL[op](self, i) fills the four operator maps from
+        the codes, without building a tableau; an image code outside the
+        set raises KeyError."""
         if (op, i) not in self._maps:
-            images = array("i")
             if op == "raise":
+                images = array("i")
                 e, ek = self.map("e", i), self.map("eK", i)
                 for k in range(len(self.tableaux)):
                     while e[k] >= 0:
@@ -182,9 +315,7 @@ class CrystalTable:
                         k = ek[k]
                     images.append(k)
             else:
-                images.extend(
-                    -1 if (u := _KERNEL[op](t, i)) is None else self.index[u] for t in self.tableaux
-                )
+                images = _KERNEL[op](self, i)
             self._maps[op, i] = images
         return self._maps[op, i]
 
@@ -210,7 +341,7 @@ class CrystalTable:
                 rest = _flags(self.demazure_word(word[1:]), len(self.tableaux))
                 self._demazure[word] = _from_flags("".join([rest[k] for k in self.map("raise", word[0])]))
             else:
-                u = self.index.get(superstandard(self.shape, self.n))
+                u = self._positions.get(self._encode(superstandard(self.shape, self.n)))
                 self._demazure[word] = 0 if u is None else 1 << u
         return self._demazure[word]
 
@@ -229,12 +360,26 @@ class CrystalTable:
                 bits &= ~self.demazure(v)
         return bits
 
+    @cached_property
+    def _row_bounds(self) -> list[list[int]]:
+        """[m][b]: the positions whose row m's greatest entry, the last of its
+        last box, is at most b, for b in 0..n."""
+        # at_most[b] translates a byte v to "1" when v <= b and to "0" otherwise
+        at_most = [bytes(b"01"[v <= b] for v in range(256)) for b in range(self.n + 1)]
+        bounds = []
+        for m in range(len(self._parts)):
+            last = bytes(t.rows[m][-1][-1] for t in self.tableaux)
+            bounds.append([_from_flags(last.translate(flags)) for flags in at_most])
+        return bounds
+
     def flagged(self, w: Perm) -> int:
-        """The tableaux of a rectangle whose row m's greatest entry, the last
-        of its last box, is at most the m-th bound of the flag of w."""
-        bounds = flag_vector(w, *_rectangle_dims(self.shape))
-        rows_within = (all(row[-1][-1] <= b for row, b in zip(t.rows, bounds)) for t in self.tableaux)
-        return _from_flags("".join("01"[within] for within in rows_within))
+        """The tableaux of a rectangle whose row m's greatest entry is at most
+        the m-th bound of the flag of w."""
+        flag = flag_vector(w, *_rectangle_dims(self.shape))
+        bits = (1 << len(self.tableaux)) - 1
+        for within, b in zip(self._row_bounds, flag):
+            bits &= within[b]
+        return bits
 
     def derived(self, build):
         """build(self), run on first read and kept with the table."""

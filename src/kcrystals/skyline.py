@@ -288,7 +288,7 @@ def psi_inverse(tableau: SetValuedTableau, w: Perm) -> SkylineTableau:
     shape, n = tableau.shape, tableau.n
     crystal = _subset_table(w, shape, n)
     table = psi_table(act(w, _pad(shape, n)), n)
-    j = table.preimage.get(crystal.index.get(tableau))
+    j = table.preimage.get(crystal.position(tableau))
     if j is None:
         if tableau not in atom_subset(w, shape, n):
             raise ValueError(f"{tableau!r} is not in the atom of {w}")

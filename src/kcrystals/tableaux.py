@@ -174,7 +174,7 @@ def _nonempty_subsets(lo: int, hi: int):
 @lru_cache(maxsize=None)
 def enumerate_svt(n: int, shape: tuple[int, ...]) -> tuple[SetValuedTableau, ...]:
     """All semistandard set-valued tableaux of the given shape with entries
-    at most n, sorted by text form."""
+    at most n, in text order."""
     shape = tuple(s for s in shape if s)
     if list(shape) != sorted(shape, reverse=True):
         raise ValueError(f"shape must be a partition: {shape!r}")
@@ -186,13 +186,22 @@ def enumerate_svt(n: int, shape: tuple[int, ...]) -> tuple[SetValuedTableau, ...
     results: list[SetValuedTableau] = []
     rows: list[list[Cell]] = [[None] * width for width in shape]  # type: ignore
 
-    coords = [(r, c) for r, width in enumerate(shape) for c in range(width)]
+    # Each cell's text is followed by " " inside a row, "/" at the end of a
+    # row but the last and nothing at the very end; tableaux that agree
+    # before a cell compare as that cell's text plus its separator, so
+    # filling cells in text order of those keys emits the text order.
+    coords = [
+        (r, c, " " if c + 1 < width else "/" if r + 1 < len(shape) else "")
+        for r, width in enumerate(shape)
+        for c in range(width)
+    ]
+    candidates: dict[tuple[int, str], list[Cell]] = {}
 
     def fill(idx: int) -> None:
         if idx == len(coords):  # cells come sorted from combinations
             results.append(SetValuedTableau._trusted(tuple(map(tuple, rows)), n))
             return
-        r, c = coords[idx]
+        r, c, sep = coords[idx]
         lo = 1
         if c > 0:
             lo = max(lo, rows[r][c - 1][-1])
@@ -200,10 +209,13 @@ def enumerate_svt(n: int, shape: tuple[int, ...]) -> tuple[SetValuedTableau, ...
             lo = max(lo, rows[r - 1][c][-1] + 1)
         if lo > n:
             return
-        for cell in _nonempty_subsets(lo, n):
+        if (lo, sep) not in candidates:
+            cells = _nonempty_subsets(lo, n)
+            candidates[lo, sep] = sorted(cells, key=lambda cell: ",".join(map(str, cell)) + sep)
+        for cell in candidates[lo, sep]:
             rows[r][c] = cell
             fill(idx + 1)
         rows[r][c] = None  # type: ignore
 
     fill(0)
-    return tuple(sorted(results, key=SetValuedTableau.sort_key))
+    return tuple(results)

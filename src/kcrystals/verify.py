@@ -256,12 +256,17 @@ def _check_k_monotone(n, shape):
     return None
 
 
+def _doubly_highest(table) -> list[SetValuedTableau]:
+    """The tableaux of the table that no e_i or e^K_i raises."""
+    ups = [table.map(op, i) for op in ("e", "eK") for i in range(1, table.n)]
+    return [t for k, t in enumerate(table.tableaux) if all(up[k] < 0 for up in ups)]
+
+
 def _check_k_demazure(n, shape, w):
     lam = _pad(shape, n)
     u = superstandard(shape, n)
     table = crystal_table(n, shape)
-    ups = [table.map(op, i) for op in ("e", "eK") for i in range(1, n)]
-    doubly_highest = [t for k, t in enumerate(table.tableaux) if all(up[k] < 0 for up in ups)]
+    doubly_highest = table.derived(_doubly_highest)
     if doubly_highest != [u]:
         return f"minimal highest weight element is not unique: {[t.to_text() for t in doubly_highest]}"
     words = sorted(reduced_words(stabilizer_min_rep(w, lam)))
@@ -269,7 +274,7 @@ def _check_k_demazure(n, shape, w):
     for word in words[1:]:
         if table.demazure_word(word) != baseline:
             return f"subset depends on the reduced word {word}"
-    if not baseline >> table.index[u] & 1:
+    if not baseline >> table.position(u) & 1:
         return "minimal highest weight element missing from the subset"
     character = beta_character(table.members(baseline), n)
     if character != lascoux(act(w, lam), n):

@@ -3,6 +3,7 @@ Independent oracles used to derive expected values: these deliberately
 avoid the library's own code paths for the quantities they check.
 """
 
+from array import array
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
@@ -361,6 +362,18 @@ def reference_enumerate_skyline(a, n):
         if reference_validate_skyline(skyline, n):
             out.append(skyline)
     return tuple(sorted(out, key=SkylineTableau.sort_key))
+
+
+def per_tableau(operator):
+    """A crystal._KERNEL entry that fills a table's map with operator(t, i)
+    for each tableau t, looked up by tableau, so that a tableau-level fault
+    reaches the table; an image outside the table raises KeyError(image)."""
+
+    def fill(table, i):
+        index = {t: k for k, t in enumerate(table.tableaux)}
+        return array("i", (-1 if (u := operator(t, i)) is None else index[u] for t in table.tableaux))
+
+    return fill
 
 
 def reference_raise_string_max(tableau, i):

@@ -9,7 +9,7 @@ the tableau Kohnert move, phi, psi and the cross-column skyline rules;
 the table's per-position statistics, max-right keys and rotations.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -35,7 +35,7 @@ from kcrystals.keys import (
     right_key,
 )
 from kcrystals.kohnert import closure, closure_table, phi, single_moves, svt_kohnert_move
-from kcrystals.permutations import act, coset_reps, reduced_words, stabilizer_min_rep
+from kcrystals.permutations import act, coset_reps, flag_vector, reduced_words, stabilizer_min_rep
 from kcrystals.skyline import (
     _column_fillings,
     _compatible,
@@ -126,11 +126,15 @@ def test_k_operators_match_the_reference_on_a_three_by_three_component():
             assert kcrystal_f(t, i) == reference_kcrystal_f(t, i), (t, i)
 
 
-@pytest.mark.parametrize("n,shape", CASES, ids=str)
+# every rectangle up to 3x3 at n = 5 not in CASES: the code kernel's
+# columns of one to three slots and its two-box moves
+RECTANGLES_AT_5 = [(5, shape) for shape in ((3,), (3, 3), (1, 1, 1), (2, 2, 2), (3, 3, 3))]
+
+
+@pytest.mark.parametrize("n,shape", CASES + RECTANGLES_AT_5, ids=str)
 def test_table_maps_match_the_kernel(n, shape):
     table = crystal_table(n, shape)
     assert table.tableaux == enumerate_svt(n, shape)
-    assert all(table.index[t] == k for k, t in enumerate(table.tableaux))
     kernel = {"e": crystal_e, "f": crystal_f, "eK": kcrystal_e, "fK": kcrystal_f}
     for i in range(1, n):
         for op, operator in kernel.items():
@@ -138,6 +142,33 @@ def test_table_maps_match_the_kernel(n, shape):
             assert images == [operator(t, i) for t in table.tableaux], (op, i)
         raised = [table.tableaux[k] for k in table.map("raise", i)]
         assert raised == [reference_raise_string_max(t, i) for t in table.tableaux], i
+
+
+@pytest.mark.parametrize("n,shape", CASES + [(11, (2,))], ids=str)
+def test_enumeration_is_in_text_order(n, shape):
+    tableaux = enumerate_svt(n, shape)
+    assert list(tableaux) == sorted(tableaux, key=SetValuedTableau.to_text)
+
+
+@pytest.mark.parametrize("n,shape", CASES, ids=str)
+def test_position_round_trips_and_rejects_tableaux_outside(n, shape):
+    table = crystal_table(n, shape)
+    assert [table.position(t) for t in table.tableaux] == list(range(len(table.tableaux)))
+    # the same rows at another n, every tableau of another shape with as many
+    # boxes (one code can fill two shapes) and every single-valued filling of
+    # the shape that is not semistandard
+    outside = [SetValuedTableau(t.rows, n + 1) for t in table.tableaux]
+    for other in _shapes(sum(shape), n):
+        if other != shape and sum(other) == sum(shape):
+            outside += enumerate_svt(n, other)
+    for values in product(range(1, n + 1), repeat=sum(shape)):
+        boxes = iter(values)
+        t = SetValuedTableau([[(next(boxes),) for _ in range(width)] for width in shape], n)
+        if not t.is_semistandard():
+            outside.append(t)
+    for t in outside:
+        with pytest.raises(ValueError, match="is not in the crystal"):
+            table.position(t)
 
 
 @pytest.mark.parametrize("n,shape", CASES, ids=str)
@@ -217,7 +248,7 @@ def test_rotation_positions_match_the_rotation(n, shape):
     table = crystal_table(n, shape)
     for t in table.tableaux:
         assert _same_object(k_lusztig_star(t), reference_k_lusztig_star(t)), t
-    assert list(table.derived(_rotations)) == [table.index[k_lusztig_star(t)] for t in table.tableaux]
+    assert list(table.derived(_rotations)) == [table.position(k_lusztig_star(t)) for t in table.tableaux]
 
 
 @pytest.mark.parametrize("n,shape", TABLE_CASES, ids=str)
@@ -256,6 +287,15 @@ def test_skyline_enumeration_matches_product_and_filter(n, shape):
         skylines = enumerate_skyline(a, n)
         assert skylines == reference_enumerate_skyline(a, n), a
         assert all(validate_skyline(s, n) for s in skylines), a
+
+
+@pytest.mark.parametrize("n,shape", RECTANGLES + RECTANGLES_AT_5, ids=str)
+def test_flagged_subsets_match_a_scan_of_the_rows(n, shape):
+    table = crystal_table(n, shape)
+    for w in coset_reps(_pad(shape, n), n):
+        flag = flag_vector(w, len(shape), shape[0])
+        within = [all(row[-1][-1] <= b for row, b in zip(t.rows, flag)) for t in table.tableaux]
+        assert table.flagged(w) == sum(1 << k for k, inside in enumerate(within) if inside), w
 
 
 @pytest.mark.parametrize("n,shape", RECTANGLES, ids=str)

@@ -11,6 +11,7 @@ from kcrystals.permutations import act, bruhat_ideal, bruhat_leq, coset_reps
 from kcrystals.polynomials import BetaPolynomial, lascoux, lascoux_atom
 from kcrystals.tableaux import SetValuedTableau, enumerate_svt
 from kcrystals.verify import SUITES, Bounds, iter_cases, run_case, run_suite
+from oracles import per_tableau
 
 # (case count, SHA-256 of json.dumps(cases, sort_keys=True)) at the default
 # bounds; pins the content and the order of every suite's case list.
@@ -100,8 +101,8 @@ def table_fault(monkeypatch):
 
 @pytest.fixture
 def kernel(table_fault):
-    """Sets kernel operators for the tables built inside a test."""
-    return lambda op, fn: table_fault.setitem(crystal._KERNEL, op, fn)
+    """Sets kernel operators, tableau-level, for the tables built inside a test."""
+    return lambda op, fn: table_fault.setitem(crystal._KERNEL, op, per_tableau(fn))
 
 
 def _letters_swapped(op):
@@ -215,7 +216,7 @@ def _bruhat_reversed(v, w):
 
 SUBSET_FAULTS = {
     "eK never acts": (
-        lambda mp: mp.setitem(crystal._KERNEL, "eK", lambda t, i: None),
+        lambda mp: mp.setitem(crystal._KERNEL, "eK", per_tableau(lambda t, i: None)),
         {
             "k-strings": (22, 'exception: AssertionError("i-K-strings overlap at [\'1,2\']")'),
             "k-demazure": (36, "minimal highest weight element is not unique: ['1', '1,2']"),
@@ -226,7 +227,7 @@ SUBSET_FAULTS = {
         "0722f3b89c183f6a2010c6ca5535fa19b2350c1945b28db2260ad4871640726f",
     ),
     "e acts at letter 1 only": (
-        lambda mp: mp.setitem(crystal._KERNEL, "e", _e_at_letter_1_only),
+        lambda mp: mp.setitem(crystal._KERNEL, "e", per_tableau(_e_at_letter_1_only)),
         {
             "k-strings": (16, "string at 1,3 meets the subset of w=[3, 1, 2] in ['1,2,3', '2,3']"),
             "k-monotone": (2, "monotonicity fails for v=[1, 4, 2, 3] <= w=[3, 4, 1, 2]"),
@@ -238,7 +239,7 @@ SUBSET_FAULTS = {
         "d6626ee5de486033b1f0cbe0dc10f1550bb16af8b14ba0e31b549da631f0c0eb",
     ),
     "eK never acts at letter 2": (
-        lambda mp: mp.setitem(crystal._KERNEL, "eK", _ek_never_at_letter_2),
+        lambda mp: mp.setitem(crystal._KERNEL, "eK", per_tableau(_ek_never_at_letter_2)),
         {
             "k-strings": (12, 'exception: AssertionError("i-K-strings overlap at [\'1,2,3\']")'),
             "k-monotone": (2, "monotonicity fails for v=[1, 4, 2, 3] <= w=[3, 4, 1, 2]"),
@@ -250,7 +251,7 @@ SUBSET_FAULTS = {
         "92e64e5ffe8db5a8ab9e54d238b81382f642e3a8b3bfe8464efaff8feb652fee",
     ),
     "fK applied twice": (
-        lambda mp: mp.setitem(crystal._KERNEL, "fK", _twice(crystal.kcrystal_f)),
+        lambda mp: mp.setitem(crystal._KERNEL, "fK", per_tableau(_twice(crystal.kcrystal_f))),
         {
             "k-strings": (
                 22,
@@ -282,6 +283,27 @@ def test_subset_check_witnesses_under_a_fault(table_fault, fault):
     assert hashlib.sha256(dump.encode()).hexdigest() == digest
 
 
+def test_components_witness_under_a_kernel_fault(table_fault):
+    """Every components case at the default bounds from empty tables, with
+    e acting at letter 1 only; the count, first witness and SHA-256 of every
+    failing (case, witness) pair were read off the check while the table
+    filled its maps tableau by tableau."""
+    table_fault.setitem(crystal._KERNEL, "e", per_tableau(_e_at_letter_1_only))
+    cases = [case for case in iter_cases("crystal-axioms", Bounds()) if case["check"] == "components"]
+    results = [run_case("crystal-axioms", case) for case in cases]
+    failures = [(r.case, r.witness) for r in results if r.status == "fail"]
+    assert (len(cases), len(failures)) == (63, 45)
+    assert failures[0] == (
+        {"check": "components", "n": 3, "shape": [1]},
+        'exception: AssertionError("component without unique highest weight: '
+        "[SetValuedTableau('1', n=3), SetValuedTableau('3', n=3)]\")",
+    )
+    dump = json.dumps(failures, sort_keys=True)
+    assert hashlib.sha256(dump.encode()).hexdigest() == (
+        "f2c1daffc7f68a2842635bbf7e167f233e7856871158fde8dd02c1f185a3d620"
+    )
+
+
 def test_clearing_the_tables_rebuilds_every_derived_structure(table_fault):
     """Each reader, read once, reads the faults set afterwards when only
     crystal_table's cache is cleared: nothing derived from a crystal
@@ -301,12 +323,11 @@ def test_clearing_the_tables_rebuilds_every_derived_structure(table_fault):
         "rotations": lambda: list(crystal.crystal_table(n, shape).derived(keys._rotations)),
     }
     before = {name: read() for name, read in readers.items()}
-    for op in ("e", "f"):
-        conjugated = crystal._KERNEL[op]
+    for op, conjugated in (("e", crystal.crystal_e), ("f", crystal.crystal_f)):
         for a, b in (("1 2/3 4", "1 3/2 4"), ("1 2/3 3,4", "1 2,3/3 4")):
             a, b = SetValuedTableau.from_text(a, n), SetValuedTableau.from_text(b, n)
             conjugated = _conjugated(conjugated, a, b)
-        table_fault.setitem(crystal._KERNEL, op, conjugated)
+        table_fault.setitem(crystal._KERNEL, op, per_tableau(conjugated))
     table_fault.setattr(crystal, "flag_vector", lambda w, r, s: (n,) * r)
     table_fault.setattr(keys, "k_lusztig_star", lambda t: t)
     crystal.crystal_table.cache_clear()
