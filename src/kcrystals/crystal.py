@@ -11,12 +11,12 @@ and semistandard flag, the K-Demazure subset of each reduced word and
 the flagged subsets as bitsets (an int whose bit k is position k) and
 what other modules build from it (``derived``).
 
-The table fills the maps of e_i, f_i, e^K_i and f^K_i from codes, one int
-per position that packs its boxes column by column as entry bitmasks
-(``CrystalTable``), without building a tableau; ``_KERNEL`` holds the four
-fills and is the one place a fault can be swapped in.  ``crystal_e``,
-``crystal_f``, ``kcrystal_e`` and ``kcrystal_f`` act on one tableau and are
-the reference the fills are tested against.
+The one implementation of e_i, f_i, e^K_i and f^K_i is a kernel on codes,
+ints that pack a tableau's boxes column by column as entry bitmasks
+(``_Codes``), that yields each image code or None.  A table runs it over
+all its codes through the fills in ``_KERNEL``, the one place a fault can
+be swapped in; ``crystal_e``, ``crystal_f``, ``kcrystal_e`` and
+``kcrystal_f`` run it on one code.  ``tests/oracles.py`` holds the reference.
 
 Signs are computed per column, left to right: a column containing i but
 not i+1 contributes "+", one containing i+1 but not i contributes "-",
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 from .permutations import (
     Perm,
@@ -62,188 +62,13 @@ def _pair(signs) -> tuple[list[int], list[int]]:
     return unpaired_plus, pending_minus
 
 
-def signature(tableau: SetValuedTableau, i: int) -> tuple[list[int], list[int]]:
-    """Columns of the unpaired "+" and "-" signs, each left to right."""
-    rows = tableau.rows
-    # A semistandard column holds each value at most once, so a column's sign
-    # is (boxes holding i) - (boxes holding i+1); rows weakly increase, so a
-    # row holds neither value past its first box whose minimum exceeds i+1.
-    j = i + 1
-    signs = [0] * len(rows[0]) if rows else []
-    for row in rows:
-        for c, cell in enumerate(row):
-            if cell[0] > j:
-                break
-            if i in cell:
-                signs[c] += 1
-            if j in cell:
-                signs[c] -= 1
-    return _pair(signs)
-
-
-def crystal_f(tableau: SetValuedTableau, i: int) -> SetValuedTableau | None:
-    """Lowering operator: act at the rightmost unpaired "+"."""
-    plus, _ = signature(tableau, i)
-    if not plus:
-        return None
-    c = plus[-1]
-    r = tableau.row_with(c, i)
-    row = tableau.rows[r]
-    if c + 1 < len(row) and i in row[c + 1]:
-        out = tableau.with_cell(r, c + 1, set(row[c + 1]) - {i})
-        return out.with_cell(r, c, set(row[c]) | {i + 1})
-    return tableau.with_cell(r, c, (set(row[c]) - {i}) | {i + 1})
-
-
-def crystal_e(tableau: SetValuedTableau, i: int) -> SetValuedTableau | None:
-    """Raising operator: act at the leftmost unpaired "-"."""
-    _, minus = signature(tableau, i)
-    if not minus:
-        return None
-    c = minus[0]
-    r = tableau.row_with(c, i + 1)
-    row = tableau.rows[r]
-    if c > 0 and i + 1 in row[c - 1]:
-        out = tableau.with_cell(r, c - 1, set(row[c - 1]) - {i + 1})
-        return out.with_cell(r, c, set(row[c]) | {i})
-    return tableau.with_cell(r, c, (set(row[c]) - {i + 1}) | {i})
-
-
-def kcrystal_f(tableau: SetValuedTableau, i: int) -> SetValuedTableau | None:
-    """K-lowering: add an extra i+1 to the box of the rightmost unpaired
-    "+", provided the tableau is i-highest and no box weakly to the right
-    already holds both i and i+1."""
-    plus, minus = signature(tableau, i)
-    if minus or not plus:
-        return None
-    c = plus[-1]
-    for row in tableau.rows:
-        for cell in row[c:]:
-            if i in cell and i + 1 in cell:
-                return None
-    r = tableau.row_with(c, i)
-    return tableau.with_cell(r, c, set(tableau.rows[r][c]) | {i + 1})
-
-
-def kcrystal_e(tableau: SetValuedTableau, i: int) -> SetValuedTableau | None:
-    """K-raising, derived from the inverse law the k-ops check tests:
-    e^K_i(T) is the U with kcrystal_f(U) = T, if there is one.  kcrystal_f
-    adds an i+1 to a box right of every box holding both i and i+1, so U
-    is T with the i+1 removed from the rightmost such box (a column holds
-    each value once, so the box is unique), and kcrystal_f(U) = T exactly
-    when U is i-highest and its rightmost unpaired "+" is in that box's
-    column."""
-    both = [
-        (c, r)
-        for r, row in enumerate(tableau.rows)
-        for c, cell in enumerate(row)
-        if i in cell and i + 1 in cell
-    ]
-    if not both:
-        return None
-    c, r = max(both)
-    out = tableau.with_cell(r, c, set(tableau.rows[r][c]) - {i + 1})
-    plus, minus = signature(out, i)
-    return None if minus or plus[-1:] != [c] else out
-
-
-def _fill_f(table: "CrystalTable", i: int) -> array:
-    """crystal_f on every code: the box of the rightmost unpaired "+" trades
-    its i for i+1, or, when the box to its right holds i, takes i+1 and
-    that box gives up its i."""
-    signs, column, step, positions = table._signs(i), table._column, table._step, table._positions
-    images = array("i")
-    for code in positions:
-        plus, _ = signs(code)
-        if not plus:
-            images.append(-1)
-            continue
-        box = code >> i & column[plus[-1]]  # bit 0 of the box holding i
-        right = box << (step + i)
-        taken = right if code & right else box << i
-        images.append(positions[code - taken + (box << (i + 1))])
-    return images
-
-
-def _fill_e(table: "CrystalTable", i: int) -> array:
-    """crystal_e on every code: the box of the leftmost unpaired "-" trades
-    its i+1 for i, or, when the box to its left holds i+1, takes i and that
-    box gives up its i+1."""
-    signs, column, step, positions = table._signs(i), table._column, table._step, table._positions
-    images = array("i")
-    for code in positions:
-        _, minus = signs(code)
-        if not minus:
-            images.append(-1)
-            continue
-        box = code >> (i + 1) & column[minus[0]]  # bit 0 of the box holding i+1
-        left = (box << (i + 1)) >> step  # 0 in the first column
-        taken = left if code & left else box << (i + 1)
-        images.append(positions[code - taken + (box << i)])
-    return images
-
-
-def _fill_fk(table: "CrystalTable", i: int) -> array:
-    """kcrystal_f on every code: an i-highest code whose rightmost unpaired
-    "+" is in column c, with no box at or right of c holding both i and
-    i+1, adds i+1 to the box of that "+"."""
-    signs, column, right_of, positions = table._signs(i), table._column, table._right_of, table._positions
-    images = array("i")
-    for code in positions:
-        plus, minus = signs(code)
-        if minus or not plus or (code & code >> 1) >> i & right_of[plus[-1]]:
-            images.append(-1)
-        else:
-            images.append(positions[code | (code >> i & column[plus[-1]]) << (i + 1)])
-    return images
-
-
-def _fill_ek(table: "CrystalTable", i: int) -> array:
-    """kcrystal_e on every code: the rightmost box holding both i and i+1,
-    the highest such slot, gives up its i+1 when the result is i-highest
-    with its rightmost unpaired "+" in that box's column."""
-    signs, slots, step, positions = table._signs(i), table._right_of[0], table._step, table._positions
-    images = array("i")
-    for code in positions:
-        both = (code & code >> 1) >> i & slots
-        if not both:
-            images.append(-1)
-            continue
-        top = both.bit_length() - 1
-        out = code - (1 << (top + i + 1))
-        plus, minus = signs(out)
-        images.append(-1 if minus or plus[-1:] != [top // step] else positions[out])
-    return images
-
-
-# Each entry fills one whole map, (table, i) -> array of positions; the one
-# place a test swaps in a fault.
-_KERNEL = {"e": _fill_e, "f": _fill_f, "eK": _fill_ek, "fK": _fill_fk}
-
-
-def _flags(bits: int, size: int) -> str:
-    """bits as size characters, "1" at each position in it and "0" elsewhere."""
-    return bin(bits)[:1:-1].ljust(size, "0")
-
-
-def _from_flags(flags: str) -> int:
-    """The bitset of the positions where flags holds "1"; inverts _flags."""
-    return int(flags[::-1], 2) if flags else 0
-
-
-class CrystalTable:
-    """The crystal on enumerate_svt(n, shape): tableaux[k] is the tableau at
-    position k; all else is filled on first read.
-
-    Each position also has a code, an int that packs its boxes column by
-    column into slots of n + 1 bits, bit v set when the box holds v.  Every
-    column has one slot per row of the shape, empty below a shorter column,
-    so the box right of a box is `_step` bits higher.  The codes key the one
-    position lookup, in position order."""
+class _Codes:
+    """The codes of the tableaux of shape at n: the boxes column by column in
+    slots of n + 1 bits, bit v set when the box holds v, one slot per row of
+    the shape in every column, so the box right of a box is `_step` bits higher."""
 
     def __init__(self, n: int, shape: tuple[int, ...]):
         self.n, self.shape = n, shape
-        self.tableaux = enumerate_svt(n, shape)
         self._parts = tuple(p for p in shape if p)
         width, height = n + 1, len(self._parts)
         self._width, self._height, self._step = width, height, width * height
@@ -251,10 +76,6 @@ class CrystalTable:
         columns = self._parts[0] if self._parts else 0
         self._column = [sum(1 << (c * height + m) * width for m in range(height)) for c in range(columns)]
         self._right_of = [sum(self._column[c:]) for c in range(columns + 1)]
-        self._positions = {self._encode(t): k for k, t in enumerate(self.tableaux)}
-        self._maps: dict[tuple[str, int], array] = {}
-        self._demazure: dict[tuple[int, ...], int] = {}
-        self._derived: dict = {}
 
     def _encode(self, tableau: SetValuedTableau) -> int:
         """The code of a tableau of this shape: bit v of slot c*height + m is
@@ -267,15 +88,14 @@ class CrystalTable:
                     code |= 1 << (shift + v)
         return code
 
-    def position(self, tableau: SetValuedTableau) -> int:
-        """The position of tableau, looked up by its code; ValueError if it
-        is not in this crystal."""
-        k = None
-        if tableau.n == self.n and tableau.shape == self._parts:
-            k = self._positions.get(self._encode(tableau))
-        if k is None:
-            raise ValueError(f"{tableau.to_text()} is not in the crystal of {self.shape} at n={self.n}")
-        return k
+    def decode(self, code: int) -> SetValuedTableau:
+        """The tableau of a code of this shape; inverts _encode."""
+        width, height, entries = self._width, self._height, range(1, self._width)
+        rows = [
+            [tuple(v for v in entries if code >> (c * height + m) * width + v & 1) for c in range(part)]
+            for m, part in enumerate(self._parts)
+        ]
+        return SetValuedTableau._trusted(tuple(map(tuple, rows)), self.n)
 
     def _signs(self, i: int):
         """signature() at letter i as a function of a code.  ORing a code
@@ -298,13 +118,175 @@ class CrystalTable:
 
         return signs
 
+
+def _f(codes: _Codes, i: int, sources):
+    """f_i: the box of the rightmost unpaired "+" trades its i for i+1, or,
+    when the box to its right holds i, takes i+1 and that box gives up its i."""
+    signs, column, step = codes._signs(i), codes._column, codes._step
+    for code in sources:
+        plus, _ = signs(code)
+        if plus:
+            box = code >> i & column[plus[-1]]  # bit 0 of the box holding i
+            right = box << (step + i)
+            taken = right if code & right else box << i
+            yield code - taken + (box << (i + 1))
+        else:
+            yield None
+
+
+def _e(codes: _Codes, i: int, sources):
+    """e_i: the box of the leftmost unpaired "-" trades its i+1 for i, or,
+    when the box to its left holds i+1, takes i and that box gives up its i+1."""
+    signs, column, step = codes._signs(i), codes._column, codes._step
+    for code in sources:
+        _, minus = signs(code)
+        if minus:
+            box = code >> (i + 1) & column[minus[0]]  # bit 0 of the box holding i+1
+            left = (box << (i + 1)) >> step  # 0 in the first column
+            taken = left if code & left else box << (i + 1)
+            yield code - taken + (box << i)
+        else:
+            yield None
+
+
+def _fk(codes: _Codes, i: int, sources):
+    """f^K_i: an i-highest code adds i+1 to the box of its rightmost unpaired
+    "+", in column c, unless a box at or right of c holds both i and i+1."""
+    signs, column, right_of = codes._signs(i), codes._column, codes._right_of
+    for code in sources:
+        plus, minus = signs(code)
+        if minus or not plus or (code & code >> 1) >> i & right_of[plus[-1]]:
+            yield None
+        else:
+            yield code | (code >> i & column[plus[-1]]) << (i + 1)
+
+
+def _ek(codes: _Codes, i: int, sources):
+    """e^K_i, the inverse of f^K_i: the rightmost box holding both i and i+1,
+    the highest such slot, gives up its i+1 when the result is i-highest with
+    its rightmost unpaired "+" in that box's column."""
+    signs, slots, step = codes._signs(i), codes._right_of[0], codes._step
+    for code in sources:
+        both = (code & code >> 1) >> i & slots
+        if not both:
+            yield None
+            continue
+        top = both.bit_length() - 1
+        out = code - (1 << (top + i + 1))
+        plus, minus = signs(out)
+        yield None if minus or plus[-1:] != [top // step] else out
+
+
+def _fill(kernel, table: "CrystalTable", i: int) -> array:
+    """The position of each position's image under kernel, -1 where it is
+    undefined; an image code outside the table raises KeyError."""
+    positions = table._positions
+    return array("i", [-1 if code is None else positions[code] for code in kernel(table, i, positions)])
+
+
+# The four fills, each (table, i) -> array; the one place a test swaps in a fault.
+_KERNEL = {op: partial(_fill, kernel) for op, kernel in (("e", _e), ("f", _f), ("eK", _ek), ("fK", _fk))}
+
+
+def _letter(i, n: int) -> None:
+    """ValueError unless i is a letter of the crystal at n, an int in 1..n-1."""
+    if type(i) is not int or not 0 < i < n:
+        raise ValueError(f"letter {i!r} is outside 1..{n - 1}")
+
+
+def _codes_of(tableau: SetValuedTableau, i) -> _Codes:
+    """The codes of tableau's shape; ValueError unless i is a letter and the
+    tableau semistandard, the only codes the kernel is defined on."""
+    _letter(i, tableau.n)
+    if not tableau.is_semistandard():
+        raise ValueError(f"{tableau.to_text()} is not semistandard")
+    return _Codes(tableau.n, tableau.shape)
+
+
+def _act(kernel, tableau: SetValuedTableau, i) -> SetValuedTableau | None:
+    codes = _codes_of(tableau, i)
+    (image,) = kernel(codes, i, (codes._encode(tableau),))
+    return None if image is None else codes.decode(image)
+
+
+def signature(tableau: SetValuedTableau, i: int) -> tuple[list[int], list[int]]:
+    """The unpaired "+" and "-" columns, each left to right; ValueError as for crystal_f."""
+    codes = _codes_of(tableau, i)
+    return codes._signs(i)(codes._encode(tableau))
+
+
+def crystal_f(tableau: SetValuedTableau, i: int) -> SetValuedTableau | None:
+    """Lowering operator: act at the rightmost unpaired "+", None if there
+    is none; ValueError unless 0 < i < n and the tableau is semistandard.
+
+    >>> t = SetValuedTableau.from_text("1 1/2 2", 3)
+    >>> crystal_f(t, 2), crystal_f(t, 1)
+    (SetValuedTableau('1 1/2 3', n=3), None)
+    """
+    return _act(_f, tableau, i)
+
+
+def crystal_e(tableau: SetValuedTableau, i: int) -> SetValuedTableau | None:
+    """Raising operator: act at the leftmost unpaired "-"; as crystal_f."""
+    return _act(_e, tableau, i)
+
+
+def kcrystal_f(tableau: SetValuedTableau, i: int) -> SetValuedTableau | None:
+    """K-lowering: an i-highest tableau adds i+1 to the box of its rightmost
+    unpaired "+" unless a box weakly right of it holds i and i+1; as crystal_f.
+
+    >>> t = SetValuedTableau.from_text("1 1/2 3", 3)
+    >>> kcrystal_f(t, 1), kcrystal_f(t, 2)
+    (SetValuedTableau('1 1,2/2 3', n=3), None)
+    """
+    return _act(_fk, tableau, i)
+
+
+def kcrystal_e(tableau: SetValuedTableau, i: int) -> SetValuedTableau | None:
+    """K-raising: the U with kcrystal_f(U) = T, if there is one; as crystal_f."""
+    return _act(_ek, tableau, i)
+
+
+def _flags(bits: int, size: int) -> str:
+    """bits as size characters, "1" at each position in it and "0" elsewhere."""
+    return bin(bits)[:1:-1].ljust(size, "0")
+
+
+def _from_flags(flags: str) -> int:
+    """The bitset of the positions where flags holds "1"; inverts _flags."""
+    return int(flags[::-1], 2) if flags else 0
+
+
+class CrystalTable(_Codes):
+    """The crystal on enumerate_svt(n, shape): tableaux[k] is the tableau at
+    position k, keyed by its code; all else is filled on first read."""
+
+    def __init__(self, n: int, shape: tuple[int, ...]):
+        super().__init__(n, shape)
+        self.tableaux = enumerate_svt(n, shape)
+        self._positions = {self._encode(t): k for k, t in enumerate(self.tableaux)}
+        self._maps: dict[tuple[str, int], array] = {}
+        self._demazure: dict[tuple[int, ...], int] = {}
+        self._derived: dict = {}
+
+    def position(self, tableau: SetValuedTableau) -> int:
+        """The position of tableau, looked up by its code; ValueError if it
+        is not in this crystal."""
+        if tableau.n == self.n and tableau.shape == self._parts:
+            k = self._positions.get(self._encode(tableau))
+            if k is not None:
+                return k
+        raise ValueError(f"{tableau.to_text()} is not in the crystal of {self.shape} at n={self.n}")
+
     def map(self, op: str, i: int) -> array:
         """The position op ("e", "f", "eK", "fK", or "raise": exhaust e_i,
         then e_i^K) sends each position to, -1 where undefined, filled on
-        first read.  _KERNEL[op](self, i) fills the four operator maps from
-        the codes, without building a tableau; an image code outside the
-        set raises KeyError."""
+        first read, by _KERNEL[op](self, i) for the four operators;
+        ValueError on another op or a letter outside 1..n-1."""
         if (op, i) not in self._maps:
+            if op != "raise" and op not in _KERNEL:
+                raise ValueError(f"unknown operator {op!r}")
+            _letter(i, self.n)
             if op == "raise":
                 images = array("i")
                 e, ek = self.map("e", i), self.map("eK", i)

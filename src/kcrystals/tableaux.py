@@ -99,18 +99,6 @@ class SetValuedTableau:
 
     # -- cell access ------------------------------------------------------
 
-    def with_cell(self, r: int, c: int, cell) -> "SetValuedTableau":
-        rows, row = self.rows, self.rows[r]
-        row = row[:c] + (tuple(sorted(set(cell))),) + row[c + 1 :]
-        return SetValuedTableau._trusted(rows[:r] + (row,) + rows[r + 1 :], self.n)
-
-    def row_with(self, c: int, value: int) -> int:
-        """The row of the box in column c that holds value."""
-        for r, row in enumerate(self.rows):
-            if c < len(row) and value in row[c]:
-                return r
-        raise ValueError(f"column {c} has no entry {value}")
-
     def cells(self):
         for r, row in enumerate(self.rows):
             for c, cell in enumerate(row):

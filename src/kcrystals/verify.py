@@ -235,14 +235,14 @@ def _check_k_strings(n, shape, i):
     table = crystal_table(n, shape)
     subsets = {w: table.demazure(w) for w in coset_reps(_pad(shape, n), n)}
     for top, bottom in strings:
-        head = table.tableaux[top[0]].to_text()
+        head = table.tableaux[top[0]]  # its text is read by a witness only
         if bottom and len(bottom) != len(top) - 1:
-            return f"string at {head} has uneven rows"
+            return f"string at {head.to_text()} has uneven rows"
         elements = sum(1 << k for k in {*top, *bottom})
         for w, subset in subsets.items():
             if (meet := subset & elements) not in (0, elements, 1 << top[0]):
                 texts = [t.to_text() for t in table.members(meet)]
-                return f"string at {head} meets the subset of w={list(w)} in {texts}"
+                return f"string at {head.to_text()} meets the subset of w={list(w)} in {texts}"
     return None
 
 

@@ -185,6 +185,13 @@ def _replaced(tableau, changes):
     return SetValuedTableau(rows, tableau.n)
 
 
+def _with_cell(tableau, r, c, cell):
+    """tableau with box (r, c) set to cell, which may be empty, wrapped as it is."""
+    rows = [list(row) for row in tableau.rows]
+    rows[r][c] = tuple(sorted(cell))
+    return SetValuedTableau._trusted(tuple(map(tuple, rows)), tableau.n)
+
+
 def _row_of(tableau, c, value):
     return next(
         r for r, row in enumerate(tableau.rows) if c < len(row) and value in row[c]
@@ -521,7 +528,7 @@ def reference_svt_kohnert_move(tableau, x, k_variant=False):
     if col is None:
         raise ValueError(f"{tableau.to_text()} holds {x} beyond the width of its first row")
     entries = tableau.column_entries(col)
-    row_of = {v: tableau.row_with(col, v) for v in entries}
+    row_of = {v: _row_of(tableau, col, v) for v in entries}
     if x != min(tableau.rows[row_of[x]][col]):
         return None
     x_prime = x - 1
@@ -534,13 +541,13 @@ def reference_svt_kohnert_move(tableau, x, k_variant=False):
             return None
     out = tableau
     if not k_variant:
-        out = out.with_cell(row_of[x], col, set(out.rows[row_of[x]][col]) - {x})
+        out = _with_cell(out, row_of[x], col, set(out.rows[row_of[x]][col]) - {x})
     for v in range(x - 1, x_prime, -1):
         below = row_of[v + 1]
-        out = out.with_cell(below, col, set(out.rows[below][col]) | {v})
-        out = out.with_cell(row_of[v], col, set(out.rows[row_of[v]][col]) - {v})
+        out = _with_cell(out, below, col, set(out.rows[below][col]) | {v})
+        out = _with_cell(out, row_of[v], col, set(out.rows[row_of[v]][col]) - {v})
     target_row = row_of[x_prime + 1]
-    return out.with_cell(target_row, col, set(out.rows[target_row][col]) | {x_prime})
+    return _with_cell(out, target_row, col, set(out.rows[target_row][col]) | {x_prime})
 
 
 def reference_phi(diagram, r, s, n):

@@ -18,6 +18,7 @@ from kcrystals.crystal import (
     ik_strings,
     kcrystal_e,
     kcrystal_f,
+    signature,
 )
 from kcrystals.keys import lusztig_star, max_right_key, right_key
 from kcrystals.polynomials import lascoux
@@ -90,6 +91,22 @@ def test_kcrystal_e_examples():
     assert kcrystal_e(T("1 1,2/2 3"), 1) == T("1 1/2 3")
 
 
+OPERATORS = [crystal_e, crystal_f, kcrystal_e, kcrystal_f, signature]
+
+
+@pytest.mark.parametrize("op", OPERATORS, ids=lambda op: op.__name__)
+@pytest.mark.parametrize("i", [-1, 0, 3])
+def test_operators_reject_a_letter_outside_1_to_n_minus_1(op, i):
+    with pytest.raises(ValueError, match="outside 1..2"):
+        op(T("1 1/2 2"), i)
+
+
+@pytest.mark.parametrize("op", OPERATORS, ids=lambda op: op.__name__)
+def test_operators_reject_a_tableau_that_is_not_semistandard(op):
+    with pytest.raises(ValueError, match="not semistandard"):
+        op(T("2 1/1 2"), 1)
+
+
 def test_kcrystal_e_inverts_kcrystal_f_on_a_three_by_three_square():
     # Removing the 4 of the box {2,3,4} pairs column 2 with column 1 and
     # frees the "+" of column 3, where f^K_3 would add the 4 instead.
@@ -121,6 +138,18 @@ def test_raise_map_examples():
     u = superstandard((2, 2), 3)
     assert raised(u, 1) == u
     assert raised(T("1 1/2 2,3"), 2) == T("1 1/2 2")
+
+
+@pytest.mark.parametrize("op,i", [("x", 1), ("raise", 0), ("e", 3), ("fK", -1)])
+def test_table_maps_reject_an_unknown_op_or_a_letter_outside_1_to_n_minus_1(op, i):
+    message = "unknown operator 'x'" if op == "x" else f"letter {i} is outside 1..2"
+    with pytest.raises(ValueError, match=message):
+        crystal_table(3, (2, 2)).map(op, i)
+
+
+def test_ik_strings_reject_a_letter_outside_1_to_n_minus_1():
+    with pytest.raises(ValueError, match="letter 0 is outside 1..2"):
+        ik_strings(3, (2, 2), 0)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import doctest
 
 import pytest
 
+import kcrystals.crystal
 import kcrystals.keys
 import kcrystals.permutations
 import kcrystals.tableaux
@@ -9,7 +10,7 @@ import kcrystals.tableaux
 
 @pytest.mark.parametrize(
     "module",
-    [kcrystals.permutations, kcrystals.keys, kcrystals.tableaux],
+    [kcrystals.permutations, kcrystals.crystal, kcrystals.keys, kcrystals.tableaux],
     ids=lambda m: m.__name__,
 )
 def test_module_doctests(module):

@@ -14,6 +14,7 @@ from itertools import combinations, product
 import pytest
 
 from kcrystals.crystal import (
+    _Codes,
     _pad,
     crystal_e,
     crystal_f,
@@ -120,6 +121,7 @@ def test_k_operators_match_the_reference_on_a_three_by_three_component():
                     component.add(image)
                     frontier.append(image)
     assert len(component) == 336
+    assert _decodes(_Codes(6, (3, 3, 3)), component)
     for t in component:
         for i in range(1, 6):
             assert kcrystal_e(t, i) == reference_kcrystal_e(t, i), (t, i)
@@ -135,13 +137,21 @@ RECTANGLES_AT_5 = [(5, shape) for shape in ((3,), (3, 3), (1, 1, 1), (2, 2, 2), 
 def test_table_maps_match_the_kernel(n, shape):
     table = crystal_table(n, shape)
     assert table.tableaux == enumerate_svt(n, shape)
-    kernel = {"e": crystal_e, "f": crystal_f, "eK": kcrystal_e, "fK": kcrystal_f}
+    # the public operators run the table's kernel, so the maps are checked
+    # against the reference operators
+    kernel = {
+        "e": reference_crystal_e,
+        "f": reference_crystal_f,
+        "eK": reference_kcrystal_e,
+        "fK": reference_kcrystal_f,
+    }
     for i in range(1, n):
         for op, operator in kernel.items():
             images = [None if k < 0 else table.tableaux[k] for k in table.map(op, i)]
             assert images == [operator(t, i) for t in table.tableaux], (op, i)
         raised = [table.tableaux[k] for k in table.map("raise", i)]
         assert raised == [reference_raise_string_max(t, i) for t in table.tableaux], i
+    assert _decodes(table, table.tableaux)
 
 
 @pytest.mark.parametrize("n,shape", CASES + [(11, (2,))], ids=str)
@@ -154,6 +164,9 @@ def test_enumeration_is_in_text_order(n, shape):
 def test_position_round_trips_and_rejects_tableaux_outside(n, shape):
     table = crystal_table(n, shape)
     assert [table.position(t) for t in table.tableaux] == list(range(len(table.tableaux)))
+    # decode inverts the code; RECTANGLES_AT_5 and a (3,3,3) component at
+    # n = 6, too large for the sweeps below, are decoded by the tests above
+    assert _decodes(table, table.tableaux)
     # the same rows at another n, every tableau of another shape with as many
     # boxes (one code can fill two shapes) and every single-valued filling of
     # the shape that is not semistandard
@@ -191,6 +204,11 @@ TABLE_CASES = [(2, (2,)), (3, (2, 1)), (3, (2, 2)), (4, (1, 1, 1)), (4, (2, 2)),
 def _same_object(tableau, expected) -> bool:
     """Equal rows and hash: a trusted tableau is one the constructor would build."""
     return (tableau.rows, hash(tableau)) == (expected.rows, hash(expected))
+
+
+def _decodes(codes, tableaux) -> bool:
+    """decode(encode(t)) is t, in rows and hash, for every t of tableaux."""
+    return all(_same_object(codes.decode(codes._encode(t)), t) for t in tableaux)
 
 
 @pytest.mark.parametrize("n,shape", TABLE_CASES, ids=str)
