@@ -13,18 +13,15 @@ from .crystal import crystal_table
 from .kohnert import closure
 from .polynomials import lascoux, lascoux_atom
 from .skyline import enumerate_skyline
-from .tableaux import enumerate_svt
+from .tableaux import _heights, enumerate_svt
 from .verify import SUITES, Bounds, run_suite
 
 
 def _composition(text: str) -> tuple[int, ...]:
     try:
-        parts = tuple(int(p) for p in text.split(","))
+        return _heights(int(p) for p in text.split(","))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad composition {text!r}") from exc
-    if any(p < 0 for p in parts):
-        raise argparse.ArgumentTypeError("composition parts must be >= 0")
-    return parts
+        raise argparse.ArgumentTypeError(f"bad composition {text!r}: parts must be nonnegative integers") from exc
 
 
 def cmd_lascoux(args) -> int:

@@ -4,19 +4,20 @@ with the derived Demazure-type subsets and characters.
 
 ``crystal_table(n, shape)`` is the one cached crystal on a shape and owns
 all that is derived from it, so ``crystal_table.cache_clear()`` is the
-only reset: the tableaux of ``enumerate_svt(n, shape)`` at positions
-0..N-1 (text order), then, filled on first read, each operator or raise
-map of a letter as an array of positions, each position's weight, excess
-and semistandard flag, the K-Demazure subset of each reduced word and
-the flagged subsets as bitsets (an int whose bit k is position k) and
-what other modules build from it (``derived``).
+only reset (``_codes`` holds only code geometry): the tableaux of
+``enumerate_svt(n, shape)`` at positions 0..N-1 (text order), then, filled
+on first read, each operator or raise map of a letter as an array of
+positions, each position's weight and excess, the K-Demazure subset of
+each reduced word and the flagged subsets as bitsets (an int whose bit k
+is position k) and what other modules build from it (``derived``).
 
 The one implementation of e_i, f_i, e^K_i and f^K_i is a kernel on codes,
 ints that pack a tableau's boxes column by column as entry bitmasks
 (``_Codes``), that yields each image code or None.  A table runs it over
-all its codes through the fills in ``_KERNEL``, the one place a fault can
-be swapped in; ``crystal_e``, ``crystal_f``, ``kcrystal_e`` and
-``kcrystal_f`` run it on one code.  ``tests/oracles.py`` holds the reference.
+its codes through the fills in ``_KERNEL``, the one place a fault can be
+swapped in, whose image lookup is its semistandardness test; ``crystal_e``,
+``crystal_f``, ``kcrystal_e`` and ``kcrystal_f`` run it on one code.
+``tests/oracles.py`` holds the reference.
 
 Signs are computed per column, left to right: a column containing i but
 not i+1 contributes "+", one containing i+1 but not i contributes "-",
@@ -62,6 +63,11 @@ def _pair(signs) -> tuple[list[int], list[int]]:
     return unpaired_plus, pending_minus
 
 
+def _bits(bits: int) -> list[int]:
+    """The positions of the set bits of bits, ascending."""
+    return [k for k, flag in enumerate(bin(bits)[:1:-1]) if flag == "1"]
+
+
 class _Codes:
     """The codes of the tableaux of shape at n: the boxes column by column in
     slots of n + 1 bits, bit v set when the box holds v, one slot per row of
@@ -90,12 +96,12 @@ class _Codes:
 
     def decode(self, code: int) -> SetValuedTableau:
         """The tableau of a code of this shape; inverts _encode."""
-        width, height, entries = self._width, self._height, range(1, self._width)
-        rows = [
-            [tuple(v for v in entries if code >> (c * height + m) * width + v & 1) for c in range(part)]
+        width, height, mask = self._width, self._height, (1 << self._width) - 2
+        rows = tuple(
+            tuple(tuple(_bits(code >> (c * height + m) * width & mask)) for c in range(part))
             for m, part in enumerate(self._parts)
-        ]
-        return SetValuedTableau._trusted(tuple(map(tuple, rows)), self.n)
+        )
+        return SetValuedTableau._trusted(rows, self.n)
 
     def _signs(self, i: int):
         """signature() at letter i as a function of a code.  ORing a code
@@ -177,15 +183,22 @@ def _ek(codes: _Codes, i: int, sources):
         yield None if minus or plus[-1:] != [top // step] else out
 
 
-def _fill(kernel, table: "CrystalTable", i: int) -> array:
-    """The position of each position's image under kernel, -1 where it is
-    undefined; an image code outside the table raises KeyError."""
+def _fill(op: str, kernel, table: "CrystalTable", i: int) -> array:
+    """Each position's image position under kernel, -1 where undefined; an
+    image outside the table is not semistandard: AssertionError naming it."""
     positions = table._positions
-    return array("i", [-1 if code is None else positions[code] for code in kernel(table, i, positions)])
+    try:
+        return array("i", [-1 if code is None else positions[code] for code in kernel(table, i, positions)])
+    except KeyError:
+        images = zip(positions, kernel(table, i, positions))
+        source, image = next((k, u) for k, u in images if u is not None and u not in positions)
+        outside = f"{table.decode(source).to_text()} out of the crystal, to {table.decode(image).to_text()}"
+        raise AssertionError(f"{op.replace('K', '^K')}_{i} sends {outside}") from None
 
 
 # The four fills, each (table, i) -> array; the one place a test swaps in a fault.
-_KERNEL = {op: partial(_fill, kernel) for op, kernel in (("e", _e), ("f", _f), ("eK", _ek), ("fK", _fk))}
+_KERNEL = {op: partial(_fill, op, kernel) for op, kernel in (("e", _e), ("f", _f), ("eK", _ek), ("fK", _fk))}
+_codes = lru_cache(maxsize=None)(_Codes)  # one geometry per (n, shape) for the single-tableau operators
 
 
 def _letter(i, n: int) -> None:
@@ -200,7 +213,7 @@ def _codes_of(tableau: SetValuedTableau, i) -> _Codes:
     _letter(i, tableau.n)
     if not tableau.is_semistandard():
         raise ValueError(f"{tableau.to_text()} is not semistandard")
-    return _Codes(tableau.n, tableau.shape)
+    return _codes(tableau.n, tableau.shape)
 
 
 def _act(kernel, tableau: SetValuedTableau, i) -> SetValuedTableau | None:
@@ -306,14 +319,9 @@ class CrystalTable(_Codes):
         """(weight, excess) of the tableau at each position."""
         return tuple((t.weight(), t.excess()) for t in self.tableaux)
 
-    @cached_property
-    def semistandard(self) -> bytes:
-        """Whether the tableau at each position is semistandard."""
-        return bytes(t.is_semistandard() for t in self.tableaux)
-
     def members(self, bits: int) -> tuple[SetValuedTableau, ...]:
         """The tableaux at the positions in bits, in table order."""
-        return tuple(self.tableaux[k] for k, flag in enumerate(_flags(bits, 0)) if flag == "1")
+        return tuple(self.tableaux[k] for k in _bits(bits))
 
     def demazure_word(self, word: tuple[int, ...]) -> int:
         """The positions whose raise chain along word, first letter first, ends at
@@ -323,8 +331,7 @@ class CrystalTable(_Codes):
                 rest = _flags(self.demazure_word(word[1:]), len(self.tableaux))
                 self._demazure[word] = _from_flags("".join([rest[k] for k in self.map("raise", word[0])]))
             else:
-                u = self._positions.get(self._encode(superstandard(self.shape, self.n)))
-                self._demazure[word] = 0 if u is None else 1 << u
+                self._demazure[word] = 1 << self.position(superstandard(self.shape, self.n))
         return self._demazure[word]
 
     def demazure(self, w: Perm) -> int:
@@ -374,20 +381,10 @@ crystal_table = lru_cache(maxsize=None)(CrystalTable)  # one table per (n, shape
 
 
 def _rectangle_dims(shape: tuple[int, ...]) -> tuple[int, int]:
-    widths = {s for s in shape if s}
-    if len(widths) > 1:
+    parts = [s for s in shape if s]
+    if len(set(parts)) > 1:
         raise ValueError(f"shape {shape!r} is not a rectangle")
-    r = sum(1 for s in shape if s)
-    s = widths.pop() if widths else 0
-    return r, s
-
-
-def _heights(a) -> tuple[int, ...]:
-    """a as a tuple; ValueError unless its parts are nonnegative integers."""
-    a = tuple(a)
-    if any(type(h) is not int or h < 0 for h in a):
-        raise ValueError(f"composition parts must be nonnegative integers, got {a!r}")
-    return a
+    return len(parts), parts[0] if parts else 0
 
 
 def _subset_table(w: Perm, shape: tuple[int, ...], n: int) -> CrystalTable:

@@ -28,9 +28,9 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .crystal import _heights, _rectangle_dims, crystal_table
+from .crystal import _rectangle_dims, crystal_table
 from .polynomials import BetaPolynomial
-from .tableaux import SetValuedTableau
+from .tableaux import SetValuedTableau, _heights
 
 Box = tuple[int, int]
 

@@ -203,9 +203,3 @@ def lehmer_code(w: Perm) -> tuple[int, ...]:
     return tuple(
         sum(1 for j in range(i + 1, n) if w[j] < w[i]) for i in range(n)
     )
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

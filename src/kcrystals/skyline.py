@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .crystal import _heights, _rectangle_dims, _subset_table, atom_subset, crystal_table
+from .crystal import _rectangle_dims, _subset_table, atom_subset, crystal_table
 from .permutations import Perm, _pad, act
 from .polynomials import BetaPolynomial
-from .tableaux import SetValuedTableau
+from .tableaux import SetValuedTableau, _heights
 
 Cell = tuple[int, ...]
 
@@ -97,15 +97,14 @@ class SkylineTableau:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SkylineTableau":
-        """Inverse of :meth:`to_json_dict`; raises ValueError on a
-        malformed form (see :meth:`build`)."""
-        columns = {}
-        for key, cells in data["columns"].items():
-            try:
-                columns[int(key)] = cells
-            except ValueError:
-                raise ValueError(f"column {key!r} is not an integer") from None
-        return cls.build(tuple(data["shape"]), columns)
+        """Inverse of :meth:`to_json_dict`; ValueError, naming the key, on a
+        missing "shape" list or "columns" dict, else as :meth:`build`."""
+        for key, kind in (("shape", list), ("columns", dict)):
+            if not isinstance(data.get(key), kind):
+                raise ValueError(f"skyline has no {key!r} {kind.__name__}")
+        # build names a column key that is not a decimal integer
+        columns = {int(c) if str(c).isdecimal() else c: cells for c, cells in data["columns"].items()}
+        return cls.build(data["shape"], columns)
 
 
 def anchor(cell: Cell) -> int:

@@ -153,16 +153,28 @@ def superstandard(shape, n: int) -> SetValuedTableau:
     return SetValuedTableau(rows, n)
 
 
+def _heights(a) -> tuple[int, ...]:
+    """a as a tuple; ValueError unless its parts are nonnegative integers."""
+    a = tuple(a)
+    if any(type(h) is not int or h < 0 for h in a):
+        raise ValueError(f"composition parts must be nonnegative integers, got {a!r}")
+    return a
+
+
 def _nonempty_subsets(lo: int, hi: int):
     values = range(lo, hi + 1)
     for size in range(1, len(values) + 1):
         yield from combinations(values, size)
 
 
-@lru_cache(maxsize=None)
 def enumerate_svt(n: int, shape: tuple[int, ...]) -> tuple[SetValuedTableau, ...]:
     """All semistandard set-valued tableaux of the given shape with entries
-    at most n, in text order."""
+    at most n, in text order; ValueError unless shape is a partition."""
+    return _enumerate_svt(n, _heights(shape))
+
+
+@lru_cache(maxsize=None)
+def _enumerate_svt(n: int, shape: tuple[int, ...]) -> tuple[SetValuedTableau, ...]:
     shape = tuple(s for s in shape if s)
     if list(shape) != sorted(shape, reverse=True):
         raise ValueError(f"shape must be a partition: {shape!r}")
@@ -207,3 +219,7 @@ def enumerate_svt(n: int, shape: tuple[int, ...]) -> tuple[SetValuedTableau, ...
 
     fill(0)
     return tuple(results)
+
+
+# Parts are checked before the cache lookup; the public name shows the cache.
+enumerate_svt.cache_info, enumerate_svt.cache_clear = _enumerate_svt.cache_info, _enumerate_svt.cache_clear

@@ -374,7 +374,8 @@ def reference_enumerate_skyline(a, n):
 def per_tableau(operator):
     """A crystal._KERNEL entry that fills a table's map with operator(t, i)
     for each tableau t, looked up by tableau, so that a tableau-level fault
-    reaches the table; an image outside the table raises KeyError(image)."""
+    reaches the table.  It bypasses crystal._fill: an image outside the
+    table raises KeyError(image), not _fill's named AssertionError."""
 
     def fill(table, i):
         index = {t: k for k, t in enumerate(table.tableaux)}

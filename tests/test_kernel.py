@@ -215,7 +215,6 @@ def _decodes(codes, tableaux) -> bool:
 def test_table_statistics_match_the_tableaux(n, shape):
     table = crystal_table(n, shape)
     assert list(table.stats) == [(t.weight(), t.excess()) for t in table.tableaux]
-    assert list(table.semistandard) == [t.is_semistandard() for t in table.tableaux]
     for t in table.tableaux:
         assert _same_object(t, SetValuedTableau(t.rows, n)), t
         assert (t.weight(), t.excess()) == (reference_weight(t), reference_excess(t)), t

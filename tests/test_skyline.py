@@ -139,3 +139,18 @@ def test_enumerate_rejects_bad_heights(a):
 def test_json_form_rejects_malformed_columns(data, column):
     with pytest.raises(ValueError, match=column):
         SkylineTableau.from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "data,key",
+    [
+        ({}, "'shape' list"),
+        ({"columns": {}}, "'shape' list"),
+        ({"shape": 2, "columns": {}}, "'shape' list"),
+        ({"shape": [1]}, "'columns' dict"),
+        ({"shape": [1], "columns": []}, "'columns' dict"),
+    ],
+)
+def test_json_form_names_a_missing_key(data, key):
+    with pytest.raises(ValueError, match=key):
+        SkylineTableau.from_json_dict(data)

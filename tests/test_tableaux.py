@@ -55,6 +55,19 @@ def test_from_text_leaves_semistandardness_to_the_checker():
     assert SetValuedTableau.from_text("", 3) == SetValuedTableau((), 3)
 
 
+@pytest.mark.parametrize("shape", [(2, -1), (2.0,), (True,), ("2",), (2, 1.5)], ids=str)
+def test_enumerate_svt_rejects_a_part_that_is_not_a_nonnegative_integer(shape):
+    enumerate_svt(3, (2,))  # a warm cache must not answer for a float or bool part
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        enumerate_svt(3, shape)
+
+
+def test_enumerate_svt_still_reads_zero_parts_and_rejects_a_non_partition():
+    assert enumerate_svt(3, (2, 0)) == enumerate_svt(3, (2,))
+    with pytest.raises(ValueError, match="must be a partition"):
+        enumerate_svt(3, (1, 2))
+
+
 SHAPES = [
     (n, shape)
     for n in (1, 2, 3, 4)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from functools import partial
 
 import pytest
 
@@ -302,6 +303,73 @@ def test_components_witness_under_a_kernel_fault(table_fault):
     assert hashlib.sha256(dump.encode()).hexdigest() == (
         "f2c1daffc7f68a2842635bbf7e167f233e7856871158fde8dd02c1f185a3d620"
     )
+
+
+# -- faults that leave the crystal ------------------------------------------------
+# The table holds exactly the semistandard tableaux, so an operator image that
+# is not in it is not semistandard, and crystal._fill fails the case with an
+# AssertionError that names the operator, the source and the image.  The
+# kernel faults below run through the real _fill, not per_tableau.  Each fault
+# runs every case of one suite at --max-n 3 from empty tables; the counts,
+# first witnesses and SHA-256 of every failing (case, witness) pair were read
+# off the checks when table membership became the one semistandardness test.
+
+
+def _f_at_leftmost_plus(codes, i, sources):
+    """f_i trading i for i+1 in the box of the leftmost unpaired "+", never
+    taking the i of the box to its right."""
+    signs, column = codes._signs(i), codes._column
+    for code in sources:
+        plus, _ = signs(code)
+        yield code + ((code >> i & column[plus[0]]) << i) if plus else None
+
+
+def _fk_at_leftmost_plus(codes, i, sources):
+    """f^K_i adding i+1 to the box of the leftmost unpaired "+" of an
+    i-highest code, whatever the boxes right of it hold."""
+    signs, column = codes._signs(i), codes._column
+    for code in sources:
+        plus, minus = signs(code)
+        yield None if minus or not plus else code | (code >> i & column[plus[0]]) << (i + 1)
+
+
+def _svt_with_2_1_for_1_2(n, shape):
+    """enumerate_svt with the filling 2 1, not semistandard, in place of 1 2."""
+    swap = {SetValuedTableau.from_text("1 2", n): SetValuedTableau.from_text("2 1", n)}
+    return tuple(swap.get(t, t) for t in enumerate_svt(n, shape))
+
+
+MEMBERSHIP_FAULTS = {
+    "f trades i for i+1 at the leftmost unpaired +": (
+        lambda mp: mp.setitem(crystal._KERNEL, "f", partial(crystal._fill, "f", _f_at_leftmost_plus)),
+        "crystal-axioms",
+        (50, "exception: AssertionError('f_1 sends 1 1 out of the crystal, to 2 1')"),
+        "a3b91c2ba9ef4e8405dd579e3cf4b85c58d96e2efbf4c63fa5ecb285fabf18cc",
+    ),
+    "fK adds i+1 at the leftmost unpaired +": (
+        lambda mp: mp.setitem(crystal._KERNEL, "fK", partial(crystal._fill, "fK", _fk_at_leftmost_plus)),
+        "k-crystal-axioms",
+        (16, "exception: AssertionError('f^K_1 sends 1 1 out of the crystal, to 1,2 1')"),
+        "6daaec3eec5ae89978d3c6147eca18427dc387765cbd5a93d98765e550e6d7bd",
+    ),
+    "enumerate_svt emits 2 1 for 1 2": (
+        lambda mp: mp.setattr(crystal, "enumerate_svt", _svt_with_2_1_for_1_2),
+        "crystal-axioms",
+        (4, "exception: AssertionError('e_1 sends 2 2 out of the crystal, to 1 2')"),
+        "5e4e329d08533043d4202cf5ae9989e5f608b41067664e7971401dd1ef30735f",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", MEMBERSHIP_FAULTS)
+def test_an_image_outside_the_crystal_is_a_named_witness(table_fault, fault):
+    inject, suite, expected, digest = MEMBERSHIP_FAULTS[fault]
+    inject(table_fault)
+    results = [run_case(suite, case) for case in iter_cases(suite, Bounds(max_n=3))]
+    failures = [(r.case, r.witness) for r in results if r.status == "fail"]
+    assert (len(failures), failures[0][1]) == expected
+    dump = json.dumps(failures, sort_keys=True)
+    assert hashlib.sha256(dump.encode()).hexdigest() == digest
 
 
 def test_clearing_the_tables_rebuilds_every_derived_structure(table_fault):
