@@ -1,0 +1,22 @@
+"""Run one verification suite into a file and fail when its peak RSS is
+over budget, so that no memo trades unbounded memory for time.
+
+    python .github/peak_rss.py SUITE MAX_N BUDGET_MB OUT
+
+writes the `kcrystals verify SUITE --max-n MAX_N --format json` stream to
+OUT and exits nonzero when the suite fails or when the ru_maxrss of its
+process exceeds BUDGET_MB.
+"""
+
+import resource
+import subprocess
+import sys
+
+suite, max_n, budget, out = sys.argv[1:]
+argv = [sys.executable, "-m", "kcrystals.cli", "verify", suite, "--max-n", max_n, "--format", "json"]
+with open(out, "w") as stream:
+    subprocess.run(argv, stdout=stream, check=True)
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(f"{suite}: peak RSS {peak:.0f} MB")
+if peak > float(budget):
+    sys.exit(f"{suite}: peak RSS {peak:.0f} MB exceeds the {budget} MB budget")

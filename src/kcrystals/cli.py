@@ -13,7 +13,7 @@ from .crystal import crystal_table
 from .kohnert import closure
 from .polynomials import lascoux, lascoux_atom
 from .skyline import enumerate_skyline
-from .tableaux import _heights, enumerate_svt
+from .tableaux import _heights, _partition, enumerate_svt
 from .verify import SUITES, Bounds, run_suite
 
 
@@ -74,7 +74,7 @@ def cmd_graph(args) -> int:
     if args.n < 1:
         print("error: graph needs --n >= 1", file=sys.stderr)
         return 2
-    table = crystal_table(args.n, args.shape)
+    table = crystal_table(args.n, _partition(args.shape))
     lines = ["digraph crystal {", "  rankdir=TB;"]
     for t in table.tableaux:
         lines.append(f'  "{t.to_text()}";')
@@ -95,13 +95,8 @@ def cmd_graph(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    bounds = Bounds(
-        max_n=args.max_n,
-        max_side=args.max_side,
-        max_cells=args.max_cells,
-        shape=args.shape,
-        n=args.n,
-    )
+    shape = None if args.shape is None else _partition(args.shape)
+    bounds = Bounds(args.max_n, args.max_side, args.max_cells, shape, args.n)
     failures = 0
     for result in run_suite(args.suite, bounds, args.jobs):
         line = (

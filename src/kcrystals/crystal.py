@@ -2,14 +2,16 @@
 Crystal and K-crystal operators on semistandard set-valued tableaux,
 with the derived Demazure-type subsets and characters.
 
-``crystal_table(n, shape)`` is the one cached crystal on a shape and owns
-all that is derived from it, so ``crystal_table.cache_clear()`` is the
-only reset (``_codes`` holds only code geometry): the tableaux of
-``enumerate_svt(n, shape)`` at positions 0..N-1 (text order), then, filled
-on first read, each operator or raise map of a letter as an array of
-positions, each position's weight and excess, the K-Demazure subset of
-each reduced word and the flagged subsets as bitsets (an int whose bit k
-is position k) and what other modules build from it (``derived``).
+``crystal_table(n, shape)`` is the one cached crystal on a shape, keyed by
+the partition without zeros that each entry point makes with
+``tableaux._partition``, and owns all that is derived from it, so
+``crystal_table.cache_clear()`` is the only reset (``_codes`` holds only
+code geometry): the tableaux of ``enumerate_svt(n, shape)`` at positions
+0..N-1 (text order), then, filled on first read, each operator or raise
+map of a letter as an array of positions, each position's weight and
+excess, the K-Demazure subset of each reduced word and the flagged subsets
+as bitsets (an int whose bit k is position k) and what other modules build
+from it (``derived``).
 
 The one implementation of e_i, f_i, e^K_i and f^K_i is a kernel on codes,
 ints that pack a tableau's boxes column by column as entry bitmasks
@@ -35,6 +37,7 @@ from functools import cached_property, lru_cache, partial
 from .permutations import (
     Perm,
     _pad,
+    _permutation,
     bruhat_ideal,
     coset_reps,
     evaluate_word,
@@ -44,7 +47,7 @@ from .permutations import (
     stabilizer_min_rep,
 )
 from .polynomials import BetaPolynomial
-from .tableaux import SetValuedTableau, enumerate_svt, superstandard
+from .tableaux import SetValuedTableau, _partition, enumerate_svt, superstandard
 
 
 def _pair(signs) -> tuple[list[int], list[int]]:
@@ -75,11 +78,10 @@ class _Codes:
 
     def __init__(self, n: int, shape: tuple[int, ...]):
         self.n, self.shape = n, shape
-        self._parts = tuple(p for p in shape if p)
-        width, height = n + 1, len(self._parts)
+        width, height = n + 1, len(shape)
         self._width, self._height, self._step = width, height, width * height
         # bit 0 of each slot of column c, and of each slot of the columns >= c
-        columns = self._parts[0] if self._parts else 0
+        columns = shape[0] if shape else 0
         self._column = [sum(1 << (c * height + m) * width for m in range(height)) for c in range(columns)]
         self._right_of = [sum(self._column[c:]) for c in range(columns + 1)]
 
@@ -99,7 +101,7 @@ class _Codes:
         width, height, mask = self._width, self._height, (1 << self._width) - 2
         rows = tuple(
             tuple(tuple(_bits(code >> (c * height + m) * width & mask)) for c in range(part))
-            for m, part in enumerate(self._parts)
+            for m, part in enumerate(self.shape)
         )
         return SetValuedTableau._trusted(rows, self.n)
 
@@ -275,6 +277,8 @@ class CrystalTable(_Codes):
     position k, keyed by its code; all else is filled on first read."""
 
     def __init__(self, n: int, shape: tuple[int, ...]):
+        if shape != _partition(shape):  # one table per partition: its key has no zeros
+            raise ValueError(f"a crystal table is keyed by a partition without zeros, got {shape!r}")
         super().__init__(n, shape)
         self.tableaux = enumerate_svt(n, shape)
         self._positions = {self._encode(t): k for k, t in enumerate(self.tableaux)}
@@ -285,7 +289,7 @@ class CrystalTable(_Codes):
     def position(self, tableau: SetValuedTableau) -> int:
         """The position of tableau, looked up by its code; ValueError if it
         is not in this crystal."""
-        if tableau.n == self.n and tableau.shape == self._parts:
+        if tableau.n == self.n and tableau.shape == self.shape:
             k = self._positions.get(self._encode(tableau))
             if k is not None:
                 return k
@@ -356,7 +360,7 @@ class CrystalTable(_Codes):
         # at_most[b] translates a byte v to "1" when v <= b and to "0" otherwise
         at_most = [bytes(b"01"[v <= b] for v in range(256)) for b in range(self.n + 1)]
         bounds = []
-        for m in range(len(self._parts)):
+        for m in range(len(self.shape)):
             last = bytes(t.rows[m][-1][-1] for t in self.tableaux)
             bounds.append([_from_flags(last.translate(flags)) for flags in at_most])
         return bounds
@@ -390,10 +394,10 @@ def _rectangle_dims(shape: tuple[int, ...]) -> tuple[int, int]:
 def _subset_table(w: Perm, shape: tuple[int, ...], n: int) -> CrystalTable:
     """crystal_table(n, shape) for a subset reader; ValueError unless shape
     is a rectangle and w a permutation of 1..n."""
+    shape = _partition(shape)
     _rectangle_dims(shape)
-    if len(w) != n or set(w) != set(range(1, n + 1)):
-        raise ValueError(f"w={w!r} is not a permutation of 1..{n}")
-    return crystal_table(n, tuple(shape))
+    _permutation(w, n)
+    return crystal_table(n, shape)
 
 
 def demazure_subset(w: Perm, shape: tuple[int, ...], n: int, word=None) -> tuple[SetValuedTableau, ...]:
@@ -402,7 +406,7 @@ def demazure_subset(w: Perm, shape: tuple[int, ...], n: int, word=None) -> tuple
     unless word (by default the canonical one) is a reduced word of w's
     minimal coset representative."""
     table = _subset_table(w, shape, n)
-    rep = stabilizer_min_rep(w, shape)
+    rep = stabilizer_min_rep(w, table.shape)
     word = reduced_word(rep) if word is None else tuple(word)
     letters = all(isinstance(i, int) and 0 < i < n for i in word)
     if not letters or len(word) != length(rep) or evaluate_word(word, n) != rep:
@@ -431,7 +435,7 @@ def beta_character(tableaux, n: int) -> BetaPolynomial:
 def decompose(n: int, shape) -> list[tuple[SetValuedTableau, tuple[SetValuedTableau, ...]]]:
     """Connected components under e_i/f_i only, each with its unique
     highest weight element, sorted by the highest weight's text form."""
-    table = crystal_table(n, tuple(shape))
+    table = crystal_table(n, _partition(shape))
     tableaux = table.tableaux
     ups = [table.map("e", i) for i in range(1, n)]
     edges = ups + [table.map("f", i) for i in range(1, n)]
@@ -458,7 +462,7 @@ def ik_strings(n: int, shape, i: int) -> list[tuple[tuple[int, ...], tuple[int, 
     """Partition of the positions of crystal_table(n, shape) into
     i-K-strings, each (top, bottom): the f_i chain from its top element
     and the f_i chain from the top's f_i^K image, one step shorter."""
-    table = crystal_table(n, tuple(shape))
+    table = crystal_table(n, _partition(shape))
     e, ek, f, fk = (table.map(op, i) for op in ("e", "eK", "f", "fK"))
 
     def f_chain(k: int):

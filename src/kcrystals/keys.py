@@ -16,7 +16,7 @@ from array import array
 from .crystal import CrystalTable, _flags, _from_flags, _rectangle_dims, beta_character, crystal_table
 from .permutations import _pad, act, bruhat_leq, coset_reps
 from .polynomials import lascoux, lascoux_atom
-from .tableaux import SetValuedTableau
+from .tableaux import SetValuedTableau, _partition
 
 
 def is_key_tableau(tableau: SetValuedTableau) -> bool:
@@ -186,7 +186,7 @@ def _key_maps(table: CrystalTable) -> dict[str, tuple[SetValuedTableau, ...]]:
     right, stars = table.derived(_right_keys), table.derived(_stars)
     least = [table.position(min_tableau(t)) for t in table.tableaux]
     maps = {"calK": table.derived(_max_right_keys), "K-naive": tuple(right[stars[least[k]]] for k in stars)}
-    if len({p for p in table.shape if p}) <= 1:
+    if len(set(table.shape)) <= 1:
         maps["K-rect"] = tuple(right[stars[least[k]]] for k in table.derived(_rotations))
     return maps
 
@@ -196,7 +196,7 @@ def key_partition_report(shape, n: int) -> list[dict]:
     compare the character of {T : key(T) <= K_{w lam}} with the Lascoux
     polynomial of w·lam, and of {T : key(T) = K_{w lam}} with the atom.
     Failures are rows with match=False, never exceptions."""
-    shape = tuple(shape)
+    shape = _partition(shape)
     lam = _pad(shape, n)
     table = crystal_table(n, shape)
     rows = []

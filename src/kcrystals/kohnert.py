@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .crystal import _rectangle_dims, crystal_table
-from .polynomials import BetaPolynomial
-from .tableaux import SetValuedTableau, _heights
+from .tableaux import SetValuedTableau, _from_columns, _heights
 
 Box = tuple[int, int]
 
@@ -56,12 +55,6 @@ class KKohnertDiagram:
                 raise ValueError(f"box in column {x} exceeds n={n}")
             counts[x - 1] += 1
         return tuple(counts)
-
-    def weight_monomial(self, n: int) -> BetaPolynomial:
-        """b^(#marked) times x^(column box counts)."""
-        return BetaPolynomial.monomial(
-            n, self.column_heights(n), beta=len(self.marked)
-        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -269,12 +262,7 @@ def phi(diagram: KKohnertDiagram, r: int, s: int, n: int) -> SetValuedTableau:
                 raise ValueError(f"marked box {(x, y)} has no unmarked box to its left")
             cells[below - 1].append(x)
         columns.append([tuple(cell) for cell in cells])
-    columns.reverse()
-    rows = tuple(tuple(column[row_idx] for column in columns) for row_idx in range(r))
-    tableau = SetValuedTableau._trusted(rows, n)
-    if not tableau.is_semistandard():
-        raise ValueError(f"diagram does not map to a semistandard tableau: {tableau!r}")
-    return tableau
+    return _from_columns(columns, n)
 
 
 def phi_inverse(tableau: SetValuedTableau) -> KKohnertDiagram:

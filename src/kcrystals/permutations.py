@@ -28,6 +28,14 @@ Perm = tuple[int, ...]
 REDUCED_WORDS_MAX_N = 7
 
 
+def _permutation(w, n: int) -> Perm:
+    """w as a tuple; ValueError unless it is a permutation of 1..n."""
+    w = tuple(w)
+    if len(w) != n or set(w) != set(range(1, n + 1)):
+        raise ValueError(f"w={w!r} is not a permutation of 1..{n}")
+    return w
+
+
 def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
 
@@ -160,11 +168,12 @@ def sorting_permutation(a) -> tuple[tuple[int, ...], Perm]:
 
 def stabilizer_min_rep(w: Perm, lam) -> Perm:
     """Minimal-length representative of w·Stab(λ), λ padded to the rank of
-    w: the sorting permutation of w·λ.
+    w: the sorting permutation of w·λ; ValueError unless w is a permutation.
 
     >>> stabilizer_min_rep((3, 2, 1), (2, 2))
     (2, 3, 1)
     """
+    w = _permutation(w, len(w))
     return sorting_permutation(act(w, _dominant(lam, len(w))))[1]
 
 

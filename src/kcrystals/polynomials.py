@@ -16,6 +16,7 @@ import re
 from .permutations import (
     Perm,
     _pad,
+    _permutation,
     compose,
     length,
     longest_element,
@@ -345,9 +346,7 @@ def grothendieck(w: Perm, n: int) -> BetaPolynomial:
     Computed by walking a reduced word of w0·w down from the staircase
     monomial with the deformed divided differences.
     """
-    if len(w) != n or set(w) != set(range(1, n + 1)):
-        raise ValueError(f"w={w!r} is not a permutation of 1..{n}")
-    chain = compose(longest_element(n), w)
+    chain = compose(longest_element(n), _permutation(w, n))
     word = reduced_word(chain)
     if len(word) != length(chain):
         raise AssertionError(f"reduced_word returned {word!r} for {chain!r}")

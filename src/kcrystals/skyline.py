@@ -22,8 +22,7 @@ from itertools import combinations
 
 from .crystal import _rectangle_dims, _subset_table, atom_subset, crystal_table
 from .permutations import Perm, _pad, act
-from .polynomials import BetaPolynomial
-from .tableaux import SetValuedTableau, _heights
+from .tableaux import SetValuedTableau, _from_columns, _heights
 
 Cell = tuple[int, ...]
 
@@ -81,9 +80,6 @@ class SkylineTableau:
     def excess(self) -> int:
         return sum(len(cell) - 1 for _, cells in self.columns for cell in cells)
 
-    def weight_monomial(self, n: int) -> BetaPolynomial:
-        return BetaPolynomial.monomial(n, self.weight(n), beta=self.excess())
-
     def sort_key(self):
         return self.columns
 
@@ -138,7 +134,7 @@ def _compatible(pcells: tuple[Cell, ...], qcells: tuple[Cell, ...]) -> bool:
     return True
 
 
-def validate_skyline(skyline: SkylineTableau, n: int | None = None) -> bool:
+def validate_skyline(skyline: SkylineTableau, n: int) -> bool:
     for c, cells in skyline.columns:
         # bottom anchors name their column; cells hold distinct entries;
         # columns weakly decrease upward
@@ -149,7 +145,7 @@ def validate_skyline(skyline: SkylineTableau, n: int | None = None) -> bool:
         for level in range(1, len(cells)):
             if min(cells[level - 1]) < max(cells[level]):
                 return False
-        if n is not None and any(v > n or v < 1 for cell in cells for v in cell):
+        if any(v > n or v < 1 for cell in cells for v in cell):
             return False
     return all(
         _compatible(pcells, qcells)
@@ -253,12 +249,7 @@ def _psi(skyline: SkylineTableau, n: int) -> SetValuedTableau:
             else:
                 raise ValueError(f"free entry {v} fits under no anchor")
         columns.append(tuple((*cell, a) for cell, a in zip(below, anchors)))
-    columns.reverse()
-    rows = tuple(tuple(column[row_idx] for column in columns) for row_idx in range(r))
-    tableau = SetValuedTableau._trusted(rows, n)
-    if not tableau.is_semistandard():
-        raise ValueError(f"image is not semistandard: {tableau!r}")
-    return tableau
+    return _from_columns(columns, n)
 
 
 class PsiTable:

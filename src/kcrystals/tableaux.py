@@ -149,7 +149,7 @@ class SetValuedTableau:
 def superstandard(shape, n: int) -> SetValuedTableau:
     """The tableau with every box of row m equal to {m}; the minimal
     highest weight element of its shape."""
-    rows = [[(m,)] * width for m, width in enumerate(shape, start=1) if width]
+    rows = [[(m,)] * width for m, width in enumerate(_partition(shape), start=1)]
     return SetValuedTableau(rows, n)
 
 
@@ -161,6 +161,23 @@ def _heights(a) -> tuple[int, ...]:
     return a
 
 
+def _partition(shape) -> tuple[int, ...]:
+    """shape without its zeros, the one key of a shape; ValueError unless its
+    parts are nonnegative integers, weakly decreasing."""
+    parts = _heights(shape)
+    if list(parts) != sorted(parts, reverse=True):
+        raise ValueError(f"shape must be a partition: {parts!r}")
+    return tuple(p for p in parts if p)
+
+
+def _from_columns(columns, n: int) -> SetValuedTableau:
+    """The tableau with these columns of cells, listed right to left; ValueError unless semistandard."""
+    tableau = SetValuedTableau._trusted(tuple(zip(*reversed(columns))), n)
+    if not tableau.is_semistandard():
+        raise ValueError(f"{tableau.to_text()} is not semistandard")
+    return tableau
+
+
 def _nonempty_subsets(lo: int, hi: int):
     values = range(lo, hi + 1)
     for size in range(1, len(values) + 1):
@@ -170,16 +187,11 @@ def _nonempty_subsets(lo: int, hi: int):
 def enumerate_svt(n: int, shape: tuple[int, ...]) -> tuple[SetValuedTableau, ...]:
     """All semistandard set-valued tableaux of the given shape with entries
     at most n, in text order; ValueError unless shape is a partition."""
-    return _enumerate_svt(n, _heights(shape))
+    return _enumerate_svt(n, _partition(shape))
 
 
 @lru_cache(maxsize=None)
 def _enumerate_svt(n: int, shape: tuple[int, ...]) -> tuple[SetValuedTableau, ...]:
-    shape = tuple(s for s in shape if s)
-    if list(shape) != sorted(shape, reverse=True):
-        raise ValueError(f"shape must be a partition: {shape!r}")
-    if not shape:
-        return (SetValuedTableau((), n),)
     if len(shape) > n:
         return ()
 
@@ -221,5 +233,5 @@ def _enumerate_svt(n: int, shape: tuple[int, ...]) -> tuple[SetValuedTableau, ..
     return tuple(results)
 
 
-# Parts are checked before the cache lookup; the public name shows the cache.
+# The shape is keyed before the cache lookup; the public name shows the cache.
 enumerate_svt.cache_info, enumerate_svt.cache_clear = _enumerate_svt.cache_info, _enumerate_svt.cache_clear

@@ -242,6 +242,25 @@ def test_library_errors_exit_with_status_2(capsys):
         assert captured.err.startswith("error: ") and message in captured.err
 
 
+def test_a_shape_that_is_not_a_partition_exits_with_status_2(capsys):
+    for argv, shape in (
+        (["graph", "--shape", "0,2", "--n", "2"], "(0, 2)"),
+        (["enumerate", "svt", "--shape", "2,0,1", "--n", "3"], "(2, 0, 1)"),
+        (["verify", "conjecture-scan", "--shape", "1,2"], "(1, 2)"),
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: shape must be a partition: {shape}\n"
+
+
+def test_verify_drops_the_trailing_zeros_of_a_shape(capsys):
+    argv = ("verify", "conjecture-scan", "--n", "3", "--format", "json")
+    code, out = run(capsys, *argv, "--shape", "2,2,0")
+    assert code == 0 and '"shape": [2, 2]' in out
+    assert run(capsys, *argv, "--shape", "2,2") == (0, out)
+
+
 def test_enumerate_count_is_the_number_of_lines(capsys):
     for argv in (
         ["svt", "--shape", "2,1", "--n", "3"],

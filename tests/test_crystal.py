@@ -20,7 +20,7 @@ from kcrystals.crystal import (
     kcrystal_f,
     signature,
 )
-from kcrystals.keys import lusztig_star, max_right_key, right_key
+from kcrystals.keys import key_partition_report, lusztig_star, max_right_key, right_key
 from kcrystals.polynomials import lascoux
 from kcrystals.tableaux import SetValuedTableau, enumerate_svt, superstandard
 from oracles import enumerate_ssyt
@@ -309,3 +309,42 @@ def test_partial_inverse_laws(t, i):
         assert kcrystal_e(drop, i) == t
         assert kcrystal_f(drop, i) is None
         assert drop.is_semistandard()
+
+
+# Every entry point that takes a shape keys it with tableaux._partition before
+# it reads a cache: a shape that is not a partition is rejected, and trailing
+# zeros are dropped, so one crystal table serves (2, 2) and (2, 2, 0).
+SHAPE_READERS = {
+    "enumerate_svt": lambda shape, n: enumerate_svt(n, shape),
+    "superstandard": lambda shape, n: superstandard(shape, n),
+    "demazure_subset": lambda shape, n: demazure_subset(tuple(range(n, 0, -1)), shape, n),
+    "flagged_set": lambda shape, n: flagged_set(tuple(range(n, 0, -1)), shape, n),
+    "atom_subset": lambda shape, n: atom_subset(tuple(range(n, 0, -1)), shape, n),
+    "decompose": lambda shape, n: decompose(n, shape),
+    "ik_strings": lambda shape, n: ik_strings(n, shape, 1),
+    "key_partition_report": lambda shape, n: key_partition_report(shape, n),
+}
+
+
+@pytest.mark.parametrize("reader", SHAPE_READERS)
+@pytest.mark.parametrize("shape", [(0, 2), (2, 0, 2), (1, 2)], ids=str)
+def test_every_shape_reader_rejects_a_shape_that_is_not_a_partition(reader, shape):
+    SHAPE_READERS[reader]((2, 2), 3)  # a warm cache must not answer for it
+    with pytest.raises(ValueError, match=re.escape(f"shape must be a partition: {shape!r}")):
+        SHAPE_READERS[reader](shape, 3)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 0), (2, 2, 0, 0, 0)], ids=str)
+def test_trailing_zeros_read_the_table_of_the_partition(shape):
+    crystal_table.cache_clear()
+    assert enumerate_svt(4, shape) is enumerate_svt(4, (2, 2))
+    for name, read in SHAPE_READERS.items():
+        assert read(shape, 4) == read((2, 2), 4), name
+    assert crystal_table.cache_info().currsize == 1
+
+
+def test_a_crystal_table_is_keyed_by_a_partition_without_zeros():
+    with pytest.raises(ValueError, match=re.escape("without zeros, got (2, 2, 0)")):
+        crystal_table(4, (2, 2, 0))
+    with pytest.raises(ValueError, match="must be a partition"):
+        crystal_table(4, (1, 2))

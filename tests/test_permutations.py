@@ -1,3 +1,4 @@
+import re
 from itertools import permutations as all_perms
 from itertools import product
 
@@ -135,6 +136,20 @@ def test_a_lam_longer_than_n_is_rejected(call, args):
 )
 def test_a_lam_that_is_not_weakly_decreasing_is_rejected(call, args):
     with pytest.raises(ValueError, match="not weakly decreasing"):
+        call(*args)
+
+
+@pytest.mark.parametrize(
+    "call,args,n",
+    [
+        (stabilizer_min_rep, ((1, 1, 2), (1,)), 3),
+        (stabilizer_min_rep, ((0, 5), (1,)), 2),
+        (flag_vector, ((2, 2, 3), 3, 1), 3),
+    ],
+    ids=["repeated value", "values outside 1..n", "flag_vector"],
+)
+def test_a_w_that_is_not_a_permutation_is_rejected(call, args, n):
+    with pytest.raises(ValueError, match=re.escape(f"w={args[0]!r} is not a permutation of 1..{n}")):
         call(*args)
 
 

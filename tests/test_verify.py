@@ -372,6 +372,71 @@ def test_an_image_outside_the_crystal_is_a_named_witness(table_fault, fault):
     assert hashlib.sha256(dump.encode()).hexdigest() == digest
 
 
+# -- faults that reach the components and rotation witnesses ------------------
+# Each fault runs every case of one check at --max-n 3 from empty tables and
+# must reach the witness it is named for; the failure count, first witness
+# and SHA-256 of every failing (case, witness) pair were read off the checks
+# when each shape entry point first keyed its shape by the partition.
+
+
+def _excess_of_the_first_row(table):
+    """CrystalTable.stats with each excess counted in the first row only."""
+    return tuple((t.weight(), sum(len(cell) - 1 for cell in t.rows[0])) for t in table.tableaux)
+
+
+def _rotations_with_a_swap(table):
+    """keys._rotations with the images of j < k swapped, the first two
+    positions of one weight where j's image is neither j nor k."""
+    rotations, first = keys._rotations(table), {}
+    for k, (weight, _) in enumerate(table.stats):
+        j = first.setdefault(weight, k)
+        if j != k and rotations[j] not in (j, k):
+            rotations[j], rotations[k] = rotations[k], rotations[j]
+            break
+    return rotations
+
+
+WITNESS_FAULTS = {
+    "e never acts": (
+        lambda mp: mp.setitem(crystal._KERNEL, "e", per_tableau(lambda t, i: None)),
+        ("crystal-axioms", "components"),
+        "component without unique highest weight",
+        (
+            32,
+            'exception: AssertionError("component without unique highest weight: '
+            "[SetValuedTableau('1', n=2), SetValuedTableau('2', n=2)]\")",
+        ),
+        "3c5315dd4c88f78f54e7a938f8f9f182ea6267b5196492df121021edc3ee4a99",
+    ),
+    "stats count the excess of the first row only": (
+        lambda mp: mp.setattr(crystal.CrystalTable, "stats", property(_excess_of_the_first_row)),
+        ("crystal-axioms", "components"),
+        "not the single-valued one",
+        (11, "component of the minimal highest weight element is not the single-valued one"),
+        "e8ff837267bbc5923f97b5bd4ba6519b493952136a336add2d02ec57dfc06f02",
+    ),
+    "rotations swap two positions of one weight": (
+        lambda mp: mp.setattr(verify, "_rotations", _rotations_with_a_swap),
+        ("keys-rectangle", "star-axioms"),
+        "rotation involution does not square to id",
+        (3, "e_2(T°) != (f_1T)° at 1 1 1,3"),
+        "0786798232cdc156f3b17bf27cd08da710522e7b53da6fc84baa999779adfa91",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", WITNESS_FAULTS)
+def test_a_fault_reaches_the_witness_it_is_named_for(table_fault, fault):
+    inject, (suite, check), reached, expected, digest = WITNESS_FAULTS[fault]
+    inject(table_fault)
+    cases = [case for case in iter_cases(suite, Bounds(max_n=3)) if case["check"] == check]
+    failures = [(r.case, r.witness) for r in (run_case(suite, case) for case in cases) if r.status == "fail"]
+    assert (len(failures), failures[0][1]) == expected
+    assert any(reached in witness for _, witness in failures)
+    dump = json.dumps(failures, sort_keys=True)
+    assert hashlib.sha256(dump.encode()).hexdigest() == digest
+
+
 def test_clearing_the_tables_rebuilds_every_derived_structure(table_fault):
     """Each reader, read once, reads the faults set afterwards when only
     crystal_table's cache is cleared: nothing derived from a crystal
