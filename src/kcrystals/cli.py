@@ -95,8 +95,7 @@ def cmd_graph(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    shape = None if args.shape is None else _partition(args.shape)
-    bounds = Bounds(args.max_n, args.max_side, args.max_cells, shape, args.n)
+    bounds = Bounds(args.max_n, args.max_side, args.max_cells, args.shape, args.n)
     failures = 0
     for result in run_suite(args.suite, bounds, args.jobs):
         line = (

@@ -2,23 +2,24 @@
 Crystal and K-crystal operators on semistandard set-valued tableaux,
 with the derived Demazure-type subsets and characters.
 
-``crystal_table(n, shape)`` is the one cached crystal on a shape, keyed by
-the partition without zeros that each entry point makes with
+``crystal_table(n, shape)`` is the one cached crystal on a shape, keyed by the
+partition without zeros that each entry point makes with
 ``tableaux._partition``, and owns all that is derived from it, so
-``crystal_table.cache_clear()`` is the only reset (``_codes`` holds only
-code geometry): the tableaux of ``enumerate_svt(n, shape)`` at positions
-0..N-1 (text order), then, filled on first read, each operator or raise
-map of a letter as an array of positions, each position's weight and
-excess, the K-Demazure subset of each reduced word and the flagged subsets
-as bitsets (an int whose bit k is position k) and what other modules build
-from it (``derived``).
+``crystal_table.cache_clear()`` is the only reset (``_codes`` holds only code
+geometry): the tableaux of ``enumerate_svt(n, shape)`` at positions 0..N-1
+(text order) and their codes, then, filled on first read, each operator or
+raise map of a letter as an array of positions, each position's weight and
+excess, the K-Demazure subset of each reduced word and the flagged subsets as
+bitsets (an int whose bit k is position k) and what other modules build from it
+(``derived``).
 
 The one implementation of e_i, f_i, e^K_i and f^K_i is a kernel on codes,
 ints that pack a tableau's boxes column by column as entry bitmasks
 (``_Codes``), that yields each image code or None.  A table runs it over
 its codes through the fills in ``_KERNEL``, the one place a fault can be
-swapped in, whose image lookup is its semistandardness test; ``crystal_e``,
-``crystal_f``, ``kcrystal_e`` and ``kcrystal_f`` run it on one code.
+swapped in, whose image lookup is its semistandardness test, as
+``CrystalTable.image`` is for phi and psi; ``crystal_e``, ``crystal_f``,
+``kcrystal_e`` and ``kcrystal_f`` run it on one code.
 ``tests/oracles.py`` holds the reference.
 
 Signs are computed per column, left to right: a column containing i but
@@ -209,24 +210,32 @@ def _letter(i, n: int) -> None:
         raise ValueError(f"letter {i!r} is outside 1..{n - 1}")
 
 
-def _codes_of(tableau: SetValuedTableau, i) -> _Codes:
-    """The codes of tableau's shape; ValueError unless i is a letter and the
-    tableau semistandard, the only codes the kernel is defined on."""
-    _letter(i, tableau.n)
+def _codes_of(tableau: SetValuedTableau) -> _Codes:
+    """The codes of tableau's shape; ValueError unless the tableau is
+    semistandard, the only codes the kernels are defined on."""
     if not tableau.is_semistandard():
         raise ValueError(f"{tableau.to_text()} is not semistandard")
     return _codes(tableau.n, tableau.shape)
 
 
+def _semistandard(codes: _Codes, code: int) -> SetValuedTableau:
+    """The tableau of code, for callers without a table; ValueError unless semistandard."""
+    tableau = codes.decode(code)
+    _codes_of(tableau)
+    return tableau
+
+
 def _act(kernel, tableau: SetValuedTableau, i) -> SetValuedTableau | None:
-    codes = _codes_of(tableau, i)
+    _letter(i, tableau.n)
+    codes = _codes_of(tableau)
     (image,) = kernel(codes, i, (codes._encode(tableau),))
     return None if image is None else codes.decode(image)
 
 
 def signature(tableau: SetValuedTableau, i: int) -> tuple[list[int], list[int]]:
     """The unpaired "+" and "-" columns, each left to right; ValueError as for crystal_f."""
-    codes = _codes_of(tableau, i)
+    _letter(i, tableau.n)
+    codes = _codes_of(tableau)
     return codes._signs(i)(codes._encode(tableau))
 
 
@@ -274,14 +283,15 @@ def _from_flags(flags: str) -> int:
 
 class CrystalTable(_Codes):
     """The crystal on enumerate_svt(n, shape): tableaux[k] is the tableau at
-    position k, keyed by its code; all else is filled on first read."""
+    position k, codes[k] its code, the key of k; all else is filled on first read."""
 
     def __init__(self, n: int, shape: tuple[int, ...]):
         if shape != _partition(shape):  # one table per partition: its key has no zeros
             raise ValueError(f"a crystal table is keyed by a partition without zeros, got {shape!r}")
         super().__init__(n, shape)
         self.tableaux = enumerate_svt(n, shape)
-        self._positions = {self._encode(t): k for k, t in enumerate(self.tableaux)}
+        self.codes = [self._encode(t) for t in self.tableaux]
+        self._positions = {code: k for k, code in enumerate(self.codes)}
         self._maps: dict[tuple[str, int], array] = {}
         self._demazure: dict[tuple[int, ...], int] = {}
         self._derived: dict = {}
@@ -294,6 +304,14 @@ class CrystalTable(_Codes):
             if k is not None:
                 return k
         raise ValueError(f"{tableau.to_text()} is not in the crystal of {self.shape} at n={self.n}")
+
+    def image(self, code: int, op: str, source) -> int:
+        """The position of code, op's image of source; AssertionError naming
+        both where code is not in this crystal, so not semistandard."""
+        k = self._positions.get(code)
+        if k is None:
+            raise AssertionError(f"{op} sends {source!r} out of the crystal, to {self.decode(code).to_text()}")
+        return k
 
     def map(self, op: str, i: int) -> array:
         """The position op ("e", "f", "eK", "fK", or "raise": exhaust e_i,

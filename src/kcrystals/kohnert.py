@@ -18,6 +18,11 @@ the one cached graph of a class, keyed by its sorted composition, so
 ``kohnert_graph.cache_clear()`` is the only reset; each graph keeps the
 closure of each composition of its class, found on first read.
 ``closure_table(a)`` reads the graph of a's class and that closure.
+
+phi and the tableau Kohnert move are kernels on the crystal table's codes
+(``crystal._Codes``): the graph looks each ``_phi_code`` up in the table,
+membership being the semistandardness test, and ``_svt_moves`` gives every
+move of a code in one pass; ``phi`` and ``svt_kohnert_move`` decode them.
 """
 
 from __future__ import annotations
@@ -26,10 +31,11 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
-from .crystal import _rectangle_dims, crystal_table
-from .tableaux import SetValuedTableau, _from_columns, _heights
+from .crystal import _Codes, _codes, _codes_of, _rectangle_dims, _semistandard, crystal_table
+from .tableaux import SetValuedTableau, _heights, _partition
 
 Box = tuple[int, int]
 
@@ -44,6 +50,14 @@ class KKohnertDiagram:
             raise ValueError("marked boxes must be a subset of the boxes")
         if any(x < 1 or y < 1 for x, y in self.boxes):
             raise ValueError("boxes must lie in the positive quadrant")
+
+    @classmethod
+    def _trusted(cls, boxes: frozenset[Box], marked: frozenset[Box]) -> "KKohnertDiagram":
+        """Wrap boxes in the positive quadrant and marks among them, as a move keeps them."""
+        diagram = object.__new__(cls)
+        object.__setattr__(diagram, "boxes", boxes)  # one by one, so the instance dicts share keys
+        object.__setattr__(diagram, "marked", marked)
+        return diagram
 
     def sort_key(self):
         return (tuple(sorted(self.boxes)), tuple(sorted(self.marked)))
@@ -119,13 +133,9 @@ def single_moves(
     """All single-move results as (origin column, is_k_move, diagram)."""
     out = []
     for (x, y), target in _move_targets(diagram):
-        moved = KKohnertDiagram(
-            (diagram.boxes - {(x, y)}) | {target}, diagram.marked
-        )
+        moved = KKohnertDiagram._trusted((diagram.boxes - {(x, y)}) | {target}, diagram.marked)
         out.append((x, False, moved))
-        left_behind = KKohnertDiagram(
-            diagram.boxes | {target}, diagram.marked | {(x, y)}
-        )
+        left_behind = KKohnertDiagram._trusted(diagram.boxes | {target}, diagram.marked | {(x, y)})
         out.append((x, True, left_behind))
     return out
 
@@ -197,7 +207,7 @@ class KohnertGraph:
             r, s = _rectangle_dims(self.parts)
             table = crystal_table(self.n, (s,) * r)
             for p in missing:
-                images[p] = table.position(phi(self.diagrams[p], r, s, self.n))
+                images[p] = table.image(_phi_code(table, self.diagrams[p]), "phi", self.diagrams[p])
         return images
 
     def verdict(self, judge, p: int, *args) -> str | None:
@@ -237,32 +247,45 @@ def closure(a: tuple[int, ...]) -> tuple[KKohnertDiagram, ...]:
 # -- correspondence with rectangular set-valued tableaux ---------------------
 
 
-def phi(diagram: KKohnertDiagram, r: int, s: int, n: int) -> SetValuedTableau:
-    """Read diagram row y (bottom = 1) as tableau column s+1-y: unmarked
-    box columns become the cell entries top to bottom, and each marked box
-    (x, y) joins the cell of the rightmost unmarked box to its left."""
+def _phi_code(codes: _Codes, diagram: KKohnertDiagram) -> int:
+    """phi of diagram as a code of codes' rectangle: the unmarked boxes of
+    diagram row y, by column, fill tableau column s-y top to bottom, and
+    each marked box (x, y) joins the box of the rightmost unmarked box to
+    its left; ValueError on a box above row s or right of column n, a row
+    without r unmarked boxes or a marked box with none to its left."""
+    r, s, width, n = codes._height, len(codes._column), codes._width, codes.n
     rows_of: dict[int, list[int]] = {}
     marked_of: dict[int, list[int]] = {}
     for x, y in diagram.boxes:
         if y > s:
             raise ValueError(f"box {(x, y)} above row {s}; not a rectangle image")
+        if x > n:  # it would spill into the next slot
+            raise ValueError(f"box in column {x} exceeds n={n}")
         bucket = marked_of if (x, y) in diagram.marked else rows_of
         bucket.setdefault(y, []).append(x)
-    columns: list[list[tuple[int, ...]]] = []  # tableau columns s-1, ..., 0
+    code = 0
     for y in range(1, s + 1):
         unmarked = sorted(rows_of.get(y, []))
         if len(unmarked) != r:
-            raise ValueError(
-                f"diagram row {y} has {len(unmarked)} unmarked boxes, expected {r}"
-            )
-        cells = [[x] for x in unmarked]
+            raise ValueError(f"diagram row {y} has {len(unmarked)} unmarked boxes, expected {r}")
+        slot = (s - y) * r  # the slot of the column's top box
+        for m, x in enumerate(unmarked):
+            code |= 1 << ((slot + m) * width + x)
         for x in sorted(marked_of.get(y, [])):
             below = bisect_left(unmarked, x)  # unmarked boxes left of x
             if not below:
                 raise ValueError(f"marked box {(x, y)} has no unmarked box to its left")
-            cells[below - 1].append(x)
-        columns.append([tuple(cell) for cell in cells])
-    return _from_columns(columns, n)
+            code |= 1 << ((slot + below - 1) * width + x)
+    return code
+
+
+def phi(diagram: KKohnertDiagram, r: int, s: int, n: int) -> SetValuedTableau:
+    """Read diagram row y (bottom = 1) as tableau column s+1-y: unmarked
+    box columns become the cell entries top to bottom, and each marked box
+    (x, y) joins the cell of the rightmost unmarked box to its left;
+    ValueError where that is not a semistandard r x s tableau at n."""
+    codes = _codes(n, _partition((s,) * r))
+    return _semistandard(codes, _phi_code(codes, diagram))
 
 
 def phi_inverse(tableau: SetValuedTableau) -> KKohnertDiagram:
@@ -280,6 +303,38 @@ def phi_inverse(tableau: SetValuedTableau) -> KKohnertDiagram:
     return KKohnertDiagram(frozenset(boxes), frozenset(marked))
 
 
+def _svt_moves(codes: _Codes, code: int) -> dict[tuple[int, bool], int]:
+    """svt_kohnert_move at every x, both variants, on a code: (x, is_k) ->
+    image code, for the defined moves.  The least entry x of a box that no
+    column to its left holds moves when the boxes above it hold exactly
+    x-1, x-2, ... down to a value x' > 0 that the column misses: x and that
+    run each drop by one, x kept for the K-variant."""
+    width, height, full = codes._width, codes._height, (1 << codes._width) - 1
+    moves: dict[tuple[int, bool], int] = {}
+    seen = 0  # the values of the columns to the left
+    for base in (c * height for c in range(len(codes._column))):  # the slot of each column's top box
+        slots = [code >> (base + m) * width & full for m in range(height)]
+        column = reduce(or_, slots)  # the values of the column
+        for m, slot in enumerate(slots):
+            least = slot & -slot
+            if not slot or least & seen:
+                continue
+            x = least.bit_length() - 1
+            moved = least << (base + m) * width
+            v, up = x - 1, m - 1
+            while column >> v & 1:  # bit 0 is never set: the run stops at v = 0
+                if slots[up] != 1 << v:
+                    break
+                moved |= 1 << ((base + up) * width + v)
+                v, up = v - 1, up - 1
+            else:
+                if v:
+                    moves[x, False] = code - moved + (moved >> 1)
+                    moves[x, True] = moves[x, False] + (least << (base + m) * width)
+        seen |= column
+    return moves
+
+
 def svt_kohnert_move(
     tableau: SetValuedTableau, x: int, k_variant: bool = False
 ) -> SetValuedTableau | None:
@@ -289,42 +344,8 @@ def svt_kohnert_move(
     missing from the column: x is removed (kept, for the K-variant), the
     run of values x'+1..x-1 slides down one box, and x' lands in the box
     that held x'+1.  Returns None when x is not the minimum of its box,
-    when x' would be 0, or when a value in the run shares its box."""
-    rows = tableau.rows
-    col = -1
-    for row in rows:
-        for c, cell in enumerate(row if col < 0 else row[:col]):
-            if x in cell:
-                col = c
-                break
-    if col < 0:
-        return None
-    if col >= len(rows[0]):
-        raise ValueError(f"{tableau.to_text()} holds {x} beyond the width of its first row")
-    row_of: dict[int, int] = {}  # each entry of the column, at its topmost row
-    for r, row in enumerate(rows):
-        if col < len(row):
-            for v in row[col]:
-                row_of.setdefault(v, r)
-    if x != min(rows[row_of[x]][col]):
-        return None
-    x_prime = x - 1
-    while x_prime >= 1 and x_prime in row_of:
-        x_prime -= 1
-    if x_prime == 0:
-        return None
-    for v in range(x_prime + 1, x):
-        if rows[row_of[v]][col] != (v,):
-            return None
-    # the slide, on copies of the column's cells in the rows it touches
-    cells = {row_of[v]: set(rows[row_of[v]][col]) for v in range(x_prime + 1, x + 1)}
-    if not k_variant:
-        cells[row_of[x]].discard(x)
-    for v in range(x - 1, x_prime, -1):
-        cells[row_of[v + 1]].add(v)
-        cells[row_of[v]].discard(v)
-    cells[row_of[x_prime + 1]].add(x_prime)
-    out = list(rows)
-    for r, cell in cells.items():
-        out[r] = rows[r][:col] + (tuple(sorted(cell)),) + rows[r][col + 1 :]
-    return SetValuedTableau._trusted(tuple(out), tableau.n)
+    when x' would be 0, or when a value in the run shares its box;
+    ValueError unless the tableau is semistandard."""
+    codes = _codes_of(tableau)
+    image = _svt_moves(codes, codes._encode(tableau)).get((x, bool(k_variant)))
+    return None if image is None else codes.decode(image)

@@ -29,9 +29,9 @@ REDUCED_WORDS_MAX_N = 7
 
 
 def _permutation(w, n: int) -> Perm:
-    """w as a tuple; ValueError unless it is a permutation of 1..n."""
+    """w as a tuple; ValueError unless it is a permutation of 1..n, as ints."""
     w = tuple(w)
-    if len(w) != n or set(w) != set(range(1, n + 1)):
+    if len(w) != n or set(w) != set(range(1, n + 1)) or any(type(v) is not int for v in w):
         raise ValueError(f"w={w!r} is not a permutation of 1..{n}")
     return w
 

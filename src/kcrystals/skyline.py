@@ -7,22 +7,29 @@ Columns are bottom-justified: column c of shape a holds cells at levels
 anchor, the rest are free.  Going up a column, cells weakly decrease in
 the set sense (min of the lower cell >= max of the cell above it).
 
-``psi_table(a, n)`` is the one cached psi record of a composition, which
-psi_inverse and the bijection check read: the skylines of shape a by
-position and the position of each psi image in the crystal table of the
-rectangle.
+``skyline_table(parts, n)`` is the one cached record of a rearrangement
+class at n, keyed by its sorted composition: each column's fillings, the
+bitsets of compatible fillings between two columns and each composition's
+skylines, which ``enumerate_skyline`` reads.  ``psi_table(a, n)`` is the
+one cached psi record of a composition, which psi_inverse and the
+bijection check read: the skylines of shape a by position and the
+position of each psi image in the crystal table of the rectangle, where
+``_psi_code`` packs the image as a code and membership in the table is
+its semistandardness test; ``psi`` decodes the same code.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .crystal import _rectangle_dims, _subset_table, atom_subset, crystal_table
+from .crystal import _bits, _Codes, _codes, _rectangle_dims, _semistandard, _subset_table
+from .crystal import atom_subset, crystal_table
 from .permutations import Perm, _pad, act
-from .tableaux import SetValuedTableau, _from_columns, _heights
+from .tableaux import SetValuedTableau, _heights
 
 Cell = tuple[int, ...]
 
@@ -177,46 +184,86 @@ def _column_fillings(c: int, height: int, n: int):
 
 
 def enumerate_skyline(a: tuple[int, ...], n: int) -> tuple[SkylineTableau, ...]:
-    """All set-valued skyline tableaux of shape a with entries at most n;
-    raises ValueError on a negative or non-integer height."""
-    return _enumerate_skyline(_heights(a), n)
+    """All set-valued skyline tableaux of shape a with entries at most n,
+    sorted; raises ValueError on a negative or non-integer height."""
+    a = _heights(a)
+    return skyline_table(tuple(sorted(a)), n).skylines(a)
 
 
-@lru_cache(maxsize=None)
-def _enumerate_skyline(a: tuple[int, ...], n: int) -> tuple[SkylineTableau, ...]:
-    nonzero = [(c, height) for c, height in enumerate(a, start=1) if height]
-    per_column = []
-    for c, height in nonzero:
-        fillings = list(_column_fillings(c, height, n))
-        if not fillings:
-            return ()
-        per_column.append(fillings)
-    # Every filling already satisfies the rules within its column, so a
-    # column is placed only if it is compatible with each one before it.
-    out = []
-    placed: list[tuple[int, tuple[Cell, ...]]] = []
+class SkylineTable:
+    """The skylines of one rearrangement class of compositions at n: each
+    (column, height)'s fillings, sorted; row(p, q, i), the bitset of the
+    fillings of q compatible with filling i of p, a column left of q; and
+    each composition's skylines.  Rows and skylines fill on first read."""
 
-    def extend(k: int) -> None:
-        if k == len(nonzero):
-            out.append(SkylineTableau(a, tuple(placed)))
-            return
-        for cells in per_column[k]:
-            for _, pcells in placed:
-                if not _compatible(pcells, cells):
-                    break
-            else:
-                placed.append((nonzero[k][0], cells))
-                extend(k + 1)
-                placed.pop()
+    def __init__(self, parts: tuple[int, ...], n: int):
+        columns = [(c, height) for c in range(1, len(parts) + 1) for height in set(parts) if height]
+        self.fillings = {column: sorted(_column_fillings(*column, n)) for column in columns}
+        self._rows: dict[tuple[tuple[int, int], tuple[int, int], int], int] = {}
+        self._skylines: dict[tuple[int, ...], tuple[SkylineTableau, ...]] = {}
 
-    extend(0)
-    return tuple(sorted(out, key=SkylineTableau.sort_key))
+    def row(self, p: tuple[int, int], q: tuple[int, int], i: int) -> int:
+        if (p, q, i) not in self._rows:
+            pcells = self.fillings[p][i]
+            compatible = (j for j, qcells in enumerate(self.fillings[q]) if _compatible(pcells, qcells))
+            self._rows[p, q, i] = sum(1 << j for j in compatible)
+        return self._rows[p, q, i]
+
+    def skylines(self, a: tuple[int, ...]) -> tuple[SkylineTableau, ...]:
+        """The skylines of shape a, a composition of this class, sorted:
+        every filling already satisfies the rules within its column, so a
+        column's candidates are the AND of the rows of the columns placed
+        before it, and placing the sorted fillings in order sorts the result."""
+        if a not in self._skylines:
+            columns = [(c, height) for c, height in enumerate(a, start=1) if height]
+            out: list[SkylineTableau] = []
+            placed: list[int] = []
+
+            def extend(k: int) -> None:
+                if k == len(columns):
+                    cells = (self.fillings[column][i] for column, i in zip(columns, placed))
+                    out.append(SkylineTableau(a, tuple(zip((c for c, _ in columns), cells))))
+                    return
+                bits = (1 << len(self.fillings[columns[k]])) - 1
+                for j, i in enumerate(placed):
+                    bits &= self.row(columns[j], columns[k], i)
+                for i in _bits(bits):
+                    placed.append(i)
+                    extend(k + 1)
+                    placed.pop()
+
+            extend(0)
+            self._skylines[a] = tuple(out)
+        return self._skylines[a]
 
 
-# Heights are checked before the cache lookup; the public name still shows
-# the cache, for callers that read or clear it.
-enumerate_skyline.cache_info = _enumerate_skyline.cache_info
-enumerate_skyline.cache_clear = _enumerate_skyline.cache_clear
+skyline_table = lru_cache(maxsize=None)(SkylineTable)  # one table per (class tuple(sorted(a)), n)
+
+
+def _psi_code(codes: _Codes, skyline: SkylineTableau) -> int:
+    """psi of a valid skyline as a code of codes' rectangle: level L's
+    anchors, sorted, fill tableau column s-L top to bottom, and each free
+    entry joins the box of the least anchor above it; ValueError on a
+    level of the wrong size, an entry above n or a free entry above every
+    anchor."""
+    r, s, width = codes._height, len(codes._column), codes._width
+    code = 0
+    for level in range(1, s + 1):
+        row = skyline.cells_at_level(level)
+        if len(row) != r:
+            raise ValueError(f"level {level} has {len(row)} cells, expected {r}")
+        anchors = sorted(anchor(cell) for _, cell in row)
+        if anchors[-1] > codes.n:  # it would spill into the next slot
+            raise ValueError(f"entry {anchors[-1]} exceeds n={codes.n}")
+        slot = (s - level) * r  # the slot of the column's top box
+        for m, a in enumerate(anchors):
+            code |= 1 << ((slot + m) * width + a)
+        for v in sorted(v for _, cell in row for v in cell[:-1]):
+            m = bisect_right(anchors, v)  # a repeated free entry is one entry
+            if m == r:
+                raise ValueError(f"free entry {v} fits under no anchor")
+            code |= 1 << ((slot + m) * width + v)
+    return code
 
 
 def psi(skyline: SkylineTableau, n: int) -> SetValuedTableau:
@@ -226,30 +273,9 @@ def psi(skyline: SkylineTableau, n: int) -> SetValuedTableau:
     validate_skyline rejects."""
     if not validate_skyline(skyline, n):
         raise ValueError(f"{skyline!r} is not a valid skyline tableau with entries at most {n}")
-    return _psi(skyline, n)
-
-
-def _psi(skyline: SkylineTableau, n: int) -> SetValuedTableau:
-    """psi of a skyline that is already valid, as enumerate_skyline's are."""
     r, s = _rectangle_dims(skyline.shape)
-    columns: list[tuple[Cell, ...]] = []  # tableau columns s-1, ..., 0
-    for level in range(1, s + 1):
-        row = skyline.cells_at_level(level)
-        if len(row) != r:
-            raise ValueError(f"level {level} has {len(row)} cells, expected {r}")
-        anchors = sorted(anchor(cell) for _, cell in row)
-        frees = sorted(v for _, cell in row for v in cell[:-1])
-        below: list[list[int]] = [[] for _ in anchors]  # the free entries of each cell
-        for v in frees:
-            for a, cell in zip(anchors, below):
-                if v < a:
-                    if not cell or cell[-1] != v:  # a repeated free entry is one entry
-                        cell.append(v)
-                    break
-            else:
-                raise ValueError(f"free entry {v} fits under no anchor")
-        columns.append(tuple((*cell, a) for cell, a in zip(below, anchors)))
-    return _from_columns(columns, n)
+    codes = _codes(n, (s,) * r)
+    return _semistandard(codes, _psi_code(codes, skyline))
 
 
 class PsiTable:
@@ -261,7 +287,8 @@ class PsiTable:
         self.skylines = enumerate_skyline(a, n)
         r, s = _rectangle_dims(a)
         table = crystal_table(n, (s,) * r)
-        self.images = array("i", (table.position(_psi(skyline, n)) for skyline in self.skylines))
+        images = (table.image(_psi_code(table, skyline), "psi", skyline) for skyline in self.skylines)
+        self.images = array("i", images)
         self.preimage: dict[int, int] = {}
         for j, k in enumerate(self.images):
             if k in self.preimage:

@@ -170,14 +170,6 @@ def _partition(shape) -> tuple[int, ...]:
     return tuple(p for p in parts if p)
 
 
-def _from_columns(columns, n: int) -> SetValuedTableau:
-    """The tableau with these columns of cells, listed right to left; ValueError unless semistandard."""
-    tableau = SetValuedTableau._trusted(tuple(zip(*reversed(columns))), n)
-    if not tableau.is_semistandard():
-        raise ValueError(f"{tableau.to_text()} is not semistandard")
-    return tableau
-
-
 def _nonempty_subsets(lo: int, hi: int):
     values = range(lo, hi + 1)
     for size in range(1, len(values) + 1):

@@ -11,7 +11,7 @@ import os
 import time
 from collections import Counter
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations, product
 
 from . import golden
@@ -31,7 +31,7 @@ from .keys import (
     _stars,
     key_partition_report,
 )
-from .kohnert import KKohnertDiagram, closure, closure_table, phi, phi_inverse, svt_kohnert_move
+from .kohnert import KKohnertDiagram, _svt_moves, closure, closure_table, phi, phi_inverse
 from .permutations import (
     _pad,
     act,
@@ -57,7 +57,7 @@ from .polynomials import (
     parse_polynomial,
 )
 from .skyline import enumerate_skyline, psi, psi_inverse, psi_table
-from .tableaux import SetValuedTableau, enumerate_svt
+from .tableaux import SetValuedTableau, _partition, enumerate_svt
 
 @dataclass(frozen=True)
 class Bounds:
@@ -358,27 +358,26 @@ def _check_kohnert(n, shape, w):
     return None
 
 
-def _intertwine_witness(graph, p: int, images, tableaux) -> str | None:
-    """_check_kohnert_intertwine's verdict on the diagram at p."""
-    t = tableaux[images[p]]
+def _intertwine_witness(graph, p: int, images, table) -> str | None:
+    """_check_kohnert_intertwine's verdict on the diagram at p, by positions."""
+    t, moved = table.tableaux[images[p]], _svt_moves(table, table.codes[images[p]])
     diagram_moves = {(x, is_k): images[q] for x, is_k, q in graph.moves(p)}
     for x in sorted({x for x, _ in graph.diagrams[p].boxes}):
         for is_k in (False, True):
-            moved = svt_kohnert_move(t, x, is_k)
             key = (x, is_k)
-            if (key in diagram_moves) != (moved is not None):
+            if (key in diagram_moves) != (key in moved):
                 return f"move availability differs at {t.to_text()}, x={x}, k={is_k}"
-            if moved is not None and tableaux[diagram_moves[key]] != moved:
+            if key in moved and table._positions.get(moved[key]) != diagram_moves[key]:
                 return f"moves do not intertwine at {t.to_text()}, x={x}, k={is_k}"
     return None
 
 
 def _check_kohnert_intertwine(n, shape, w):
     graph, positions = closure_table(act(w, _pad(shape, n)))
-    tableaux = crystal_table(n, shape).tableaux
+    table = crystal_table(n, shape)
     images = graph.phi_positions(positions)
     for p in positions:
-        witness = graph.verdict(_intertwine_witness, p, graph, p, images, tableaux)
+        witness = graph.verdict(_intertwine_witness, p, graph, p, images, table)
         if witness is not None:
             return witness
     return None
@@ -760,10 +759,13 @@ def worker_count(jobs: int | None, cpus: int | None, cases: int) -> int:
 
 
 def run_suite(suite: str, bounds: Bounds, jobs: int | None = None) -> list[SuiteResult]:
-    """Run every case of a suite, sorted; raises ValueError, before any case
-    runs, on an unknown suite, a shape or n the suite does not read, bounds
-    that select no case or a bad worker request."""
+    """Run every case of a suite, sorted, with the shape keyed without its
+    zeros; raises ValueError, before any case runs, on an unknown suite, a
+    shape that is not a partition, a shape or n the suite does not read,
+    bounds that select no case or a bad worker request."""
     reads = _suite(suite).reads
+    if bounds.shape is not None:
+        bounds = replace(bounds, shape=_partition(bounds.shape))
     for name in ("shape", "n"):  # the bounds that are None unless given
         if getattr(bounds, name) is not None and name not in reads:
             flags = ", ".join("--" + read.replace("_", "-") for read in reads) or "no bound flag"

@@ -8,7 +8,7 @@ from kcrystals.kohnert import KKohnertDiagram
 from kcrystals.polynomials import parse_polynomial
 from kcrystals.skyline import SkylineTableau
 from kcrystals.tableaux import SetValuedTableau
-from kcrystals.verify import Bounds, worker_count
+from kcrystals.verify import Bounds, run_suite, worker_count
 
 
 def run(capsys, *argv):
@@ -259,6 +259,13 @@ def test_verify_drops_the_trailing_zeros_of_a_shape(capsys):
     code, out = run(capsys, *argv, "--shape", "2,2,0")
     assert code == 0 and '"shape": [2, 2]' in out
     assert run(capsys, *argv, "--shape", "2,2") == (0, out)
+
+
+def test_run_suite_keys_a_shape_as_the_cli_does(capsys):
+    results = run_suite("conjecture-scan", Bounds(shape=(2, 2, 0), n=3))
+    code, out = run(capsys, "verify", "conjecture-scan", "--shape", "2,2,0", "--n", "3", "--format", "json")
+    assert code == 0 and [result.to_json() for result in results] == out.splitlines()
+    assert all(result.case["shape"] == [2, 2] for result in results)
 
 
 def test_enumerate_count_is_the_number_of_lines(capsys):

@@ -35,11 +35,22 @@ from kcrystals.keys import (
     max_tableau,
     right_key,
 )
-from kcrystals.kohnert import closure, closure_table, phi, single_moves, svt_kohnert_move
+from kcrystals.kohnert import (
+    KKohnertDiagram,
+    _phi_code,
+    _svt_moves,
+    closure,
+    closure_table,
+    phi,
+    single_moves,
+    svt_kohnert_move,
+)
 from kcrystals.permutations import act, coset_reps, flag_vector, reduced_words, stabilizer_min_rep
 from kcrystals.skyline import (
+    SkylineTableau,
     _column_fillings,
     _compatible,
+    _psi_code,
     enumerate_skyline,
     psi,
     psi_table,
@@ -332,9 +343,12 @@ def test_demazure_subset_matches_per_tableau_raise_chains(n, shape):
 
 @pytest.mark.parametrize("n,shape", RECTANGLES, ids=str)
 def test_closure_and_psi_tables_match_the_kernel(n, shape):
+    """The table path against the independent oracles: each diagram's phi
+    position, each skyline's psi position and the batched tableau moves of
+    every tableau of the rectangle."""
     lam = _pad(shape, n)
     r, s = len(shape), shape[0]
-    tableaux = crystal_table(n, shape).tableaux
+    table = crystal_table(n, shape)
     for v in coset_reps(lam, n):
         a = act(v, lam)
         graph, positions = closure_table(a)
@@ -343,17 +357,58 @@ def test_closure_and_psi_tables_match_the_kernel(n, shape):
             d = graph.diagrams[p]
             moves = [(x, is_k, graph.diagrams[q]) for x, is_k, q in graph.moves(p)]
             assert moves == single_moves(d), (a, d)
-            assert tableaux[images[p]] == phi(d, r, s, n), (a, d)
+            assert table.tableaux[images[p]] == reference_phi(d, r, s, n), (a, d)
         skylines = psi_table(a, n)
         assert skylines.skylines == enumerate_skyline(a, n)
         for skyline, k in zip(skylines.skylines, skylines.images):
-            assert tableaux[k] == psi(skyline, n), (a, skyline)
+            assert table.tableaux[k] == reference_psi(skyline, n), (a, skyline)
         assert skylines.preimage == {k: j for j, k in enumerate(skylines.images)}
+    for t, code in zip(table.tableaux, table.codes):
+        moves = _svt_moves(table, code)
+        for x in range(1, n + 1):
+            for k_variant in (False, True):
+                expected = reference_svt_kohnert_move(t, x, k_variant)
+                image = moves.get((x, k_variant))
+                assert (image is None) == (expected is None), (t, x, k_variant)
+                assert image is None or table.decode(image).rows == expected.rows, (t, x, k_variant)
+
+
+DIAGRAMS_RIGHT_OF_N = [
+    # a box in column n + 1 of the one-box rectangle at n = 2
+    (KKohnertDiagram(frozenset({(3, 1)}), frozenset()), (1,), 2),
+    # a marked box in column n + 2 beside an unmarked box in column 1: packed
+    # unchecked, it would read as the 1 of the next box, the code of 1 1
+    (KKohnertDiagram(frozenset({(1, 2), (4, 2), (1, 1)}), frozenset({(4, 2)})), (2,), 2),
+]
+
+
+@pytest.mark.parametrize("diagram,shape,n", DIAGRAMS_RIGHT_OF_N, ids=["n+1", "n+2 aliasing 1 1"])
+def test_a_diagram_box_right_of_column_n_has_no_phi_image(diagram, shape, n):
+    r, s = len(shape), shape[0]
+    with pytest.raises(ValueError, match=f"exceeds n={n}"):
+        phi(diagram, r, s, n)
+    table = crystal_table(n, shape)
+    with pytest.raises(ValueError, match=f"exceeds n={n}"):
+        table.image(_phi_code(table, diagram), "phi", diagram)
+
+
+def test_an_image_outside_the_table_names_its_source():
+    table = crystal_table(3, (2, 2))
+    code = table._encode(SetValuedTableau.from_text("2 1/3 3", 3))
+    with pytest.raises(AssertionError, match="^phi sends 'D' out of the crystal, to 2 1/3 3$"):
+        table.image(code, "phi", "D")
+
+
+def test_a_skyline_entry_above_n_has_no_psi_code():
+    skyline = SkylineTableau.build((0, 0, 1), {3: [(3,)]})
+    with pytest.raises(ValueError, match="exceeds n=2"):
+        _psi_code(crystal_table(2, (1,)), skyline)
 
 
 MOVE_CASES = [
     (n, (s,) * r) for n in range(1, 5) for r in range(1, min(n, 3) + 1) for s in range(1, 4)
 ] + [(5, shape) for shape in ((1,), (2,), (1, 1), (2, 2))]
+MOVE_CASES += [(4, shape) for shape in ((2, 1), (3, 1), (2, 1, 1), (3, 2))]  # boxes missing from a column
 
 
 @pytest.mark.parametrize("n,shape", MOVE_CASES, ids=str)

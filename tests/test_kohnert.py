@@ -173,6 +173,8 @@ def test_svt_move_null_cases():
     assert svt_kohnert_move(T("1 1/2 2,3"), 3) is None
     # passing a multi-entry box is not allowed
     assert svt_kohnert_move(T("1,2 2/3 3"), 3) is None
+    # the empty tableau holds nothing to move
+    assert svt_kohnert_move(T(""), 1) is None
 
 
 def test_svt_move_chain_across_a_wide_rectangle():

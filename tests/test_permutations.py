@@ -145,8 +145,10 @@ def test_a_lam_that_is_not_weakly_decreasing_is_rejected(call, args):
         (stabilizer_min_rep, ((1, 1, 2), (1,)), 3),
         (stabilizer_min_rep, ((0, 5), (1,)), 2),
         (flag_vector, ((2, 2, 3), 3, 1), 3),
+        (stabilizer_min_rep, ((True, 2), (1,)), 2),
+        (stabilizer_min_rep, ((2.0, 1), (1,)), 2),
     ],
-    ids=["repeated value", "values outside 1..n", "flag_vector"],
+    ids=["repeated value", "values outside 1..n", "flag_vector", "a bool", "a float"],
 )
 def test_a_w_that_is_not_a_permutation_is_rejected(call, args, n):
     with pytest.raises(ValueError, match=re.escape(f"w={args[0]!r} is not a permutation of 1..{n}")):

@@ -523,32 +523,34 @@ def _each(check, witnesses_by_w):
 
 
 def _moves_with_k_swapped(monkeypatch):
-    move = verify.svt_kohnert_move
-    monkeypatch.setattr(verify, "svt_kohnert_move", lambda t, x, k=False: move(t, x, not k))
+    moves = verify._svt_moves
+    monkeypatch.setattr(
+        verify, "_svt_moves", lambda codes, code: {(x, not k): u for (x, k), u in moves(codes, code).items()}
+    )
 
 
 def _no_move_from_column_3(monkeypatch):
-    move = verify.svt_kohnert_move
+    moves = verify._svt_moves
     monkeypatch.setattr(
-        verify, "svt_kohnert_move", lambda t, x, k=False: None if x == 3 else move(t, x, k)
+        verify, "_svt_moves", lambda codes, code: {key: u for key, u in moves(codes, code).items() if key[0] != 3}
     )
 
 
 def _phi_raises_on_the_row_pair(monkeypatch):
-    phi = kohnert.phi
+    phi_code = kohnert._phi_code
 
-    def raising(d, r, s, n):
+    def raising(codes, d):
         if d == ROW_PAIR:
             raise ValueError("injected fault")
-        return phi(d, r, s, n)
+        return phi_code(codes, d)
 
-    monkeypatch.setattr(kohnert, "phi", raising)
+    monkeypatch.setattr(kohnert, "_phi_code", raising)
 
 
 def _phi_sends_the_split_pair_to_the_row_pair(monkeypatch):
-    phi = kohnert.phi
+    phi_code = kohnert._phi_code
     monkeypatch.setattr(
-        kohnert, "phi", lambda d, r, s, n: phi(ROW_PAIR if d == SPLIT_PAIR else d, r, s, n)
+        kohnert, "_phi_code", lambda codes, d: phi_code(codes, ROW_PAIR if d == SPLIT_PAIR else d)
     )
 
 
@@ -720,8 +722,10 @@ def test_a_psi_collision_fails_the_skyline_check(monkeypatch):
     """With every skyline of a shape sent to the psi image of the first one,
     the psi table refuses to build, and each skyline case of more than one
     skyline fails with that exception as its witness."""
-    real = skyline._psi
-    monkeypatch.setattr(skyline, "_psi", lambda s, n: real(skyline.enumerate_skyline(s.shape, n)[0], n))
+    real = skyline._psi_code
+    monkeypatch.setattr(
+        skyline, "_psi_code", lambda codes, s: real(codes, skyline.enumerate_skyline(s.shape, codes.n)[0])
+    )
     skyline.psi_table.cache_clear()
     try:
         cases = iter_cases("skyline-bijection", Bounds(max_n=3, max_side=2))
