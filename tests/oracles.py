@@ -466,6 +466,19 @@ def reference_is_semistandard(tableau):
     return True
 
 
+def reference_enumerate_svt(n, shape):
+    """Every filling of shape by nonempty subsets of 1..n that
+    reference_is_semistandard accepts, sorted by text."""
+    subsets = [cell for size in range(1, n + 1) for cell in combinations(range(1, n + 1), size)]
+    out = []
+    for cells in product(subsets, repeat=sum(shape)):
+        boxes = iter(cells)
+        tableau = SetValuedTableau([[next(boxes) for _ in range(width)] for width in shape], n)
+        if reference_is_semistandard(tableau):
+            out.append(tableau)
+    return sorted(out, key=SetValuedTableau.to_text)
+
+
 def reference_max_tableau(tableau):
     """Greatest entry in each box, through the normalising constructor."""
     return SetValuedTableau([[(max(cell),) for cell in row] for row in tableau.rows], tableau.n)

@@ -64,6 +64,7 @@ from oracles import (
     reference_decompose,
     reference_demazure_subset,
     reference_enumerate_skyline,
+    reference_enumerate_svt,
     reference_excess,
     reference_is_semistandard,
     reference_k_lusztig_star,
@@ -163,6 +164,19 @@ def test_table_maps_match_the_kernel(n, shape):
         raised = [table.tableaux[k] for k in table.map("raise", i)]
         assert raised == [reference_raise_string_max(t, i) for t in table.tableaux], i
     assert _decodes(table, table.tableaux)
+
+
+# every partition of at most 4 boxes at n <= 4 (at most 15^4 fillings
+# each), and one box at n = 11, where text order is not numeric order
+ENUMERATION_CASES = [(n, shape) for n in range(1, 5) for shape in _shapes(4, 4)] + [(11, (1,))]
+
+
+@pytest.mark.parametrize("n,shape", ENUMERATION_CASES, ids=str)
+def test_enumeration_matches_a_filter_of_every_filling(n, shape):
+    expected = reference_enumerate_svt(n, shape)
+    assert list(enumerate_svt(n, shape)) == expected
+    table = crystal_table(n, shape)
+    assert [table.decode(code) for code in table.codes] == expected
 
 
 @pytest.mark.parametrize("n,shape", CASES + [(11, (2,))], ids=str)

@@ -805,7 +805,8 @@ def test_operator_check_witnesses_under_a_fault(monkeypatch, fault):
 # -- fault injection at the names verify imports ---------------------------------
 # Each fault replaces one name in verify and runs every case of one check of
 # one suite, pinned the same way as OPERATOR_FAULTS (read off the checks
-# before the coset representatives became sorting permutations).
+# before the coset representatives became sorting permutations; the golden
+# entries before the crystal table held codes only).
 
 
 def _ideal_without_w(w):
@@ -814,6 +815,10 @@ def _ideal_without_w(w):
 
 def _lascoux_reversed(a, n):
     return lascoux(tuple(reversed(tuple(a))), n)
+
+
+def _svt_without_its_last(n, shape):
+    return enumerate_svt(n, shape)[:-1]
 
 
 IMPORT_FAULTS = {
@@ -828,6 +833,19 @@ IMPORT_FAULTS = {
         ("character", "full-character", Bounds(max_n=4, max_cells=4)),
         (25, "character of all tableaux differs from the top polynomial"),
         "b1007440fb5756303d45b051a373c96a4583db9258fc4b70ef1c5fb43fac8f43",
+    ),
+    # the golden checks that read enumerate_svt, each one case
+    "enumerate_svt drops its last tableau (flag)": (
+        ("enumerate_svt", _svt_without_its_last),
+        ("demazure-flag", "flag-golden", Bounds()),
+        (1, "expected 13 tableaux, got 12"),
+        "3fe62f8cfbf6aa36b2985a43059d1242138611370e9dfb6075a7ba3758c31dfb",
+    ),
+    "enumerate_svt drops its last tableau (character)": (
+        ("enumerate_svt", _svt_without_its_last),
+        ("character", "character-golden", Bounds()),
+        (1, "tableau character disagrees with the golden polynomial"),
+        "a250729d77d0fa286bf9e427a67279369fc929f1eb75aa8f7d75eb6fd48c2331",
     ),
 }
 
