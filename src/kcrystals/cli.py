@@ -75,15 +75,14 @@ def cmd_graph(args) -> int:
         print("error: graph needs --n >= 1", file=sys.stderr)
         return 2
     table = crystal_table(args.n, _partition(args.shape))
-    lines = ["digraph crystal {", "  rankdir=TB;"]
-    for t in table.tableaux:
-        lines.append(f'  "{t.to_text()}";')
+    texts = [table.decode(code).to_text() for code in table.codes]
+    lines = ["digraph crystal {", "  rankdir=TB;", *(f'  "{text}";' for text in texts)]
     ops = ("f", "fK") if args.with_k_ops else ("f",)
     edges = [
-        (t.to_text(), i, table.tableaux[image].to_text(), op == "fK")
+        (text, i, texts[image], op == "fK")
         for i in range(1, args.n)
         for op in ops
-        for t, image in zip(table.tableaux, table.map(op, i))
+        for text, image in zip(texts, table.map(op, i))
         if image >= 0
     ]
     for src, i, dst, dashed in sorted(edges):

@@ -6,16 +6,17 @@ with the derived Demazure-type subsets and characters.
 partition without zeros that each entry point makes with
 ``tableaux._partition``, and owns all that is derived from it, so
 ``crystal_table.cache_clear()`` is the only reset (``_codes`` holds only code
-geometry): the tableaux of ``enumerate_svt(n, shape)`` at positions 0..N-1
-(text order) and their codes, then, filled on first read, each operator or
-raise map of a letter as an array of positions, each position's weight and
-excess, the K-Demazure subset of each reduced word and the flagged subsets as
-bitsets (an int whose bit k is position k) and what other modules build from it
-(``derived``).
+geometry): the codes of the shape's tableaux at positions 0..N-1 (text order)
+from ``tableaux._svt_codes``, then, filled on first read, each operator or raise
+map of a letter as an array of positions, each position's weight and excess,
+the K-Demazure subset of each reduced word and the flagged subsets as bitsets
+(an int whose bit k is position k) and what other modules build from it
+(``derived``).  It holds no tableaux: callers decode one where they need it.
 
 The one implementation of e_i, f_i, e^K_i and f^K_i is a kernel on codes,
 ints that pack a tableau's boxes column by column as entry bitmasks
-(``_Codes``), that yields each image code or None.  A table runs it over
+(``tableaux._Codes``, with the kernel's column masks and sign functions in
+``_Columns``), that yields each image code or None.  A table runs it over
 its codes through the fills in ``_KERNEL``, the one place a fault can be
 swapped in, whose image lookup is its semistandardness test, as
 ``CrystalTable.image`` is for phi and psi; ``crystal_e``, ``crystal_f``,
@@ -48,7 +49,7 @@ from .permutations import (
     stabilizer_min_rep,
 )
 from .polynomials import BetaPolynomial
-from .tableaux import SetValuedTableau, _partition, enumerate_svt, superstandard
+from .tableaux import SetValuedTableau, _bits, _Codes, _partition, _svt_codes, superstandard
 
 
 def _pair(signs) -> tuple[list[int], list[int]]:
@@ -67,44 +68,15 @@ def _pair(signs) -> tuple[list[int], list[int]]:
     return unpaired_plus, pending_minus
 
 
-def _bits(bits: int) -> list[int]:
-    """The positions of the set bits of bits, ascending."""
-    return [k for k, flag in enumerate(bin(bits)[:1:-1]) if flag == "1"]
-
-
-class _Codes:
-    """The codes of the tableaux of shape at n: the boxes column by column in
-    slots of n + 1 bits, bit v set when the box holds v, one slot per row of
-    the shape in every column, so the box right of a box is `_step` bits higher."""
+class _Columns(_Codes):
+    """The codes of shape at n with bit 0 of each slot of column c (`_column[c]`)
+    and of the columns >= c (`_right_of[c]`), and each letter's `_signs`."""
 
     def __init__(self, n: int, shape: tuple[int, ...]):
-        self.n, self.shape = n, shape
-        width, height = n + 1, len(shape)
-        self._width, self._height, self._step = width, height, width * height
-        # bit 0 of each slot of column c, and of each slot of the columns >= c
-        columns = shape[0] if shape else 0
-        self._column = [sum(1 << (c * height + m) * width for m in range(height)) for c in range(columns)]
-        self._right_of = [sum(self._column[c:]) for c in range(columns + 1)]
-
-    def _encode(self, tableau: SetValuedTableau) -> int:
-        """The code of a tableau of this shape: bit v of slot c*height + m is
-        set when box (m, c) holds v."""
-        code, width, height = 0, self._width, self._height
-        for m, row in enumerate(tableau.rows):
-            for c, cell in enumerate(row):
-                shift = (c * height + m) * width
-                for v in cell:
-                    code |= 1 << (shift + v)
-        return code
-
-    def decode(self, code: int) -> SetValuedTableau:
-        """The tableau of a code of this shape; inverts _encode."""
-        width, height, mask = self._width, self._height, (1 << self._width) - 2
-        rows = tuple(
-            tuple(tuple(_bits(code >> (c * height + m) * width & mask)) for c in range(part))
-            for m, part in enumerate(self.shape)
-        )
-        return SetValuedTableau._trusted(rows, self.n)
+        super().__init__(n, shape)
+        tops = self._shifts[0] if shape else []  # the slot of each column's top box
+        self._column = [sum(1 << top + m * self._width for m in range(self._height)) for top in tops]
+        self._right_of = [sum(self._column[c:]) for c in range(len(tops) + 1)]
 
     def _signs(self, i: int):
         """signature() at letter i as a function of a code.  ORing a code
@@ -128,7 +100,7 @@ class _Codes:
         return signs
 
 
-def _f(codes: _Codes, i: int, sources):
+def _f(codes: _Columns, i: int, sources):
     """f_i: the box of the rightmost unpaired "+" trades its i for i+1, or,
     when the box to its right holds i, takes i+1 and that box gives up its i."""
     signs, column, step = codes._signs(i), codes._column, codes._step
@@ -143,7 +115,7 @@ def _f(codes: _Codes, i: int, sources):
             yield None
 
 
-def _e(codes: _Codes, i: int, sources):
+def _e(codes: _Columns, i: int, sources):
     """e_i: the box of the leftmost unpaired "-" trades its i+1 for i, or,
     when the box to its left holds i+1, takes i and that box gives up its i+1."""
     signs, column, step = codes._signs(i), codes._column, codes._step
@@ -158,7 +130,7 @@ def _e(codes: _Codes, i: int, sources):
             yield None
 
 
-def _fk(codes: _Codes, i: int, sources):
+def _fk(codes: _Columns, i: int, sources):
     """f^K_i: an i-highest code adds i+1 to the box of its rightmost unpaired
     "+", in column c, unless a box at or right of c holds both i and i+1."""
     signs, column, right_of = codes._signs(i), codes._column, codes._right_of
@@ -170,7 +142,7 @@ def _fk(codes: _Codes, i: int, sources):
             yield code | (code >> i & column[plus[-1]]) << (i + 1)
 
 
-def _ek(codes: _Codes, i: int, sources):
+def _ek(codes: _Columns, i: int, sources):
     """e^K_i, the inverse of f^K_i: the rightmost box holding both i and i+1,
     the highest such slot, gives up its i+1 when the result is i-highest with
     its rightmost unpaired "+" in that box's column."""
@@ -201,7 +173,7 @@ def _fill(op: str, kernel, table: "CrystalTable", i: int) -> array:
 
 # The four fills, each (table, i) -> array; the one place a test swaps in a fault.
 _KERNEL = {op: partial(_fill, op, kernel) for op, kernel in (("e", _e), ("f", _f), ("eK", _ek), ("fK", _fk))}
-_codes = lru_cache(maxsize=None)(_Codes)  # one geometry per (n, shape) for the single-tableau operators
+_codes = lru_cache(maxsize=None)(_Columns)  # one geometry per (n, shape) for the single-tableau operators
 
 
 def _letter(i, n: int) -> None:
@@ -210,7 +182,7 @@ def _letter(i, n: int) -> None:
         raise ValueError(f"letter {i!r} is outside 1..{n - 1}")
 
 
-def _codes_of(tableau: SetValuedTableau) -> _Codes:
+def _codes_of(tableau: SetValuedTableau) -> _Columns:
     """The codes of tableau's shape; ValueError unless the tableau is
     semistandard, the only codes the kernels are defined on."""
     if not tableau.is_semistandard():
@@ -218,7 +190,7 @@ def _codes_of(tableau: SetValuedTableau) -> _Codes:
     return _codes(tableau.n, tableau.shape)
 
 
-def _semistandard(codes: _Codes, code: int) -> SetValuedTableau:
+def _semistandard(codes: _Columns, code: int) -> SetValuedTableau:
     """The tableau of code, for callers without a table; ValueError unless semistandard."""
     tableau = codes.decode(code)
     _codes_of(tableau)
@@ -281,20 +253,23 @@ def _from_flags(flags: str) -> int:
     return int(flags[::-1], 2) if flags else 0
 
 
-class CrystalTable(_Codes):
-    """The crystal on enumerate_svt(n, shape): tableaux[k] is the tableau at
-    position k, codes[k] its code, the key of k; all else is filled on first read."""
+class CrystalTable(_Columns):
+    """The crystal of shape at n: codes[k] is the code of the tableau(k) at
+    position k (text order), the key of k; all else is filled on first read."""
 
     def __init__(self, n: int, shape: tuple[int, ...]):
         if shape != _partition(shape):  # one table per partition: its key has no zeros
             raise ValueError(f"a crystal table is keyed by a partition without zeros, got {shape!r}")
         super().__init__(n, shape)
-        self.tableaux = enumerate_svt(n, shape)
-        self.codes = [self._encode(t) for t in self.tableaux]
+        self.codes = _svt_codes(self)
         self._positions = {code: k for k, code in enumerate(self.codes)}
         self._maps: dict[tuple[str, int], array] = {}
         self._demazure: dict[tuple[int, ...], int] = {}
         self._derived: dict = {}
+
+    def tableau(self, k: int) -> SetValuedTableau:
+        """The tableau at position k."""
+        return self.decode(self.codes[k])
 
     def position(self, tableau: SetValuedTableau) -> int:
         """The position of tableau, looked up by its code; ValueError if it
@@ -325,7 +300,7 @@ class CrystalTable(_Codes):
             if op == "raise":
                 images = array("i")
                 e, ek = self.map("e", i), self.map("eK", i)
-                for k in range(len(self.tableaux)):
+                for k in range(len(self.codes)):
                     while e[k] >= 0:
                         k = e[k]
                     while ek[k] >= 0:
@@ -338,19 +313,25 @@ class CrystalTable(_Codes):
 
     @cached_property
     def stats(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """(weight, excess) of the tableau at each position."""
-        return tuple((t.weight(), t.excess()) for t in self.tableaux)
+        """(weight, excess) of the tableau at each position: slots holding v, entries beyond one per box."""
+        slots, boxes, letters = self._right_of[0], sum(self.shape), range(1, self.n + 1)
+        weights = (tuple((code >> v & slots).bit_count() for v in letters) for code in self.codes)
+        return tuple(zip(weights, (code.bit_count() - boxes for code in self.codes)))
+
+    def character(self, bits: int) -> BetaPolynomial:
+        """Sum of b^excess x^weight over the positions in bits."""
+        return BetaPolynomial(self.n, Counter(self.stats[k] for k in _bits(bits)))
 
     def members(self, bits: int) -> tuple[SetValuedTableau, ...]:
         """The tableaux at the positions in bits, in table order."""
-        return tuple(self.tableaux[k] for k in _bits(bits))
+        return tuple(map(self.tableau, _bits(bits)))
 
     def demazure_word(self, word: tuple[int, ...]) -> int:
         """The positions whose raise chain along word, first letter first, ends at
         the superstandard tableau: word[0]'s raise preimage of word[1:]'s subset."""
         if word not in self._demazure:
             if word:
-                rest = _flags(self.demazure_word(word[1:]), len(self.tableaux))
+                rest = _flags(self.demazure_word(word[1:]), len(self.codes))
                 self._demazure[word] = _from_flags("".join([rest[k] for k in self.map("raise", word[0])]))
             else:
                 self._demazure[word] = 1 << self.position(superstandard(self.shape, self.n))
@@ -377,9 +358,9 @@ class CrystalTable(_Codes):
         last box, is at most b, for b in 0..n."""
         # at_most[b] translates a byte v to "1" when v <= b and to "0" otherwise
         at_most = [bytes(b"01"[v <= b] for v in range(256)) for b in range(self.n + 1)]
-        bounds = []
-        for m in range(len(self.shape)):
-            last = bytes(t.rows[m][-1][-1] for t in self.tableaux)
+        bounds, full = [], self._full
+        for shifts in self._shifts:  # the last box of row m is at shifts[-1]
+            last = bytes((code >> shifts[-1] & full).bit_length() - 1 for code in self.codes)
             bounds.append([_from_flags(last.translate(flags)) for flags in at_most])
         return bounds
 
@@ -387,7 +368,7 @@ class CrystalTable(_Codes):
         """The tableaux of a rectangle whose row m's greatest entry is at most
         the m-th bound of the flag of w."""
         flag = flag_vector(w, *_rectangle_dims(self.shape))
-        bits = (1 << len(self.tableaux)) - 1
+        bits = (1 << len(self.codes)) - 1
         for within, b in zip(self._row_bounds, flag):
             bits &= within[b]
         return bits
@@ -450,16 +431,13 @@ def beta_character(tableaux, n: int) -> BetaPolynomial:
     return BetaPolynomial(n, Counter((t.weight(), t.excess()) for t in tableaux))
 
 
-def decompose(n: int, shape) -> list[tuple[SetValuedTableau, tuple[SetValuedTableau, ...]]]:
-    """Connected components under e_i/f_i only, each with its unique
-    highest weight element, sorted by the highest weight's text form."""
-    table = crystal_table(n, _partition(shape))
-    tableaux = table.tableaux
-    ups = [table.map("e", i) for i in range(1, n)]
-    edges = ups + [table.map("f", i) for i in range(1, n)]
-    seen = bytearray(len(tableaux))
-    components = []
-    for start in range(len(tableaux)):
+def _components(table: CrystalTable) -> list[tuple[int, list[int]]]:
+    """The e_i/f_i components in position order, each (the position of its unique highest
+    weight element, its positions ascending); AssertionError where one has no unique one."""
+    ups = [table.map("e", i) for i in range(1, table.n)]
+    edges = ups + [table.map("f", i) for i in range(1, table.n)]
+    seen, components = bytearray(len(table.codes)), []
+    for start in range(len(table.codes)):
         if seen[start]:
             continue
         seen[start] = 1
@@ -469,10 +447,18 @@ def decompose(n: int, shape) -> list[tuple[SetValuedTableau, tuple[SetValuedTabl
                 if edge[k] >= 0 and not seen[edge[k]]:
                     seen[edge[k]] = 1
                     component.append(edge[k])
-        highs = [tableaux[k] for k in component if all(e[k] < 0 for e in ups)]
+        highs = [k for k in component if all(e[k] < 0 for e in ups)]
         if len(highs) != 1:
-            raise AssertionError(f"component without unique highest weight: {highs}")
-        components.append((highs[0], tuple(tableaux[k] for k in sorted(component))))
+            raise AssertionError(f"component without unique highest weight: {list(map(table.tableau, highs))}")
+        components.append((highs[0], sorted(component)))
+    return components
+
+
+def decompose(n: int, shape) -> list[tuple[SetValuedTableau, tuple[SetValuedTableau, ...]]]:
+    """Connected components under e_i/f_i only, each with its unique
+    highest weight element, sorted by the highest weight's text form."""
+    table = crystal_table(n, _partition(shape))
+    components = [(table.tableau(high), tuple(map(table.tableau, ks))) for high, ks in _components(table)]
     return sorted(components, key=lambda pair: pair[0].sort_key())
 
 
@@ -488,7 +474,7 @@ def ik_strings(n: int, shape, i: int) -> list[tuple[tuple[int, ...], tuple[int, 
             yield k
             k = f[k]
 
-    tops = [k for k in range(len(table.tableaux)) if e[k] < 0 and ek[k] < 0]
+    tops = [k for k in range(len(table.codes)) if e[k] < 0 and ek[k] < 0]
     strings = [(tuple(f_chain(top)), tuple(f_chain(fk[top]))) for top in tops]
     covered = 0
     for top, bottom in strings:
@@ -496,7 +482,7 @@ def ik_strings(n: int, shape, i: int) -> list[tuple[tuple[int, ...], tuple[int, 
         if overlap := covered & elements:
             raise AssertionError(f"i-K-strings overlap at {[t.to_text() for t in table.members(overlap)]}")
         covered |= elements
-    if missing := covered ^ ((1 << len(table.tableaux)) - 1):
+    if missing := covered ^ ((1 << len(table.codes)) - 1):
         texts = [t.to_text() for t in table.members(missing)]
         raise AssertionError(f"tableaux not covered by i-K-strings: {texts}")
     return strings

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from array import array
 
-from .crystal import CrystalTable, _flags, _from_flags, _rectangle_dims, beta_character, crystal_table
+from .crystal import CrystalTable, _flags, _from_flags, _rectangle_dims, crystal_table
 from .permutations import _pad, act, bruhat_leq, coset_reps
 from .polynomials import lascoux, lascoux_atom
 from .tableaux import SetValuedTableau, _partition
@@ -66,7 +66,7 @@ def _right_keys(table: CrystalTable) -> dict[int, SetValuedTableau]:
     these e_i keeps the excess and e_i^K never acts, so the subsets are classical."""
     lam = _pad(table.shape, table.n)
     reps = coset_reps(lam, table.n)  # sorted by (length, one-line word)
-    subsets = [_flags(table.demazure(v), len(table.tableaux)) for v in reps]
+    subsets = [_flags(table.demazure(v), len(table.codes)) for v in reps]
     keys = [key_of_composition(act(v, lam)) for v in reps]
     out = {}
     for k, (_, excess) in enumerate(table.stats):
@@ -74,7 +74,7 @@ def _right_keys(table: CrystalTable) -> dict[int, SetValuedTableau]:
             continue
         members = [m for m, subset in enumerate(subsets) if subset[k] == "1"]
         if not all(bruhat_leq(reps[members[0]], reps[m]) for m in members):
-            raise AssertionError(f"no Bruhat-least Demazure crystal holds {table.tableaux[k].to_text()}")
+            raise AssertionError(f"no Bruhat-least Demazure crystal holds {table.tableau(k).to_text()}")
         out[k] = keys[members[0]]
     return out
 
@@ -92,7 +92,7 @@ def _max_right_keys(table: CrystalTable) -> tuple[SetValuedTableau, ...]:
     """Right key of the greatest-entry tableau of each tableau of the table,
     by position; the greatest entries of a semistandard tableau form one."""
     keys = table.derived(_right_keys)
-    return tuple(keys[table.position(max_tableau(t))] for t in table.tableaux)
+    return tuple(keys[table.position(max_tableau(table.decode(code)))] for code in table.codes)
 
 
 def max_right_key(tableau: SetValuedTableau) -> SetValuedTableau:
@@ -106,11 +106,11 @@ def _stars(table: CrystalTable) -> array:
     component is a normal highest weight crystal, so the star of its highest
     weight element is its unique lowest element and star(f_i T) =
     e_{n-i} star(T); one f_i search from each highest element fills it."""
-    n, tableaux = table.n, table.tableaux
+    n = table.n
     ups = [table.map("e", i) for i in range(1, n)]
     downs = [table.map("f", i) for i in range(1, n)]
-    stars = array("i", [-1]) * len(tableaux)
-    for high in range(len(tableaux)):
+    stars = array("i", [-1]) * len(table.codes)
+    for high in range(len(table.codes)):
         if any(e[high] >= 0 for e in ups):
             continue
         order, parent = [high], {high: None}  # parent: (position, i) it lowers from
@@ -122,14 +122,14 @@ def _stars(table: CrystalTable) -> array:
         lows = [k for k in order if all(f[k] < 0 for f in downs)]
         if len(lows) != 1:
             raise AssertionError(
-                f"component of {tableaux[high].to_text()} has {len(lows)} lowest elements"
+                f"component of {table.tableau(high).to_text()} has {len(lows)} lowest elements"
             )
         stars[high] = lows[0]
         for child in order[1:]:
             k, i = parent[child]
             stars[child] = ups[n - i - 1][stars[k]]
             if stars[child] < 0:
-                raise AssertionError(f"e_{n - i} is undefined at the star of {tableaux[k].to_text()}")
+                raise AssertionError(f"e_{n - i} is undefined at the star of {table.tableau(k).to_text()}")
     return stars
 
 
@@ -137,7 +137,7 @@ def lusztig_star(tableau: SetValuedTableau) -> SetValuedTableau:
     """Crystal anti-automorphism on each connected component, read from
     the star map of the tableau's shape."""
     table = crystal_table(tableau.n, tableau.shape)
-    return table.tableaux[table.derived(_stars)[table.position(tableau)]]
+    return table.tableau(table.derived(_stars)[table.position(tableau)])
 
 
 def k_lusztig_star(tableau: SetValuedTableau) -> SetValuedTableau:
@@ -153,7 +153,7 @@ def k_lusztig_star(tableau: SetValuedTableau) -> SetValuedTableau:
 
 def _rotations(table: CrystalTable) -> array:
     """Position of k_lusztig_star of each tableau of a rectangle, by position."""
-    return array("i", (table.position(k_lusztig_star(t)) for t in table.tableaux))
+    return array("i", (table.position(k_lusztig_star(table.decode(code))) for code in table.codes))
 
 
 def preceq(key1: SetValuedTableau, key2: SetValuedTableau) -> bool:
@@ -184,7 +184,7 @@ def _key_maps(table: CrystalTable) -> dict[str, tuple[SetValuedTableau, ...]]:
     k_lusztig_star (K-rect), the right key of min(T°)°, whose outer star
     acts on a single-valued tableau: there both involutions are evacuation."""
     right, stars = table.derived(_right_keys), table.derived(_stars)
-    least = [table.position(min_tableau(t)) for t in table.tableaux]
+    least = [table.position(min_tableau(table.decode(code))) for code in table.codes]
     maps = {"calK": table.derived(_max_right_keys), "K-naive": tuple(right[stars[least[k]]] for k in stars)}
     if len(set(table.shape)) <= 1:
         maps["K-rect"] = tuple(right[stars[least[k]]] for k in table.derived(_rotations))
@@ -214,7 +214,7 @@ def key_partition_report(shape, n: int) -> list[dict]:
                         "w": list(w),
                         "involution": key_map,
                         "mode": mode,
-                        "match": beta_character(table.members(subset), n) == expected,
+                        "match": table.character(subset) == expected,
                     }
                 )
     return rows

@@ -20,7 +20,7 @@ closure of each composition of its class, found on first read.
 ``closure_table(a)`` reads the graph of a's class and that closure.
 
 phi and the tableau Kohnert move are kernels on the crystal table's codes
-(``crystal._Codes``): the graph looks each ``_phi_code`` up in the table,
+(``crystal._Columns``): the graph looks each ``_phi_code`` up in the table,
 membership being the semistandardness test, and ``_svt_moves`` gives every
 move of a code in one pass; ``phi`` and ``svt_kohnert_move`` decode them.
 """
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import or_
 
-from .crystal import _Codes, _codes, _codes_of, _rectangle_dims, _semistandard, crystal_table
+from .crystal import _Columns, _codes, _codes_of, _rectangle_dims, _semistandard, crystal_table
 from .tableaux import SetValuedTableau, _heights, _partition
 
 Box = tuple[int, int]
@@ -247,7 +247,7 @@ def closure(a: tuple[int, ...]) -> tuple[KKohnertDiagram, ...]:
 # -- correspondence with rectangular set-valued tableaux ---------------------
 
 
-def _phi_code(codes: _Codes, diagram: KKohnertDiagram) -> int:
+def _phi_code(codes: _Columns, diagram: KKohnertDiagram) -> int:
     """phi of diagram as a code of codes' rectangle: the unmarked boxes of
     diagram row y, by column, fill tableau column s-y top to bottom, and
     each marked box (x, y) joins the box of the rightmost unmarked box to
@@ -294,22 +294,22 @@ def phi_inverse(tableau: SetValuedTableau) -> KKohnertDiagram:
     _, s = _rectangle_dims(tableau.shape)
     boxes: set[Box] = set()
     marked: set[Box] = set()
-    for rr, c, cell in tableau.cells():
-        y = s - c
-        boxes.add((cell[0], y))
-        for v in cell[1:]:
-            boxes.add((v, y))
-            marked.add((v, y))
+    for row in tableau.rows:
+        for y, cell in zip(range(s, 0, -1), row):
+            boxes.add((cell[0], y))
+            for v in cell[1:]:
+                boxes.add((v, y))
+                marked.add((v, y))
     return KKohnertDiagram(frozenset(boxes), frozenset(marked))
 
 
-def _svt_moves(codes: _Codes, code: int) -> dict[tuple[int, bool], int]:
+def _svt_moves(codes: _Columns, code: int) -> dict[tuple[int, bool], int]:
     """svt_kohnert_move at every x, both variants, on a code: (x, is_k) ->
     image code, for the defined moves.  The least entry x of a box that no
     column to its left holds moves when the boxes above it hold exactly
     x-1, x-2, ... down to a value x' > 0 that the column misses: x and that
     run each drop by one, x kept for the K-variant."""
-    width, height, full = codes._width, codes._height, (1 << codes._width) - 1
+    width, height, full = codes._width, codes._height, codes._full
     moves: dict[tuple[int, bool], int] = {}
     seen = 0  # the values of the columns to the left
     for base in (c * height for c in range(len(codes._column))):  # the slot of each column's top box

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .crystal import _bits, _Codes, _codes, _rectangle_dims, _semistandard, _subset_table
+from .crystal import _Columns, _codes, _rectangle_dims, _semistandard, _subset_table
 from .crystal import atom_subset, crystal_table
 from .permutations import Perm, _pad, act
-from .tableaux import SetValuedTableau, _heights
+from .tableaux import SetValuedTableau, _bits, _heights
 
 Cell = tuple[int, ...]
 
@@ -240,7 +240,7 @@ class SkylineTable:
 skyline_table = lru_cache(maxsize=None)(SkylineTable)  # one table per (class tuple(sorted(a)), n)
 
 
-def _psi_code(codes: _Codes, skyline: SkylineTableau) -> int:
+def _psi_code(codes: _Columns, skyline: SkylineTableau) -> int:
     """psi of a valid skyline as a code of codes' rectangle: level L's
     anchors, sorted, fill tableau column s-L top to bottom, and each free
     entry joins the box of the least anchor above it; ValueError on a
@@ -292,7 +292,7 @@ class PsiTable:
         self.preimage: dict[int, int] = {}
         for j, k in enumerate(self.images):
             if k in self.preimage:
-                raise AssertionError(f"psi is not injective at {table.tableaux[k]!r}")
+                raise AssertionError(f"psi is not injective at {table.tableau(k)!r}")
             self.preimage[k] = j
 
 

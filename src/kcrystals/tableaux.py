@@ -9,12 +9,15 @@ hashable.
 
 The text form joins rows top-to-bottom with "/", boxes with single
 spaces, and in-box entries ascending with commas, e.g. "1 1,2/2,3 3".
+
+A tableau's code (``_Codes``) packs its boxes column by column as bitmasks of
+their entries.  ``_svt_codes``, the one enumerator, emits a shape's codes in text
+order; the crystal table keeps only codes, and ``enumerate_svt`` decodes them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 
 Cell = tuple[int, ...]
 
@@ -99,14 +102,6 @@ class SetValuedTableau:
 
     # -- cell access ------------------------------------------------------
 
-    def cells(self):
-        for r, row in enumerate(self.rows):
-            for c, cell in enumerate(row):
-                yield r, c, cell
-
-    def contains(self, value: int) -> bool:
-        return any(value in cell for _, _, cell in self.cells())
-
     def column_entries(self, c: int) -> set[int]:
         out: set[int] = set()
         for row in self.rows:
@@ -170,10 +165,72 @@ def _partition(shape) -> tuple[int, ...]:
     return tuple(p for p in parts if p)
 
 
-def _nonempty_subsets(lo: int, hi: int):
-    values = range(lo, hi + 1)
-    for size in range(1, len(values) + 1):
-        yield from combinations(values, size)
+def _bits(bits: int) -> list[int]:
+    """The positions of the set bits of bits, ascending: a slot's entries, a bitset's positions."""
+    return [k for k, flag in enumerate(bin(bits)[:1:-1]) if flag == "1"]
+
+
+class _Codes:
+    """The codes of the tableaux of shape at n: the boxes column by column in
+    slots of n + 1 bits, bit v set when the box holds v, one slot per row of
+    the shape in every column, so the box right of a box is `_step` bits
+    higher; box (m, c)'s slot starts at bit `_shifts[m][c]`."""
+
+    def __init__(self, n: int, shape: tuple[int, ...]):
+        self.n, self.shape = n, shape
+        width, height = n + 1, len(shape)
+        self._width, self._height, self._step, self._full = width, height, width * height, (1 << width) - 1
+        self._shifts = [[(c * height + m) * width for c in range(part)] for m, part in enumerate(shape)]
+        self._cells: dict[int, Cell] = {}  # a slot's entries by its bitmask, learned by decode
+
+    def _encode(self, tableau: SetValuedTableau) -> int:
+        """The code of a tableau of this shape: bit v of box (m, c)'s slot is set when it holds v."""
+        code = 0
+        for row, shifts in zip(tableau.rows, self._shifts):
+            for cell, shift in zip(row, shifts):
+                for v in cell:
+                    code |= 1 << (shift + v)
+        return code
+
+    def decode(self, code: int) -> SetValuedTableau:
+        """The tableau of a code of this shape; inverts _encode.  `_cells`
+        learns each slot bitmask's entries the first time a code holds it."""
+        cells, full = self._cells, self._full
+        try:
+            rows = tuple(tuple(cells[code >> shift & full] for shift in shifts) for shifts in self._shifts)
+        except KeyError as missing:
+            cells[missing.args[0]] = tuple(_bits(missing.args[0]))
+            return self.decode(code)
+        return SetValuedTableau._trusted(rows, self.n)
+
+
+def _svt_codes(codes: _Codes) -> list[int]:
+    """The codes of the semistandard tableaux of codes' shape at codes.n, in text order."""
+    # Tableaux that agree before a cell compare as its text plus separator (" "
+    # in a row, "/" after a row but the last, "" at the end): filling the cells
+    # in that order emits text order.  last[j] is cell j's greatest entry, 0 at -1.
+    cells, shape = [], codes.shape
+    for m, shifts in enumerate(codes._shifts):
+        for c, shift in enumerate(shifts):
+            sep = " " if c + 1 < len(shifts) else "/" if m + 1 < len(shape) else ""
+            cells.append((shift, sep, len(cells) - 1 if c else -1, len(cells) - shape[m - 1] if m else -1))
+    last, candidates, out = [0] * (len(cells) + 1), {}, []
+
+    def fill(idx: int, code: int) -> None:
+        if idx == len(cells):
+            out.append(code)
+            return
+        shift, sep, left, above = cells[idx]
+        lo = max(last[left], last[above] + 1)
+        if (lo, sep) not in candidates:  # (bitmask, greatest entry) of each nonempty subset of lo..n
+            subsets = [(s << lo, s.bit_length() + lo - 1) for s in range(1, 1 << max(codes.n + 1 - lo, 0))]
+            candidates[lo, sep] = sorted(subsets, key=lambda cell: ",".join(map(str, _bits(cell[0]))) + sep)
+        for mask, top in candidates[lo, sep]:
+            last[idx] = top
+            fill(idx + 1, code | mask << shift)
+
+    fill(0, 0)
+    return out
 
 
 def enumerate_svt(n: int, shape: tuple[int, ...]) -> tuple[SetValuedTableau, ...]:
@@ -184,45 +241,8 @@ def enumerate_svt(n: int, shape: tuple[int, ...]) -> tuple[SetValuedTableau, ...
 
 @lru_cache(maxsize=None)
 def _enumerate_svt(n: int, shape: tuple[int, ...]) -> tuple[SetValuedTableau, ...]:
-    if len(shape) > n:
-        return ()
-
-    results: list[SetValuedTableau] = []
-    rows: list[list[Cell]] = [[None] * width for width in shape]  # type: ignore
-
-    # Each cell's text is followed by " " inside a row, "/" at the end of a
-    # row but the last and nothing at the very end; tableaux that agree
-    # before a cell compare as that cell's text plus its separator, so
-    # filling cells in text order of those keys emits the text order.
-    coords = [
-        (r, c, " " if c + 1 < width else "/" if r + 1 < len(shape) else "")
-        for r, width in enumerate(shape)
-        for c in range(width)
-    ]
-    candidates: dict[tuple[int, str], list[Cell]] = {}
-
-    def fill(idx: int) -> None:
-        if idx == len(coords):  # cells come sorted from combinations
-            results.append(SetValuedTableau._trusted(tuple(map(tuple, rows)), n))
-            return
-        r, c, sep = coords[idx]
-        lo = 1
-        if c > 0:
-            lo = max(lo, rows[r][c - 1][-1])
-        if r > 0:
-            lo = max(lo, rows[r - 1][c][-1] + 1)
-        if lo > n:
-            return
-        if (lo, sep) not in candidates:
-            cells = _nonempty_subsets(lo, n)
-            candidates[lo, sep] = sorted(cells, key=lambda cell: ",".join(map(str, cell)) + sep)
-        for cell in candidates[lo, sep]:
-            rows[r][c] = cell
-            fill(idx + 1)
-        rows[r][c] = None  # type: ignore
-
-    fill(0)
-    return tuple(results)
+    codes = _Codes(n, shape)
+    return tuple(map(codes.decode, _svt_codes(codes)))
 
 
 # The shape is keyed before the cache lookup; the public name shows the cache.

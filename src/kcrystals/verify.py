@@ -16,9 +16,9 @@ from itertools import combinations, product
 
 from . import golden
 from .crystal import (
+    _components,
     beta_character,
     crystal_table,
-    decompose,
     demazure_subset,
     flagged_set,
     ik_strings,
@@ -174,54 +174,48 @@ def _check_bruhat_atom_sum(n, shape):
 def _check_inverse_ops(n, shape):
     table = crystal_table(n, shape)
     maps = [(i, table.map("e", i), table.map("f", i)) for i in range(1, n)]
-    stats = table.stats
-    for k, t in enumerate(table.tableaux):
-        wt, ex = stats[k]
+    for k, (wt, ex) in enumerate(table.stats):
         for i, e, f in maps:
             down = f[k]
             if down >= 0:
                 if e[down] != k:
-                    return f"e_{i} f_{i} != id at {t.to_text()}"
+                    return f"e_{i} f_{i} != id at {table.tableau(k).to_text()}"
                 expected = list(wt)
                 expected[i - 1] -= 1
                 expected[i] += 1
-                if stats[down] != (tuple(expected), ex):
-                    return f"f_{i} weight law fails at {t.to_text()}"
+                if table.stats[down] != (tuple(expected), ex):
+                    return f"f_{i} weight law fails at {table.tableau(k).to_text()}"
             if e[k] >= 0 and f[e[k]] != k:
-                return f"f_{i} e_{i} != id at {t.to_text()}"
+                return f"f_{i} e_{i} != id at {table.tableau(k).to_text()}"
     return None
 
 
 def _check_components(n, shape):
     table = crystal_table(n, shape)
-    u = superstandard(shape, n)
-    for high, comp in decompose(n, shape):  # raises if a component lacks a unique highest
-        if high == u:
-            singletons = {t for t, (_, ex) in zip(table.tableaux, table.stats) if ex == 0}
-            if set(comp) != singletons:
-                return "component of the minimal highest weight element is not the single-valued one"
+    u = table.position(superstandard(shape, n))
+    for high, members in _components(table):  # raises if a component lacks a unique highest
+        if high == u and members != [k for k, (_, ex) in enumerate(table.stats) if ex == 0]:
+            return "component of the minimal highest weight element is not the single-valued one"
     return None
 
 
 def _check_k_ops(n, shape):
     table = crystal_table(n, shape)
     maps = [(i, table.map("eK", i), table.map("fK", i)) for i in range(1, n)]
-    stats = table.stats
-    for k, t in enumerate(table.tableaux):
-        wt, ex = stats[k]
+    for k, (wt, ex) in enumerate(table.stats):
         for i, ek, fk in maps:
             down = fk[k]
             if down >= 0:
                 if fk[down] >= 0:
-                    return f"f^K_{i} f^K_{i} != 0 at {t.to_text()}"
+                    return f"f^K_{i} f^K_{i} != 0 at {table.tableau(k).to_text()}"
                 expected = list(wt)
                 expected[i] += 1
-                if stats[down] != (tuple(expected), ex + 1):
-                    return f"f^K_{i} weight law fails at {t.to_text()}"
+                if table.stats[down] != (tuple(expected), ex + 1):
+                    return f"f^K_{i} weight law fails at {table.tableau(k).to_text()}"
                 if ek[down] != k:
-                    return f"f^K_{i} is not inverse to e^K_{i} at {t.to_text()}"
+                    return f"f^K_{i} is not inverse to e^K_{i} at {table.tableau(k).to_text()}"
             if ek[k] >= 0 and fk[ek[k]] != k:
-                return f"e^K_{i} is not inverse to f^K_{i} at {t.to_text()}"
+                return f"e^K_{i} is not inverse to f^K_{i} at {table.tableau(k).to_text()}"
     return None
 
 
@@ -230,14 +224,13 @@ def _check_k_strings(n, shape, i):
     table = crystal_table(n, shape)
     subsets = {w: table.demazure(w) for w in coset_reps(_pad(shape, n), n)}
     for top, bottom in strings:
-        head = table.tableaux[top[0]]  # its text is read by a witness only
         if bottom and len(bottom) != len(top) - 1:
-            return f"string at {head.to_text()} has uneven rows"
+            return f"string at {table.tableau(top[0]).to_text()} has uneven rows"
         elements = sum(1 << k for k in {*top, *bottom})
         for w, subset in subsets.items():
             if (meet := subset & elements) not in (0, elements, 1 << top[0]):
                 texts = [t.to_text() for t in table.members(meet)]
-                return f"string at {head.to_text()} meets the subset of w={list(w)} in {texts}"
+                return f"string at {table.tableau(top[0]).to_text()} meets the subset of w={list(w)} in {texts}"
     return None
 
 
@@ -254,7 +247,7 @@ def _check_k_monotone(n, shape):
 def _doubly_highest(table) -> list[SetValuedTableau]:
     """The tableaux of the table that no e_i or e^K_i raises."""
     ups = [table.map(op, i) for op in ("e", "eK") for i in range(1, table.n)]
-    return [t for k, t in enumerate(table.tableaux) if all(up[k] < 0 for up in ups)]
+    return [table.tableau(k) for k in range(len(table.codes)) if all(up[k] < 0 for up in ups)]
 
 
 def _check_k_demazure(n, shape, w):
@@ -271,10 +264,10 @@ def _check_k_demazure(n, shape, w):
             return f"subset depends on the reduced word {word}"
     if not baseline >> table.position(u) & 1:
         return "minimal highest weight element missing from the subset"
-    character = beta_character(table.members(baseline), n)
+    character = table.character(baseline)
     if character != lascoux(act(w, lam), n):
         return f"character mismatch: {character.to_text()}"
-    if w == stabilizer_min_rep(longest_element(n), lam) and baseline != (1 << len(table.tableaux)) - 1:
+    if w == stabilizer_min_rep(longest_element(n), lam) and baseline != (1 << len(table.codes)) - 1:
         return "top subset is not everything"
     return None
 
@@ -299,9 +292,9 @@ def _check_flag_golden():
 
 
 def _check_full_character(n, shape):
-    lam = _pad(shape, n)
-    top = tuple(reversed(lam))
-    total = beta_character(enumerate_svt(n, shape), n)
+    top = tuple(reversed(_pad(shape, n)))
+    table = crystal_table(n, shape)
+    total = table.character((1 << len(table.codes)) - 1)
     if total != lascoux(top, n):
         return "character of all tableaux differs from the top polynomial"
     if not total.is_symmetric():
@@ -331,9 +324,10 @@ def _check_character_golden():
     return None
 
 
-def _round_trip_witness(d, t, n: int) -> str | None:
-    """_check_kohnert's verdict on one diagram d with phi image t."""
-    if (d.column_heights(n), len(d.marked)) != (t.weight(), t.excess()):
+def _round_trip_witness(d, table, k: int) -> str | None:
+    """_check_kohnert's verdict on one diagram d with phi image at position k."""
+    t = table.tableau(k)
+    if (d.column_heights(table.n), len(d.marked)) != (t.weight(), t.excess()):
         return f"phi does not preserve the weight of {t.to_text()}"
     if phi_inverse(t) != d:
         return f"phi_inverse(phi(D)) != D at {t.to_text()}"
@@ -348,8 +342,8 @@ def _check_kohnert(n, shape, w):
     for p in positions:
         k = images[p]
         if k in seen:
-            return f"phi collision at {table.tableaux[k].to_text()}"
-        witness = graph.verdict(_round_trip_witness, p, graph.diagrams[p], table.tableaux[k], n)
+            return f"phi collision at {table.tableau(k).to_text()}"
+        witness = graph.verdict(_round_trip_witness, p, graph.diagrams[p], table, k)
         if witness is not None:
             return witness
         seen.add(k)
@@ -360,15 +354,15 @@ def _check_kohnert(n, shape, w):
 
 def _intertwine_witness(graph, p: int, images, table) -> str | None:
     """_check_kohnert_intertwine's verdict on the diagram at p, by positions."""
-    t, moved = table.tableaux[images[p]], _svt_moves(table, table.codes[images[p]])
+    moved = _svt_moves(table, table.codes[images[p]])
     diagram_moves = {(x, is_k): images[q] for x, is_k, q in graph.moves(p)}
     for x in sorted({x for x, _ in graph.diagrams[p].boxes}):
         for is_k in (False, True):
             key = (x, is_k)
             if (key in diagram_moves) != (key in moved):
-                return f"move availability differs at {t.to_text()}, x={x}, k={is_k}"
+                return f"move availability differs at {table.tableau(images[p]).to_text()}, x={x}, k={is_k}"
             if key in moved and table._positions.get(moved[key]) != diagram_moves[key]:
-                return f"moves do not intertwine at {t.to_text()}, x={x}, k={is_k}"
+                return f"moves do not intertwine at {table.tableau(images[p]).to_text()}, x={x}, k={is_k}"
     return None
 
 
@@ -407,7 +401,7 @@ def _check_skyline(n, shape, w):
     table = crystal_table(n, shape)
     weights = Counter()
     for skyline, k in zip(mapped.skylines, mapped.images):
-        t = table.tableaux[k]
+        t = table.tableau(k)
         weight = (skyline.weight(n), skyline.excess())
         if weight != (t.weight(), t.excess()):
             return f"psi does not preserve the weight of {t.to_text()}"
@@ -471,27 +465,27 @@ def _check_star_axioms(n, shape):
         (i, table.map("e", i), table.map("f", i), table.map("e", n - i), table.map("f", n - i))
         for i in range(1, n)
     ]
-    for k, t in enumerate(table.tableaux):
+    for k in range(len(table.codes)):
         reversed_weight = stats[k][0][::-1]
         star = rotations[k]
         if rotations[star] != k:
-            return f"rotation involution does not square to id at {t.to_text()}"
+            return f"rotation involution does not square to id at {table.tableau(k).to_text()}"
         if stats[star][0] != reversed_weight:
-            return f"rotation involution weight law fails at {t.to_text()}"
+            return f"rotation involution weight law fails at {table.tableau(k).to_text()}"
         naive = stars[k]
         if stars[naive] != k:
-            return f"path-mirror involution does not square to id at {t.to_text()}"
+            return f"path-mirror involution does not square to id at {table.tableau(k).to_text()}"
         if stats[naive][0] != reversed_weight:
-            return f"path-mirror weight law fails at {t.to_text()}"
+            return f"path-mirror weight law fails at {table.tableau(k).to_text()}"
         if len(shape) == 1 and naive != star:
-            return f"single-row involutions disagree at {t.to_text()}"
+            return f"single-row involutions disagree at {table.tableau(k).to_text()}"
         for i, e, f, e_mirror, f_mirror in maps:
             down = f_mirror[k]
             if e[star] != (-1 if down < 0 else rotations[down]):
-                return f"e_{i}(T°) != (f_{n-i}T)° at {t.to_text()}"
+                return f"e_{i}(T°) != (f_{n-i}T)° at {table.tableau(k).to_text()}"
             up = e_mirror[k]
             if f[star] != (-1 if up < 0 else rotations[up]):
-                return f"f_{i}(T°) != (e_{n-i}T)° at {t.to_text()}"
+                return f"f_{i}(T°) != (e_{n-i}T)° at {table.tableau(k).to_text()}"
     return None
 
 

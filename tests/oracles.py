@@ -378,8 +378,9 @@ def per_tableau(operator):
     table raises KeyError(image), not _fill's named AssertionError."""
 
     def fill(table, i):
-        index = {t: k for k, t in enumerate(table.tableaux)}
-        return array("i", (-1 if (u := operator(t, i)) is None else index[u] for t in table.tableaux))
+        tableaux = [table.decode(code) for code in table.codes]
+        index = {t: k for k, t in enumerate(tableaux)}
+        return array("i", (-1 if (u := operator(t, i)) is None else index[u] for t in tableaux))
 
     return fill
 
@@ -536,7 +537,7 @@ def reference_closure(a):
 def reference_svt_kohnert_move(tableau, x, k_variant=False):
     """The tableau Kohnert move one cell at a time: every removal and
     addition builds a new tableau."""
-    if not tableau.contains(x):
+    if not any(x in cell for row in tableau.rows for cell in row):
         return None
     col = next((c for c in range(len(tableau.rows[0])) if x in tableau.column_entries(c)), None)
     if col is None:

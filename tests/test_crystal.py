@@ -132,7 +132,7 @@ def test_raise_map_examples():
     table = crystal_table(3, (2, 2))
 
     def raised(t, i):
-        return table.tableaux[table.map("raise", i)[table.position(t)]]
+        return table.tableau(table.map("raise", i)[table.position(t)])
 
     assert raised(T("2 2/3 3"), 1) == T("1 1/3 3")
     u = superstandard((2, 2), 3)
@@ -262,11 +262,11 @@ def test_singleton_component_matches_ssyt_enumeration(shape, n):
 
 
 def test_ik_string_through_the_figure():
-    tableaux = crystal_table(3, (2, 2)).tableaux
+    table = crystal_table(3, (2, 2))
     strings = ik_strings(3, (2, 2), 2)
-    top, bottom = next(s for s in strings if tableaux[s[0][0]] == T("1 1/2 2"))
-    assert [tableaux[k].to_text() for k in top] == ["1 1/2 2", "1 1/2 3", "1 1/3 3"]
-    assert [tableaux[k].to_text() for k in bottom] == ["1 1/2 2,3", "1 1/2,3 3"]
+    top, bottom = next(s for s in strings if table.tableau(s[0][0]) == T("1 1/2 2"))
+    assert [table.tableau(k).to_text() for k in top] == ["1 1/2 2", "1 1/2 3", "1 1/3 3"]
+    assert [table.tableau(k).to_text() for k in bottom] == ["1 1/2 2,3", "1 1/2,3 3"]
 
 
 @pytest.mark.parametrize("i", [1, 2])
@@ -283,7 +283,7 @@ def test_unique_doubly_highest_element():
     u = superstandard((2, 2), 3)
     table = crystal_table(3, (2, 2))
     ups = [table.map(op, i) for op in ("e", "eK") for i in (1, 2)]
-    doubly = [t for k, t in enumerate(table.tableaux) if all(up[k] < 0 for up in ups)]
+    doubly = [table.tableau(k) for k in range(len(table.codes)) if all(up[k] < 0 for up in ups)]
     assert doubly == [u]
 
 

@@ -95,7 +95,7 @@ def _k_rect_keys(n, shape):
     """The K-rect key map of key_partition_report (the right key of
     min(T°)° for the rotation °), by tableau."""
     table = crystal_table(n, shape)
-    return dict(zip(table.tableaux, table.derived(_key_maps)["K-rect"]))
+    return dict(zip(map(table.decode, table.codes), table.derived(_key_maps)["K-rect"]))
 
 
 def test_k_rect_key_examples():
