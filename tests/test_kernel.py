@@ -1,8 +1,9 @@
 """
 Differential tests against the reference implementations in oracles.py:
-the crystal kernel, the maps of the crystal table and the structures read
-from it over every tableau of every shape with at most 4 cells at n <= 4
-and every rectangle up to 2x2 at n = 5; the pruned skyline
+the enumerator against a filter of every filling; the crystal kernel, the
+maps of the crystal table and the structures read from it over every
+tableau of every shape with at most 4 cells at n <= 4 and every rectangle
+up to 2x2 at n = 5; the pruned skyline
 enumeration, the tabulated Demazure subsets and the closure and psi
 tables over the compositions and coset representatives of those shapes;
 the tableau Kohnert move, phi, psi and the cross-column skyline rules;
@@ -14,7 +15,6 @@ from itertools import combinations, product
 import pytest
 
 from kcrystals.crystal import (
-    _Codes,
     _pad,
     crystal_e,
     crystal_f,
@@ -56,7 +56,7 @@ from kcrystals.skyline import (
     psi_table,
     validate_skyline,
 )
-from kcrystals.tableaux import SetValuedTableau, enumerate_svt
+from kcrystals.tableaux import SetValuedTableau, _Codes, enumerate_svt
 from oracles import (
     reference_compatible,
     reference_crystal_e,
@@ -176,8 +176,7 @@ ENUMERATION_CASES = [(n, shape) for n in range(1, 5) for shape in _shapes(4, 4)]
 def test_enumeration_matches_a_filter_of_every_filling(n, shape):
     expected = reference_enumerate_svt(n, shape)
     assert list(enumerate_svt(n, shape)) == expected
-    table = crystal_table(n, shape)
-    assert [table.decode(code) for code in table.codes] == expected
+    assert list(_decoded(crystal_table(n, shape))) == expected
 
 
 @pytest.mark.parametrize("n,shape", CASES + [(11, (2,))], ids=str)
