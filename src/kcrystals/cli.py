@@ -45,7 +45,8 @@ def cmd_lascoux(args) -> int:
 
 def cmd_enumerate(args) -> int:
     if args.kind in ("svt", "skyline") and (args.n is None or args.n < 1):
-        print("error: --n is required for svt and skyline", file=sys.stderr)
+        problem = "is required" if args.n is None else "must be a positive integer"
+        print(f"error: --n {problem} for svt and skyline", file=sys.stderr)
         return 2
     if args.kind == "kohnert" and args.n is not None:
         print("error: enumerate kohnert does not read --n; --shape alone sets the diagrams", file=sys.stderr)

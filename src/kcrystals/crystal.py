@@ -262,6 +262,7 @@ class CrystalTable(_Columns):
             raise ValueError(f"a crystal table is keyed by a partition without zeros, got {shape!r}")
         super().__init__(n, shape)
         self.codes = _svt_codes(self)
+        self._letters, self._boxes = range(1, n + 1), sum(shape)
         self._positions = {code: k for k, code in enumerate(self.codes)}
         self._maps: dict[tuple[str, int], array] = {}
         self._demazure: dict[tuple[int, ...], int] = {}
@@ -311,12 +312,15 @@ class CrystalTable(_Columns):
             self._maps[op, i] = images
         return self._maps[op, i]
 
+    def stat(self, code: int) -> tuple[tuple[int, ...], int]:
+        """(weight, excess) of the tableau of a code: slots holding v, entries beyond one per box."""
+        slots = self._right_of[0]
+        return tuple([(code >> v & slots).bit_count() for v in self._letters]), code.bit_count() - self._boxes
+
     @cached_property
     def stats(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """(weight, excess) of the tableau at each position: slots holding v, entries beyond one per box."""
-        slots, boxes, letters = self._right_of[0], sum(self.shape), range(1, self.n + 1)
-        weights = (tuple((code >> v & slots).bit_count() for v in letters) for code in self.codes)
-        return tuple(zip(weights, (code.bit_count() - boxes for code in self.codes)))
+        """stat of the tableau at each position."""
+        return tuple(map(self.stat, self.codes))
 
     def character(self, bits: int) -> BetaPolynomial:
         """Sum of b^excess x^weight over the positions in bits."""

@@ -10,19 +10,30 @@ to its left in the same row, never passing over a marked box; the
 K-variant leaves a marked copy at the origin.
 
 The diagrams of one rearrangement class of compositions form one
-``KohnertGraph``, explored on demand: each diagram has a position, and
-its single moves (as positions), the position of its phi image in the
-crystal table of the rectangle and each bijection check's verdict on it
-are filled on first read, once per diagram.  ``kohnert_graph(parts)`` is
-the one cached graph of a class, keyed by its sorted composition, so
+``KohnertGraph``, explored on demand.  A move keeps every box within the
+class's max(parts) rows and len(parts) columns, so the graph holds each
+diagram as one int, its key (``pack``): box (x, y) is bit
+(x-1)*max(parts) + y-1, column by column, and the marks are the same bits
+len(parts)*max(parts) higher.  A move is a few bit operations on the key,
+and the canonical order (``KKohnertDiagram.sort_key``) is the order of the
+complemented bit strings of boxes and marks (``_flip``).  Each key has a
+position; its single moves (as positions), the position of its phi image
+in the crystal table of the rectangle and each bijection check's verdict
+on it are filled on first read, once per diagram.  ``kohnert_graph(parts)``
+is the one cached graph of a class, keyed by its sorted composition, so
 ``kohnert_graph.cache_clear()`` is the only reset; each graph keeps the
 closure of each composition of its class, found on first read.
-``closure_table(a)`` reads the graph of a's class and that closure.
+``closure_table(a)`` reads the graph of a's class and that closure;
+``KKohnertDiagram``, the public, validating type, is made by ``unpack``
+only for ``closure``, a witness or a caller of the graph.
 
-phi and the tableau Kohnert move are kernels on the crystal table's codes
-(``crystal._Columns``): the graph looks each ``_phi_code`` up in the table,
-membership being the semistandardness test, and ``_svt_moves`` gives every
-move of a code in one pass; ``phi`` and ``svt_kohnert_move`` decode them.
+phi, its inverse and the tableau Kohnert move are kernels between keys
+and the crystal table's codes (``crystal._Columns``): the graph looks each
+``_phi_code`` up in the table, membership being the semistandardness
+test, ``_phi_inverse_key`` packs a code's preimage, and ``_svt_moves``
+gives every move of a code in one pass; ``phi``, ``phi_inverse`` and
+``svt_kohnert_move`` run them through pack or encode and decode.
+``tests/oracles.py`` holds the diagram-level references.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ from functools import lru_cache, reduce
 from operator import or_
 
 from .crystal import _Columns, _codes, _codes_of, _rectangle_dims, _semistandard, crystal_table
-from .tableaux import SetValuedTableau, _heights, _partition
+from .tableaux import SetValuedTableau, _bits, _heights, _partition
 
 Box = tuple[int, int]
 
@@ -53,7 +64,7 @@ class KKohnertDiagram:
 
     @classmethod
     def _trusted(cls, boxes: frozenset[Box], marked: frozenset[Box]) -> "KKohnertDiagram":
-        """Wrap boxes in the positive quadrant and marks among them, as a move keeps them."""
+        """Wrap boxes in the positive quadrant and marks among them, as a key holds them."""
         diagram = object.__new__(cls)
         object.__setattr__(diagram, "boxes", boxes)  # one by one, so the instance dicts share keys
         object.__setattr__(diagram, "marked", marked)
@@ -108,90 +119,132 @@ def initial_diagram(a) -> KKohnertDiagram:
     return KKohnertDiagram(frozenset(boxes), frozenset())
 
 
-def _move_targets(diagram: KKohnertDiagram):
-    """Yield (origin, target) for every legal single move origin."""
-    columns: dict[int, int] = {}
+def pack(diagram: KKohnertDiagram, height: int, n: int) -> int:
+    """The key of diagram in the layout of `height` rows and n columns: box
+    (x, y) is bit (x-1)*height + y-1 of the boxes, and the marks are the
+    same bits n*height higher; ValueError on a box above row `height` or
+    right of column n, which would alias another box."""
+    boxes = marked = 0
     for x, y in diagram.boxes:
-        columns[x] = max(columns.get(x, 0), y)
-    for x, y in sorted(columns.items()):
+        if y > height:
+            raise ValueError(f"box {(x, y)} above row {height}")
+        if x > n:
+            raise ValueError(f"box in column {x} exceeds n={n}")
+        bit = 1 << ((x - 1) * height + y - 1)
+        boxes |= bit
         if (x, y) in diagram.marked:
-            continue
-        target = None
-        for x2 in range(x - 1, 0, -1):
-            if (x2, y) not in diagram.boxes:
-                target = (x2, y)
-                break
-            if (x2, y) in diagram.marked:
-                break
-        if target is not None:
-            yield (x, y), target
+            marked |= bit
+    return boxes | marked << n * height
 
 
-def single_moves(
-    diagram: KKohnertDiagram,
-) -> list[tuple[int, bool, KKohnertDiagram]]:
-    """All single-move results as (origin column, is_k_move, diagram)."""
-    out = []
-    for (x, y), target in _move_targets(diagram):
-        moved = KKohnertDiagram._trusted((diagram.boxes - {(x, y)}) | {target}, diagram.marked)
-        out.append((x, False, moved))
-        left_behind = KKohnertDiagram._trusted(diagram.boxes | {target}, diagram.marked | {(x, y)})
-        out.append((x, True, left_behind))
-    return out
+@lru_cache(maxsize=None)
+def _cells(height: int, n: int) -> tuple[Box, ...]:
+    """The box of each bit of the layout of `height` rows and n columns,
+    shared by every diagram unpacked in it; only geometry, as crystal._codes."""
+    return tuple((j // height + 1, j % height + 1) for j in range(n * height))
+
+
+def unpack(key: int, height: int, n: int) -> KKohnertDiagram:
+    """The diagram of a key in the layout of `height` rows and n columns; inverts pack."""
+    size, cells = n * height, _cells(height, n)
+    boxes = frozenset([cells[j] for j in _bits(key & ((1 << size) - 1))])
+    return KKohnertDiagram._trusted(boxes, frozenset([cells[j] for j in _bits(key >> size)]))
+
+
+_COMPLEMENT = str.maketrans("01", "10")
+
+
+def _flip(bits: int) -> str:
+    """The complemented bit string of bits, least significant bit first: ints
+    sort by it as the tuples of their set bits, ascending, do."""
+    return bin(bits)[:1:-1].translate(_COMPLEMENT) if bits else ""
 
 
 class KohnertGraph:
     """The (K-)Kohnert moves among the diagrams of one rearrangement class
     of compositions, explored on demand.  A move keeps each row's count of
     unmarked boxes, so every closure of the class lies in this graph and
-    in no other.  Each diagram found gets a position; its single moves,
-    the position of its phi image and each check's verdict on it are
-    filled on first read, once per diagram however many closures hold it."""
+    in no other.  Each diagram found gets a position and is held as its
+    key, packed (see pack) in `height` = max(parts) rows and n = len(parts)
+    columns, which hold every diagram of the class; its single moves, the
+    position of its phi image and each check's verdict on it are filled on
+    first read, once per diagram however many closures hold it."""
 
     def __init__(self, parts: tuple[int, ...]):
-        self.parts, self.n = parts, len(parts)
-        self.diagrams: list[KKohnertDiagram] = []
-        self.index: dict[KKohnertDiagram, int] = {}
+        self.parts, self.n, self.height = parts, len(parts), max(parts, default=0)
+        self.keys: list[int] = []
+        self.index: dict[int, int] = {}
         self._moves: list[array | None] = []  # flat (x, is_k, image) triples
         self._phi = array("i")
         self._verdicts: dict[Callable, tuple[bytearray, dict[int, str]]] = {}
         self._closures: dict[tuple[int, ...], array] = {}
 
-    def position(self, diagram: KKohnertDiagram) -> int:
-        """The position of diagram, added unexplored if it is new."""
-        p = self.index.get(diagram)
+    def position(self, key: int) -> int:
+        """The position of the diagram with this key, added unexplored if it is new."""
+        p = self.index.get(key)
         if p is None:
-            p = self.index[diagram] = len(self.diagrams)
-            self.diagrams.append(diagram)
+            p = self.index[key] = len(self.keys)
+            self.keys.append(key)
             self._moves.append(None)
             self._phi.append(-1)
         return p
 
+    def diagram(self, p: int) -> KKohnertDiagram:
+        """The diagram at position p."""
+        return unpack(self.keys[p], self.height, self.n)
+
+    def weight(self, p: int) -> tuple[tuple[int, ...], int]:
+        """The box count of each column and the number of marks of the
+        diagram at p, phi's weight and excess."""
+        key, height, column = self.keys[p], self.height, (1 << self.height) - 1
+        heights = tuple([(key >> x * height & column).bit_count() for x in range(self.n)])
+        return heights, (key >> self.n * height).bit_count()
+
     def _explored(self, p: int) -> array:
+        """The moves of the diagram at p: in each column, left to right, the
+        top box, unless marked, moves to the first free cell to its left in
+        its row, shifting by `height` bits past boxes, unless a mark comes
+        first; the K-move also keeps a marked box at the origin."""
         moves = self._moves[p]
         if moves is None:
             moves = self._moves[p] = array("i")
-            for x, is_k, image in single_moves(self.diagrams[p]):
-                moves.extend((x, is_k, self.position(image)))
+            key, height, size = self.keys[p], self.height, self.n * self.height
+            boxes, marked = key & ((1 << size) - 1), key >> size
+            column = (1 << height) - 1
+            for x in range(1, self.n + 1):
+                top = (boxes >> (x - 1) * height & column).bit_length()
+                origin = 1 << ((x - 1) * height + top - 1) if top else 0
+                if not origin or marked & origin:
+                    continue
+                target = origin >> height  # 0 left of column 1
+                while boxes & target and not marked & target:
+                    target >>= height
+                if target and not boxes & target:
+                    moved, kept = self.position(key - origin + target), self.position(key | target | origin << size)
+                    moves.extend((x, 0, moved, x, 1, kept))
         return moves
 
     def moves(self, p: int) -> list[tuple[int, bool, int]]:
-        """single_moves(diagrams[p]) with each image as its position."""
+        """The single moves of the diagram at p, as (origin column, is_k_move,
+        image position), by column, the Kohnert move before the K-move."""
         m = self._explored(p)
         return [(m[j], bool(m[j + 1]), m[j + 2]) for j in range(0, len(m), 3)]
 
     def closure(self, a: tuple[int, ...]) -> array:
-        """The positions reachable from the skyline of a, in canonical order,
-        found on the first read for a."""
+        """The positions reachable from the skyline of a, in canonical order
+        (KKohnertDiagram.sort_key, read off the keys by _flip), found on the
+        first read for a."""
         if a not in self._closures:
-            order = [self.position(initial_diagram(a))]
+            order = [self.position(pack(initial_diagram(a), self.height, self.n))]
             seen = set(order)
             for p in order:
                 for q in self._explored(p)[2::3]:
                     if q not in seen:
                         seen.add(q)
                         order.append(q)
-            order.sort(key=lambda p: self.diagrams[p].sort_key())
+            keys, size = self.keys, self.n * self.height
+            boxes = (1 << size) - 1
+            order.sort(key=lambda p: (_flip(keys[p] & boxes), _flip(keys[p] >> size)))
             self._closures[a] = array("i", order)
         return self._closures[a]
 
@@ -207,16 +260,20 @@ class KohnertGraph:
             r, s = _rectangle_dims(self.parts)
             table = crystal_table(self.n, (s,) * r)
             for p in missing:
-                images[p] = table.image(_phi_code(table, self.diagrams[p]), "phi", self.diagrams[p])
+                code = _phi_code(table, self.keys[p])
+                k = table._positions.get(code, -1)  # the diagram is decoded only to name it
+                images[p] = k if k >= 0 else table.image(code, "phi", self.diagram(p))
         return images
 
     def verdict(self, judge, p: int, *args) -> str | None:
         """judge's verdict on the diagram at p: judge(*args), a witness or
         None for a pass, run on the first read only.  A judge that raises
         records nothing, so each later read raises again."""
-        known, witnesses = self._verdicts.setdefault(judge, (bytearray(), {}))
+        if judge not in self._verdicts:
+            self._verdicts[judge] = (bytearray(), {})
+        known, witnesses = self._verdicts[judge]
         if p >= len(known):
-            known.extend(bytes(len(self.diagrams) - len(known)))
+            known.extend(bytes(len(self.keys) - len(known)))
         if not known[p]:
             witness = judge(*args)
             if witness is not None:
@@ -241,66 +298,81 @@ def closure(a: tuple[int, ...]) -> tuple[KKohnertDiagram, ...]:
     """All diagrams reachable from the skyline of a by (K-)Kohnert moves,
     sorted canonically."""
     graph, positions = closure_table(a)
-    return tuple(graph.diagrams[p] for p in positions)
+    return tuple(map(graph.diagram, positions))
 
 
 # -- correspondence with rectangular set-valued tableaux ---------------------
 
 
-def _phi_code(codes: _Columns, diagram: KKohnertDiagram) -> int:
-    """phi of diagram as a code of codes' rectangle: the unmarked boxes of
-    diagram row y, by column, fill tableau column s-y top to bottom, and
-    each marked box (x, y) joins the box of the rightmost unmarked box to
-    its left; ValueError on a box above row s or right of column n, a row
-    without r unmarked boxes or a marked box with none to its left."""
+def _phi_code(codes: _Columns, key: int) -> int:
+    """phi of the diagram of key, packed in s rows and n columns, as a code
+    of codes' r x s rectangle at n: the unmarked boxes of diagram row y, by
+    column, fill tableau column s-y top to bottom, and each marked box
+    (x, y) joins the box of the rightmost unmarked box to its left;
+    ValueError on a row without r unmarked boxes or a marked box with none
+    to its left."""
     r, s, width, n = codes._height, len(codes._column), codes._width, codes.n
-    rows_of: dict[int, list[int]] = {}
-    marked_of: dict[int, list[int]] = {}
-    for x, y in diagram.boxes:
-        if y > s:
-            raise ValueError(f"box {(x, y)} above row {s}; not a rectangle image")
-        if x > n:  # it would spill into the next slot
-            raise ValueError(f"box in column {x} exceeds n={n}")
-        bucket = marked_of if (x, y) in diagram.marked else rows_of
-        bucket.setdefault(y, []).append(x)
+    size = n * s
+    marked = key >> size
+    unmarked: list[list[int]] = [[] for _ in range(s)]  # the columns of each row's boxes, ascending
+    marks: list[list[int]] = [[] for _ in range(s)]
+    for rows, bits in ((unmarked, key & ((1 << size) - 1) & ~marked), (marks, marked)):
+        for j in _bits(bits):
+            rows[j % s].append(j // s + 1)
     code = 0
     for y in range(1, s + 1):
-        unmarked = sorted(rows_of.get(y, []))
-        if len(unmarked) != r:
-            raise ValueError(f"diagram row {y} has {len(unmarked)} unmarked boxes, expected {r}")
+        row = unmarked[y - 1]
+        if len(row) != r:
+            raise ValueError(f"diagram row {y} has {len(row)} unmarked boxes, expected {r}")
         slot = (s - y) * r  # the slot of the column's top box
-        for m, x in enumerate(unmarked):
+        for m, x in enumerate(row):
             code |= 1 << ((slot + m) * width + x)
-        for x in sorted(marked_of.get(y, [])):
-            below = bisect_left(unmarked, x)  # unmarked boxes left of x
+        for x in marks[y - 1]:
+            below = bisect_left(row, x)  # unmarked boxes left of x
             if not below:
                 raise ValueError(f"marked box {(x, y)} has no unmarked box to its left")
             code |= 1 << ((slot + below - 1) * width + x)
     return code
 
 
+def _phi_inverse_key(codes: _Columns, code: int) -> int:
+    """The key, packed in s rows and n columns, of the diagram whose phi is
+    the code of codes' r x s rectangle at n: the least entry x of each box
+    of tableau column c is an unmarked box (x, s-c), its other entries
+    marked boxes in that row."""
+    r, s, width, full = codes._height, len(codes._column), codes._width, codes._full
+    boxes = marked = 0
+    for c in range(s):
+        y = s - c - 1  # the row, from 0
+        for slot in range(c * r, c * r + r):
+            entries = code >> slot * width & full
+            least = entries & -entries
+            boxes |= 1 << ((least.bit_length() - 2) * s + y)  # entry x is column x - 1, from 0
+            rest = entries ^ least
+            while rest:
+                v = rest & -rest
+                marked |= 1 << ((v.bit_length() - 2) * s + y)
+                rest ^= v
+    return boxes | marked | marked << codes.n * s
+
+
 def phi(diagram: KKohnertDiagram, r: int, s: int, n: int) -> SetValuedTableau:
     """Read diagram row y (bottom = 1) as tableau column s+1-y: unmarked
     box columns become the cell entries top to bottom, and each marked box
     (x, y) joins the cell of the rightmost unmarked box to its left;
-    ValueError where that is not a semistandard r x s tableau at n."""
+    ValueError on a box above row s or right of column n, or where that is
+    not a semistandard r x s tableau at n."""
     codes = _codes(n, _partition((s,) * r))
-    return _semistandard(codes, _phi_code(codes, diagram))
+    return _semistandard(codes, _phi_code(codes, pack(diagram, len(codes._column), n)))
 
 
 def phi_inverse(tableau: SetValuedTableau) -> KKohnertDiagram:
     """Inverse reading: cell minima of tableau column c become unmarked
-    boxes in diagram row s+1-c, the other entries marked boxes."""
+    boxes in diagram row s+1-c, the other entries marked boxes;
+    ValueError unless the tableau's shape is a rectangle."""
     _, s = _rectangle_dims(tableau.shape)
-    boxes: set[Box] = set()
-    marked: set[Box] = set()
-    for row in tableau.rows:
-        for y, cell in zip(range(s, 0, -1), row):
-            boxes.add((cell[0], y))
-            for v in cell[1:]:
-                boxes.add((v, y))
-                marked.add((v, y))
-    return KKohnertDiagram(frozenset(boxes), frozenset(marked))
+    codes = _codes(tableau.n, tableau.shape)
+    return unpack(_phi_inverse_key(codes, codes._encode(tableau)), s, tableau.n)
 
 
 def _svt_moves(codes: _Columns, code: int) -> dict[tuple[int, bool], int]:

@@ -31,7 +31,7 @@ from .keys import (
     _stars,
     key_partition_report,
 )
-from .kohnert import KKohnertDiagram, _svt_moves, closure, closure_table, phi, phi_inverse
+from .kohnert import KKohnertDiagram, _phi_inverse_key, _svt_moves, closure, closure_table, phi, phi_inverse
 from .permutations import (
     _pad,
     act,
@@ -56,7 +56,7 @@ from .polynomials import (
     lascoux_atom,
     parse_polynomial,
 )
-from .skyline import enumerate_skyline, psi, psi_inverse, psi_table
+from .skyline import enumerate_skyline, psi, psi_table
 from .tableaux import SetValuedTableau, _partition, enumerate_svt
 
 @dataclass(frozen=True)
@@ -324,13 +324,13 @@ def _check_character_golden():
     return None
 
 
-def _round_trip_witness(d, table, k: int) -> str | None:
-    """_check_kohnert's verdict on one diagram d with phi image at position k."""
-    t = table.tableau(k)
-    if (d.column_heights(table.n), len(d.marked)) != (t.weight(), t.excess()):
-        return f"phi does not preserve the weight of {t.to_text()}"
-    if phi_inverse(t) != d:
-        return f"phi_inverse(phi(D)) != D at {t.to_text()}"
+def _round_trip_witness(graph, p: int, table, k: int) -> str | None:
+    """_check_kohnert's verdict on the diagram at p with phi image at position k."""
+    code = table.codes[k]
+    if graph.weight(p) != table.stat(code):
+        return f"phi does not preserve the weight of {table.tableau(k).to_text()}"
+    if _phi_inverse_key(table, code) != graph.keys[p]:
+        return f"phi_inverse(phi(D)) != D at {table.tableau(k).to_text()}"
     return None
 
 
@@ -343,7 +343,7 @@ def _check_kohnert(n, shape, w):
         k = images[p]
         if k in seen:
             return f"phi collision at {table.tableau(k).to_text()}"
-        witness = graph.verdict(_round_trip_witness, p, graph.diagrams[p], table, k)
+        witness = graph.verdict(_round_trip_witness, p, graph, p, table, k)
         if witness is not None:
             return witness
         seen.add(k)
@@ -356,7 +356,8 @@ def _intertwine_witness(graph, p: int, images, table) -> str | None:
     """_check_kohnert_intertwine's verdict on the diagram at p, by positions."""
     moved = _svt_moves(table, table.codes[images[p]])
     diagram_moves = {(x, is_k): images[q] for x, is_k, q in graph.moves(p)}
-    for x in sorted({x for x, _ in graph.diagrams[p].boxes}):
+    heights, _ = graph.weight(p)
+    for x in (x for x, height in enumerate(heights, start=1) if height):
         for is_k in (False, True):
             key = (x, is_k)
             if (key in diagram_moves) != (key in moved):
@@ -401,12 +402,11 @@ def _check_skyline(n, shape, w):
     table = crystal_table(n, shape)
     weights = Counter()
     for skyline, k in zip(mapped.skylines, mapped.images):
-        t = table.tableau(k)
         weight = (skyline.weight(n), skyline.excess())
-        if weight != (t.weight(), t.excess()):
-            return f"psi does not preserve the weight of {t.to_text()}"
-        if psi_inverse(t, w) != skyline:
-            return f"psi_inverse(psi(S)) != S at {t.to_text()}"
+        if weight != table.stat(table.codes[k]):
+            return f"psi does not preserve the weight of {table.tableau(k).to_text()}"
+        if mapped.skylines[mapped.preimage[k]] != skyline:
+            return f"psi_inverse(psi(S)) != S at {table.tableau(k).to_text()}"
         weights[weight] += 1
     if diff := sum(1 << k for k in mapped.images) ^ table.atom(w):
         return f"psi image mismatch: {[t.to_text() for t in table.members(diff)]}"

@@ -8,7 +8,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from kcrystals.keys import key_of_composition
-from kcrystals.kohnert import initial_diagram, single_moves
+from kcrystals.kohnert import KKohnertDiagram, initial_diagram
 from kcrystals.permutations import (
     act,
     bruhat_leq,
@@ -518,6 +518,37 @@ def reference_right_key(tableau):
     return key_of_composition(act(least, lam))
 
 
+def _reference_move_targets(diagram):
+    """Yield (origin, target) for every legal single move origin."""
+    columns = {}
+    for x, y in diagram.boxes:
+        columns[x] = max(columns.get(x, 0), y)
+    for x, y in sorted(columns.items()):
+        if (x, y) in diagram.marked:
+            continue
+        target = None
+        for x2 in range(x - 1, 0, -1):
+            if (x2, y) not in diagram.boxes:
+                target = (x2, y)
+                break
+            if (x2, y) in diagram.marked:
+                break
+        if target is not None:
+            yield (x, y), target
+
+
+def reference_single_moves(diagram):
+    """All single-move results as (origin column, is_k_move, diagram), with
+    the boxes and marks as sets of (x, y)."""
+    out = []
+    for (x, y), target in _reference_move_targets(diagram):
+        moved = KKohnertDiagram._trusted((diagram.boxes - {(x, y)}) | {target}, diagram.marked)
+        out.append((x, False, moved))
+        left_behind = KKohnertDiagram._trusted(diagram.boxes | {target}, diagram.marked | {(x, y)})
+        out.append((x, True, left_behind))
+    return out
+
+
 def reference_closure(a):
     """The closure of one composition on its own: a breadth-first search
     from the skyline of a that keeps every diagram it finds.  Returns the
@@ -526,7 +557,7 @@ def reference_closure(a):
     found = set(order)
     moves = {}
     for d in order:
-        moves[d] = single_moves(d)
+        moves[d] = reference_single_moves(d)
         for _, _, image in moves[d]:
             if image not in found:
                 found.add(image)
@@ -592,6 +623,21 @@ def reference_phi(diagram, r, s, n):
     if not tableau.is_semistandard():
         raise ValueError(f"diagram does not map to a semistandard tableau: {tableau!r}")
     return tableau
+
+
+def reference_phi_inverse(tableau):
+    """Inverse reading with sets of boxes: cell minima of tableau column c
+    become unmarked boxes in diagram row s+1-c, the other entries marked
+    boxes."""
+    s = len(tableau.rows[0]) if tableau.rows else 0
+    boxes, marked = set(), set()
+    for row in tableau.rows:
+        for y, cell in zip(range(s, 0, -1), row):
+            boxes.add((cell[0], y))
+            for v in cell[1:]:
+                boxes.add((v, y))
+                marked.add((v, y))
+    return KKohnertDiagram(frozenset(boxes), frozenset(marked))
 
 
 def reference_psi(skyline, n):

@@ -64,6 +64,16 @@ def test_enumerate_kohnert_rejects_an_explicit_n(capsys):
     assert run(capsys, "enumerate", "kohnert", "--shape", "2,0,2", "--count") == (0, "5\n")
 
 
+@pytest.mark.parametrize("kind", ["svt", "skyline"])
+def test_enumerate_says_which_n_it_rejects(capsys, kind):
+    assert main(["enumerate", kind, "--shape", "2"]) == 2
+    assert capsys.readouterr().err == "error: --n is required for svt and skyline\n"
+    for n in ("0", "-1"):
+        assert main(["enumerate", kind, "--shape", "2", "--n", n]) == 2, n
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --n must be a positive integer for svt and skyline\n"), n
+
+
 def test_enumerate_skyline(capsys):
     code, out = run(capsys, "enumerate", "skyline", "--shape", "2,0,2", "--n", "3")
     lines = out.strip().splitlines()

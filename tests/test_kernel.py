@@ -13,6 +13,8 @@ the table's per-position statistics, max-right keys and rotations.
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kcrystals.crystal import (
     _pad,
@@ -37,13 +39,15 @@ from kcrystals.keys import (
 )
 from kcrystals.kohnert import (
     KKohnertDiagram,
-    _phi_code,
+    _flip,
+    _phi_inverse_key,
     _svt_moves,
     closure,
     closure_table,
+    pack,
     phi,
-    single_moves,
     svt_kohnert_move,
+    unpack,
 )
 from kcrystals.permutations import act, coset_reps, flag_vector, reduced_words, stabilizer_min_rep
 from kcrystals.skyline import (
@@ -56,7 +60,7 @@ from kcrystals.skyline import (
     psi_table,
     validate_skyline,
 )
-from kcrystals.tableaux import SetValuedTableau, _Codes, enumerate_svt
+from kcrystals.tableaux import SetValuedTableau, _bits, _Codes, enumerate_svt
 from oracles import (
     reference_compatible,
     reference_crystal_e,
@@ -73,11 +77,14 @@ from oracles import (
     reference_lusztig_star,
     reference_max_tableau,
     reference_min_tableau,
+    reference_closure,
     reference_phi,
+    reference_phi_inverse,
     reference_psi,
     reference_raise_string_max,
     reference_right_key,
     reference_signature,
+    reference_single_moves,
     reference_svt_kohnert_move,
     reference_weight,
 )
@@ -380,9 +387,9 @@ def test_closure_and_psi_tables_match_the_kernel(n, shape):
         graph, positions = closure_table(a)
         images = graph.phi_positions(positions)
         for p in positions:
-            d = graph.diagrams[p]
-            moves = [(x, is_k, graph.diagrams[q]) for x, is_k, q in graph.moves(p)]
-            assert moves == single_moves(d), (a, d)
+            d = graph.diagram(p)
+            moves = [(x, is_k, graph.diagram(q)) for x, is_k, q in graph.moves(p)]
+            assert moves == reference_single_moves(d), (a, d)
             assert table.tableau(images[p]) == reference_phi(d, r, s, n), (a, d)
         skylines = psi_table(a, n)
         assert skylines.skylines == enumerate_skyline(a, n)
@@ -399,11 +406,42 @@ def test_closure_and_psi_tables_match_the_kernel(n, shape):
                 assert image is None or table.decode(image).rows == expected.rows, (t, x, k_variant)
 
 
+@pytest.mark.parametrize("parts", range(1, 6))
+def test_kohnert_graph_kernels_match_the_references(parts):
+    """Over the closure of every weak composition of `parts` parts and at
+    most 5 boxes: each diagram unpacks from its key and packs to it, the
+    moves on keys are the moves on sets of boxes, the order of the keys is
+    KKohnertDiagram.sort_key's, and on a rectangle the phi inverse kernel
+    reads each phi image as the reference does."""
+    for a in (a for a in product(range(6), repeat=parts) if sum(a) <= 5):
+        graph, positions = closure_table(a)
+        height, n = graph.height, graph.n
+        diagrams, moves = reference_closure(a)
+        assert [graph.diagram(p) for p in positions] == diagrams, a
+        for p, d in zip(positions, diagrams):
+            assert pack(d, height, n) == graph.keys[p], (a, d)
+            expected = [(x, is_k, pack(image, height, n)) for x, is_k, image in moves[d]]
+            assert [(x, is_k, graph.keys[q]) for x, is_k, q in graph.moves(p)] == expected, (a, d)
+        if len({h for h in a if h}) != 1:
+            continue
+        r, s = sum(1 for h in a if h), height
+        table = crystal_table(n, (s,) * r)
+        for d in diagrams:
+            t = reference_phi(d, r, s, n)
+            key = _phi_inverse_key(table, table._encode(t))
+            assert unpack(key, s, n) == reference_phi_inverse(t) == d, (a, d)
+
+
+@given(st.lists(st.integers(0, 1 << 40), max_size=30))
+def test_the_flip_key_orders_ints_as_their_set_bits(ints):
+    assert sorted(ints, key=_flip) == sorted(ints, key=lambda b: tuple(_bits(b)))
+
+
 DIAGRAMS_RIGHT_OF_N = [
     # a box in column n + 1 of the one-box rectangle at n = 2
     (KKohnertDiagram(frozenset({(3, 1)}), frozenset()), (1,), 2),
     # a marked box in column n + 2 beside an unmarked box in column 1: packed
-    # unchecked, it would read as the 1 of the next box, the code of 1 1
+    # unchecked, its bit would land among the bits of the marks
     (KKohnertDiagram(frozenset({(1, 2), (4, 2), (1, 1)}), frozenset({(4, 2)})), (2,), 2),
 ]
 
@@ -413,9 +451,8 @@ def test_a_diagram_box_right_of_column_n_has_no_phi_image(diagram, shape, n):
     r, s = len(shape), shape[0]
     with pytest.raises(ValueError, match=f"exceeds n={n}"):
         phi(diagram, r, s, n)
-    table = crystal_table(n, shape)
     with pytest.raises(ValueError, match=f"exceeds n={n}"):
-        table.image(_phi_code(table, diagram), "phi", diagram)
+        pack(diagram, s, n)
 
 
 def test_an_image_outside_the_table_names_its_source():

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from kcrystals import golden
 from kcrystals.kohnert import (
     KKohnertDiagram,
+    KohnertGraph,
     closure,
     closure_table,
     initial_diagram,
     kohnert_graph,
+    pack,
     phi,
     phi_inverse,
-    single_moves,
     svt_kohnert_move,
 )
 from kcrystals.polynomials import BetaPolynomial, lascoux
@@ -28,6 +29,16 @@ T = lambda text, n=3: SetValuedTableau.from_text(text, n)
 
 def D(boxes, marked=()):
     return KKohnertDiagram(frozenset(boxes), frozenset(marked))
+
+
+def single_moves(diagram):
+    """The graph's single moves of diagram, as (origin column, is_k_move,
+    diagram), in a graph whose layout just holds it."""
+    height = max((y for _, y in diagram.boxes), default=0)
+    n = max((x for x, _ in diagram.boxes), default=0)
+    graph = KohnertGraph((height,) * n)
+    p = graph.position(pack(diagram, height, n))
+    return [(x, is_k, graph.diagram(q)) for x, is_k, q in graph.moves(p)]
 
 
 def moves(diagram, k_variant):
@@ -112,9 +123,9 @@ def test_graph_closures_match_the_reference(order):
             assert graph is kohnert_graph(tuple(sorted(a))), a
             assert closure_table(a)[1] is positions, a  # each closure found once
             for p in positions:
-                d = graph.diagrams[p]
-                assert graph.index[d] == p
-                assert [(x, k, graph.diagrams[q]) for x, k, q in graph.moves(p)] == moves[d], (a, d)
+                d = graph.diagram(p)
+                assert graph.index[pack(d, graph.height, graph.n)] == p
+                assert [(x, k, graph.diagram(q)) for x, k, q in graph.moves(p)] == moves[d], (a, d)
     finally:
         kohnert_graph.cache_clear()
 

@@ -8,7 +8,7 @@ from kcrystals import crystal, keys, kohnert, skyline, verify
 from kcrystals.crystal import _pad, atom_subset, demazure_subset, flagged_set
 from kcrystals.keys import lusztig_star, max_right_key, right_key
 from kcrystals.kohnert import KKohnertDiagram, initial_diagram
-from kcrystals.permutations import act, bruhat_ideal, bruhat_leq, coset_reps
+from kcrystals.permutations import act, bruhat_ideal, bruhat_leq, coset_reps, lehmer_code
 from kcrystals.polynomials import BetaPolynomial, lascoux, lascoux_atom
 from kcrystals.tableaux import SetValuedTableau, _svt_codes, enumerate_svt
 from kcrystals.verify import SUITES, Bounds, iter_cases, run_case, run_suite
@@ -313,6 +313,7 @@ def test_components_witness_under_a_kernel_fault(table_fault):
 # runs every case of one suite at --max-n 3 from empty tables; the counts,
 # first witnesses and SHA-256 of every failing (case, witness) pair were read
 # off the checks when table membership became the one semistandardness test.
+# Each entry names its suite and the check of its first failure.
 
 
 def _f_at_leftmost_plus(codes, i, sources):
@@ -346,19 +347,19 @@ def _codes_with_2_1_for_1_2(codes):
 MEMBERSHIP_FAULTS = {
     "f trades i for i+1 at the leftmost unpaired +": (
         lambda mp: mp.setitem(crystal._KERNEL, "f", partial(crystal._fill, "f", _f_at_leftmost_plus)),
-        "crystal-axioms",
+        ("crystal-axioms", "inverse-ops"),
         (50, "exception: AssertionError('f_1 sends 1 1 out of the crystal, to 2 1')"),
         "a3b91c2ba9ef4e8405dd579e3cf4b85c58d96e2efbf4c63fa5ecb285fabf18cc",
     ),
     "fK adds i+1 at the leftmost unpaired +": (
         lambda mp: mp.setitem(crystal._KERNEL, "fK", partial(crystal._fill, "fK", _fk_at_leftmost_plus)),
-        "k-crystal-axioms",
+        ("k-crystal-axioms", "k-ops"),
         (16, "exception: AssertionError('f^K_1 sends 1 1 out of the crystal, to 1,2 1')"),
         "6daaec3eec5ae89978d3c6147eca18427dc387765cbd5a93d98765e550e6d7bd",
     ),
     "_svt_codes emits 2 1 for 1 2": (
         lambda mp: mp.setattr(crystal, "_svt_codes", _codes_with_2_1_for_1_2),
-        "crystal-axioms",
+        ("crystal-axioms", "inverse-ops"),
         (4, "exception: AssertionError('e_1 sends 2 2 out of the crystal, to 1 2')"),
         "5e4e329d08533043d4202cf5ae9989e5f608b41067664e7971401dd1ef30735f",
     ),
@@ -367,11 +368,11 @@ MEMBERSHIP_FAULTS = {
 
 @pytest.mark.parametrize("fault", MEMBERSHIP_FAULTS)
 def test_an_image_outside_the_crystal_is_a_named_witness(table_fault, fault):
-    inject, suite, expected, digest = MEMBERSHIP_FAULTS[fault]
+    inject, (suite, check), expected, digest = MEMBERSHIP_FAULTS[fault]
     inject(table_fault)
     results = [run_case(suite, case) for case in iter_cases(suite, Bounds(max_n=3))]
     failures = [(r.case, r.witness) for r in results if r.status == "fail"]
-    assert (len(failures), failures[0][1]) == expected
+    assert (len(failures), failures[0][0]["check"], failures[0][1]) == (expected[0], check, expected[1])
     dump = json.dumps(failures, sort_keys=True)
     assert hashlib.sha256(dump.encode()).hexdigest() == digest
 
@@ -541,13 +542,18 @@ def _no_move_from_column_3(monkeypatch):
     )
 
 
+def _key(diagram, codes):
+    """diagram's key in the graph whose phi images are codes' tableaux."""
+    return kohnert.pack(diagram, len(codes._column), codes.n)
+
+
 def _phi_raises_on_the_row_pair(monkeypatch):
     phi_code = kohnert._phi_code
 
-    def raising(codes, d):
-        if d == ROW_PAIR:
+    def raising(codes, key):
+        if key == _key(ROW_PAIR, codes):
             raise ValueError("injected fault")
-        return phi_code(codes, d)
+        return phi_code(codes, key)
 
     monkeypatch.setattr(kohnert, "_phi_code", raising)
 
@@ -555,29 +561,32 @@ def _phi_raises_on_the_row_pair(monkeypatch):
 def _phi_sends_the_split_pair_to_the_row_pair(monkeypatch):
     phi_code = kohnert._phi_code
     monkeypatch.setattr(
-        kohnert, "_phi_code", lambda codes, d: phi_code(codes, ROW_PAIR if d == SPLIT_PAIR else d)
+        kohnert,
+        "_phi_code",
+        lambda codes, key: phi_code(codes, _key(ROW_PAIR, codes) if key == _key(SPLIT_PAIR, codes) else key),
     )
 
 
 def _phi_inverse_drops_a_single_mark(monkeypatch):
-    inverse = verify.phi_inverse
+    inverse = verify._phi_inverse_key
 
-    def dropping(t):
-        d = inverse(t)
-        return KKohnertDiagram(d.boxes - d.marked, frozenset()) if len(d.marked) == 1 else d
+    def dropping(codes, code):
+        key, size = inverse(codes, code), codes.n * len(codes._column)
+        marked = key >> size
+        return key & ((1 << size) - 1) & ~marked if marked.bit_count() == 1 else key
 
-    monkeypatch.setattr(verify, "phi_inverse", dropping)
+    monkeypatch.setattr(verify, "_phi_inverse_key", dropping)
 
 
 def _phi_inverse_raises_at_one_tableau(monkeypatch):
-    inverse = verify.phi_inverse
+    inverse = verify._phi_inverse_key
 
-    def raising(t):
-        if t.to_text() == "1 2/2 3":
+    def raising(codes, code):
+        if codes.decode(code).to_text() == "1 2/2 3":
             raise RuntimeError("injected fault")
-        return inverse(t)
+        return inverse(codes, code)
 
-    monkeypatch.setattr(verify, "phi_inverse", raising)
+    monkeypatch.setattr(verify, "_phi_inverse_key", raising)
 
 
 def _flagged_set_drops_its_last(monkeypatch):
@@ -810,8 +819,10 @@ def test_operator_check_witnesses_under_a_fault(monkeypatch, fault):
 # -- fault injection at the names verify imports ---------------------------------
 # Each fault replaces one name in verify and runs every case of one check of
 # one suite, pinned the same way as OPERATOR_FAULTS (read off the checks
-# before the coset representatives became sorting permutations; the golden
-# entries before the crystal table held codes only).
+# before the coset representatives became sorting permutations; the
+# enumerate_svt entries before the crystal table held codes only, the
+# closure, enumerate_skyline and Lehmer code entries before the Kohnert
+# graph held packed keys).
 
 
 def _ideal_without_w(w):
@@ -824,6 +835,18 @@ def _lascoux_reversed(a, n):
 
 def _svt_without_its_last(n, shape):
     return enumerate_svt(n, shape)[:-1]
+
+
+def _closure_without_its_last(a):
+    return kohnert.closure(a)[:-1]
+
+
+def _skylines_without_their_last(a, n):
+    return skyline.enumerate_skyline(a, n)[:-1]
+
+
+def _lehmer_code_reversed(w):
+    return tuple(reversed(lehmer_code(w)))
 
 
 IMPORT_FAULTS = {
@@ -852,6 +875,25 @@ IMPORT_FAULTS = {
         (1, "tableau character disagrees with the golden polynomial"),
         "a250729d77d0fa286bf9e427a67279369fc929f1eb75aa8f7d75eb6fd48c2331",
     ),
+    "closure drops its last diagram": (
+        ("closure", _closure_without_its_last),
+        ("kohnert-bijection", "kohnert-golden", Bounds()),
+        (1, "closure of (0,2,2) differs from the golden 13 diagrams"),
+        "232d25607d56514bd7a2e07fb227371d59bb3b9a74e799e067f27c6ea281de67",
+    ),
+    "enumerate_skyline drops its last skyline": (
+        ("enumerate_skyline", _skylines_without_their_last),
+        ("skyline-bijection", "skyline-golden", Bounds()),
+        (1, "expected 4 skylines for (2,0,2), got 3"),
+        "cda6b00e7c2fa47ad2400ec06783f94bf9877cdfaf4d33718fc58bcff98c36d1",
+    ),
+    # square22-long passes: its Lehmer code reads the same reversed
+    "Lehmer code reversed": (
+        ("lehmer_code", _lehmer_code_reversed),
+        ("grothendieck-vexillary", "groth-golden", Bounds()),
+        (2, "Lehmer code (0, 0, 2, 0, 4) differs from the weight"),
+        "9ed04865e07bf7ce7a83233cb0d023dec317d2039a927c2b96a076bb3fe80b1a",
+    ),
 }
 
 
@@ -865,6 +907,26 @@ def test_check_witnesses_under_a_fault_at_an_import(monkeypatch, fault):
     assert (len(failures), failures[0][1]) == expected
     dump = json.dumps(failures, sort_keys=True)
     assert hashlib.sha256(dump.encode()).hexdigest() == digest
+
+
+# Every check of every suite that asserts (all but the report-only
+# conjecture-scan) fails under some fault pinned above.  One mutant has no
+# entry because no check can tell it apart: dropping the excess half of
+# inverse-ops' weight law.  The weight sums to the number of boxes plus the
+# excess, and e_i and f_i keep the boxes, so an image of the right weight
+# has the right excess.
+
+
+def test_every_asserting_check_has_a_pinned_fault():
+    pinned = {(SUBSET_CHECKS[check], check) for _, first, _ in SUBSET_FAULTS.values() for check in first}
+    pinned |= {suite_check for _, suite_check, *_ in MEMBERSHIP_FAULTS.values()}
+    pinned |= {suite_check for _, suite_check, *_ in WITNESS_FAULTS.values()}
+    pinned |= {("kohnert-bijection", check) for _, *runs in KOHNERT_FAULTS.values() for run in runs for check, _ in run}
+    pinned |= {("operator-algebra", check) for _, check, *_ in OPERATOR_FAULTS.values()}
+    pinned |= {(suite, check) for _, (suite, check, _), *_ in IMPORT_FAULTS.values()}
+    asserting = {(name, check) for name, suite in SUITES.items() if not suite.report for check in suite.checks}
+    assert len(asserting) == 21
+    assert pinned == asserting
 
 
 def _recorded(method, seen):
