@@ -1,9 +1,10 @@
 """Run one verification suite into a file and fail when its peak RSS is
 over budget, so that no memo trades unbounded memory for time.
 
-    python .github/peak_rss.py SUITE MAX_N BUDGET_MB OUT
+    python .github/peak_rss.py SUITE MAX_N BUDGET_MB OUT [VERIFY_ARG ...]
 
-writes the `kcrystals verify SUITE --max-n MAX_N --format json` stream to
+writes the `kcrystals verify SUITE --max-n MAX_N --format json` stream,
+with any further arguments passed on to `verify` (say `--max-side 2`), to
 OUT, prints the suite's wall time and peak RSS, and exits nonzero when
 the suite fails or when the ru_maxrss of its process exceeds BUDGET_MB.
 """
@@ -13,8 +14,8 @@ import subprocess
 import sys
 import time
 
-suite, max_n, budget, out = sys.argv[1:]
-argv = [sys.executable, "-m", "kcrystals.cli", "verify", suite, "--max-n", max_n, "--format", "json"]
+suite, max_n, budget, out, *extra = sys.argv[1:]
+argv = [sys.executable, "-m", "kcrystals.cli", "verify", suite, "--max-n", max_n, "--format", "json", *extra]
 start = time.monotonic()
 with open(out, "w") as stream:
     subprocess.run(argv, stdout=stream, check=True)

@@ -51,6 +51,9 @@ def cmd_enumerate(args) -> int:
     if args.kind == "kohnert" and args.n is not None:
         print("error: enumerate kohnert does not read --n; --shape alone sets the diagrams", file=sys.stderr)
         return 2
+    if args.kind != "svt" and args.format is not None:
+        print(f"error: enumerate {args.kind} prints JSON lines only and does not read --format", file=sys.stderr)
+        return 2
     if args.kind == "svt":
         objects = enumerate_svt(args.n, args.shape)
     elif args.kind == "kohnert":
@@ -129,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", type=_composition, required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--count", action="store_true")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--format", choices=("text", "json"), default=None)  # svt prints text unless given
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("graph", help="crystal graph as DOT")

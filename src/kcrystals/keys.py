@@ -6,17 +6,21 @@ decompositions.
 Right keys, max-right keys, Lusztig stars, rotations and the key maps of
 ``key_partition_report`` (composed from them with the position of each
 least-entry tableau) are built once per crystal table and kept with it
-(``CrystalTable.derived``), each as one entry per position.
+(``CrystalTable.derived``), each as one entry per position.  They read the
+table's codes (``tableaux._Codes``) through two kernels, ``_entry``, which
+keeps the least or greatest entry of each box, and ``_rotate``, the
+rectangle's rotation; ``k_lusztig_star`` runs ``_rotate`` through encode
+and decode.
 """
 
 from __future__ import annotations
 
 from array import array
 
-from .crystal import CrystalTable, _flags, _from_flags, _rectangle_dims, crystal_table
+from .crystal import CrystalTable, _codes, _flags, _from_flags, _rectangle_dims, crystal_table
 from .permutations import _pad, act, bruhat_leq, coset_reps
 from .polynomials import lascoux, lascoux_atom
-from .tableaux import SetValuedTableau, _partition
+from .tableaux import SetValuedTableau, _Codes, _partition
 
 
 def is_key_tableau(tableau: SetValuedTableau) -> bool:
@@ -47,18 +51,21 @@ def key_of_composition(a) -> SetValuedTableau:
     return SetValuedTableau(rows, n)
 
 
-def max_tableau(tableau: SetValuedTableau) -> SetValuedTableau:
-    """Greatest entry in each box."""
-    return SetValuedTableau._trusted(
-        tuple(tuple((cell[-1],) for cell in row) for row in tableau.rows), tableau.n
-    )
+def _entry(codes: _Codes, code: int, least: bool) -> int:
+    """The code of code's tableau with each box cut to its least entry, or to its greatest unless least."""
+    out, full = 0, codes._full
+    for shifts in codes._shifts:
+        for shift in shifts:
+            slot = code >> shift & full
+            out |= (slot & -slot if least else 1 << slot.bit_length() - 1) << shift
+    return out
 
 
-def min_tableau(tableau: SetValuedTableau) -> SetValuedTableau:
-    """Least entry in each box."""
-    return SetValuedTableau._trusted(
-        tuple(tuple((cell[0],) for cell in row) for row in tableau.rows), tableau.n
-    )
+def _rotate(codes: _Codes, code: int) -> int:
+    """The code of a rectangle's tableau turned 180 degrees with each entry v
+    made n+1-v: reversing the bits sends slot j to slot rs-1-j and bit v of a
+    slot to bit n-v, and the shift by one makes that n+1-v."""
+    return int(format(code, f"0{codes._width * sum(codes.shape)}b")[::-1], 2) << 1
 
 
 def _right_keys(table: CrystalTable) -> dict[int, SetValuedTableau]:
@@ -91,8 +98,8 @@ def right_key(tableau: SetValuedTableau) -> SetValuedTableau:
 def _max_right_keys(table: CrystalTable) -> tuple[SetValuedTableau, ...]:
     """Right key of the greatest-entry tableau of each tableau of the table,
     by position; the greatest entries of a semistandard tableau form one."""
-    keys = table.derived(_right_keys)
-    return tuple(keys[table.position(max_tableau(table.decode(code)))] for code in table.codes)
+    keys, positions = table.derived(_right_keys), table._positions
+    return tuple(keys[positions[_entry(table, code, False)]] for code in table.codes)
 
 
 def max_right_key(tableau: SetValuedTableau) -> SetValuedTableau:
@@ -143,17 +150,13 @@ def lusztig_star(tableau: SetValuedTableau) -> SetValuedTableau:
 def k_lusztig_star(tableau: SetValuedTableau) -> SetValuedTableau:
     """Rotate the rectangle 180 degrees and complement every entry."""
     _rectangle_dims(tableau.shape)
-    n = tableau.n
-    rows = tuple(
-        tuple(tuple(n + 1 - v for v in reversed(cell)) for cell in reversed(row))
-        for row in reversed(tableau.rows)
-    )
-    return SetValuedTableau._trusted(rows, n)
+    codes = _codes(tableau.n, tableau.shape)
+    return codes.decode(_rotate(codes, codes._encode(tableau)))
 
 
 def _rotations(table: CrystalTable) -> array:
     """Position of k_lusztig_star of each tableau of a rectangle, by position."""
-    return array("i", (table.position(k_lusztig_star(table.decode(code))) for code in table.codes))
+    return array("i", (table._positions[_rotate(table, code)] for code in table.codes))
 
 
 def preceq(key1: SetValuedTableau, key2: SetValuedTableau) -> bool:
@@ -184,7 +187,7 @@ def _key_maps(table: CrystalTable) -> dict[str, tuple[SetValuedTableau, ...]]:
     k_lusztig_star (K-rect), the right key of min(T°)°, whose outer star
     acts on a single-valued tableau: there both involutions are evacuation."""
     right, stars = table.derived(_right_keys), table.derived(_stars)
-    least = [table.position(min_tableau(table.decode(code))) for code in table.codes]
+    least = [table._positions[_entry(table, code, True)] for code in table.codes]
     maps = {"calK": table.derived(_max_right_keys), "K-naive": tuple(right[stars[least[k]]] for k in stars)}
     if len(set(table.shape)) <= 1:
         maps["K-rect"] = tuple(right[stars[least[k]]] for k in table.derived(_rotations))

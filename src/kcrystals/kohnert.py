@@ -73,14 +73,6 @@ class KKohnertDiagram:
     def sort_key(self):
         return (tuple(sorted(self.boxes)), tuple(sorted(self.marked)))
 
-    def column_heights(self, n: int) -> tuple[int, ...]:
-        counts = [0] * n
-        for x, _ in self.boxes:
-            if x > n:
-                raise ValueError(f"box in column {x} exceeds n={n}")
-            counts[x - 1] += 1
-        return tuple(counts)
-
     def to_json_dict(self) -> dict:
         return {
             "boxes": [list(b) for b in sorted(self.boxes)],

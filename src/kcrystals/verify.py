@@ -302,9 +302,10 @@ def _check_full_character(n, shape):
     return None
 
 
-def _diagram_character(diagrams, n: int) -> BetaPolynomial:
-    """Sum of b^(#marked) x^(column box counts) over the diagrams."""
-    return BetaPolynomial(n, Counter((d.column_heights(n), len(d.marked)) for d in diagrams))
+def _diagram_character(a, n: int) -> BetaPolynomial:
+    """Sum of b^(#marked) x^(column box counts) over the closure of a, whose parts number n."""
+    graph, positions = closure_table(a)
+    return BetaPolynomial(n, Counter(map(graph.weight, positions)))
 
 
 def _skyline_character(skylines, n: int) -> BetaPolynomial:
@@ -319,7 +320,7 @@ def _check_character_golden():
         return f"lascoux((0,2,2),3) = {actual.to_text()}"
     if beta_character(enumerate_svt(3, (2, 2)), 3) != expected:
         return "tableau character disagrees with the golden polynomial"
-    if _diagram_character(closure((0, 2, 2)), 3) != expected:
+    if _diagram_character((0, 2, 2), 3) != expected:
         return "diagram weights disagree with the golden polynomial"
     return None
 
@@ -405,8 +406,6 @@ def _check_skyline(n, shape, w):
         weight = (skyline.weight(n), skyline.excess())
         if weight != table.stat(table.codes[k]):
             return f"psi does not preserve the weight of {table.tableau(k).to_text()}"
-        if mapped.skylines[mapped.preimage[k]] != skyline:
-            return f"psi_inverse(psi(S)) != S at {table.tableau(k).to_text()}"
         weights[weight] += 1
     if diff := sum(1 << k for k in mapped.images) ^ table.atom(w):
         return f"psi image mismatch: {[t.to_text() for t in table.members(diff)]}"
@@ -530,21 +529,23 @@ def _check_groth_golden(case):
     return None
 
 
-def _scan(n, shape, w, conjecture: str, objects, character, polynomial) -> str:
-    """Whether the character of objects(a, n) equals polynomial(a, n) at
-    a = w·lam, as a report line that also says whether w avoids 312."""
+def _scan(n, shape, w, conjecture: str, character, polynomial) -> str:
+    """Whether character(a, n) equals polynomial(a, n) at a = w·lam, as a
+    report line that also says whether w avoids 312."""
     a = act(w, _pad(shape, n))
-    match = character(objects(a, n), n) == polynomial(a, n)
+    match = character(a, n) == polynomial(a, n)
     report = {"conjecture": conjecture, "match": match, "w312": avoids_pattern(w, (3, 1, 2))}
     return json.dumps(report, sort_keys=True)
 
 
 def _check_scan_kohnert(n, shape, w):
-    return _scan(n, shape, w, "kohnert-closure", lambda a, n: closure(a), _diagram_character, lascoux)
+    return _scan(n, shape, w, "kohnert-closure", _diagram_character, lascoux)
 
 
 def _check_scan_skyline(n, shape, w):
-    return _scan(n, shape, w, "skyline-atom", enumerate_skyline, _skyline_character, lascoux_atom)
+    return _scan(
+        n, shape, w, "skyline-atom", lambda a, n: _skyline_character(enumerate_skyline(a, n), n), lascoux_atom
+    )
 
 
 def _check_scan_keys(n, shape):

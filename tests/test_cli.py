@@ -43,6 +43,7 @@ def test_enumerate_svt(capsys):
     lines = out.strip().splitlines()
     assert code == 0 and len(lines) == 13
     assert lines == golden.text("square22_tableaux.txt").splitlines()
+    assert run(capsys, "enumerate", "svt", "--shape", "2,2", "--n", "3", "--format", "text") == (code, out)
     code, out = run(capsys, "enumerate", "svt", "--shape", "2,2", "--n", "3", "--count")
     assert out.strip() == "13"
 
@@ -80,6 +81,16 @@ def test_enumerate_skyline(capsys):
     assert code == 0 and len(lines) == 4
     parsed = [SkylineTableau.from_json_dict(json.loads(line)) for line in lines]
     assert len(set(parsed)) == 4
+
+
+@pytest.mark.parametrize("kind,argv", [("kohnert", ()), ("skyline", ("--n", "3"))])
+def test_enumerate_kohnert_and_skyline_reject_format(capsys, kind, argv):
+    # both print JSON lines only, so a --format, even json, is an error
+    for fmt in ("text", "json"):
+        assert main(["enumerate", kind, "--shape", "2,0,2", *argv, "--format", fmt]) == 2, fmt
+        captured = capsys.readouterr()
+        error = f"error: enumerate {kind} prints JSON lines only and does not read --format\n"
+        assert (captured.out, captured.err) == ("", error), fmt
 
 
 def test_graph_without_k_edges(capsys):

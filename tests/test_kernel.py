@@ -7,7 +7,8 @@ up to 2x2 at n = 5; the pruned skyline
 enumeration, the tabulated Demazure subsets and the closure and psi
 tables over the compositions and coset representatives of those shapes;
 the tableau Kohnert move, phi, psi and the cross-column skyline rules;
-the table's per-position statistics, max-right keys and rotations.
+the table's per-position statistics, max-right keys and rotations, and the
+entry and rotation kernels they are built with.
 """
 
 from itertools import combinations, product
@@ -28,13 +29,14 @@ from kcrystals.crystal import (
     signature,
 )
 from kcrystals.keys import (
+    _entry,
     _key_maps,
     _max_right_keys,
+    _rotate,
     _rotations,
     k_lusztig_star,
     lusztig_star,
     max_right_key,
-    max_tableau,
     right_key,
 )
 from kcrystals.kohnert import (
@@ -293,10 +295,12 @@ def test_is_semistandard_matches_the_reference_off_the_table():
 
 @pytest.mark.parametrize("n,shape", TABLE_CASES, ids=str)
 def test_max_right_keys_match_the_reference(n, shape):
-    tableaux = _decoded(crystal_table(n, shape))
-    for t in tableaux:
-        assert _same_object(max_tableau(t), reference_max_tableau(t)), t
-    keys = crystal_table(n, shape).derived(_max_right_keys)
+    table = crystal_table(n, shape)
+    tableaux = _decoded(table)
+    for code, t in zip(table.codes, tableaux):
+        assert _same_object(table.decode(_entry(table, code, False)), reference_max_tableau(t)), t
+        assert _same_object(table.decode(_entry(table, code, True)), reference_min_tableau(t)), t
+    keys = table.derived(_max_right_keys)
     assert list(keys) == [reference_right_key(reference_max_tableau(t)) for t in tableaux]
     assert tuple(max_right_key(t) for t in tableaux) == keys
 
@@ -332,6 +336,16 @@ def test_key_maps_match_the_composed_references(n, shape):
 RECTANGLES = [
     (n, shape) for n in range(1, 6) for shape in ((1,), (2,), (1, 1), (2, 2)) if len(shape) <= n
 ]
+
+
+@pytest.mark.parametrize("n,shape", RECTANGLES, ids=str)
+def test_rotate_is_the_reference_rotation_and_an_involution(n, shape):
+    table = crystal_table(n, shape)
+    for code in table.codes:
+        assert _same_object(table.decode(_rotate(table, code)), reference_k_lusztig_star(table.decode(code))), code
+        assert _rotate(table, _rotate(table, code)) == code
+
+
 SKYLINE_CASES = RECTANGLES + [
     (n, shape)
     for n in range(1, 5)

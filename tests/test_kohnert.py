@@ -139,14 +139,30 @@ def test_closure_matches_the_golden_grid():
 
 
 def test_diagram_weights():
-    assert _diagram_character([initial_diagram((0, 2, 2))], 3) == BetaPolynomial.monomial(3, (0, 2, 2))
-    third = D({(1, 2), (2, 1), (2, 2), (3, 1), (3, 2)}, {(2, 2)})
-    assert _diagram_character([third], 3) == BetaPolynomial.monomial(3, (1, 2, 2), beta=1)
-    assert _diagram_character([D(set())], 3) == BetaPolynomial.one(3)
+    # the closure of (0, 1): the skyline, its box moved to column 1, and the K-move that keeps (2, 1) marked
+    x1, x2 = BetaPolynomial.monomial(2, (1, 0)), BetaPolynomial.monomial(2, (0, 1))
+    assert _diagram_character((0, 1), 2) == x1 + x2 + BetaPolynomial.monomial(2, (1, 1), beta=1)
+    assert _diagram_character((2, 2, 0), 3) == BetaPolynomial.monomial(3, (2, 2, 0))  # no move
+    assert _diagram_character((0, 0, 0), 3) == BetaPolynomial.one(3)
+
+
+def test_graph_weights_are_the_box_counts_and_marks():
+    """KohnertGraph.weight, read off a key, is the diagram's box count of
+    each column and number of marks, over every closure of every weak
+    composition with at most 4 parts and at most 4 boxes."""
+    for a in (a for n in range(1, 5) for a in product(range(5), repeat=n) if sum(a) <= 4):
+        graph, positions = closure_table(a)
+        for p in positions:
+            d = graph.diagram(p)
+            heights = tuple(sum(x == column for x, _ in d.boxes) for column in range(1, len(a) + 1))
+            assert graph.weight(p) == (heights, len(d.marked)), (a, d)
+    graph, positions = closure_table((0, 2, 2))
+    p = graph.index[pack(D({(1, 2), (2, 1), (2, 2), (3, 1), (3, 2)}, {(2, 2)}), graph.height, graph.n)]
+    assert p in positions and graph.weight(p) == ((1, 2, 2), 1)
 
 
 def test_closure_weights_sum_to_the_polynomial():
-    assert _diagram_character(closure((0, 2, 2)), 3) == lascoux((0, 2, 2), 3)
+    assert _diagram_character((0, 2, 2), 3) == lascoux((0, 2, 2), 3)
 
 
 def test_phi_golden_pairs():

@@ -468,7 +468,7 @@ def test_clearing_the_tables_rebuilds_every_derived_structure(table_fault):
             conjugated = _conjugated(conjugated, a, b)
         table_fault.setitem(crystal._KERNEL, op, per_tableau(conjugated))
     table_fault.setattr(crystal, "flag_vector", lambda w, r, s: (n,) * r)
-    table_fault.setattr(keys, "k_lusztig_star", lambda t: t)
+    table_fault.setattr(keys, "_rotate", lambda codes, code: code)
     crystal.crystal_table.cache_clear()
     assert [name for name, read in readers.items() if read() == before[name]] == []
 
