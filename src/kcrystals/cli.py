@@ -10,10 +10,10 @@ import json
 import sys
 
 from .crystal import crystal_table
-from .kohnert import closure
+from .kohnert import closure_table
 from .polynomials import lascoux, lascoux_atom
-from .skyline import enumerate_skyline
-from .tableaux import _heights, _partition, enumerate_svt
+from .skyline import skyline_table
+from .tableaux import _Codes, _heights, _partition, _svt_codes
 from .verify import SUITES, Bounds, run_suite
 
 
@@ -54,16 +54,19 @@ def cmd_enumerate(args) -> int:
     if args.kind != "svt" and args.format is not None:
         print(f"error: enumerate {args.kind} prints JSON lines only and does not read --format", file=sys.stderr)
         return 2
-    if args.kind == "svt":
-        objects = enumerate_svt(args.n, args.shape)
+    if args.kind == "svt":  # codes, positions or filling indices, decoded only to print
+        codes = _Codes(args.n, _partition(args.shape))
+        found, decode = _svt_codes(codes), codes.decode
     elif args.kind == "kohnert":
-        objects = closure(args.shape)
+        graph, found = closure_table(args.shape)
+        decode = graph.diagram
     else:
-        objects = enumerate_skyline(args.shape, args.n)
+        record = skyline_table(tuple(sorted(args.shape)), args.n)
+        found, decode = record.skylines(args.shape), lambda indices: record.skyline(args.shape, indices)
     if args.count:
-        print(len(objects))
+        print(len(found))
         return 0
-    for obj in objects:
+    for obj in map(decode, found):
         if args.kind != "svt":
             print(json.dumps(obj.to_json_dict(), sort_keys=True))
         elif args.format == "json":

@@ -298,33 +298,32 @@ def closure(a: tuple[int, ...]) -> tuple[KKohnertDiagram, ...]:
 
 def _phi_code(codes: _Columns, key: int) -> int:
     """phi of the diagram of key, packed in s rows and n columns, as a code
-    of codes' r x s rectangle at n: the unmarked boxes of diagram row y, by
-    column, fill tableau column s-y top to bottom, and each marked box
-    (x, y) joins the box of the rightmost unmarked box to its left;
-    ValueError on a row without r unmarked boxes or a marked box with none
-    to its left."""
-    r, s, width, n = codes._height, len(codes._column), codes._width, codes.n
-    size = n * s
-    marked = key >> size
-    unmarked: list[list[int]] = [[] for _ in range(s)]  # the columns of each row's boxes, ascending
-    marks: list[list[int]] = [[] for _ in range(s)]
-    for rows, bits in ((unmarked, key & ((1 << size) - 1) & ~marked), (marks, marked)):
-        for j in _bits(bits):
-            rows[j % s].append(j // s + 1)
-    code = 0
-    for y in range(1, s + 1):
-        row = unmarked[y - 1]
-        if len(row) != r:
-            raise ValueError(f"diagram row {y} has {len(row)} unmarked boxes, expected {r}")
-        slot = (s - y) * r  # the slot of the column's top box
-        for m, x in enumerate(row):
-            code |= 1 << ((slot + m) * width + x)
-        for x in marks[y - 1]:
-            below = bisect_left(row, x)  # unmarked boxes left of x
-            if not below:
-                raise ValueError(f"marked box {(x, y)} has no unmarked box to its left")
-            code |= 1 << ((slot + below - 1) * width + x)
-    return code
+    of codes' r x s rectangle at n: diagram row y, bits y-1, y-1+s, ... of
+    the boxes and of the marks, fills tableau column s-y (`_phi_row`)."""
+    r, s, width, size = codes._height, len(codes._column), codes._width, codes.n * len(codes._column)
+    bits = bin(key)[:1:-1].ljust(2 * size, "0")  # least significant bit first
+    rows = (_phi_row(bits[y - 1 : size : s], bits[size + y - 1 :: s], r, y) for y in range(1, s + 1))
+    return sum(row << (s - y) * r * width for y, row in enumerate(rows, start=1))
+
+
+@lru_cache(maxsize=None)
+def _phi_row(boxes: str, marks: str, r: int, y: int) -> int:
+    """The slots, from the top box, that diagram row y with these box and
+    mark flags by column fills: its unmarked boxes' columns, ascending, and
+    each marked box (x, y) joins the box of the rightmost unmarked box to
+    its left; ValueError on a row without r unmarked boxes or a marked box
+    with none to its left.  Each pattern is worked out once."""
+    width = len(boxes) + 1
+    unmarked = [x for x, (box, mark) in enumerate(zip(boxes, marks), start=1) if box == "1" and mark == "0"]
+    if len(unmarked) != r:
+        raise ValueError(f"diagram row {y} has {len(unmarked)} unmarked boxes, expected {r}")
+    row = sum(1 << (m * width + x) for m, x in enumerate(unmarked))
+    for x in (x for x, mark in enumerate(marks, start=1) if mark == "1"):
+        below = bisect_left(unmarked, x)  # unmarked boxes left of x
+        if not below:
+            raise ValueError(f"marked box {(x, y)} has no unmarked box to its left")
+        row |= 1 << ((below - 1) * width + x)
+    return row
 
 
 def _phi_inverse_key(codes: _Columns, code: int) -> int:

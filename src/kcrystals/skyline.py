@@ -8,23 +8,24 @@ anchor, the rest are free.  Going up a column, cells weakly decrease in
 the set sense (min of the lower cell >= max of the cell above it).
 
 ``skyline_table(parts, n)`` is the one cached record of a rearrangement
-class at n, keyed by its sorted composition: each column's fillings, the
-bitsets of compatible fillings between two columns and each composition's
-skylines, which ``enumerate_skyline`` reads.  ``psi_table(a, n)`` is the
-one cached psi record of a composition, which psi_inverse and the
-bijection check read: the skylines of shape a by position and the
-position of each psi image in the crystal table of the rectangle, where
-``_psi_code`` packs the image as a code and membership in the table is
-its semistandardness test; ``psi`` decodes the same code.
+class at n, keyed by its sorted composition.  It holds each column's
+fillings, sorted, each with its cells as (anchor bit, free-entry mask)
+pairs (``_levels``) and its weight and excess packed in one int, and,
+filled on first read, each composition's skylines as tuples of filling
+indices and the position of each one's psi image in the crystal table
+of the rectangle.  ``_psi_code`` packs that image as a code from the
+cells' masks, and membership in the table is its semistandardness test;
+``psi`` decodes the same code.  A ``SkylineTableau`` is decoded only at
+the boundary: ``enumerate_skyline``, ``psi_inverse`` and witnesses.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import or_
 
 from .crystal import _Columns, _codes, _rectangle_dims, _semistandard, _subset_table
 from .crystal import atom_subset, crystal_table
@@ -69,27 +70,6 @@ class SkylineTableau:
             cols.append((c, tuple(tuple(sorted(set(cell))) for cell in cells)))
         return cls(shape, tuple(cols))
 
-    def cells_at_level(self, level: int) -> list[tuple[int, Cell]]:
-        return [
-            (c, cells[level - 1])
-            for c, cells in self.columns
-            if level <= len(cells)
-        ]
-
-    def weight(self, n: int) -> tuple[int, ...]:
-        counts = [0] * n
-        for _, cells in self.columns:
-            for cell in cells:
-                for v in cell:
-                    counts[v - 1] += 1
-        return tuple(counts)
-
-    def excess(self) -> int:
-        return sum(len(cell) - 1 for _, cells in self.columns for cell in cells)
-
-    def sort_key(self):
-        return self.columns
-
     def to_json_dict(self) -> dict:
         return {
             "shape": list(self.shape),
@@ -108,10 +88,6 @@ class SkylineTableau:
         # build names a column key that is not a decimal integer
         columns = {int(c) if str(c).isdecimal() else c: cells for c, cells in data["columns"].items()}
         return cls.build(data["shape"], columns)
-
-
-def anchor(cell: Cell) -> int:
-    return cell[-1]
 
 
 def _compatible(pcells: tuple[Cell, ...], qcells: tuple[Cell, ...]) -> bool:
@@ -145,7 +121,7 @@ def validate_skyline(skyline: SkylineTableau, n: int) -> bool:
     for c, cells in skyline.columns:
         # bottom anchors name their column; cells hold distinct entries;
         # columns weakly decrease upward
-        if anchor(cells[0]) != c:
+        if cells[0][-1] != c:
             return False
         if any(len(set(cell)) != len(cell) for cell in cells):
             return False
@@ -183,46 +159,105 @@ def _column_fillings(c: int, height: int, n: int):
         yield from extend([bottom])
 
 
+def _levels(cells) -> tuple[tuple[int, int], ...]:
+    """Each cell of a column, bottom-up, as (its anchor bit, the bitmask of its free entries)."""
+    return tuple((1 << cell[-1], sum(1 << v for v in cell[:-1])) for cell in cells)
+
+
+def _by_value(fillings, height: int, n: int) -> list[tuple[list[int], ...]]:
+    """Per level of a column's fillings, by value v in 0..n, the bitsets of
+    the fillings whose cell there holds v, whose anchor is at most v, and
+    that hold v as a free entry."""
+    index = [([0] * (n + 1), [0] * (n + 1), [0] * (n + 1)) for _ in range(height)]
+    for j, cells in enumerate(fillings):
+        for (held, anchored, free), cell in zip(index, cells):
+            for v in cell:
+                held[v] |= 1 << j
+                free[v] |= (v < cell[-1]) << j
+            anchored[cell[-1]] |= 1 << j
+    return [(held, list(accumulate(anchored, or_)), free) for held, anchored, free in index]
+
+
+def _columns(a: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(column, height) of each nonzero column of a."""
+    return [(c, height) for c, height in enumerate(a, start=1) if height]
+
+
 def enumerate_skyline(a: tuple[int, ...], n: int) -> tuple[SkylineTableau, ...]:
     """All set-valued skyline tableaux of shape a with entries at most n,
     sorted; raises ValueError on a negative or non-integer height."""
     a = _heights(a)
-    return skyline_table(tuple(sorted(a)), n).skylines(a)
+    table = skyline_table(tuple(sorted(a)), n)
+    return tuple(table.skyline(a, indices) for indices in table.skylines(a))
 
 
 class SkylineTable:
     """The skylines of one rearrangement class of compositions at n: each
-    (column, height)'s fillings, sorted; row(p, q, i), the bitset of the
-    fillings of q compatible with filling i of p, a column left of q; and
-    each composition's skylines.  Rows and skylines fill on first read."""
+    (column, height)'s fillings, sorted, with each filling's `levels` and
+    packed stat; and, filled on first read, row(p, q, i), the bitset of the
+    fillings of q compatible with filling i of p, a column left of q, and
+    each composition's skylines and psi images."""
 
     def __init__(self, parts: tuple[int, ...], n: int):
+        self.n, self._digit = n, sum(parts).bit_length()  # no value fills more cells than the class has
         columns = [(c, height) for c in range(1, len(parts) + 1) for height in set(parts) if height]
         self.fillings = {column: sorted(_column_fillings(*column, n)) for column in columns}
-        self._rows: dict[tuple[tuple[int, int], tuple[int, int], int], int] = {}
-        self._skylines: dict[tuple[int, ...], tuple[SkylineTableau, ...]] = {}
+        self.levels = {column: list(map(_levels, fillings)) for column, fillings in self.fillings.items()}
+        self._stats = {column: list(map(self._pack, fillings)) for column, fillings in self.fillings.items()}
+        self._index = {column: _by_value(self.fillings[column], column[1], n) for column in columns}
+        self._rows: dict[tuple, int] = {}  # (p, q, i) -> row(p, q, i)
+        self._skylines, self._stats_of, self._images = {}, {}, {}  # by composition
+        self._unpacked: dict[int, tuple[tuple[int, ...], int]] = {}
+
+    def _pack(self, cells) -> int:
+        """The stat of a filling: digit v-1 counts the entry v, and the excess sits above the n digits."""
+        entries = [v for cell in cells for v in cell]
+        return sum(1 << (v - 1) * self._digit for v in entries) + (len(entries) - len(cells) << self.n * self._digit)
+
+    def stat(self, packed: int) -> tuple[tuple[int, ...], int]:
+        """(weight, excess) of a packed stat, unpacked once per table."""
+        if packed not in self._unpacked:
+            digit, mask = self._digit, (1 << self._digit) - 1
+            weight = tuple([packed >> v * digit & mask for v in range(self.n)])
+            self._unpacked[packed] = weight, packed >> self.n * digit
+        return self._unpacked[packed]
 
     def row(self, p: tuple[int, int], q: tuple[int, int], i: int) -> int:
+        """_compatible(self.fillings[p][i], qcells) for each filling of q as
+        a bitset: at each level of both, q's cells that meet p's, q's anchors
+        that make the triple with p's, and q's free entries in [anchor of p's
+        cell above, or 1; anchor of p's cell) are dropped."""
         if (p, q, i) not in self._rows:
-            pcells = self.fillings[p][i]
-            compatible = (j for j, qcells in enumerate(self.fillings[q]) if _compatible(pcells, qcells))
-            self._rows[p, q, i] = sum(1 << j for j in compatible)
+            pcells, index, hp = self.fillings[p][i], self._index[q], p[1]
+            bad = 0
+            for level in range(min(hp, q[1])):
+                held, at_most, free = index[level]
+                anchor = pcells[level][-1]
+                for v in pcells[level]:
+                    bad |= held[v]
+                if level and q[1] >= hp:  # B <= C <= A: A over B in q, C = anchor
+                    bad |= at_most[anchor] & ~index[level - 1][1][anchor - 1]
+                elif level:  # A over B in p, C in q
+                    bad |= at_most[pcells[level - 1][-1]] & ~at_most[anchor - 1]
+                for v in range(pcells[level + 1][-1] if level + 1 < hp else 1, anchor):
+                    bad |= free[v]
+            self._rows[p, q, i] = (1 << len(self.fillings[q])) - 1 & ~bad
         return self._rows[p, q, i]
 
-    def skylines(self, a: tuple[int, ...]) -> tuple[SkylineTableau, ...]:
-        """The skylines of shape a, a composition of this class, sorted:
-        every filling already satisfies the rules within its column, so a
-        column's candidates are the AND of the rows of the columns placed
-        before it, and placing the sorted fillings in order sorts the result."""
+    def skylines(self, a: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """The skylines of shape a, a composition of this class, sorted, as
+        the index of the filling of each nonzero column: every filling
+        already satisfies the rules within its column, so a column's
+        candidates are the AND of the rows of the columns placed before it,
+        and placing the sorted fillings in order sorts the result."""
         if a not in self._skylines:
-            columns = [(c, height) for c, height in enumerate(a, start=1) if height]
-            out: list[SkylineTableau] = []
+            columns = _columns(a)
+            out: list[tuple[int, ...]] = []
             placed: list[int] = []
 
             def extend(k: int) -> None:
                 if k == len(columns):
-                    cells = (self.fillings[column][i] for column, i in zip(columns, placed))
-                    out.append(SkylineTableau(a, tuple(zip((c for c, _ in columns), cells))))
+                    out.append(tuple(placed))
                     return
                 bits = (1 << len(self.fillings[columns[k]])) - 1
                 for j, i in enumerate(placed):
@@ -236,33 +271,68 @@ class SkylineTable:
             self._skylines[a] = tuple(out)
         return self._skylines[a]
 
+    def stats(self, a: tuple[int, ...]) -> list[int]:
+        """The packed stat of each skyline of a, in order, the sum of its
+        fillings', filled on first read."""
+        if a not in self._stats_of:
+            stats = [self._stats[column] for column in _columns(a)]
+            self._stats_of[a] = [sum([of[i] for of, i in zip(stats, indices)]) for indices in self.skylines(a)]
+        return self._stats_of[a]
+
+    def skyline(self, a: tuple[int, ...], indices: tuple[int, ...]) -> SkylineTableau:
+        """The skyline of shape a with these filling indices."""
+        return SkylineTableau(a, tuple((c, self.fillings[c, h][i]) for (c, h), i in zip(_columns(a), indices)))
+
+    def images(self, a: tuple[int, ...]) -> tuple[array, dict[int, int]]:
+        """The position of each skyline of a's psi image in the crystal
+        table of the rectangle, and the inverse map; AssertionError if two
+        skylines share an image."""
+        if a not in self._images:
+            r, s = _rectangle_dims(a)
+            table = crystal_table(self.n, (s,) * r)
+            levels = [self.levels[column] for column in _columns(a)]
+            images, preimage = array("i"), {}
+            for indices in self.skylines(a):
+                code = _psi_code(table, [of[i] for of, i in zip(levels, indices)])
+                k = table._positions.get(code, -1)  # the skyline is decoded only to name it
+                images.append(k if k >= 0 else table.image(code, "psi", self.skyline(a, indices)))
+            for j, k in enumerate(images):
+                if k in preimage:
+                    raise AssertionError(f"psi is not injective at {table.tableau(k)!r}")
+                preimage[k] = j
+            self._images[a] = images, preimage
+        return self._images[a]
+
 
 skyline_table = lru_cache(maxsize=None)(SkylineTable)  # one table per (class tuple(sorted(a)), n)
 
 
-def _psi_code(codes: _Columns, skyline: SkylineTableau) -> int:
-    """psi of a valid skyline as a code of codes' rectangle: level L's
-    anchors, sorted, fill tableau column s-L top to bottom, and each free
-    entry joins the box of the least anchor above it; ValueError on a
-    level of the wrong size, an entry above n or a free entry above every
-    anchor."""
+def _psi_code(codes: _Columns, columns) -> int:
+    """psi of a valid skyline as a code of codes' rectangle, from each
+    nonzero column's `_levels`: the OR of level L's anchor bits fills
+    tableau column s-L top to bottom from the least anchor, each taking the
+    free entries below it (of the OR of the level's free masks) that a
+    lesser anchor did not; ValueError on a level of the wrong size, an
+    entry above n or a free entry above every anchor."""
     r, s, width = codes._height, len(codes._column), codes._width
     code = 0
-    for level in range(1, s + 1):
-        row = skyline.cells_at_level(level)
-        if len(row) != r:
-            raise ValueError(f"level {level} has {len(row)} cells, expected {r}")
-        anchors = sorted(anchor(cell) for _, cell in row)
-        if anchors[-1] > codes.n:  # it would spill into the next slot
-            raise ValueError(f"entry {anchors[-1]} exceeds n={codes.n}")
-        slot = (s - level) * r  # the slot of the column's top box
-        for m, a in enumerate(anchors):
-            code |= 1 << ((slot + m) * width + a)
-        for v in sorted(v for _, cell in row for v in cell[:-1]):
-            m = bisect_right(anchors, v)  # a repeated free entry is one entry
-            if m == r:
-                raise ValueError(f"free entry {v} fits under no anchor")
-            code |= 1 << ((slot + m) * width + v)
+    for level in range(s):
+        cells = [column[level] for column in columns if len(column) > level]
+        if len(cells) != r:
+            raise ValueError(f"level {level + 1} has {len(cells)} cells, expected {r}")
+        anchors = frees = 0
+        for anchor, free in cells:
+            anchors, frees = anchors | anchor, frees | free
+        if anchors >> width:  # it would spill into the next slot
+            raise ValueError(f"entry {anchors.bit_length() - 1} exceeds n={codes.n}")
+        shift = (s - 1 - level) * r * width  # the slot of the column's top box
+        while anchors:
+            least = anchors & -anchors
+            taken = frees & (least - 1)
+            code |= (least | taken) << shift
+            anchors, frees, shift = anchors ^ least, frees ^ taken, shift + width
+        if frees:
+            raise ValueError(f"free entry {(frees & -frees).bit_length() - 1} fits under no anchor")
     return code
 
 
@@ -275,28 +345,7 @@ def psi(skyline: SkylineTableau, n: int) -> SetValuedTableau:
         raise ValueError(f"{skyline!r} is not a valid skyline tableau with entries at most {n}")
     r, s = _rectangle_dims(skyline.shape)
     codes = _codes(n, (s,) * r)
-    return _semistandard(codes, _psi_code(codes, skyline))
-
-
-class PsiTable:
-    """psi on enumerate_skyline(a, n): skylines[k] maps to the tableau at
-    position images[k] of its crystal table, and preimage inverts images;
-    raises if two skylines share an image."""
-
-    def __init__(self, a: tuple[int, ...], n: int):
-        self.skylines = enumerate_skyline(a, n)
-        r, s = _rectangle_dims(a)
-        table = crystal_table(n, (s,) * r)
-        images = (table.image(_psi_code(table, skyline), "psi", skyline) for skyline in self.skylines)
-        self.images = array("i", images)
-        self.preimage: dict[int, int] = {}
-        for j, k in enumerate(self.images):
-            if k in self.preimage:
-                raise AssertionError(f"psi is not injective at {table.tableau(k)!r}")
-            self.preimage[k] = j
-
-
-psi_table = lru_cache(maxsize=None)(PsiTable)  # one table per (a, n)
+    return _semistandard(codes, _psi_code(codes, [_levels(cells) for _, cells in skyline.columns]))
 
 
 def psi_inverse(tableau: SetValuedTableau, w: Perm) -> SkylineTableau:
@@ -304,10 +353,11 @@ def psi_inverse(tableau: SetValuedTableau, w: Perm) -> SkylineTableau:
     ValueError unless w is a permutation of 1..n."""
     shape, n = tableau.shape, tableau.n
     crystal = _subset_table(w, shape, n)
-    table = psi_table(act(w, _pad(shape, n)), n)
-    j = table.preimage.get(crystal.position(tableau))
+    a = act(w, _pad(shape, n))
+    table = skyline_table(tuple(sorted(a)), n)
+    j = table.images(a)[1].get(crystal.position(tableau))
     if j is None:
         if tableau not in atom_subset(w, shape, n):
             raise ValueError(f"{tableau!r} is not in the atom of {w}")
         raise AssertionError(f"atom member missing from psi image: {tableau!r}")
-    return table.skylines[j]
+    return table.skyline(a, table.skylines(a)[j])

@@ -56,7 +56,7 @@ from .polynomials import (
     lascoux_atom,
     parse_polynomial,
 )
-from .skyline import enumerate_skyline, psi, psi_table
+from .skyline import enumerate_skyline, psi, skyline_table
 from .tableaux import SetValuedTableau, _partition, enumerate_svt
 
 @dataclass(frozen=True)
@@ -308,9 +308,14 @@ def _diagram_character(a, n: int) -> BetaPolynomial:
     return BetaPolynomial(n, Counter(map(graph.weight, positions)))
 
 
-def _skyline_character(skylines, n: int) -> BetaPolynomial:
-    """Sum of b^excess x^weight over the skylines."""
-    return BetaPolynomial(n, Counter((s.weight(n), s.excess()) for s in skylines))
+def _skyline_character(compositions, n: int) -> BetaPolynomial:
+    """Sum of b^excess x^weight over the skylines of the compositions, of
+    one rearrangement class, counted as packed stats."""
+    counts, record = Counter(), None
+    for a in compositions:
+        record = skyline_table(tuple(sorted(a)), n)
+        counts.update(record.stats(a))
+    return BetaPolynomial._trusted(n, {record.stat(packed): count for packed, count in counts.items()})
 
 
 def _check_character_golden():
@@ -399,17 +404,15 @@ def _check_kohnert_golden():
 
 def _check_skyline(n, shape, w):
     a = act(w, _pad(shape, n))
-    mapped = psi_table(a, n)
+    record = skyline_table(tuple(sorted(a)), n)
+    images, _ = record.images(a)
     table = crystal_table(n, shape)
-    weights = Counter()
-    for skyline, k in zip(mapped.skylines, mapped.images):
-        weight = (skyline.weight(n), skyline.excess())
-        if weight != table.stat(table.codes[k]):
+    for packed, k in zip(record.stats(a), images):
+        if record.stat(packed) != table.stat(table.codes[k]):
             return f"psi does not preserve the weight of {table.tableau(k).to_text()}"
-        weights[weight] += 1
-    if diff := sum(1 << k for k in mapped.images) ^ table.atom(w):
+    if diff := sum(1 << k for k in images) ^ table.atom(w):
         return f"psi image mismatch: {[t.to_text() for t in table.members(diff)]}"
-    if BetaPolynomial(n, weights) != lascoux_atom(a, n):
+    if _skyline_character((a,), n) != lascoux_atom(a, n):
         return "skyline character differs from the atom polynomial"
     return None
 
@@ -417,13 +420,8 @@ def _check_skyline(n, shape, w):
 def _check_skyline_sum(n, shape, w):
     lam = _pad(shape, n)
     reps = set(coset_reps(lam, n))
-    skylines = (
-        skyline
-        for v in bruhat_ideal(w)
-        if v in reps
-        for skyline in enumerate_skyline(act(v, lam), n)
-    )
-    if _skyline_character(skylines, n) != lascoux(act(w, lam), n):
+    compositions = (act(v, lam) for v in bruhat_ideal(w) if v in reps)
+    if _skyline_character(compositions, n) != lascoux(act(w, lam), n):
         return "skyline sum over the Bruhat ideal differs from the polynomial"
     return None
 
@@ -544,7 +542,7 @@ def _check_scan_kohnert(n, shape, w):
 
 def _check_scan_skyline(n, shape, w):
     return _scan(
-        n, shape, w, "skyline-atom", lambda a, n: _skyline_character(enumerate_skyline(a, n), n), lascoux_atom
+        n, shape, w, "skyline-atom", lambda a, n: _skyline_character((a,), n), lascoux_atom
     )
 
 

@@ -312,6 +312,10 @@ def _reference_free_fits(skyline, c, level, height, value):
     return True
 
 
+def _cells_at_level(skyline, level):
+    return [(c, cells[level - 1]) for c, cells in skyline.columns if level <= len(cells)]
+
+
 def reference_validate_skyline(skyline, n):
     """The skyline rules checked one by one: per column, per level across
     columns, the triple condition per pair of columns, then every free
@@ -326,7 +330,7 @@ def reference_validate_skyline(skyline, n):
         if any(v > n or v < 1 for cell in cells for v in cell):
             return False
     for level in range(1, max(heights.values(), default=0) + 1):
-        entries = [v for _, cell in skyline.cells_at_level(level) for v in cell]
+        entries = [v for _, cell in _cells_at_level(skyline, level) for v in cell]
         if len(entries) != len(set(entries)):
             return False
     for (p, pcells), (q, qcells) in combinations(skyline.columns, 2):
@@ -368,7 +372,7 @@ def reference_enumerate_skyline(a, n):
         )
         if reference_validate_skyline(skyline, n):
             out.append(skyline)
-    return tuple(sorted(out, key=SkylineTableau.sort_key))
+    return tuple(sorted(out, key=lambda skyline: skyline.columns))
 
 
 def per_tableau(operator):
@@ -651,7 +655,7 @@ def reference_psi(skyline, n):
     r = len(heights)
     straightened = []
     for level in range(1, s + 1):
-        row = skyline.cells_at_level(level)
+        row = _cells_at_level(skyline, level)
         if len(row) != r:
             raise ValueError(f"level {level} has {len(row)} cells, expected {r}")
         anchors = sorted(cell[-1] for _, cell in row)

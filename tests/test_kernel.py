@@ -53,13 +53,15 @@ from kcrystals.kohnert import (
 )
 from kcrystals.permutations import act, coset_reps, flag_vector, reduced_words, stabilizer_min_rep
 from kcrystals.skyline import (
+    SkylineTable,
     SkylineTableau,
     _column_fillings,
     _compatible,
+    _levels,
     _psi_code,
     enumerate_skyline,
     psi,
-    psi_table,
+    skyline_table,
     validate_skyline,
 )
 from kcrystals.tableaux import SetValuedTableau, _bits, _Codes, enumerate_svt
@@ -405,11 +407,13 @@ def test_closure_and_psi_tables_match_the_kernel(n, shape):
             moves = [(x, is_k, graph.diagram(q)) for x, is_k, q in graph.moves(p)]
             assert moves == reference_single_moves(d), (a, d)
             assert table.tableau(images[p]) == reference_phi(d, r, s, n), (a, d)
-        skylines = psi_table(a, n)
-        assert skylines.skylines == enumerate_skyline(a, n)
-        for skyline, k in zip(skylines.skylines, skylines.images):
+        record = skyline_table(tuple(sorted(a)), n)
+        skylines = tuple(record.skyline(a, indices) for indices in record.skylines(a))
+        assert skylines == enumerate_skyline(a, n)
+        images, preimage = record.images(a)
+        for skyline, k in zip(skylines, images):
             assert table.tableau(k) == reference_psi(skyline, n), (a, skyline)
-        assert skylines.preimage == {k: j for j, k in enumerate(skylines.images)}
+        assert preimage == {k: j for j, k in enumerate(images)}
     for t, code in zip(_decoded(table), table.codes):
         moves = _svt_moves(table, code)
         for x in range(1, n + 1):
@@ -478,8 +482,23 @@ def test_an_image_outside_the_table_names_its_source():
 
 def test_a_skyline_entry_above_n_has_no_psi_code():
     skyline = SkylineTableau.build((0, 0, 1), {3: [(3,)]})
-    with pytest.raises(ValueError, match="exceeds n=2"):
-        _psi_code(crystal_table(2, (1,)), skyline)
+    with pytest.raises(ValueError, match="^entry 3 exceeds n=2$"):
+        _psi_code(crystal_table(2, (1,)), [_levels(cells) for _, cells in skyline.columns])
+
+
+@pytest.mark.parametrize(
+    "n,shape,columns,message",
+    [
+        (3, (1, 1), [[(1,)]], "^level 1 has 1 cells, expected 2$"),
+        (3, (2, 2), [[(1,), (1,)], [(2,)]], "^level 2 has 1 cells, expected 2$"),
+        (3, (1, 1), [[(1,)], [(3, 2)]], "^free entry 3 fits under no anchor$"),  # anchor 2, free 3
+        (3, (1, 1), [[(1,)], [(2, 2)]], "^free entry 2 fits under no anchor$"),  # a free entry at the top anchor
+    ],
+    ids=str,
+)
+def test_a_level_of_the_wrong_size_or_a_stray_free_entry_has_no_psi_code(n, shape, columns, message):
+    with pytest.raises(ValueError, match=message):
+        _psi_code(crystal_table(n, shape), [_levels(cells) for cells in columns])
 
 
 MOVE_CASES = [
@@ -514,6 +533,34 @@ def test_phi_and_psi_match_the_references(n, shape):
         for skyline in enumerate_skyline(a, n):
             image, expected = psi(skyline, n), reference_psi(skyline, n)
             assert (image.rows, hash(image)) == (expected.rows, hash(expected)), (a, skyline)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_bitset_rows_match_compatible(n):
+    """Every (column, height) with column <= 4 and height <= 3 is a column
+    of the class of (0, 1, 2, 3); a row is compared with _compatible for
+    each pair of fillings, the pair of one column with itself too."""
+    record = SkylineTable((0, 1, 2, 3), n)
+    assert sorted(record.fillings) == [(c, h) for c in range(1, 5) for h in range(1, 4)]
+    for p, pfillings in record.fillings.items():
+        for q, qfillings in record.fillings.items():
+            for i, pcells in enumerate(pfillings):
+                expected = sum(1 << j for j, qcells in enumerate(qfillings) if _compatible(pcells, qcells))
+                assert record.row(p, q, i) == expected, (p, q, pcells)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_packed_stats_are_the_weight_and_excess(n):
+    """Each skyline's packed stat, unpacked, counts its entries by value and
+    its entries beyond one per cell, for every composition of n parts up to
+    3 and 6 cells; a column of cells that all hold 1, as in (3, 0), fills
+    its digit."""
+    for a in (a for a in product(range(4), repeat=n) if sum(a) <= 6):
+        record = skyline_table(tuple(sorted(a)), n)
+        for skyline, packed in zip(enumerate_skyline(a, n), record.stats(a)):
+            entries = [v for _, cells in skyline.columns for cell in cells for v in cell]
+            weight = tuple(entries.count(v) for v in range(1, n + 1))
+            assert record.stat(packed) == (weight, len(entries) - sum(a)), skyline
 
 
 @pytest.mark.parametrize("n", range(1, 5))

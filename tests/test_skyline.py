@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kcrystals import golden
 from kcrystals.crystal import atom_subset
@@ -98,7 +100,7 @@ def test_psi_lands_in_the_atom_with_matching_weights():
             skylines = enumerate_skyline(a, n)
             images = {psi(s, n) for s in skylines}
             assert images == set(atom_subset(w, shape, n))
-            assert _skyline_character(skylines, n) == lascoux_atom(a, n)
+            assert _skyline_character((a,), n) == lascoux_atom(a, n)
 
 
 def test_json_round_trip():
@@ -152,3 +154,31 @@ def test_json_form_rejects_malformed_columns(data, column):
 def test_json_form_names_a_missing_key(data, key):
     with pytest.raises(ValueError, match=key):
         SkylineTableau.from_json_dict(data)
+
+
+small_skylines = (
+    st.lists(st.integers(0, 2), min_size=1, max_size=3)
+    .filter(any)
+    .flatmap(lambda a: st.sampled_from(enumerate_skyline(tuple(a), len(a))))
+)
+CELL_MUTATIONS = [
+    (lambda cells: [cells[0] + [0.5]] + cells[1:], "has entry 0.5 outside"),  # non-integer entry
+    (lambda cells: [[str(cells[0][0])] + cells[0][1:]] + cells[1:], r"has entry '\d' outside"),  # string entry
+    (lambda cells: [cells[0] + [9]] + cells[1:], "has entry 9 outside"),  # entry above the column count
+    (lambda cells: [[]] + cells[1:], r"must have \d nonempty cells"),  # an empty cell
+    (lambda cells: cells + [[1]], r"must have \d nonempty cells"),  # one cell too many
+]
+
+
+@given(small_skylines, st.sampled_from(["shape", "columns"]), st.sampled_from(CELL_MUTATIONS))
+def test_json_form_round_trips_and_rejects_malformed_forms(skyline, key, mutation):
+    form = json.loads(json.dumps(skyline.to_json_dict()))
+    assert SkylineTableau.from_json_dict(form) == skyline
+    with pytest.raises(ValueError, match=key):
+        SkylineTableau.from_json_dict({k: v for k, v in form.items() if k != key})
+    c, cells = next(iter(form["columns"].items()))
+    with pytest.raises(ValueError, match=f"column {c} is missing"):
+        SkylineTableau.from_json_dict(dict(form, columns={k: v for k, v in form["columns"].items() if k != c}))
+    mutate, message = mutation
+    with pytest.raises(ValueError, match=f"^column {c} {message}"):
+        SkylineTableau.from_json_dict(dict(form, columns=dict(form["columns"], **{c: mutate(cells)})))

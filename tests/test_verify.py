@@ -734,19 +734,25 @@ def test_kohnert_witnesses_under_a_fault(kohnert_fault, fault):
 
 def test_a_psi_collision_fails_the_skyline_check(monkeypatch):
     """With every skyline of a shape sent to the psi image of the first one,
-    the psi table refuses to build, and each skyline case of more than one
-    skyline fails with that exception as its witness."""
+    the skyline record's psi images refuse to build, and each skyline case
+    of more than one skyline fails with that exception as its witness."""
     real = skyline._psi_code
-    monkeypatch.setattr(
-        skyline, "_psi_code", lambda codes, s: real(codes, skyline.enumerate_skyline(s.shape, codes.n)[0])
-    )
-    skyline.psi_table.cache_clear()
+
+    def first_of_its_shape(codes, columns):
+        shape = [0] * codes.n
+        for levels in columns:  # the bottom anchor of column c is c
+            shape[levels[0][0].bit_length() - 2] = len(levels)
+        first = skyline.enumerate_skyline(tuple(shape), codes.n)[0]
+        return real(codes, [skyline._levels(cells) for _, cells in first.columns])
+
+    monkeypatch.setattr(skyline, "_psi_code", first_of_its_shape)
+    skyline.skyline_table.cache_clear()
     try:
         cases = iter_cases("skyline-bijection", Bounds(max_n=3, max_side=2))
         results = [run_case("skyline-bijection", c) for c in cases if c["check"] == "skyline" and c["n"] == 3]
     finally:
         monkeypatch.undo()
-        skyline.psi_table.cache_clear()
+        skyline.skyline_table.cache_clear()
     witnesses = {(tuple(r.case["shape"]), tuple(r.case["w"])): r.witness for r in results if r.status == "fail"}
     assert len(results) == 12
     assert witnesses == {
