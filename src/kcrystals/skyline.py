@@ -12,8 +12,8 @@ class at n, keyed by its sorted composition.  It holds each column's
 fillings, sorted, each with its cells as (anchor bit, free-entry mask)
 pairs (``_levels``) and its weight and excess packed in one int, and,
 filled on first read, each composition's skylines as tuples of filling
-indices and the position of each one's psi image in the crystal table
-of the rectangle.  ``_psi_code`` packs that image as a code from the
+indices, their packed stats and the position of each one's psi image in
+the crystal table of the rectangle.  ``_psi_code`` packs that image as a code from the
 cells' masks, and membership in the table is its semistandardness test;
 ``psi`` decodes the same code.  A ``SkylineTableau`` is decoded only at
 the boundary: ``enumerate_skyline``, ``psi_inverse`` and witnesses.
@@ -196,7 +196,7 @@ class SkylineTable:
     (column, height)'s fillings, sorted, with each filling's `levels` and
     packed stat; and, filled on first read, row(p, q, i), the bitset of the
     fillings of q compatible with filling i of p, a column left of q, and
-    each composition's skylines and psi images."""
+    each composition's skylines, their packed stats and psi images."""
 
     def __init__(self, parts: tuple[int, ...], n: int):
         self.n, self._digit = n, sum(parts).bit_length()  # no value fills more cells than the class has
