@@ -13,7 +13,7 @@ from .crystal import crystal_table
 from .kohnert import closure_table
 from .polynomials import lascoux, lascoux_atom
 from .skyline import skyline_table
-from .tableaux import _Codes, _heights, _partition, _svt_codes
+from .tableaux import _heights, _partition
 from .verify import SUITES, Bounds, run_suite
 
 
@@ -55,8 +55,8 @@ def cmd_enumerate(args) -> int:
         print(f"error: enumerate {args.kind} prints JSON lines only and does not read --format", file=sys.stderr)
         return 2
     if args.kind == "svt":  # codes, positions or filling indices, decoded only to print
-        codes = _Codes(args.n, _partition(args.shape))
-        found, decode = _svt_codes(codes), codes.decode
+        table = crystal_table(args.n, _partition(args.shape))
+        found, decode = table.codes, table.decode
     elif args.kind == "kohnert":
         graph, found = closure_table(args.shape)
         decode = graph.diagram

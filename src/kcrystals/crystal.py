@@ -2,26 +2,25 @@
 Crystal and K-crystal operators on semistandard set-valued tableaux,
 with the derived Demazure-type subsets and characters.
 
-``crystal_table(n, shape)`` is the one cached crystal on a shape, keyed by the
-partition without zeros that each entry point makes with
-``tableaux._partition``, and owns all that is derived from it, so
-``crystal_table.cache_clear()`` is the only reset (``_codes`` holds only code
-geometry): the codes of the shape's tableaux at positions 0..N-1 (text order)
-from ``tableaux._svt_codes``, then, filled on first read, each operator or raise
-map of a letter as an array of positions, each position's weight and excess,
-the K-Demazure subset of each reduced word and the flagged subsets as bitsets
-(an int whose bit k is position k) and what other modules build from it
+``crystal_table(n, shape)`` is the one cached object of a shape, keyed by the
+partition without zeros that each entry point makes with ``tableaux._partition``,
+so ``crystal_table.cache_clear()`` is the only reset.  Made, it holds only code
+geometry, all that the single-tableau operators, phi, psi and ``k_lusztig_star``
+read; filled on first read are the codes of the shape's tableaux at positions
+0..N-1 (text order) from ``tableaux._svt_codes``, each operator or raise map of
+a letter as an array of positions, each position's weight and excess, the
+K-Demazure subset of each reduced word and the flagged subsets as bitsets (an
+int whose bit k is position k) and what other modules build from it
 (``derived``).  It holds no tableaux: callers decode one where they need it.
 
 The one implementation of e_i, f_i, e^K_i and f^K_i is a kernel on codes,
 ints that pack a tableau's boxes column by column as entry bitmasks
-(``tableaux._Codes``, with the kernel's column masks and sign functions in
-``_Columns``), that yields each image code or None.  A table runs it over
-its codes through the fills in ``_KERNEL``, the one place a fault can be
-swapped in, whose image lookup is its semistandardness test, as
-``CrystalTable.image`` is for phi and psi; ``crystal_e``, ``crystal_f``,
-``kcrystal_e`` and ``kcrystal_f`` run it on one code.
-``tests/oracles.py`` holds the reference.
+(``tableaux._Codes``, with the table's column masks and sign functions), that
+yields each image code or None.  A table runs it over its codes through the
+fills in ``_KERNEL``, the one place a fault can be swapped in, whose image
+lookup is its semistandardness test, as ``CrystalTable.image`` is for phi and
+psi; ``crystal_e``, ``crystal_f``, ``kcrystal_e`` and ``kcrystal_f`` run it on
+one code.  ``tests/oracles.py`` holds the reference.
 
 Signs are computed per column, left to right: a column containing i but
 not i+1 contributes "+", one containing i+1 but not i contributes "-",
@@ -68,39 +67,7 @@ def _pair(signs) -> tuple[list[int], list[int]]:
     return unpaired_plus, pending_minus
 
 
-class _Columns(_Codes):
-    """The codes of shape at n with bit 0 of each slot of column c (`_column[c]`)
-    and of the columns >= c (`_right_of[c]`), and each letter's `_signs`."""
-
-    def __init__(self, n: int, shape: tuple[int, ...]):
-        super().__init__(n, shape)
-        tops = self._shifts[0] if shape else []  # the slot of each column's top box
-        self._column = [sum(1 << top + m * self._width for m in range(self._height)) for top in tops]
-        self._right_of = [sum(self._column[c:]) for c in range(len(tops) + 1)]
-
-    def _signs(self, i: int):
-        """signature() at letter i as a function of a code.  ORing a code
-        with its shifts by one to height - 1 slots puts column c's entries
-        in slot c*height; bits i and i+1 of those slots are the sign key,
-        and each distinct key is paired once per function."""
-        shifts = [m * self._width for m in range(1, self._height)]
-        columns = [c * self._step for c in range(len(self._column))]
-        mask = sum(3 << s for s in columns)
-        pairs: dict[int, tuple[list[int], list[int]]] = {}
-
-        def signs(code: int) -> tuple[list[int], list[int]]:
-            fold = code
-            for shift in shifts:
-                fold |= code >> shift
-            key = fold >> i & mask
-            if key not in pairs:
-                pairs[key] = _pair((key >> s & 1) - (key >> s + 1 & 1) for s in columns)
-            return pairs[key]
-
-        return signs
-
-
-def _f(codes: _Columns, i: int, sources):
+def _f(codes: CrystalTable, i: int, sources):
     """f_i: the box of the rightmost unpaired "+" trades its i for i+1, or,
     when the box to its right holds i, takes i+1 and that box gives up its i."""
     signs, column, step = codes._signs(i), codes._column, codes._step
@@ -115,7 +82,7 @@ def _f(codes: _Columns, i: int, sources):
             yield None
 
 
-def _e(codes: _Columns, i: int, sources):
+def _e(codes: CrystalTable, i: int, sources):
     """e_i: the box of the leftmost unpaired "-" trades its i+1 for i, or,
     when the box to its left holds i+1, takes i and that box gives up its i+1."""
     signs, column, step = codes._signs(i), codes._column, codes._step
@@ -130,7 +97,7 @@ def _e(codes: _Columns, i: int, sources):
             yield None
 
 
-def _fk(codes: _Columns, i: int, sources):
+def _fk(codes: CrystalTable, i: int, sources):
     """f^K_i: an i-highest code adds i+1 to the box of its rightmost unpaired
     "+", in column c, unless a box at or right of c holds both i and i+1."""
     signs, column, right_of = codes._signs(i), codes._column, codes._right_of
@@ -142,7 +109,7 @@ def _fk(codes: _Columns, i: int, sources):
             yield code | (code >> i & column[plus[-1]]) << (i + 1)
 
 
-def _ek(codes: _Columns, i: int, sources):
+def _ek(codes: CrystalTable, i: int, sources):
     """e^K_i, the inverse of f^K_i: the rightmost box holding both i and i+1,
     the highest such slot, gives up its i+1 when the result is i-highest with
     its rightmost unpaired "+" in that box's column."""
@@ -173,7 +140,6 @@ def _fill(op: str, kernel, table: "CrystalTable", i: int) -> array:
 
 # The four fills, each (table, i) -> array; the one place a test swaps in a fault.
 _KERNEL = {op: partial(_fill, op, kernel) for op, kernel in (("e", _e), ("f", _f), ("eK", _ek), ("fK", _fk))}
-_codes = lru_cache(maxsize=None)(_Columns)  # one geometry per (n, shape) for the single-tableau operators
 
 
 def _letter(i, n: int) -> None:
@@ -182,15 +148,15 @@ def _letter(i, n: int) -> None:
         raise ValueError(f"letter {i!r} is outside 1..{n - 1}")
 
 
-def _codes_of(tableau: SetValuedTableau) -> _Columns:
-    """The codes of tableau's shape; ValueError unless the tableau is
-    semistandard, the only codes the kernels are defined on."""
+def _codes_of(tableau: SetValuedTableau) -> CrystalTable:
+    """The table of tableau's shape, read for its geometry alone; ValueError
+    unless the tableau is semistandard, the only codes the kernels are defined on."""
     if not tableau.is_semistandard():
         raise ValueError(f"{tableau.to_text()} is not semistandard")
-    return _codes(tableau.n, tableau.shape)
+    return crystal_table(tableau.n, tableau.shape)
 
 
-def _semistandard(codes: _Columns, code: int) -> SetValuedTableau:
+def _semistandard(codes: CrystalTable, code: int) -> SetValuedTableau:
     """The tableau of code, for callers without a table; ValueError unless semistandard."""
     tableau = codes.decode(code)
     _codes_of(tableau)
@@ -253,20 +219,54 @@ def _from_flags(flags: str) -> int:
     return int(flags[::-1], 2) if flags else 0
 
 
-class CrystalTable(_Columns):
-    """The crystal of shape at n: codes[k] is the code of the tableau(k) at
-    position k (text order), the key of k; all else is filled on first read."""
+class CrystalTable(_Codes):
+    """The crystal of shape at n.  Made, it holds the geometry of its codes:
+    bit 0 of each slot of column c (`_column[c]`) and of the columns >= c
+    (`_right_of[c]`), and each letter's `_signs`; codes[k], the code of the
+    tableau(k) at position k (text order), and all else are filled on first read."""
 
     def __init__(self, n: int, shape: tuple[int, ...]):
         if shape != _partition(shape):  # one table per partition: its key has no zeros
             raise ValueError(f"a crystal table is keyed by a partition without zeros, got {shape!r}")
         super().__init__(n, shape)
-        self.codes = _svt_codes(self)
+        tops = self._shifts[0] if shape else []  # the slot of each column's top box
+        self._column = [sum(1 << top + m * self._width for m in range(self._height)) for top in tops]
+        self._right_of = [sum(self._column[c:]) for c in range(len(tops) + 1)]
         self._letters, self._boxes = range(1, n + 1), sum(shape)
-        self._positions = {code: k for k, code in enumerate(self.codes)}
         self._maps: dict[tuple[str, int], array] = {}
         self._demazure: dict[tuple[int, ...], int] = {}
         self._derived: dict = {}
+
+    def _signs(self, i: int):
+        """signature() at letter i as a function of a code.  ORing a code
+        with its shifts by one to height - 1 slots puts column c's entries
+        in slot c*height; bits i and i+1 of those slots are the sign key,
+        and each distinct key is paired once per function."""
+        shifts = [m * self._width for m in range(1, self._height)]
+        columns = [c * self._step for c in range(len(self._column))]
+        mask = sum(3 << s for s in columns)
+        pairs: dict[int, tuple[list[int], list[int]]] = {}
+
+        def signs(code: int) -> tuple[list[int], list[int]]:
+            fold = code
+            for shift in shifts:
+                fold |= code >> shift
+            key = fold >> i & mask
+            if key not in pairs:
+                pairs[key] = _pair((key >> s & 1) - (key >> s + 1 & 1) for s in columns)
+            return pairs[key]
+
+        return signs
+
+    @cached_property
+    def codes(self) -> list[int]:
+        """The codes of the shape's tableaux, in text order."""
+        return _svt_codes(self)
+
+    @cached_property
+    def _positions(self) -> dict[int, int]:
+        """The position of each code."""
+        return {code: k for k, code in enumerate(self.codes)}
 
     def tableau(self, k: int) -> SetValuedTableau:
         """The tableau at position k."""
@@ -384,7 +384,7 @@ class CrystalTable(_Columns):
         return self._derived[build]
 
 
-crystal_table = lru_cache(maxsize=None)(CrystalTable)  # one table per (n, shape)
+crystal_table = lru_cache(maxsize=None, typed=True)(CrystalTable)  # one per (n, shape); typed: a bool n is refused
 
 
 def _rectangle_dims(shape: tuple[int, ...]) -> tuple[int, int]:

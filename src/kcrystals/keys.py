@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from array import array
 
-from .crystal import CrystalTable, _codes, _flags, _from_flags, _rectangle_dims, crystal_table
+from .crystal import CrystalTable, _flags, _from_flags, _rectangle_dims, crystal_table
 from .permutations import _pad, act, bruhat_leq, coset_reps
 from .polynomials import lascoux, lascoux_atom
 from .tableaux import SetValuedTableau, _Codes, _partition
@@ -150,7 +150,7 @@ def lusztig_star(tableau: SetValuedTableau) -> SetValuedTableau:
 def k_lusztig_star(tableau: SetValuedTableau) -> SetValuedTableau:
     """Rotate the rectangle 180 degrees and complement every entry."""
     _rectangle_dims(tableau.shape)
-    codes = _codes(tableau.n, tableau.shape)
+    codes = crystal_table(tableau.n, tableau.shape)
     return codes.decode(_rotate(codes, codes._encode(tableau)))
 
 

@@ -28,7 +28,7 @@ closure of each composition of its class, found on first read.
 only for ``closure``, a witness or a caller of the graph.
 
 phi, its inverse and the tableau Kohnert move are kernels between keys
-and the crystal table's codes (``crystal._Columns``): the graph looks each
+and the codes of ``crystal_table``: the graph looks each
 ``_phi_code`` up in the table, membership being the semistandardness
 test, ``_phi_inverse_key`` packs a code's preimage, and ``_svt_moves``
 gives every move of a code in one pass; ``phi``, ``phi_inverse`` and
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import or_
 
-from .crystal import _Columns, _codes, _codes_of, _rectangle_dims, _semistandard, crystal_table
+from .crystal import CrystalTable, _codes_of, _rectangle_dims, _semistandard, crystal_table
 from .tableaux import SetValuedTableau, _bits, _heights, _partition
 
 Box = tuple[int, int]
@@ -132,7 +132,7 @@ def pack(diagram: KKohnertDiagram, height: int, n: int) -> int:
 @lru_cache(maxsize=None)
 def _cells(height: int, n: int) -> tuple[Box, ...]:
     """The box of each bit of the layout of `height` rows and n columns,
-    shared by every diagram unpacked in it; only geometry, as crystal._codes."""
+    shared by every diagram unpacked in it."""
     return tuple((j // height + 1, j % height + 1) for j in range(n * height))
 
 
@@ -296,7 +296,7 @@ def closure(a: tuple[int, ...]) -> tuple[KKohnertDiagram, ...]:
 # -- correspondence with rectangular set-valued tableaux ---------------------
 
 
-def _phi_code(codes: _Columns, key: int) -> int:
+def _phi_code(codes: CrystalTable, key: int) -> int:
     """phi of the diagram of key, packed in s rows and n columns, as a code
     of codes' r x s rectangle at n: diagram row y, bits y-1, y-1+s, ... of
     the boxes and of the marks, fills tableau column s-y (`_phi_row`)."""
@@ -326,7 +326,7 @@ def _phi_row(boxes: str, marks: str, r: int, y: int) -> int:
     return row
 
 
-def _phi_inverse_key(codes: _Columns, code: int) -> int:
+def _phi_inverse_key(codes: CrystalTable, code: int) -> int:
     """The key, packed in s rows and n columns, of the diagram whose phi is
     the code of codes' r x s rectangle at n: the least entry x of each box
     of tableau column c is an unmarked box (x, s-c), its other entries
@@ -353,7 +353,7 @@ def phi(diagram: KKohnertDiagram, r: int, s: int, n: int) -> SetValuedTableau:
     (x, y) joins the cell of the rightmost unmarked box to its left;
     ValueError on a box above row s or right of column n, or where that is
     not a semistandard r x s tableau at n."""
-    codes = _codes(n, _partition((s,) * r))
+    codes = crystal_table(n, _partition((s,) * r))
     return _semistandard(codes, _phi_code(codes, pack(diagram, len(codes._column), n)))
 
 
@@ -362,11 +362,11 @@ def phi_inverse(tableau: SetValuedTableau) -> KKohnertDiagram:
     boxes in diagram row s+1-c, the other entries marked boxes;
     ValueError unless the tableau's shape is a rectangle."""
     _, s = _rectangle_dims(tableau.shape)
-    codes = _codes(tableau.n, tableau.shape)
+    codes = crystal_table(tableau.n, tableau.shape)
     return unpack(_phi_inverse_key(codes, codes._encode(tableau)), s, tableau.n)
 
 
-def _svt_moves(codes: _Columns, code: int) -> dict[tuple[int, bool], int]:
+def _svt_moves(codes: CrystalTable, code: int) -> dict[tuple[int, bool], int]:
     """svt_kohnert_move at every x, both variants, on a code: (x, is_k) ->
     image code, for the defined moves.  The least entry x of a box that no
     column to its left holds moves when the boxes above it hold exactly

@@ -138,9 +138,16 @@ def bruhat_ideal(w: Perm) -> frozenset[Perm]:
     return frozenset(reachable)
 
 
+def _variable_count(n) -> int:
+    """n, the one rank test; ValueError unless it is an int >= 0, not a bool."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"variable count must be a non-negative int, got {n!r}")
+    return n
+
+
 def _pad(parts, n: int) -> tuple[int, ...]:
-    """parts followed by zeros up to length n; ValueError if it is longer."""
-    parts = tuple(parts)
+    """parts followed by zeros up to length n; ValueError if it is longer or n is not a rank."""
+    parts, n = tuple(parts), _variable_count(n)
     if len(parts) > n:
         raise ValueError(f"{parts!r} is longer than n={n}")
     return parts + (0,) * (n - len(parts))

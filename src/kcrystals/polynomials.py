@@ -17,6 +17,7 @@ from .permutations import (
     Perm,
     _pad,
     _permutation,
+    _variable_count,
     compose,
     length,
     longest_element,
@@ -25,12 +26,6 @@ from .permutations import (
 )
 
 TermKey = tuple[tuple[int, ...], int]
-
-
-def _variable_count(n) -> int:
-    if type(n) is not int or n < 0:
-        raise ValueError(f"variable count must be a non-negative int, got {n!r}")
-    return n
 
 
 class BetaPolynomial:

@@ -13,23 +13,26 @@ fillings, sorted, each with its cells as (anchor bit, free-entry mask)
 pairs (``_levels``) and its weight and excess packed in one int, and,
 filled on first read, each composition's skylines as tuples of filling
 indices, their packed stats and the position of each one's psi image in
-the crystal table of the rectangle.  ``_psi_code`` packs that image as a code from the
-cells' masks, and membership in the table is its semistandardness test;
-``psi`` decodes the same code.  A ``SkylineTableau`` is decoded only at
-the boundary: ``enumerate_skyline``, ``psi_inverse`` and witnesses.
+the crystal table of the rectangle.  A skyline is valid when its table
+finds its filling indices (``indices``): the fillings hold the rules within
+a column and ``row`` those across columns.  ``_psi_code`` packs psi as a
+code from the fillings' masks, and membership in the crystal table is its
+semistandardness test.  A ``SkylineTableau`` is decoded only at the
+boundary: ``enumerate_skyline``, ``psi_inverse`` and witnesses.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations
 from operator import or_
 
-from .crystal import _Columns, _codes, _rectangle_dims, _semistandard, _subset_table
+from .crystal import CrystalTable, _rectangle_dims, _semistandard, _subset_table
 from .crystal import atom_subset, crystal_table
-from .permutations import Perm, _pad, act
+from .permutations import Perm, _pad, _variable_count, act
 from .tableaux import SetValuedTableau, _bits, _heights
 
 Cell = tuple[int, ...]
@@ -90,50 +93,10 @@ class SkylineTableau:
         return cls.build(data["shape"], columns)
 
 
-def _compatible(pcells: tuple[Cell, ...], qcells: tuple[Cell, ...]) -> bool:
-    """The rules of a skyline that span columns, for the cells of a column
-    p left of a column q: cells at one level are disjoint, the triple
-    condition holds on their anchors, and no free entry of q would fit at
-    the same level of p."""
-    hp, hq = len(pcells), len(qcells)
-    # A over B in the taller column (q on a tie), C beside A in the other
-    tall, short = (qcells, pcells) if hq >= hp else (pcells, qcells)
-    for level in range(min(hp, hq)):
-        pcell, qcell = pcells[level], qcells[level]
-        for v in qcell:
-            if v in pcell:
-                return False
-        if level and tall[level][-1] <= short[level][-1] <= tall[level - 1][-1]:
-            return False
-        # a free entry sits in the leftmost cell of its level where it could
-        # live: under that cell's anchor and at least the cell above it (the
-        # cell below, weakly decreasing upward, is at least the anchor)
-        if len(qcell) > 1:
-            cap = pcell[-1]
-            floor = pcells[level + 1][-1] if level + 1 < hp else None
-            for v in qcell[:-1]:
-                if v < cap and (floor is None or floor <= v):
-                    return False
-    return True
-
-
 def validate_skyline(skyline: SkylineTableau, n: int) -> bool:
-    for c, cells in skyline.columns:
-        # bottom anchors name their column; cells hold distinct entries;
-        # columns weakly decrease upward
-        if cells[0][-1] != c:
-            return False
-        if any(len(set(cell)) != len(cell) for cell in cells):
-            return False
-        for level in range(1, len(cells)):
-            if min(cells[level - 1]) < max(cells[level]):
-                return False
-        if any(v > n or v < 1 for cell in cells for v in cell):
-            return False
-    return all(
-        _compatible(pcells, qcells)
-        for (_, pcells), (_, qcells) in combinations(skyline.columns, 2)
-    )
+    """Whether skyline is a set-valued skyline tableau with entries at most n;
+    ValueError unless its shape is a composition and n an int >= 0."""
+    return skyline_table(tuple(sorted(skyline.shape)), n).indices(skyline) is not None
 
 
 def _column_fillings(c: int, height: int, n: int):
@@ -199,7 +162,7 @@ class SkylineTable:
     each composition's skylines, their packed stats and psi images."""
 
     def __init__(self, parts: tuple[int, ...], n: int):
-        self.n, self._digit = n, sum(parts).bit_length()  # no value fills more cells than the class has
+        self.n, self._digit = _variable_count(n), sum(_heights(parts)).bit_length()  # no value fills more cells
         columns = [(c, height) for c in range(1, len(parts) + 1) for height in set(parts) if height]
         self.fillings = {column: sorted(_column_fillings(*column, n)) for column in columns}
         self.levels = {column: list(map(_levels, fillings)) for column, fillings in self.fillings.items()}
@@ -223,10 +186,11 @@ class SkylineTable:
         return self._unpacked[packed]
 
     def row(self, p: tuple[int, int], q: tuple[int, int], i: int) -> int:
-        """_compatible(self.fillings[p][i], qcells) for each filling of q as
-        a bitset: at each level of both, q's cells that meet p's, q's anchors
-        that make the triple with p's, and q's free entries in [anchor of p's
-        cell above, or 1; anchor of p's cell) are dropped."""
+        """The fillings of q compatible with filling i of p, a column left of
+        q, as a bitset: at each level of both, q's cells that meet p's, q's
+        anchors that make the triple with p's, and q's free entries in [anchor
+        of p's cell above, or 1; anchor of p's cell), which would fit in p's
+        cell, the leftmost where a free entry may sit, are dropped."""
         if (p, q, i) not in self._rows:
             pcells, index, hp = self.fillings[p][i], self._index[q], p[1]
             bad = 0
@@ -243,6 +207,25 @@ class SkylineTable:
                     bad |= free[v]
             self._rows[p, q, i] = (1 << len(self.fillings[q])) - 1 & ~bad
         return self._rows[p, q, i]
+
+    def indices(self, skyline: SkylineTableau) -> list[int] | None:
+        """The filling index of each nonzero column of a skyline of this
+        class, or None unless it is valid: its columns are those of its
+        shape, each one of the fillings of its (column, height), and each
+        pair's bit is set in row."""
+        columns = _columns(skyline.shape)
+        if [(c, len(cells)) for c, cells in skyline.columns] != columns:
+            return None
+        indices: list[int] = []
+        for column, (_, cells) in zip(columns, skyline.columns):
+            fillings = self.fillings[column]
+            i = bisect_left(fillings, cells)
+            if fillings[i : i + 1] != [cells]:
+                return None
+            if not all(self.row(columns[j], column, p) >> i & 1 for j, p in enumerate(indices)):
+                return None
+            indices.append(i)
+        return indices
 
     def skylines(self, a: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         """The skylines of shape a, a composition of this class, sorted, as
@@ -304,10 +287,10 @@ class SkylineTable:
         return self._images[a]
 
 
-skyline_table = lru_cache(maxsize=None)(SkylineTable)  # one table per (class tuple(sorted(a)), n)
+skyline_table = lru_cache(maxsize=None, typed=True)(SkylineTable)  # one per (class tuple(sorted(a)), n), typed
 
 
-def _psi_code(codes: _Columns, columns) -> int:
+def _psi_code(codes: CrystalTable, columns) -> int:
     """psi of a valid skyline as a code of codes' rectangle, from each
     nonzero column's `_levels`: the OR of level L's anchor bits fills
     tableau column s-L top to bottom from the least anchor, each taking the
@@ -341,11 +324,13 @@ def psi(skyline: SkylineTableau, n: int) -> SetValuedTableau:
     the leftmost cell they fit under) and read row L, bottom-up, as
     tableau column s+1-L; raises ValueError on a skyline that
     validate_skyline rejects."""
-    if not validate_skyline(skyline, n):
+    table = skyline_table(tuple(sorted(skyline.shape)), n)
+    if (indices := table.indices(skyline)) is None:
         raise ValueError(f"{skyline!r} is not a valid skyline tableau with entries at most {n}")
     r, s = _rectangle_dims(skyline.shape)
-    codes = _codes(n, (s,) * r)
-    return _semistandard(codes, _psi_code(codes, [_levels(cells) for _, cells in skyline.columns]))
+    codes = crystal_table(n, (s,) * r)
+    levels = [table.levels[column][i] for column, i in zip(_columns(skyline.shape), indices)]
+    return _semistandard(codes, _psi_code(codes, levels))
 
 
 def psi_inverse(tableau: SetValuedTableau, w: Perm) -> SkylineTableau:

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .permutations import _variable_count
+
 Cell = tuple[int, ...]
 
 
@@ -26,11 +28,10 @@ class SetValuedTableau:
     __slots__ = ("rows", "n", "_hash")
 
     def __init__(self, rows, n: int):
-        """Rows of cells, each a collection of entries.  Raises ValueError
-        on an empty row or cell, an entry that is not an int in [1, n] and
-        row lengths that are not a partition; semistandardness is left to
-        ``is_semistandard``."""
-        out = []
+        """Rows of cells, each a collection of entries, semistandard or not.
+        ValueError on a rank n that is not an int >= 0, an empty row or cell,
+        an entry that is not an int in [1, n] and row lengths that are not a partition."""
+        n, out = _variable_count(n), []
         for row in rows:
             cells = [tuple(cell) for cell in row]
             if not cells or not all(cells):
@@ -177,7 +178,7 @@ class _Codes:
     higher; box (m, c)'s slot starts at bit `_shifts[m][c]`."""
 
     def __init__(self, n: int, shape: tuple[int, ...]):
-        self.n, self.shape = n, shape
+        self.n, self.shape = _variable_count(n), shape
         width, height = n + 1, len(shape)
         self._width, self._height, self._step, self._full = width, height, width * height, (1 << width) - 1
         self._shifts = [[(c * height + m) * width for c in range(part)] for m, part in enumerate(shape)]
@@ -239,7 +240,7 @@ def enumerate_svt(n: int, shape: tuple[int, ...]) -> tuple[SetValuedTableau, ...
     return _enumerate_svt(n, _partition(shape))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a bool or float n misses the int's entry and is refused
 def _enumerate_svt(n: int, shape: tuple[int, ...]) -> tuple[SetValuedTableau, ...]:
     codes = _Codes(n, shape)
     return tuple(map(codes.decode, _svt_codes(codes)))

@@ -317,10 +317,13 @@ def _cells_at_level(skyline, level):
 
 
 def reference_validate_skyline(skyline, n):
-    """The skyline rules checked one by one: per column, per level across
-    columns, the triple condition per pair of columns, then every free
-    entry against every cell to its left."""
-    heights = {c: len(cells) for c, cells in skyline.columns}
+    """The skyline rules checked one by one: the columns are those of the
+    shape, then per column, per level across columns, the triple condition
+    per pair of columns, then every free entry against every cell to its left."""
+    columns = [(c, len(cells)) for c, cells in skyline.columns]
+    if columns != [(c, h) for c, h in enumerate(skyline.shape, start=1) if h]:
+        return False
+    heights = dict(columns)
     for c, cells in skyline.columns:
         if cells[0][-1] != c:
             return False

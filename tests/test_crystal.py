@@ -20,8 +20,10 @@ from kcrystals.crystal import (
     kcrystal_f,
     signature,
 )
-from kcrystals.keys import key_partition_report, lusztig_star, max_right_key, right_key
+from kcrystals.keys import k_lusztig_star, key_partition_report, lusztig_star, max_right_key, right_key
+from kcrystals.kohnert import phi, phi_inverse, svt_kohnert_move
 from kcrystals.polynomials import lascoux
+from kcrystals.skyline import SkylineTableau, psi
 from kcrystals.tableaux import SetValuedTableau, enumerate_svt, superstandard
 from oracles import enumerate_ssyt
 
@@ -348,3 +350,15 @@ def test_a_crystal_table_is_keyed_by_a_partition_without_zeros():
         crystal_table(4, (2, 2, 0))
     with pytest.raises(ValueError, match="must be a partition"):
         crystal_table(4, (1, 2))
+
+
+def test_the_single_tableau_operators_read_one_table_and_enumerate_nothing():
+    """Each (n, shape) has one cached object, and an operator on one
+    tableau reads only its geometry: the codes are never filled."""
+    crystal_table.cache_clear()
+    t = T("1 1/2 3")
+    crystal_f(t, 1), kcrystal_e(t, 1), signature(t, 2), k_lusztig_star(t), svt_kohnert_move(t, 2)
+    phi(phi_inverse(t), 2, 2, 3)
+    psi(SkylineTableau.build((2, 0, 2), {1: [(1,), (1,)], 3: [(3,), (3,)]}), 3)
+    assert crystal_table.cache_info().currsize == 1
+    assert "codes" not in vars(crystal_table(3, (2, 2)))

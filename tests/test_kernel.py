@@ -55,8 +55,6 @@ from kcrystals.permutations import act, coset_reps, flag_vector, reduced_words, 
 from kcrystals.skyline import (
     SkylineTable,
     SkylineTableau,
-    _column_fillings,
-    _compatible,
     _levels,
     _psi_code,
     enumerate_skyline,
@@ -90,6 +88,7 @@ from oracles import (
     reference_signature,
     reference_single_moves,
     reference_svt_kohnert_move,
+    reference_validate_skyline,
     reference_weight,
 )
 
@@ -538,15 +537,30 @@ def test_phi_and_psi_match_the_references(n, shape):
 @pytest.mark.parametrize("n", range(1, 5))
 def test_bitset_rows_match_compatible(n):
     """Every (column, height) with column <= 4 and height <= 3 is a column
-    of the class of (0, 1, 2, 3); a row is compared with _compatible for
-    each pair of fillings, the pair of one column with itself too."""
+    of the class of (0, 1, 2, 3); a row is compared with the reference
+    rules for each pair of fillings, the pair of one column with itself too."""
     record = SkylineTable((0, 1, 2, 3), n)
     assert sorted(record.fillings) == [(c, h) for c in range(1, 5) for h in range(1, 4)]
     for p, pfillings in record.fillings.items():
         for q, qfillings in record.fillings.items():
             for i, pcells in enumerate(pfillings):
-                expected = sum(1 << j for j, qcells in enumerate(qfillings) if _compatible(pcells, qcells))
+                expected = sum(1 << j for j, qcells in enumerate(qfillings) if reference_compatible(pcells, qcells))
                 assert record.row(p, q, i) == expected, (p, q, pcells)
+
+
+def test_validate_skyline_matches_the_reference():
+    """Every skyline of a composition of n <= 3 parts, each at most 2, but
+    (0, ..., 0), with every cell a nonempty subset of 1..n: cells that no
+    column filling holds reach the fillings' test, the rest the rows'."""
+    for n in range(1, 4):
+        subsets = [cell for size in range(1, n + 1) for cell in combinations(range(1, n + 1), size)]
+        for a in product(range(3), repeat=n):
+            nonzero = [(c, h) for c, h in enumerate(a, start=1) if h]
+            if not nonzero:
+                continue
+            for choice in product(*(product(subsets, repeat=h) for _, h in nonzero)):
+                skyline = SkylineTableau(a, tuple((c, cells) for (c, _), cells in zip(nonzero, choice)))
+                assert validate_skyline(skyline, n) == reference_validate_skyline(skyline, n), skyline
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -561,16 +575,3 @@ def test_packed_stats_are_the_weight_and_excess(n):
             entries = [v for _, cells in skyline.columns for cell in cells for v in cell]
             weight = tuple(entries.count(v) for v in range(1, n + 1))
             assert record.stat(packed) == (weight, len(entries) - sum(a)), skyline
-
-
-@pytest.mark.parametrize("n", range(1, 5))
-def test_compatible_matches_the_reference(n):
-    fillings = [
-        cells for c in range(1, n + 1) for h in range(1, 4) for cells in _column_fillings(c, h, n)
-    ]
-    for pcells in fillings:
-        for qcells in fillings:
-            assert _compatible(pcells, qcells) == reference_compatible(pcells, qcells), (
-                pcells,
-                qcells,
-            )

@@ -17,6 +17,7 @@ from kcrystals.skyline import (
 )
 from kcrystals.tableaux import SetValuedTableau
 from kcrystals.verify import _skyline_character
+from oracles import reference_validate_skyline
 
 
 def S(columns, shape):
@@ -65,6 +66,21 @@ def test_psi_rejects_an_invalid_skyline():
     assert not validate_skyline(skyline, 3)
     with pytest.raises(ValueError, match="not a valid skyline tableau"):
         psi(skyline, 3)
+
+
+@pytest.mark.parametrize(
+    "skyline",
+    [
+        SkylineTableau((1, 1), ((1, ((1,),)), (2, ((2,), (1,))))),  # column 2 holds two cells, not one
+        SkylineTableau((1, 1), ((1, ((1,),)),)),  # column 2 is missing
+    ],
+    ids=["extra cell", "missing column"],
+)
+def test_a_skyline_whose_columns_disagree_with_its_shape_is_invalid(skyline):
+    assert not validate_skyline(skyline, 2)
+    assert not reference_validate_skyline(skyline, 2)
+    with pytest.raises(ValueError, match="not a valid skyline tableau"):
+        psi(skyline, 2)
 
 
 def test_psi_inverse_round_trip():

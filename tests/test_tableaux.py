@@ -2,6 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kcrystals.crystal import crystal_table, ik_strings
+from kcrystals.polynomials import lascoux
+from kcrystals.skyline import enumerate_skyline, skyline_table
 from kcrystals.tableaux import SetValuedTableau, enumerate_svt
 
 
@@ -60,6 +63,38 @@ def test_enumerate_svt_rejects_a_part_that_is_not_a_nonnegative_integer(shape):
     enumerate_svt(3, (2,))  # a warm cache must not answer for a float or bool part
     with pytest.raises(ValueError, match="nonnegative integers"):
         enumerate_svt(3, shape)
+
+
+@pytest.mark.parametrize(
+    "call,args",
+    [
+        (enumerate_svt, (2.0, (1,))),
+        (enumerate_svt, (True, (1,))),
+        (enumerate_skyline, ((1, 0), 2.0)),
+        (ik_strings, (2.0, (1,), 1)),
+        (lascoux, ((1, 0), 2.0)),
+        (SetValuedTableau.from_text, ("1", 2.5)),
+        (SetValuedTableau, ([[(1,)]], True)),
+        (crystal_table, (-1, (1,))),
+        (skyline_table, ((0, 1), True)),
+    ],
+    ids=lambda value: getattr(value, "__qualname__", str(value)),
+)
+def test_a_rank_that_is_not_an_int_at_least_0_is_rejected_at_the_boundary(call, args):
+    with pytest.raises(ValueError, match="variable count must be a non-negative int"):
+        call(*args)
+
+
+def test_a_bool_rank_neither_makes_nor_reads_the_cache_entry_of_its_int():
+    enumerate_svt.cache_clear()
+    crystal_table.cache_clear()
+    for _ in range(2):  # before and after the int's entries are made
+        with pytest.raises(ValueError):
+            enumerate_svt(True, (1,))
+        with pytest.raises(ValueError):
+            crystal_table(True, (1,))
+        (tableau,) = enumerate_svt(1, (1,))
+        assert type(tableau.n) is int and type(crystal_table(1, (1,)).n) is int
 
 
 def test_enumerate_svt_still_reads_zero_parts_and_rejects_a_non_partition():
