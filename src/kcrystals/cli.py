@@ -88,8 +88,8 @@ def cmd_graph(args) -> int:
     edges = [
         (text, i, texts[image], op == "fK")
         for i in range(1, args.n)
-        for op in ops
-        for text, image in zip(texts, table.map(op, i))
+        for op, images in zip(ops, table.maps(i, *ops))
+        for text, image in zip(texts, images)
         if image >= 0
     ]
     for src, i, dst, dashed in sorted(edges):

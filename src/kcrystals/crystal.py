@@ -8,19 +8,23 @@ so ``crystal_table.cache_clear()`` is the only reset.  Made, it holds only code
 geometry, all that the single-tableau operators, phi, psi and ``k_lusztig_star``
 read; filled on first read are the codes of the shape's tableaux at positions
 0..N-1 (text order) from ``tableaux._svt_codes``, each operator or raise map of
-a letter as an array of positions, each position's weight and excess, the
-K-Demazure subset of each reduced word and the flagged subsets as bitsets (an
-int whose bit k is position k) and what other modules build from it
-(``derived``).  It holds no tableaux: callers decode one where they need it.
+a letter as an array of positions, each position's weight and excess, counted
+a letter at a time, the K-Demazure subset of each reduced word and the flagged
+subsets as bitsets (an int whose bit k is position k) and what other modules
+build from it (``derived``).  It holds no tableaux: callers decode one where
+they need it.
 
 The one implementation of e_i, f_i, e^K_i and f^K_i is a kernel on codes,
 ints that pack a tableau's boxes column by column as entry bitmasks
-(``tableaux._Codes``, with the table's column masks and sign functions), that
-yields each image code or None.  A table runs it over its codes through the
-fills in ``_KERNEL``, the one place a fault can be swapped in, whose image
-lookup is its semistandardness test, as ``CrystalTable.image`` is for phi and
-psi; ``crystal_e``, ``crystal_f``, ``kcrystal_e`` and ``kcrystal_f`` run it on
-one code.  ``tests/oracles.py`` holds the reference.
+(``tableaux._Codes``).  Whether each column holds i and i+1 makes a code's
+sign key at letter i, and each operator's entry in ``_KERNEL``, the one place a
+fault can be swapped in, makes its action on the codes of one key.  A table
+fills the maps of one letter that a caller names in one pass over its codes
+(``maps``), which folds each code into its key once and makes each key's
+actions once; its image lookup is the semistandardness test, as
+``CrystalTable.image`` is for phi and psi.  ``crystal_e``, ``crystal_f``,
+``kcrystal_e`` and ``kcrystal_f`` run the kernels on one code, and
+``tests/oracles.py`` holds the reference.
 
 Signs are computed per column, left to right: a column containing i but
 not i+1 contributes "+", one containing i+1 but not i contributes "-",
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 from .permutations import (
     Perm,
@@ -51,95 +55,71 @@ from .polynomials import BetaPolynomial
 from .tableaux import SetValuedTableau, _bits, _Codes, _partition, _svt_codes, superstandard
 
 
-def _pair(signs) -> tuple[list[int], list[int]]:
-    """Columns of the unpaired "+" (sign > 0) and "-" (sign < 0) among the
-    signs of the columns, left to right, each list left to right."""
-    unpaired_plus: list[int] = []
-    pending_minus: list[int] = []
-    for c, sign in enumerate(signs):
-        if sign < 0:
-            pending_minus.append(c)
-        elif sign > 0:
-            if pending_minus:
-                pending_minus.pop()
-            else:
-                unpaired_plus.append(c)
-    return unpaired_plus, pending_minus
-
-
-def _f(codes: CrystalTable, i: int, sources):
+def _f(table: CrystalTable, i: int, key: int):
     """f_i: the box of the rightmost unpaired "+" trades its i for i+1, or,
     when the box to its right holds i, takes i+1 and that box gives up its i."""
-    signs, column, step = codes._signs(i), codes._column, codes._step
-    for code in sources:
-        plus, _ = signs(code)
-        if plus:
-            box = code >> i & column[plus[-1]]  # bit 0 of the box holding i
-            right = box << (step + i)
-            taken = right if code & right else box << i
-            yield code - taken + (box << (i + 1))
-        else:
-            yield None
+    plus, _ = table._pair(key)
+    if not plus:
+        return None
+    column, step = table._column[plus[-1]] << i, table._step
+
+    def f(code: int) -> int:
+        held = code & column  # bit i of the box holding i
+        return code - (held << step if code & held << step else held) + (held << 1)
+
+    return f
 
 
-def _e(codes: CrystalTable, i: int, sources):
+def _e(table: CrystalTable, i: int, key: int):
     """e_i: the box of the leftmost unpaired "-" trades its i+1 for i, or,
     when the box to its left holds i+1, takes i and that box gives up its i+1."""
-    signs, column, step = codes._signs(i), codes._column, codes._step
-    for code in sources:
-        _, minus = signs(code)
-        if minus:
-            box = code >> (i + 1) & column[minus[0]]  # bit 0 of the box holding i+1
-            left = (box << (i + 1)) >> step  # 0 in the first column
-            taken = left if code & left else box << (i + 1)
-            yield code - taken + (box << i)
-        else:
-            yield None
+    _, minus = table._pair(key)
+    if not minus:
+        return None
+    column, step = table._column[minus[0]] << (i + 1), table._step
+
+    def e(code: int) -> int:
+        held = code & column  # bit i+1 of the box holding i+1
+        return code - (held >> step if code & held >> step else held) + (held >> 1)
+
+    return e
 
 
-def _fk(codes: CrystalTable, i: int, sources):
+def _fk(table: CrystalTable, i: int, key: int):
     """f^K_i: an i-highest code adds i+1 to the box of its rightmost unpaired
     "+", in column c, unless a box at or right of c holds both i and i+1."""
-    signs, column, right_of = codes._signs(i), codes._column, codes._right_of
-    for code in sources:
-        plus, minus = signs(code)
-        if minus or not plus or (code & code >> 1) >> i & right_of[plus[-1]]:
-            yield None
-        else:
-            yield code | (code >> i & column[plus[-1]]) << (i + 1)
+    plus, minus = table._pair(key)
+    if minus or not plus:
+        return None
+    column, right_of = table._column[plus[-1]] << i, table._right_of[plus[-1]] << i
+    return lambda code: None if code & code >> 1 & right_of else code | (code & column) << 1
 
 
-def _ek(codes: CrystalTable, i: int, sources):
+def _ek(table: CrystalTable, i: int, key: int):
     """e^K_i, the inverse of f^K_i: the rightmost box holding both i and i+1,
     the highest such slot, gives up its i+1 when the result is i-highest with
-    its rightmost unpaired "+" in that box's column."""
-    signs, slots, step = codes._signs(i), codes._right_of[0], codes._step
-    for code in sources:
-        both = (code & code >> 1) >> i & slots
-        if not both:
-            yield None
-            continue
-        top = both.bit_length() - 1
-        out = code - (1 << (top + i + 1))
-        plus, minus = signs(out)
-        yield None if minus or plus[-1:] != [top // step] else out
+    its rightmost unpaired "+" in that box's column c.  No other box of c holds
+    i or i+1, so the result's key is key less c's i+1 bit: the columns where
+    e^K_i acts are found once per key."""
+    step, slots, columns = table._step, table._right_of[0], 0
+    for c, column in enumerate(table._column):
+        if key >> c * step & 3 == 3:
+            plus, minus = table._pair(key - (2 << c * step))
+            columns |= column if not minus and plus[-1:] == (c,) else 0
+    if not columns:
+        return None
+
+    def ek(code: int) -> int | None:
+        top = ((code & code >> 1) >> i & slots).bit_length() - 1
+        return code - (1 << (top + i + 1)) if top >= 0 and columns >> top & 1 else None
+
+    return ek
 
 
-def _fill(op: str, kernel, table: "CrystalTable", i: int) -> array:
-    """Each position's image position under kernel, -1 where undefined; an
-    image outside the table is not semistandard: AssertionError naming it."""
-    positions = table._positions
-    try:
-        return array("i", [-1 if code is None else positions[code] for code in kernel(table, i, positions)])
-    except KeyError:
-        images = zip(positions, kernel(table, i, positions))
-        source, image = next((k, u) for k, u in images if u is not None and u not in positions)
-        outside = f"{table.decode(source).to_text()} out of the crystal, to {table.decode(image).to_text()}"
-        raise AssertionError(f"{op.replace('K', '^K')}_{i} sends {outside}") from None
-
-
-# The four fills, each (table, i) -> array; the one place a test swaps in a fault.
-_KERNEL = {op: partial(_fill, op, kernel) for op, kernel in (("e", _e), ("f", _f), ("eK", _ek), ("fK", _fk))}
+# (table, i, key) -> op's action at letter i on the codes of one sign key: None
+# where op is undefined on all of them, else a function from a code to its image
+# code or None.  The one place a fault can be swapped in.
+_KERNEL = {"e": _e, "f": _f, "eK": _ek, "fK": _fk}
 
 
 def _letter(i, n: int) -> None:
@@ -166,7 +146,9 @@ def _semistandard(codes: CrystalTable, code: int) -> SetValuedTableau:
 def _act(kernel, tableau: SetValuedTableau, i) -> SetValuedTableau | None:
     _letter(i, tableau.n)
     codes = _codes_of(tableau)
-    (image,) = kernel(codes, i, (codes._encode(tableau),))
+    code = codes._encode(tableau)
+    act = kernel(codes, i, codes._key(code, i))
+    image = None if act is None else act(code)
     return None if image is None else codes.decode(image)
 
 
@@ -174,7 +156,7 @@ def signature(tableau: SetValuedTableau, i: int) -> tuple[list[int], list[int]]:
     """The unpaired "+" and "-" columns, each left to right; ValueError as for crystal_f."""
     _letter(i, tableau.n)
     codes = _codes_of(tableau)
-    return codes._signs(i)(codes._encode(tableau))
+    return tuple(map(list, codes._pair(codes._key(codes._encode(tableau), i))))
 
 
 def crystal_f(tableau: SetValuedTableau, i: int) -> SetValuedTableau | None:
@@ -222,8 +204,9 @@ def _from_flags(flags: str) -> int:
 class CrystalTable(_Codes):
     """The crystal of shape at n.  Made, it holds the geometry of its codes:
     bit 0 of each slot of column c (`_column[c]`) and of the columns >= c
-    (`_right_of[c]`), and each letter's `_signs`; codes[k], the code of the
-    tableau(k) at position k (text order), and all else are filled on first read."""
+    (`_right_of[c]`), and the shifts and mask of the sign key (`_key`);
+    codes[k], the code of the tableau(k) at position k (text order), and all
+    else are filled on first read."""
 
     def __init__(self, n: int, shape: tuple[int, ...]):
         if shape != _partition(shape):  # one table per partition: its key has no zeros
@@ -232,31 +215,36 @@ class CrystalTable(_Codes):
         tops = self._shifts[0] if shape else []  # the slot of each column's top box
         self._column = [sum(1 << top + m * self._width for m in range(self._height)) for top in tops]
         self._right_of = [sum(self._column[c:]) for c in range(len(tops) + 1)]
+        self._folds = [m * self._width for m in range(1, self._height)]
+        self._mask = sum(3 << c * self._step for c in range(len(tops)))
         self._letters, self._boxes = range(1, n + 1), sum(shape)
+        self._pairs: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._maps: dict[tuple[str, int], array] = {}
         self._demazure: dict[tuple[int, ...], int] = {}
         self._derived: dict = {}
 
-    def _signs(self, i: int):
-        """signature() at letter i as a function of a code.  ORing a code
-        with its shifts by one to height - 1 slots puts column c's entries
-        in slot c*height; bits i and i+1 of those slots are the sign key,
-        and each distinct key is paired once per function."""
-        shifts = [m * self._width for m in range(1, self._height)]
-        columns = [c * self._step for c in range(len(self._column))]
-        mask = sum(3 << s for s in columns)
-        pairs: dict[int, tuple[list[int], list[int]]] = {}
+    def _pair(self, key: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The unpaired "+" and "-" columns of a sign key, each left to right,
+        paired once per key: bits c*step and c*step + 1 of the key are set
+        when column c holds i and i+1, so "+" is 1 and "-" is 2."""
+        if key not in self._pairs:
+            plus, minus = [], []  # minus: the pending "-", the last consumed by the next "+"
+            for c in range(len(self._column)):
+                sign = key >> c * self._step & 3
+                if sign == 1 and minus:
+                    minus.pop()
+                elif sign in (1, 2):
+                    (plus if sign == 1 else minus).append(c)
+            self._pairs[key] = tuple(plus), tuple(minus)
+        return self._pairs[key]
 
-        def signs(code: int) -> tuple[list[int], list[int]]:
-            fold = code
-            for shift in shifts:
-                fold |= code >> shift
-            key = fold >> i & mask
-            if key not in pairs:
-                pairs[key] = _pair((key >> s & 1) - (key >> s + 1 & 1) for s in columns)
-            return pairs[key]
-
-        return signs
+    def _key(self, code: int, i: int) -> int:
+        """The sign key of a code at letter i: ORed with its shifts by one to height - 1
+        slots, column c's entries are in slot c*height, whose bits i and i+1 are the key's."""
+        fold = code
+        for shift in self._folds:
+            fold |= code >> shift
+        return fold >> i & self._mask
 
     @cached_property
     def codes(self) -> list[int]:
@@ -289,28 +277,54 @@ class CrystalTable(_Codes):
             raise AssertionError(f"{op} sends {source!r} out of the crystal, to {self.decode(code).to_text()}")
         return k
 
-    def map(self, op: str, i: int) -> array:
-        """The position op ("e", "f", "eK", "fK", or "raise": exhaust e_i,
-        then e_i^K) sends each position to, -1 where undefined, filled on
-        first read, by _KERNEL[op](self, i) for the four operators;
-        ValueError on another op or a letter outside 1..n-1."""
-        if (op, i) not in self._maps:
-            if op != "raise" and op not in _KERNEL:
-                raise ValueError(f"unknown operator {op!r}")
-            _letter(i, self.n)
-            if op == "raise":
-                images = array("i")
-                e, ek = self.map("e", i), self.map("eK", i)
-                for k in range(len(self.codes)):
-                    while e[k] >= 0:
-                        k = e[k]
-                    while ek[k] >= 0:
-                        k = ek[k]
-                    images.append(k)
-            else:
-                images = _KERNEL[op](self, i)
-            self._maps[op, i] = images
-        return self._maps[op, i]
+    def maps(self, i: int, *ops: str) -> tuple[array, ...]:
+        """The position each op ("e", "f", "eK", "fK", or "raise": exhaust e_i,
+        then e_i^K) sends each position to at letter i, -1 where undefined; the
+        operator maps not yet filled are filled by one _fill, raise's e and e^K
+        by one of their own.  ValueError on another op or a letter outside 1..n-1."""
+        if unknown := [op for op in ops if op != "raise" and op not in _KERNEL]:
+            raise ValueError(f"unknown operator {unknown[0]!r}")
+        _letter(i, self.n)
+        if "raise" in ops and ("raise", i) not in self._maps:
+            images, (e, ek) = array("i"), self.maps(i, "e", "eK")
+            for k in range(len(self.codes)):
+                while e[k] >= 0:
+                    k = e[k]
+                while ek[k] >= 0:
+                    k = ek[k]
+                images.append(k)
+            self._maps["raise", i] = images
+        if todo := [op for op in dict.fromkeys(ops) if (op, i) not in self._maps]:
+            self._fill(i, todo)
+        return tuple(self._maps[op, i] for op in ops)
+
+    def _fill(self, i: int, ops: list[str]) -> None:
+        """The maps of ops at letter i from one pass over the codes, each folded
+        once (as in _key), with one action of each op's _KERNEL entry per key; an
+        image outside the table is not semistandard: AssertionError naming the
+        first op, in order, with one and its first source."""
+        kernels, positions, folds, mask = [_KERNEL[op] for op in ops], self._positions, self._folds, self._mask
+        maps, actions = [array("i", [-1]) * len(self.codes) for _ in ops], {}
+        try:
+            for k, code in enumerate(self.codes):
+                fold = code
+                for shift in folds:
+                    fold |= code >> shift
+                key = fold >> i & mask
+                acts = actions.get(key)
+                if acts is None:  # the ops defined on some code of the key, with their maps
+                    acts = [(kernel(self, i, key), out) for kernel, out in zip(kernels, maps)]
+                    acts = actions[key] = [(act, out) for act, out in acts if act is not None]
+                for act, out in acts:
+                    if (image := act(code)) is not None:
+                        out[k] = positions[image]
+        except KeyError:  # image, of code, is outside; one op at a time finds the first op with one
+            if len(ops) > 1:
+                for op in ops:
+                    self._fill(i, [op])
+            outside = f"{self.decode(code).to_text()} out of the crystal, to {self.decode(image).to_text()}"
+            raise AssertionError(f"{ops[0].replace('K', '^K')}_{i} sends {outside}") from None
+        self._maps.update(((op, i), images) for op, images in zip(ops, maps))
 
     def stat(self, code: int) -> tuple[tuple[int, ...], int]:
         """(weight, excess) of the tableau of a code: slots holding v, entries beyond one per box."""
@@ -319,8 +333,13 @@ class CrystalTable(_Codes):
 
     @cached_property
     def stats(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """stat of the tableau at each position."""
-        return tuple(map(self.stat, self.codes))
+        """stat of the tableau at each position, built a letter at a time: one
+        column of counts per letter, zipped into the weights; each distinct
+        stat is held once."""
+        codes, slots, stats = self.codes, self._right_of[0], {}
+        columns = [bytes([(code >> v & slots).bit_count() for code in codes]) for v in self._letters]
+        excess = bytes([code.bit_count() - self._boxes for code in codes])
+        return tuple([stats.setdefault(s, s) for s in zip(zip(*columns) if columns else [()] * len(codes), excess)])
 
     def character(self, bits: int) -> BetaPolynomial:
         """Sum of b^excess x^weight over the positions in bits."""
@@ -336,7 +355,7 @@ class CrystalTable(_Codes):
         if word not in self._demazure:
             if word:
                 rest = _flags(self.demazure_word(word[1:]), len(self.codes))
-                self._demazure[word] = _from_flags("".join([rest[k] for k in self.map("raise", word[0])]))
+                self._demazure[word] = _from_flags("".join([rest[k] for k in self.maps(word[0], "raise")[0]]))
             else:
                 self._demazure[word] = 1 << self.position(superstandard(self.shape, self.n))
         return self._demazure[word]
@@ -438,8 +457,9 @@ def beta_character(tableaux, n: int) -> BetaPolynomial:
 def _components(table: CrystalTable) -> list[tuple[int, list[int]]]:
     """The e_i/f_i components in position order, each (the position of its unique highest
     weight element, its positions ascending); AssertionError where one has no unique one."""
-    ups = [table.map("e", i) for i in range(1, table.n)]
-    edges = ups + [table.map("f", i) for i in range(1, table.n)]
+    maps = [table.maps(i, "e", "f") for i in range(1, table.n)]
+    ups = [e for e, _ in maps]
+    edges = ups + [f for _, f in maps]
     seen, components = bytearray(len(table.codes)), []
     for start in range(len(table.codes)):
         if seen[start]:
@@ -471,7 +491,7 @@ def ik_strings(n: int, shape, i: int) -> list[tuple[tuple[int, ...], tuple[int, 
     i-K-strings, each (top, bottom): the f_i chain from its top element
     and the f_i chain from the top's f_i^K image, one step shorter."""
     table = crystal_table(n, _partition(shape))
-    e, ek, f, fk = (table.map(op, i) for op in ("e", "eK", "f", "fK"))
+    e, ek, f, fk = table.maps(i, "e", "eK", "f", "fK")
 
     def f_chain(k: int):
         while k >= 0:
@@ -480,13 +500,13 @@ def ik_strings(n: int, shape, i: int) -> list[tuple[tuple[int, ...], tuple[int, 
 
     tops = [k for k in range(len(table.codes)) if e[k] < 0 and ek[k] < 0]
     strings = [(tuple(f_chain(top)), tuple(f_chain(fk[top]))) for top in tops]
-    covered = 0
+    covered = bytearray(len(table.codes))  # 1 at each position of an earlier string
     for top, bottom in strings:
-        elements = sum(1 << k for k in {*top, *bottom})
-        if overlap := covered & elements:
-            raise AssertionError(f"i-K-strings overlap at {[t.to_text() for t in table.members(overlap)]}")
-        covered |= elements
-    if missing := covered ^ ((1 << len(table.codes)) - 1):
-        texts = [t.to_text() for t in table.members(missing)]
-        raise AssertionError(f"tableaux not covered by i-K-strings: {texts}")
+        elements = {*top, *bottom}
+        if overlap := sorted(k for k in elements if covered[k]):
+            raise AssertionError(f"i-K-strings overlap at {[table.tableau(k).to_text() for k in overlap]}")
+        for k in elements:
+            covered[k] = 1
+    if missing := [k for k, hit in enumerate(covered) if not hit]:
+        raise AssertionError(f"tableaux not covered by i-K-strings: {[table.tableau(k).to_text() for k in missing]}")
     return strings

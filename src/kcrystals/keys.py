@@ -114,8 +114,8 @@ def _stars(table: CrystalTable) -> array:
     weight element is its unique lowest element and star(f_i T) =
     e_{n-i} star(T); one f_i search from each highest element fills it."""
     n = table.n
-    ups = [table.map("e", i) for i in range(1, n)]
-    downs = [table.map("f", i) for i in range(1, n)]
+    maps = [table.maps(i, "e", "f") for i in range(1, n)]
+    ups, downs = [e for e, _ in maps], [f for _, f in maps]
     stars = array("i", [-1]) * len(table.codes)
     for high in range(len(table.codes)):
         if any(e[high] >= 0 for e in ups):

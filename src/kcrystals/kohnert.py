@@ -170,6 +170,7 @@ class KohnertGraph:
         self._phi = array("i")
         self._verdicts: dict[Callable, tuple[bytearray, dict[int, str]]] = {}
         self._closures: dict[tuple[int, ...], array] = {}
+        self._sort_keys: list[str] = []  # by position: the _flip of the boxes, padded to n*height, then of the marks
 
     def position(self, key: int) -> int:
         """The position of the diagram with this key, added unexplored if it is new."""
@@ -179,6 +180,8 @@ class KohnertGraph:
             self.keys.append(key)
             self._moves.append(None)
             self._phi.append(-1)
+            size = self.n * self.height  # the pad " " sorts before "0" and "1", as a shorter string does
+            self._sort_keys.append(_flip(key & (1 << size) - 1).ljust(size) + _flip(key >> size))
         return p
 
     def diagram(self, p: int) -> KKohnertDiagram:
@@ -224,8 +227,8 @@ class KohnertGraph:
 
     def closure(self, a: tuple[int, ...]) -> array:
         """The positions reachable from the skyline of a, in canonical order
-        (KKohnertDiagram.sort_key, read off the keys by _flip), found on the
-        first read for a."""
+        (KKohnertDiagram.sort_key, read off each key by _flip once, when it
+        gets a position), found on the first read for a."""
         if a not in self._closures:
             order = [self.position(pack(initial_diagram(a), self.height, self.n))]
             seen = set(order)
@@ -234,9 +237,7 @@ class KohnertGraph:
                     if q not in seen:
                         seen.add(q)
                         order.append(q)
-            keys, size = self.keys, self.n * self.height
-            boxes = (1 << size) - 1
-            order.sort(key=lambda p: (_flip(keys[p] & boxes), _flip(keys[p] >> size)))
+            order.sort(key=self._sort_keys.__getitem__)
             self._closures[a] = array("i", order)
         return self._closures[a]
 

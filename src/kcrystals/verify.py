@@ -173,7 +173,7 @@ def _check_bruhat_atom_sum(n, shape):
 
 def _check_inverse_ops(n, shape):
     table = crystal_table(n, shape)
-    maps = [(i, table.map("e", i), table.map("f", i)) for i in range(1, n)]
+    maps = [(i, *table.maps(i, "e", "f")) for i in range(1, n)]
     for k, (wt, ex) in enumerate(table.stats):
         for i, e, f in maps:
             down = f[k]
@@ -201,7 +201,7 @@ def _check_components(n, shape):
 
 def _check_k_ops(n, shape):
     table = crystal_table(n, shape)
-    maps = [(i, table.map("eK", i), table.map("fK", i)) for i in range(1, n)]
+    maps = [(i, *table.maps(i, "eK", "fK")) for i in range(1, n)]
     for k, (wt, ex) in enumerate(table.stats):
         for i, ek, fk in maps:
             down = fk[k]
@@ -246,7 +246,7 @@ def _check_k_monotone(n, shape):
 
 def _doubly_highest(table) -> list[SetValuedTableau]:
     """The tableaux of the table that no e_i or e^K_i raises."""
-    ups = [table.map(op, i) for op in ("e", "eK") for i in range(1, table.n)]
+    ups = [up for i in range(1, table.n) for up in table.maps(i, "e", "eK")]
     return [table.tableau(k) for k in range(len(table.codes)) if all(up[k] < 0 for up in ups)]
 
 
@@ -458,10 +458,7 @@ def _check_star_axioms(n, shape):
     table = crystal_table(n, shape)
     rotations, stars, stats = table.derived(_rotations), table.derived(_stars), table.stats
     # (i, e_i, f_i, e_{n-i}, f_{n-i})
-    maps = [
-        (i, table.map("e", i), table.map("f", i), table.map("e", n - i), table.map("f", n - i))
-        for i in range(1, n)
-    ]
+    maps = [(i, *table.maps(i, "e", "f"), *table.maps(n - i, "e", "f")) for i in range(1, n)]
     for k in range(len(table.codes)):
         reversed_weight = stats[k][0][::-1]
         star = rotations[k]

@@ -3,7 +3,6 @@ Independent oracles used to derive expected values: these deliberately
 avoid the library's own code paths for the quantities they check.
 """
 
-from array import array
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
@@ -379,17 +378,18 @@ def reference_enumerate_skyline(a, n):
 
 
 def per_tableau(operator):
-    """A crystal._KERNEL entry that fills a table's map with operator(t, i)
-    for each tableau t, looked up by tableau, so that a tableau-level fault
-    reaches the table.  It bypasses crystal._fill: an image outside the
-    table raises KeyError(image), not _fill's named AssertionError."""
+    """A crystal._KERNEL entry whose action on each code is operator(t, i)
+    on its tableau t, encoded back, so that a tableau-level fault reaches
+    the table's pass; it acts on every code, whatever its sign key."""
 
-    def fill(table, i):
-        tableaux = [table.decode(code) for code in table.codes]
-        index = {t: k for k, t in enumerate(tableaux)}
-        return array("i", (-1 if (u := operator(t, i)) is None else index[u] for t in tableaux))
+    def kernel(table, i, key):
+        def act(code):
+            image = operator(table.decode(code), i)
+            return None if image is None else table._encode(image)
 
-    return fill
+        return act
+
+    return kernel
 
 
 def reference_raise_string_max(tableau, i):

@@ -134,7 +134,7 @@ def test_raise_map_examples():
     table = crystal_table(3, (2, 2))
 
     def raised(t, i):
-        return table.tableau(table.map("raise", i)[table.position(t)])
+        return table.tableau(table.maps(i, "raise")[0][table.position(t)])
 
     assert raised(T("2 2/3 3"), 1) == T("1 1/3 3")
     u = superstandard((2, 2), 3)
@@ -146,7 +146,7 @@ def test_raise_map_examples():
 def test_table_maps_reject_an_unknown_op_or_a_letter_outside_1_to_n_minus_1(op, i):
     message = "unknown operator 'x'" if op == "x" else f"letter {i} is outside 1..2"
     with pytest.raises(ValueError, match=message):
-        crystal_table(3, (2, 2)).map(op, i)
+        crystal_table(3, (2, 2)).maps(i, op)
 
 
 def test_ik_strings_reject_a_letter_outside_1_to_n_minus_1():
@@ -284,7 +284,7 @@ def test_ik_strings_partition_the_square(i):
 def test_unique_doubly_highest_element():
     u = superstandard((2, 2), 3)
     table = crystal_table(3, (2, 2))
-    ups = [table.map(op, i) for op in ("e", "eK") for i in (1, 2)]
+    ups = [up for i in (1, 2) for up in table.maps(i, "e", "eK")]
     doubly = [table.tableau(k) for k in range(len(table.codes)) if all(up[k] < 0 for up in ups)]
     assert doubly == [u]
 

@@ -1,7 +1,9 @@
 """
 Differential tests against the reference implementations in oracles.py:
 the enumerator against a filter of every filling; the crystal kernel, the
-maps of the crystal table and the structures read from it over every
+maps of the crystal table (filled one op at a time and by one pass over any
+ops, with a fault in one op's kernel reaching that op alone) and the
+structures read from it over every
 tableau of every shape with at most 4 cells at n <= 4 and every rectangle
 up to 2x2 at n = 5; the pruned skyline
 enumeration, the tabulated Demazure subsets and the closure and psi
@@ -11,13 +13,16 @@ the table's per-position statistics, max-right keys and rotations, and the
 entry and rotation kernels they are built with.
 """
 
-from itertools import combinations, product
+from array import array
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from kcrystals.crystal import (
+    _KERNEL,
+    CrystalTable,
     _pad,
     crystal_e,
     crystal_f,
@@ -170,11 +175,61 @@ def test_table_maps_match_the_kernel(n, shape):
     }
     for i in range(1, n):
         for op, operator in kernel.items():
-            images = [None if k < 0 else tableaux[k] for k in table.map(op, i)]
+            images = [None if k < 0 else tableaux[k] for k in table.maps(i, op)[0]]
             assert images == [operator(t, i) for t in tableaux], (op, i)
-        raised = [tableaux[k] for k in table.map("raise", i)]
+        raised = [tableaux[k] for k in table.maps(i, "raise")[0]]
         assert raised == [reference_raise_string_max(t, i) for t in tableaux], i
     assert _decodes(table, tableaux)
+
+
+OPS = ("e", "f", "eK", "fK")
+# every nonempty subset of the operators in every order, and each subset with raise after it
+ORDERS = [order for size in range(1, 5) for subset in combinations(OPS, size) for order in permutations(subset)]
+ORDERS += [(*subset, "raise") for size in range(1, 5) for subset in combinations(OPS, size)]
+
+
+def _one_op_maps(table, i):
+    """Each op's map at letter i, one op per pass, checked against its reference operator."""
+    tableaux = _decoded(table)
+    maps = {op: table.maps(i, op)[0] for op in (*OPS, "raise")}
+    references = zip(OPS, (reference_crystal_e, reference_crystal_f, reference_kcrystal_e, reference_kcrystal_f))
+    for op, operator in references:
+        images = [operator(t, i) for t in tableaux]
+        assert list(maps[op]) == [-1 if u is None else table.position(u) for u in images], (op, i)
+    return maps
+
+
+@pytest.mark.parametrize("n,shape", CASES + RECTANGLES_AT_5, ids=str)
+def test_one_pass_over_any_ops_fills_the_one_op_maps(n, shape):
+    alone, table = CrystalTable(n, shape), CrystalTable(n, shape)
+    for i in range(1, n):
+        expected = _one_op_maps(alone, i)
+        for order in ORDERS:
+            table._maps.clear()  # from empty: the ops of order filled by one pass, raise's e and e^K by their own
+            assert table.maps(i, *order) == tuple(expected[op] for op in order), (i, order)
+
+
+@pytest.mark.parametrize("op", OPS)
+@pytest.mark.parametrize("n,shape", [(4, (2, 1)), (5, (2, 2)), (5, (3, 3))], ids=str)
+def test_a_kernel_fault_reaches_its_own_map_alone(monkeypatch, n, shape, op):
+    """A fault swapped into one op's _KERNEL entry changes that op's map in a
+    pass over all four and leaves its siblings' maps real: never acting, the
+    op's map is all -1; acting as its inverse, it is the inverse's map."""
+    real = [dict(zip(OPS, CrystalTable(n, shape).maps(i, *OPS))) for i in range(1, n)]
+    never = array("i", [-1]) * len(crystal_table(n, shape).codes)
+    inverse = {"e": "f", "f": "e", "eK": "fK", "fK": "eK"}[op]
+    faults = ((lambda table, i, key: None, lambda maps: never), (_KERNEL[inverse], lambda maps: maps[inverse]))
+    for fault, wrong in faults:
+        monkeypatch.setitem(_KERNEL, op, fault)
+        for i, maps in enumerate(real, 1):
+            faulty = dict(zip(OPS, CrystalTable(n, shape).maps(i, *OPS)))
+            assert faulty == {**maps, op: wrong(maps)}, i
+
+
+@pytest.mark.parametrize("n,shape", [(0, ()), (2, ())] + CASES + RECTANGLES_AT_5, ids=str)
+def test_per_letter_stats_equal_the_stat_of_each_code(n, shape):
+    table = CrystalTable(n, shape)
+    assert table.stats == tuple(map(table.stat, table.codes))
 
 
 # every partition of at most 4 boxes at n <= 4 (at most 15^4 fillings

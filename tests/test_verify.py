@@ -1,6 +1,5 @@
 import hashlib
 import json
-from functools import partial
 
 import pytest
 
@@ -307,31 +306,33 @@ def test_components_witness_under_a_kernel_fault(table_fault):
 
 # -- faults that leave the crystal ------------------------------------------------
 # The table holds exactly the semistandard tableaux, so an operator image that
-# is not in it is not semistandard, and crystal._fill fails the case with an
-# AssertionError that names the operator, the source and the image.  The
-# kernel faults below run through the real _fill, not per_tableau.  Each fault
+# is not in it is not semistandard, and CrystalTable._fill fails the case with
+# an AssertionError that names the operator, the source and the image.  The
+# kernel faults below act on codes, as the real kernels do.  Each fault
 # runs every case of one suite at --max-n 3 from empty tables; the counts,
 # first witnesses and SHA-256 of every failing (case, witness) pair were read
 # off the checks when table membership became the one semistandardness test.
 # Each entry names its suite and the check of its first failure.
 
 
-def _f_at_leftmost_plus(codes, i, sources):
+def _f_at_leftmost_plus(table, i, key):
     """f_i trading i for i+1 in the box of the leftmost unpaired "+", never
     taking the i of the box to its right."""
-    signs, column = codes._signs(i), codes._column
-    for code in sources:
-        plus, _ = signs(code)
-        yield code + ((code >> i & column[plus[0]]) << i) if plus else None
+    plus, _ = table._pair(key)
+    if not plus:
+        return None
+    column = table._column[plus[0]]
+    return lambda code: code + ((code >> i & column) << i)
 
 
-def _fk_at_leftmost_plus(codes, i, sources):
+def _fk_at_leftmost_plus(table, i, key):
     """f^K_i adding i+1 to the box of the leftmost unpaired "+" of an
     i-highest code, whatever the boxes right of it hold."""
-    signs, column = codes._signs(i), codes._column
-    for code in sources:
-        plus, minus = signs(code)
-        yield None if minus or not plus else code | (code >> i & column[plus[0]]) << (i + 1)
+    plus, minus = table._pair(key)
+    if minus or not plus:
+        return None
+    column = table._column[plus[0]]
+    return lambda code: code | (code >> i & column) << (i + 1)
 
 
 def _codes_with_2_1_for_1_2(codes):
@@ -346,13 +347,13 @@ def _codes_with_2_1_for_1_2(codes):
 
 MEMBERSHIP_FAULTS = {
     "f trades i for i+1 at the leftmost unpaired +": (
-        lambda mp: mp.setitem(crystal._KERNEL, "f", partial(crystal._fill, "f", _f_at_leftmost_plus)),
+        lambda mp: mp.setitem(crystal._KERNEL, "f", _f_at_leftmost_plus),
         ("crystal-axioms", "inverse-ops"),
         (50, "exception: AssertionError('f_1 sends 1 1 out of the crystal, to 2 1')"),
         "a3b91c2ba9ef4e8405dd579e3cf4b85c58d96e2efbf4c63fa5ecb285fabf18cc",
     ),
     "fK adds i+1 at the leftmost unpaired +": (
-        lambda mp: mp.setitem(crystal._KERNEL, "fK", partial(crystal._fill, "fK", _fk_at_leftmost_plus)),
+        lambda mp: mp.setitem(crystal._KERNEL, "fK", _fk_at_leftmost_plus),
         ("k-crystal-axioms", "k-ops"),
         (16, "exception: AssertionError('f^K_1 sends 1 1 out of the crystal, to 1,2 1')"),
         "6daaec3eec5ae89978d3c6147eca18427dc387765cbd5a93d98765e550e6d7bd",
