@@ -8,11 +8,11 @@ so ``crystal_table.cache_clear()`` is the only reset.  Made, it holds only code
 geometry, all that the single-tableau operators, phi, psi and ``k_lusztig_star``
 read; filled on first read are the codes of the shape's tableaux at positions
 0..N-1 (text order) from ``tableaux._svt_codes``, each operator or raise map of
-a letter as an array of positions, each position's weight and excess, counted
-a letter at a time, the K-Demazure subset of each reduced word and the flagged
-subsets as bitsets (an int whose bit k is position k) and what other modules
-build from it (``derived``).  It holds no tableaux: callers decode one where
-they need it.
+a letter as an array of positions, each position's weight and excess as a stat,
+the int of ``polynomials._units``, the K-Demazure subset of each reduced word and
+the flagged subsets as bitsets (an int whose bit k is position k) and what other
+modules build from it (``derived``).  It holds no tableaux: callers decode one
+where they need it.
 
 The one implementation of e_i, f_i, e^K_i and f^K_i is a kernel on codes,
 ints that pack a tableau's boxes column by column as entry bitmasks
@@ -38,6 +38,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from functools import cached_property, lru_cache
+from operator import add
 
 from .permutations import (
     Perm,
@@ -51,7 +52,7 @@ from .permutations import (
     reduced_word,
     stabilizer_min_rep,
 )
-from .polynomials import BetaPolynomial
+from .polynomials import BetaPolynomial, _stat_polynomial, _units
 from .tableaux import SetValuedTableau, _bits, _Codes, _partition, _svt_codes, superstandard
 
 
@@ -218,6 +219,7 @@ class CrystalTable(_Codes):
         self._folds = [m * self._width for m in range(1, self._height)]
         self._mask = sum(3 << c * self._step for c in range(len(tops)))
         self._letters, self._boxes = range(1, n + 1), sum(shape)
+        self._units = _units(n, self._boxes)
         self._pairs: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._maps: dict[tuple[str, int], array] = {}
         self._demazure: dict[tuple[int, ...], int] = {}
@@ -326,24 +328,27 @@ class CrystalTable(_Codes):
             raise AssertionError(f"{ops[0].replace('K', '^K')}_{i} sends {outside}") from None
         self._maps.update(((op, i), images) for op, images in zip(ops, maps))
 
-    def stat(self, code: int) -> tuple[tuple[int, ...], int]:
-        """(weight, excess) of the tableau of a code: slots holding v, entries beyond one per box."""
-        slots = self._right_of[0]
-        return tuple([(code >> v & slots).bit_count() for v in self._letters]), code.bit_count() - self._boxes
+    def stat(self, code: int) -> int:
+        """The stat of the tableau of a code: slots holding each v, entries beyond one per box."""
+        slots, units = self._right_of[0], self._units
+        weight = sum([(code >> v & slots).bit_count() * unit for v, unit in zip(self._letters, units)])
+        return weight + (code.bit_count() - self._boxes) * units[-1]
 
     @cached_property
-    def stats(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+    def stats(self) -> tuple[int, ...]:
         """stat of the tableau at each position, built a letter at a time: one
-        column of counts per letter, zipped into the weights; each distinct
-        stat is held once."""
+        column of counts per letter, a byte per position, each count scaled by
+        its unit by lookup and summed; each distinct stat is held once."""
         codes, slots, stats = self.codes, self._right_of[0], {}
-        columns = [bytes([(code >> v & slots).bit_count() for code in codes]) for v in self._letters]
-        excess = bytes([code.bit_count() - self._boxes for code in codes])
-        return tuple([stats.setdefault(s, s) for s in zip(zip(*columns) if columns else [()] * len(codes), excess)])
+        scaled = [[count * unit for count in range(256)].__getitem__ for unit in self._units]
+        packed = map(scaled[-1], bytes([code.bit_count() - self._boxes for code in codes]))
+        for v, scale in zip(self._letters, scaled):
+            packed = map(add, packed, map(scale, bytes([(code >> v & slots).bit_count() for code in codes])))
+        return tuple([stats.setdefault(s, s) for s in packed])
 
     def character(self, bits: int) -> BetaPolynomial:
         """Sum of b^excess x^weight over the positions in bits."""
-        return BetaPolynomial(self.n, Counter(self.stats[k] for k in _bits(bits)))
+        return _stat_polynomial(self._units, Counter(self.stats[k] for k in _bits(bits)))
 
     def members(self, bits: int) -> tuple[SetValuedTableau, ...]:
         """The tableaux at the positions in bits, in table order."""

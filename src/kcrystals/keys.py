@@ -75,9 +75,9 @@ def _right_keys(table: CrystalTable) -> dict[int, SetValuedTableau]:
     reps = coset_reps(lam, table.n)  # sorted by (length, one-line word)
     subsets = [_flags(table.demazure(v), len(table.codes)) for v in reps]
     keys = [key_of_composition(act(v, lam)) for v in reps]
-    out = {}
-    for k, (_, excess) in enumerate(table.stats):
-        if excess:
+    out, excess = {}, table._units[-1]
+    for k, stat in enumerate(table.stats):
+        if stat >= excess:
             continue
         members = [m for m, subset in enumerate(subsets) if subset[k] == "1"]
         if not all(bruhat_leq(reps[members[0]], reps[m]) for m in members):

@@ -19,10 +19,12 @@ and the canonical order (``KKohnertDiagram.sort_key``) is the order of the
 complemented bit strings of boxes and marks (``_flip``).  Each key has a
 position; its single moves (as positions), the position of its phi image
 in the crystal table of the rectangle and each bijection check's verdict
-on it are filled on first read, once per diagram.  ``kohnert_graph(parts)``
-is the one cached graph of a class, keyed by its sorted composition, so
-``kohnert_graph.cache_clear()`` is the only reset; each graph keeps the
-closure of each composition of its class, found on first read.
+on it are filled on first read, once per diagram, and its weight (phi's
+weight and excess, as a stat of ``polynomials._units``) is read off its
+key.  ``kohnert_graph(parts)`` is the one cached graph of a class, keyed by
+its sorted composition, so ``kohnert_graph.cache_clear()`` is the only
+reset; each graph keeps the closure of each composition of its class, found
+on first read.
 ``closure_table(a)`` reads the graph of a's class and that closure;
 ``KKohnertDiagram``, the public, validating type, is made by ``unpack``
 only for ``closure``, a witness or a caller of the graph.
@@ -46,6 +48,7 @@ from functools import lru_cache, reduce
 from operator import or_
 
 from .crystal import CrystalTable, _codes_of, _rectangle_dims, _semistandard, crystal_table
+from .polynomials import _units
 from .tableaux import SetValuedTableau, _bits, _heights, _partition
 
 Box = tuple[int, int]
@@ -164,6 +167,7 @@ class KohnertGraph:
 
     def __init__(self, parts: tuple[int, ...]):
         self.parts, self.n, self.height = parts, len(parts), max(parts, default=0)
+        self._units = _units(self.n, sum(parts))  # no column holds more boxes
         self.keys: list[int] = []
         self.index: dict[int, int] = {}
         self._moves: list[array | None] = []  # flat (x, is_k, image) triples
@@ -188,12 +192,12 @@ class KohnertGraph:
         """The diagram at position p."""
         return unpack(self.keys[p], self.height, self.n)
 
-    def weight(self, p: int) -> tuple[tuple[int, ...], int]:
-        """The box count of each column and the number of marks of the
-        diagram at p, phi's weight and excess."""
-        key, height, column = self.keys[p], self.height, (1 << self.height) - 1
-        heights = tuple([(key >> x * height & column).bit_count() for x in range(self.n)])
-        return heights, (key >> self.n * height).bit_count()
+    def weight(self, p: int) -> int:
+        """phi's weight and excess of the diagram at p, its box count of each
+        column and number of marks, as a stat (polynomials._units)."""
+        key, height, column, units = self.keys[p], self.height, (1 << self.height) - 1, self._units
+        weight = sum([(key >> x * height & column).bit_count() * units[x] for x in range(self.n)])
+        return weight + (key >> self.n * height).bit_count() * units[-1]
 
     def _explored(self, p: int) -> array:
         """The moves of the diagram at p: in each column, left to right, the

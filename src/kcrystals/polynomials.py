@@ -28,6 +28,25 @@ from .permutations import (
 TermKey = tuple[tuple[int, ...], int]
 
 
+def _units(n: int, boxes: int) -> list[int]:
+    """The stats of x_1, ..., x_n and, last, of b.  A stat, the one form of the
+    weight and excess of a tableau, a skyline or a Kohnert diagram, packs a term
+    key in one int: digit v-1, boxes.bit_length() bits wide, is the exponent of
+    x_v and the exponent of b sits above the n digits, so stats add without a
+    carry while each exponent of x stays at most boxes."""
+    return [1 << v * boxes.bit_length() for v in range(n + 1)]
+
+
+def _unpack(stat: int, units: list[int]) -> TermKey:
+    """The term key of a stat in these units: its weight and excess."""
+    return tuple([stat % high // low for low, high in zip(units, units[1:])]), stat // units[-1]
+
+
+def _stat_polynomial(units: list[int], counts: dict[int, int]) -> "BetaPolynomial":
+    """Sum of count * b^excess x^weight over the stats in counts, each unpacked once."""
+    return BetaPolynomial._trusted(len(units) - 1, {_unpack(stat, units): count for stat, count in counts.items()})
+
+
 class BetaPolynomial:
     """Element of Z[b][x_1, ..., x_n]."""
 

@@ -9,16 +9,17 @@ the set sense (min of the lower cell >= max of the cell above it).
 
 ``skyline_table(parts, n)`` is the one cached record of a rearrangement
 class at n, keyed by its sorted composition.  It holds each column's
-fillings, sorted, each with its cells as (anchor bit, free-entry mask)
-pairs (``_levels``) and its weight and excess packed in one int, and,
-filled on first read, each composition's skylines as tuples of filling
-indices, their packed stats and the position of each one's psi image in
-the crystal table of the rectangle.  A skyline is valid when its table
-finds its filling indices (``indices``): the fillings hold the rules within
-a column and ``row`` those across columns.  ``_psi_code`` packs psi as a
-code from the fillings' masks, and membership in the crystal table is its
-semistandardness test.  A ``SkylineTableau`` is decoded only at the
-boundary: ``enumerate_skyline``, ``psi_inverse`` and witnesses.
+fillings, sorted, each with its cells as (anchor bit, free-entry mask) pairs
+(``_levels``) and its weight and excess as a stat, the int of
+``polynomials._units``, and, filled on first read, each composition's
+skylines as tuples of filling indices, their stats (the sums of their
+fillings') and the position of each one's psi image in the crystal table of
+the rectangle.  A skyline is valid when its table finds its filling indices
+(``indices``): the fillings hold the rules within a column and ``row`` those
+across columns.  ``_psi_code`` packs psi as a code from the fillings' masks,
+and membership in the crystal table is its semistandardness test.  A
+``SkylineTableau`` is decoded only at the boundary: ``enumerate_skyline``,
+``psi_inverse`` and witnesses.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from operator import or_
 from .crystal import CrystalTable, _rectangle_dims, _semistandard, _subset_table
 from .crystal import atom_subset, crystal_table
 from .permutations import Perm, _pad, _variable_count, act
+from .polynomials import _units
 from .tableaux import SetValuedTableau, _bits, _heights
 
 Cell = tuple[int, ...]
@@ -162,7 +164,7 @@ class SkylineTable:
     each composition's skylines, their packed stats and psi images."""
 
     def __init__(self, parts: tuple[int, ...], n: int):
-        self.n, self._digit = _variable_count(n), sum(_heights(parts)).bit_length()  # no value fills more cells
+        self.n, self._units = _variable_count(n), _units(n, sum(_heights(parts)))  # no value fills more cells
         columns = [(c, height) for c in range(1, len(parts) + 1) for height in set(parts) if height]
         self.fillings = {column: sorted(_column_fillings(*column, n)) for column in columns}
         self.levels = {column: list(map(_levels, fillings)) for column, fillings in self.fillings.items()}
@@ -170,20 +172,11 @@ class SkylineTable:
         self._index = {column: _by_value(self.fillings[column], column[1], n) for column in columns}
         self._rows: dict[tuple, int] = {}  # (p, q, i) -> row(p, q, i)
         self._skylines, self._stats_of, self._images = {}, {}, {}  # by composition
-        self._unpacked: dict[int, tuple[tuple[int, ...], int]] = {}
 
     def _pack(self, cells) -> int:
-        """The stat of a filling: digit v-1 counts the entry v, and the excess sits above the n digits."""
+        """The stat (polynomials._units) of a filling: its entries by value and its entries beyond one per cell."""
         entries = [v for cell in cells for v in cell]
-        return sum(1 << (v - 1) * self._digit for v in entries) + (len(entries) - len(cells) << self.n * self._digit)
-
-    def stat(self, packed: int) -> tuple[tuple[int, ...], int]:
-        """(weight, excess) of a packed stat, unpacked once per table."""
-        if packed not in self._unpacked:
-            digit, mask = self._digit, (1 << self._digit) - 1
-            weight = tuple([packed >> v * digit & mask for v in range(self.n)])
-            self._unpacked[packed] = weight, packed >> self.n * digit
-        return self._unpacked[packed]
+        return sum([self._units[v - 1] for v in entries]) + (len(entries) - len(cells)) * self._units[-1]
 
     def row(self, p: tuple[int, int], q: tuple[int, int], i: int) -> int:
         """The fillings of q compatible with filling i of p, a column left of

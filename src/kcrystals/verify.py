@@ -54,6 +54,9 @@ from .polynomials import (
     grothendieck,
     lascoux,
     lascoux_atom,
+    _stat_polynomial,
+    _units,
+    _unpack,
     parse_polynomial,
 )
 from .skyline import enumerate_skyline, psi, skyline_table
@@ -174,16 +177,14 @@ def _check_bruhat_atom_sum(n, shape):
 def _check_inverse_ops(n, shape):
     table = crystal_table(n, shape)
     maps = [(i, *table.maps(i, "e", "f")) for i in range(1, n)]
-    for k, (wt, ex) in enumerate(table.stats):
+    stats, units = table.stats, table._units
+    for k, stat in enumerate(stats):
         for i, e, f in maps:
             down = f[k]
             if down >= 0:
                 if e[down] != k:
                     return f"e_{i} f_{i} != id at {table.tableau(k).to_text()}"
-                expected = list(wt)
-                expected[i - 1] -= 1
-                expected[i] += 1
-                if table.stats[down] != (tuple(expected), ex):
+                if stats[down] != stat + units[i] - units[i - 1]:
                     return f"f_{i} weight law fails at {table.tableau(k).to_text()}"
             if e[k] >= 0 and f[e[k]] != k:
                 return f"f_{i} e_{i} != id at {table.tableau(k).to_text()}"
@@ -194,7 +195,7 @@ def _check_components(n, shape):
     table = crystal_table(n, shape)
     u = table.position(superstandard(shape, n))
     for high, members in _components(table):  # raises if a component lacks a unique highest
-        if high == u and members != [k for k, (_, ex) in enumerate(table.stats) if ex == 0]:
+        if high == u and members != [k for k, stat in enumerate(table.stats) if stat < table._units[-1]]:
             return "component of the minimal highest weight element is not the single-valued one"
     return None
 
@@ -202,15 +203,14 @@ def _check_components(n, shape):
 def _check_k_ops(n, shape):
     table = crystal_table(n, shape)
     maps = [(i, *table.maps(i, "eK", "fK")) for i in range(1, n)]
-    for k, (wt, ex) in enumerate(table.stats):
+    stats, units = table.stats, table._units
+    for k, stat in enumerate(stats):
         for i, ek, fk in maps:
             down = fk[k]
             if down >= 0:
                 if fk[down] >= 0:
                     return f"f^K_{i} f^K_{i} != 0 at {table.tableau(k).to_text()}"
-                expected = list(wt)
-                expected[i] += 1
-                if table.stats[down] != (tuple(expected), ex + 1):
+                if stats[down] != stat + units[i] + units[-1]:
                     return f"f^K_{i} weight law fails at {table.tableau(k).to_text()}"
                 if ek[down] != k:
                     return f"f^K_{i} is not inverse to e^K_{i} at {table.tableau(k).to_text()}"
@@ -305,17 +305,17 @@ def _check_full_character(n, shape):
 def _diagram_character(a, n: int) -> BetaPolynomial:
     """Sum of b^(#marked) x^(column box counts) over the closure of a, whose parts number n."""
     graph, positions = closure_table(a)
-    return BetaPolynomial(n, Counter(map(graph.weight, positions)))
+    return _stat_polynomial(graph._units, Counter(map(graph.weight, positions)))
 
 
 def _skyline_character(compositions, n: int) -> BetaPolynomial:
     """Sum of b^excess x^weight over the skylines of the compositions, of
     one rearrangement class, counted as packed stats."""
-    counts, record = Counter(), None
+    counts, boxes = Counter(), 0  # no composition: the zero polynomial in n variables
     for a in compositions:
-        record = skyline_table(tuple(sorted(a)), n)
-        counts.update(record.stats(a))
-    return BetaPolynomial._trusted(n, {record.stat(packed): count for packed, count in counts.items()})
+        counts.update(skyline_table(tuple(sorted(a)), n).stats(a))
+        boxes = sum(a)
+    return _stat_polynomial(_units(n, boxes), counts)
 
 
 def _check_character_golden():
@@ -362,8 +362,8 @@ def _intertwine_witness(graph, p: int, images, table) -> str | None:
     """_check_kohnert_intertwine's verdict on the diagram at p, by positions."""
     moved = _svt_moves(table, table.codes[images[p]])
     diagram_moves = {(x, is_k): images[q] for x, is_k, q in graph.moves(p)}
-    heights, _ = graph.weight(p)
-    for x in (x for x, height in enumerate(heights, start=1) if height):
+    stat, units = graph.weight(p), graph._units
+    for x in (x for x in range(1, graph.n + 1) if stat % units[x] >= units[x - 1]):  # column x holds a box
         for is_k in (False, True):
             key = (x, is_k)
             if (key in diagram_moves) != (key in moved):
@@ -407,8 +407,8 @@ def _check_skyline(n, shape, w):
     record = skyline_table(tuple(sorted(a)), n)
     images, _ = record.images(a)
     table = crystal_table(n, shape)
-    for packed, k in zip(record.stats(a), images):
-        if record.stat(packed) != table.stat(table.codes[k]):
+    for stat, k in zip(record.stats(a), images):
+        if stat != table.stats[k]:
             return f"psi does not preserve the weight of {table.tableau(k).to_text()}"
     if diff := sum(1 << k for k in images) ^ table.atom(w):
         return f"psi image mismatch: {[t.to_text() for t in table.members(diff)]}"
@@ -457,19 +457,20 @@ def _check_key_ideal_atom(n, shape, w):
 def _check_star_axioms(n, shape):
     table = crystal_table(n, shape)
     rotations, stars, stats = table.derived(_rotations), table.derived(_stars), table.stats
+    weights = {stat: _unpack(stat, table._units)[0] for stat in set(stats)}
     # (i, e_i, f_i, e_{n-i}, f_{n-i})
     maps = [(i, *table.maps(i, "e", "f"), *table.maps(n - i, "e", "f")) for i in range(1, n)]
     for k in range(len(table.codes)):
-        reversed_weight = stats[k][0][::-1]
+        reversed_weight = weights[stats[k]][::-1]
         star = rotations[k]
         if rotations[star] != k:
             return f"rotation involution does not square to id at {table.tableau(k).to_text()}"
-        if stats[star][0] != reversed_weight:
+        if weights[stats[star]] != reversed_weight:
             return f"rotation involution weight law fails at {table.tableau(k).to_text()}"
         naive = stars[k]
         if stars[naive] != k:
             return f"path-mirror involution does not square to id at {table.tableau(k).to_text()}"
-        if stats[naive][0] != reversed_weight:
+        if weights[stats[naive]] != reversed_weight:
             return f"path-mirror weight law fails at {table.tableau(k).to_text()}"
         if len(shape) == 1 and naive != star:
             return f"single-row involutions disagree at {table.tableau(k).to_text()}"

@@ -24,6 +24,7 @@ from kcrystals.crystal import (
     _KERNEL,
     CrystalTable,
     _pad,
+    beta_character,
     crystal_e,
     crystal_f,
     crystal_table,
@@ -57,6 +58,7 @@ from kcrystals.kohnert import (
     unpack,
 )
 from kcrystals.permutations import act, coset_reps, flag_vector, reduced_words, stabilizer_min_rep
+from kcrystals.polynomials import _unpack
 from kcrystals.skyline import (
     SkylineTable,
     SkylineTableau,
@@ -230,6 +232,20 @@ def test_a_kernel_fault_reaches_its_own_map_alone(monkeypatch, n, shape, op):
 def test_per_letter_stats_equal_the_stat_of_each_code(n, shape):
     table = CrystalTable(n, shape)
     assert table.stats == tuple(map(table.stat, table.codes))
+    assert len(set(map(id, table.stats))) == len(set(table.stats))  # each distinct stat held once
+
+
+@pytest.mark.parametrize("n,shape", [(0, ()), (1, (4,)), (2, (4,)), (1, (8,)), (2, (8,))], ids=str)
+def test_a_letter_in_a_power_of_two_number_of_boxes_fills_its_digit(n, shape):
+    """A letter in all 4 or 8 boxes of a row fills its digit, boxes.bit_length()
+    bits wide, up to its top bit, and shape () at n = 0 has a digit 0 bits
+    wide: each stat still decodes to its tableau's weight and excess, and the
+    character to the sum of their monomials."""
+    table = crystal_table(n, shape)
+    tableaux = _decoded(table)
+    assert [_unpack(stat, table._units) for stat in table.stats] == [(t.weight(), t.excess()) for t in tableaux]
+    assert table.character((1 << len(tableaux)) - 1) == beta_character(tableaux, n)
+    assert max(max(t.weight(), default=0) for t in tableaux) == sum(shape)
 
 
 # every partition of at most 4 boxes at n <= 4 (at most 15^4 fillings
@@ -315,7 +331,7 @@ def _decoded(table) -> tuple[SetValuedTableau, ...]:
 def test_table_statistics_match_the_tableaux(n, shape):
     table = crystal_table(n, shape)
     tableaux = _decoded(table)
-    assert list(table.stats) == [(t.weight(), t.excess()) for t in tableaux]
+    assert [_unpack(stat, table._units) for stat in table.stats] == [(t.weight(), t.excess()) for t in tableaux]
     for t in tableaux:
         assert _same_object(t, SetValuedTableau(t.rows, n)), t
         assert (t.weight(), t.excess()) == (reference_weight(t), reference_excess(t)), t
@@ -629,4 +645,4 @@ def test_packed_stats_are_the_weight_and_excess(n):
         for skyline, packed in zip(enumerate_skyline(a, n), record.stats(a)):
             entries = [v for _, cells in skyline.columns for cell in cells for v in cell]
             weight = tuple(entries.count(v) for v in range(1, n + 1))
-            assert record.stat(packed) == (weight, len(entries) - sum(a)), skyline
+            assert _unpack(packed, record._units) == (weight, len(entries) - sum(a)), skyline

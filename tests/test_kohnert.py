@@ -19,7 +19,7 @@ from kcrystals.kohnert import (
     phi_inverse,
     svt_kohnert_move,
 )
-from kcrystals.polynomials import BetaPolynomial, lascoux
+from kcrystals.polynomials import BetaPolynomial, _unpack, lascoux
 from kcrystals.tableaux import SetValuedTableau
 from kcrystals.verify import _diagram_character
 from oracles import reference_closure
@@ -155,10 +155,27 @@ def test_graph_weights_are_the_box_counts_and_marks():
         for p in positions:
             d = graph.diagram(p)
             heights = tuple(sum(x == column for x, _ in d.boxes) for column in range(1, len(a) + 1))
-            assert graph.weight(p) == (heights, len(d.marked)), (a, d)
+            assert _unpack(graph.weight(p), graph._units) == (heights, len(d.marked)), (a, d)
     graph, positions = closure_table((0, 2, 2))
     p = graph.index[pack(D({(1, 2), (2, 1), (2, 2), (3, 1), (3, 2)}, {(2, 2)}), graph.height, graph.n)]
-    assert p in positions and graph.weight(p) == ((1, 2, 2), 1)
+    assert p in positions and _unpack(graph.weight(p), graph._units) == ((1, 2, 2), 1)
+
+
+def test_a_column_of_four_boxes_fills_its_digit():
+    """The class of (0, 0, 4) has 4 boxes, so a digit 3 bits wide, and the
+    skyline's column 3 fills it up to its top bit: each weight decodes to
+    the diagram's column counts and marks, and the character to the sum of
+    their monomials."""
+    graph, positions = closure_table((0, 0, 4))
+    monomials = []
+    for p in positions:
+        d = graph.diagram(p)
+        heights = tuple(sum(x == column for x, _ in d.boxes) for column in range(1, 4))
+        assert _unpack(graph.weight(p), graph._units) == (heights, len(d.marked)), d
+        monomials.append(BetaPolynomial.monomial(3, heights, beta=len(d.marked)))
+    skyline = positions[-1]  # last in canonical order
+    assert _unpack(graph.weight(skyline), graph._units) == ((0, 0, 4), 0)
+    assert _diagram_character((0, 0, 4), 3) == BetaPolynomial.sum(3, monomials)
 
 
 def test_closure_weights_sum_to_the_polynomial():

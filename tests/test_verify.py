@@ -1,5 +1,6 @@
 import hashlib
 import json
+from operator import mul
 
 import pytest
 
@@ -387,16 +388,19 @@ def test_an_image_outside_the_crystal_is_a_named_witness(table_fault, fault):
 
 def _excess_of_the_first_row(table):
     """CrystalTable.stats with each excess counted in the first row only."""
-    tableaux = map(table.decode, table.codes)
-    return tuple((t.weight(), sum(len(cell) - 1 for cell in t.rows[0])) for t in tableaux)
+    units = table._units
+    return tuple(
+        sum(map(mul, t.weight(), units)) + sum(len(cell) - 1 for cell in t.rows[0]) * units[-1]
+        for t in map(table.decode, table.codes)
+    )
 
 
 def _rotations_with_a_swap(table):
     """keys._rotations with the images of j < k swapped, the first two
     positions of one weight where j's image is neither j nor k."""
     rotations, first = keys._rotations(table), {}
-    for k, (weight, _) in enumerate(table.stats):
-        j = first.setdefault(weight, k)
+    for k, stat in enumerate(table.stats):
+        j = first.setdefault(stat % table._units[-1], k)  # the weight: the stat less its excess
         if j != k and rotations[j] not in (j, k):
             rotations[j], rotations[k] = rotations[k], rotations[j]
             break
