@@ -6,11 +6,11 @@ decompositions.
 Right keys, max-right keys, Lusztig stars, rotations and the key maps of
 ``key_partition_report`` (composed from them with the position of each
 least-entry tableau) are built once per crystal table and kept with it
-(``CrystalTable.derived``), each as one entry per position.  They read the
-table's codes (``tableaux._Codes``) through two kernels, ``_entry``, which
-keeps the least or greatest entry of each box, and ``_rotate``, the
-rectangle's rotation; ``k_lusztig_star`` runs ``_rotate`` through encode
-and decode.
+(``CrystalTable.derived``), each as one int per position; a key is the index
+of its coset representative v, and the key tableau of v·λ is decoded only at
+the boundary.  They read the table's codes through ``_entry``, which keeps
+the least or greatest entry of each box, and ``_rotate``, the rectangle's
+rotation; ``k_lusztig_star`` runs ``_rotate`` through encode and decode.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from array import array
 from .crystal import CrystalTable, _flags, _from_flags, _rectangle_dims, crystal_table
 from .permutations import _pad, act, bruhat_leq, coset_reps
 from .polynomials import lascoux, lascoux_atom
-from .tableaux import SetValuedTableau, _Codes, _partition
+from .tableaux import SetValuedTableau, _Codes, _heights, _partition
 
 
 def is_key_tableau(tableau: SetValuedTableau) -> bool:
@@ -40,7 +40,7 @@ def key_of_composition(a) -> SetValuedTableau:
     >>> key_of_composition((0, 2, 2)).to_text()
     '2 2/3 3'
     """
-    a = tuple(a)
+    a = _heights(a)
     n = len(a)
     width = max(a, default=0)
     columns = [sorted(i + 1 for i, part in enumerate(a) if part >= j) for j in range(1, width + 1)]
@@ -68,22 +68,22 @@ def _rotate(codes: _Codes, code: int) -> int:
     return int(format(code, f"0{codes._width * sum(codes.shape)}b")[::-1], 2) << 1
 
 
-def _right_keys(table: CrystalTable) -> dict[int, SetValuedTableau]:
-    """Right key of each single-valued tableau of the table, by position; on
-    these e_i keeps the excess and e_i^K never acts, so the subsets are classical."""
+def _right_keys(table: CrystalTable) -> tuple[list[SetValuedTableau], array]:
+    """Each coset representative's key of v·λ (coset_reps order) and, by position,
+    the index of each single-valued tableau's right key, else -1; on those e_i
+    keeps the excess and e_i^K never acts, so the subsets are classical."""
     lam = _pad(table.shape, table.n)
     reps = coset_reps(lam, table.n)  # sorted by (length, one-line word)
     subsets = [_flags(table.demazure(v), len(table.codes)) for v in reps]
-    keys = [key_of_composition(act(v, lam)) for v in reps]
-    out, excess = {}, table._units[-1]
+    index, excess = array("i", [-1]) * len(table.codes), table._units[-1]
     for k, stat in enumerate(table.stats):
         if stat >= excess:
             continue
         members = [m for m, subset in enumerate(subsets) if subset[k] == "1"]
         if not all(bruhat_leq(reps[members[0]], reps[m]) for m in members):
             raise AssertionError(f"no Bruhat-least Demazure crystal holds {table.tableau(k).to_text()}")
-        out[k] = keys[members[0]]
-    return out
+        index[k] = members[0]
+    return [key_of_composition(act(v, lam)) for v in reps], index
 
 
 def right_key(tableau: SetValuedTableau) -> SetValuedTableau:
@@ -92,20 +92,21 @@ def right_key(tableau: SetValuedTableau) -> SetValuedTableau:
     if tableau.excess() != 0:
         raise ValueError("right keys are defined for single-valued tableaux")
     table = crystal_table(tableau.n, tableau.shape)
-    return table.derived(_right_keys)[table.position(tableau)]
+    keys, index = table.derived(_right_keys)
+    return keys[index[table.position(tableau)]]
 
 
-def _max_right_keys(table: CrystalTable) -> tuple[SetValuedTableau, ...]:
-    """Right key of the greatest-entry tableau of each tableau of the table,
-    by position; the greatest entries of a semistandard tableau form one."""
-    keys, positions = table.derived(_right_keys), table._positions
-    return tuple(keys[positions[_entry(table, code, False)]] for code in table.codes)
+def _max_right_keys(table: CrystalTable) -> array:
+    """Right-key index (see _right_keys) of the greatest-entry tableau of each
+    tableau, by position; the greatest entries of a semistandard tableau form one."""
+    index, positions = table.derived(_right_keys)[1], table._positions
+    return array("i", (index[positions[_entry(table, code, False)]] for code in table.codes))
 
 
 def max_right_key(tableau: SetValuedTableau) -> SetValuedTableau:
     """Right key of the greatest-entry tableau."""
     table = crystal_table(tableau.n, tableau.shape)
-    return table.derived(_max_right_keys)[table.position(tableau)]
+    return table.derived(_right_keys)[0][table.derived(_max_right_keys)[table.position(tableau)]]
 
 
 def _stars(table: CrystalTable) -> array:
@@ -170,27 +171,26 @@ def preceq(key1: SetValuedTableau, key2: SetValuedTableau) -> bool:
     )
 
 
-def _key_subsets(keys, a) -> tuple[int, int]:
-    """The positions whose key, in keys listed by position, is <= the key
-    tableau of a, and those whose key is that tableau, as bitsets; each
-    distinct key is compared once."""
-    target = key_of_composition(a)
-    verdicts = {key: ("01"[preceq(key, target)], "01"[key == target]) for key in set(keys)}
-    ideal = _from_flags("".join(verdicts[key][0] for key in keys))
-    atom = _from_flags("".join(verdicts[key][1] for key in keys))
-    return ideal, atom
+def _key_subsets(table: CrystalTable, index: array, a) -> tuple[int, int]:
+    """The positions whose key, a right-key index by position (see _right_keys),
+    is <= the key tableau of a, and those whose key is that tableau, as
+    bitsets; each representative's key is compared once."""
+    keys, target = table.derived(_right_keys)[0], key_of_composition(a)
+    ideal = "".join("01"[preceq(key, target)] for key in keys)
+    atom = "".join("01"[key == target] for key in keys)
+    return tuple(_from_flags("".join(map(flags.__getitem__, index))) for flags in (ideal, atom))
 
 
-def _key_maps(table: CrystalTable) -> dict[str, tuple[SetValuedTableau, ...]]:
-    """The key of each tableau of the table, by position, under calK
-    (max_right_key) and, for ° = lusztig_star (K-naive) and on a rectangle
-    k_lusztig_star (K-rect), the right key of min(T°)°, whose outer star
-    acts on a single-valued tableau: there both involutions are evacuation."""
-    right, stars = table.derived(_right_keys), table.derived(_stars)
+def _key_maps(table: CrystalTable) -> dict[str, array]:
+    """The right-key index (see _right_keys) of each tableau, by position, under
+    calK (max_right_key) and, for ° = lusztig_star (K-naive) and on a rectangle
+    k_lusztig_star (K-rect), the right key of min(T°)°, whose outer star acts
+    on a single-valued tableau: there both involutions are evacuation."""
+    right, stars = table.derived(_right_keys)[1], table.derived(_stars)
     least = [table._positions[_entry(table, code, True)] for code in table.codes]
-    maps = {"calK": table.derived(_max_right_keys), "K-naive": tuple(right[stars[least[k]]] for k in stars)}
+    maps = {"calK": table.derived(_max_right_keys), "K-naive": array("i", (right[stars[least[k]]] for k in stars))}
     if len(set(table.shape)) <= 1:
-        maps["K-rect"] = tuple(right[stars[least[k]]] for k in table.derived(_rotations))
+        maps["K-rect"] = array("i", (right[stars[least[k]]] for k in table.derived(_rotations)))
     return maps
 
 
@@ -203,10 +203,10 @@ def key_partition_report(shape, n: int) -> list[dict]:
     lam = _pad(shape, n)
     table = crystal_table(n, shape)
     rows = []
-    for key_map, keys in table.derived(_key_maps).items():
+    for key_map, index in table.derived(_key_maps).items():
         for w in coset_reps(lam, n):
             a = act(w, lam)
-            ideal, atom = _key_subsets(keys, a)
+            ideal, atom = _key_subsets(table, index, a)
             for mode, subset, expected in (
                 ("ideal", ideal, lascoux(a, n)),
                 ("atom", atom, lascoux_atom(a, n)),

@@ -193,6 +193,12 @@ def test_bad_inputs_exit_with_errors(capsys):
         ["k-crystal-axioms", "--max-side", "0"],
         ["conjecture-scan", "--shape", "2,2,2,2", "--n", "3"],
         ["conjecture-scan", "--shape", "2,1", "--n", "0"],
+        # bounds that leave only a suite's fixed golden case
+        ["character", "--max-n", "-1"],
+        ["character", "--max-cells", "0"],
+        ["demazure-flag", "--max-n", "1"],
+        ["kohnert-bijection", "--max-side", "0"],
+        ["skyline-bijection", "--max-n", "1"],
     ):
         assert main(["verify", *argv]) == 2, argv
         captured = capsys.readouterr()

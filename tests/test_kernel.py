@@ -38,9 +38,11 @@ from kcrystals.keys import (
     _entry,
     _key_maps,
     _max_right_keys,
+    _right_keys,
     _rotate,
     _rotations,
     k_lusztig_star,
+    key_of_composition,
     lusztig_star,
     max_right_key,
     right_key,
@@ -372,9 +374,14 @@ def test_max_right_keys_match_the_reference(n, shape):
     for code, t in zip(table.codes, tableaux):
         assert _same_object(table.decode(_entry(table, code, False)), reference_max_tableau(t)), t
         assert _same_object(table.decode(_entry(table, code, True)), reference_min_tableau(t)), t
-    keys = table.derived(_max_right_keys)
-    assert list(keys) == [reference_right_key(reference_max_tableau(t)) for t in tableaux]
-    assert tuple(max_right_key(t) for t in tableaux) == keys
+    # a key is the index of its coset representative, -1 on each tableau with excess
+    keys, index = table.derived(_right_keys)
+    assert keys == [key_of_composition(act(v, _pad(shape, n))) for v in coset_reps(_pad(shape, n), n)]
+    assert [i < 0 for i in index] == [stat >= table._units[-1] for stat in table.stats]
+    maxima = table.derived(_max_right_keys)
+    assert set(maxima) <= set(range(len(keys)))
+    assert [keys[i] for i in maxima] == [reference_right_key(reference_max_tableau(t)) for t in tableaux]
+    assert [max_right_key(t) for t in tableaux] == [keys[i] for i in maxima]
 
 
 @pytest.mark.parametrize(
@@ -393,16 +400,20 @@ def test_key_maps_match_the_composed_references(n, shape):
     """calK is the right key of the greatest-entry tableau, and each other
     key map the right key of min(T°)° for its involution °, the rotation
     only on a rectangle."""
-    tableaux = _decoded(crystal_table(n, shape))
+    table = crystal_table(n, shape)
+    tableaux, keys = _decoded(table), table.derived(_right_keys)[0]
     involutions = {"K-naive": reference_lusztig_star}
     if len(set(shape)) == 1:
         involutions["K-rect"] = reference_k_lusztig_star
-    maps = crystal_table(n, shape).derived(_key_maps)
+    maps = table.derived(_key_maps)
     assert list(maps) == ["calK", *involutions]
-    assert list(maps["calK"]) == [reference_right_key(reference_max_tableau(t)) for t in tableaux]
+    # each map holds, by position, the index of a coset representative's key
+    reps = range(len(coset_reps(_pad(shape, n), n)))
+    assert all(set(index) <= set(reps) for index in maps.values())
+    assert [keys[i] for i in maps["calK"]] == [reference_right_key(reference_max_tableau(t)) for t in tableaux]
     for name, star in involutions.items():
         expected = [reference_right_key(reference_lusztig_star(reference_min_tableau(star(t)))) for t in tableaux]
-        assert list(maps[name]) == expected, name
+        assert [keys[i] for i in maps[name]] == expected, name
 
 
 RECTANGLES = [

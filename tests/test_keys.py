@@ -6,6 +6,7 @@ from kcrystals.crystal import atom_subset, demazure_subset, crystal_e, crystal_f
 from kcrystals.keys import (
     _entry,
     _key_maps,
+    _right_keys,
     is_key_tableau,
     k_lusztig_star,
     key_of_composition,
@@ -18,6 +19,12 @@ from kcrystals.keys import (
 from kcrystals.tableaux import SetValuedTableau, enumerate_svt, superstandard
 
 T = lambda text, n=3: SetValuedTableau.from_text(text, n)
+
+
+def test_key_of_composition_rejects_bad_parts():
+    for a in ((2, -1), (-1,), (True, 2), (1.5,)):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            key_of_composition(a)
 
 
 def test_key_of_composition_examples():
@@ -96,7 +103,8 @@ def _k_rect_keys(n, shape):
     """The K-rect key map of key_partition_report (the right key of
     min(T°)° for the rotation °), by tableau."""
     table = crystal_table(n, shape)
-    return dict(zip(map(table.decode, table.codes), table.derived(_key_maps)["K-rect"]))
+    keys = table.derived(_right_keys)[0]
+    return {table.decode(code): keys[i] for code, i in zip(table.codes, table.derived(_key_maps)["K-rect"])}
 
 
 def test_k_rect_key_examples():
