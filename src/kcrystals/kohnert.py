@@ -33,8 +33,12 @@ phi, its inverse and the tableau Kohnert move are kernels between keys
 and the codes of ``crystal_table``: the graph looks each
 ``_phi_code`` up in the table, membership being the semistandardness
 test, ``_phi_inverse_key`` packs a code's preimage, and ``_svt_moves``
-gives every move of a code in one pass; ``phi``, ``phi_inverse`` and
-``svt_kohnert_move`` run them through pack or encode and decode.
+gives every move of a code.  These two work a tableau column at a time
+through ``_Columns``, the one memo per table of what they read of a
+column: its diagram row, keyed by the column's code, and its moves, keyed
+also by which of its boxes' least entries the columns to its left hold.
+``phi``, ``phi_inverse`` and ``svt_kohnert_move`` run the kernels through
+pack or encode and decode.
 ``tests/oracles.py`` holds the diagram-level references.
 """
 
@@ -232,14 +236,18 @@ class KohnertGraph:
     def closure(self, a: tuple[int, ...]) -> array:
         """The positions reachable from the skyline of a, in canonical order
         (KKohnertDiagram.sort_key, read off each key by _flip once, when it
-        gets a position), found on the first read for a."""
+        gets a position), found on the first read for a; a bytearray by
+        position marks the diagrams found."""
         if a not in self._closures:
             order = [self.position(pack(initial_diagram(a), self.height, self.n))]
-            seen = set(order)
+            seen = bytearray(len(self.keys))
+            seen[order[0]] = 1
             for p in order:
-                for q in self._explored(p)[2::3]:
-                    if q not in seen:
-                        seen.add(q)
+                images = self._explored(p)[2::3]
+                seen.extend(bytes(len(self.keys) - len(seen)))  # the positions the moves added
+                for q in images:
+                    if not seen[q]:
+                        seen[q] = 1
                         order.append(q)
             order.sort(key=self._sort_keys.__getitem__)
             self._closures[a] = array("i", order)
@@ -335,21 +343,12 @@ def _phi_inverse_key(codes: CrystalTable, code: int) -> int:
     """The key, packed in s rows and n columns, of the diagram whose phi is
     the code of codes' r x s rectangle at n: the least entry x of each box
     of tableau column c is an unmarked box (x, s-c), its other entries
-    marked boxes in that row."""
-    r, s, width, full = codes._height, len(codes._column), codes._width, codes._full
-    boxes = marked = 0
+    marked boxes in that row (`_Columns`' row 1, shifted up to row s-c)."""
+    columns, s, step = codes.derived(_Columns), len(codes._column), codes._step
+    key, mask = 0, (1 << step) - 1
     for c in range(s):
-        y = s - c - 1  # the row, from 0
-        for slot in range(c * r, c * r + r):
-            entries = code >> slot * width & full
-            least = entries & -entries
-            boxes |= 1 << ((least.bit_length() - 2) * s + y)  # entry x is column x - 1, from 0
-            rest = entries ^ least
-            while rest:
-                v = rest & -rest
-                marked |= 1 << ((v.bit_length() - 2) * s + y)
-                rest ^= v
-    return boxes | marked | marked << codes.n * s
+        key |= columns[code >> c * step & mask][2] << s - c - 1
+    return key
 
 
 def phi(diagram: KKohnertDiagram, r: int, s: int, n: int) -> SetValuedTableau:
@@ -371,35 +370,75 @@ def phi_inverse(tableau: SetValuedTableau) -> KKohnertDiagram:
     return unpack(_phi_inverse_key(codes, codes._encode(tableau)), s, tableau.n)
 
 
-def _svt_moves(codes: CrystalTable, code: int) -> dict[tuple[int, bool], int]:
-    """svt_kohnert_move at every x, both variants, on a code: (x, is_k) ->
-    image code, for the defined moves.  The least entry x of a box that no
-    column to its left holds moves when the boxes above it hold exactly
-    x-1, x-2, ... down to a value x' > 0 that the column misses: x and that
-    run each drop by one, x kept for the K-variant."""
-    width, height, full = codes._width, codes._height, codes._full
-    moves: dict[tuple[int, bool], int] = {}
-    seen = 0  # the values of the columns to the left
-    for base in (c * height for c in range(len(codes._column))):  # the slot of each column's top box
-        slots = [code >> (base + m) * width & full for m in range(height)]
-        column = reduce(or_, slots)  # the values of the column
+class _Columns(dict):
+    """What the Kohnert kernels read of each tableau column of one table, by
+    its code (slots at bit 0), found on first read and held by the table
+    (`CrystalTable.derived`): its values, its boxes' least entries, its
+    diagram row for `_phi_inverse_key` (in row 1) and its moves (`moves`)
+    by which of those least entries the columns to its left hold."""
+
+    def __init__(self, codes: CrystalTable):
+        super().__init__()
+        self.width, self.full, self.height = codes._width, codes._full, codes._height
+        self.n, self.s = codes.n, len(codes._column)
+
+    def _slots(self, column: int) -> list[int]:
+        return [column >> m * self.width & self.full for m in range(self.height)]
+
+    def __missing__(self, column: int) -> tuple[int, int, int, dict]:
+        slots, s, boxes, marked = self._slots(column), self.s, 0, 0
+        for entries in filter(None, slots):
+            least = entries & -entries
+            boxes |= 1 << (least.bit_length() - 2) * s  # entry x is diagram column x - 1, from 0
+            for v in _bits(entries ^ least):
+                marked |= 1 << (v - 1) * s
+        leasts = reduce(or_, [slot & -slot for slot in slots], 0)
+        self[column] = known = (reduce(or_, slots, 0), leasts, boxes | marked | marked << self.n * s, {})
+        return known
+
+    def moves(self, column: int, seen: int) -> tuple[tuple[int, int, int], ...]:
+        """The moves of a column whose boxes' least entries in `seen` lie in a
+        column to its left, as (x, Kohnert difference, K difference): added to
+        the column, each makes its image.  The least entry x of a box that no
+        column to its left holds moves when the boxes above it hold exactly
+        x-1, x-2, ... down to a value x' > 0 that the column misses: x and that
+        run each drop by one, x kept for the K-variant."""
+        slots, values, width, moves = self._slots(column), self[column][0], self.width, []
         for m, slot in enumerate(slots):
             least = slot & -slot
             if not slot or least & seen:
                 continue
             x = least.bit_length() - 1
-            moved = least << (base + m) * width
+            moved = least << m * width
             v, up = x - 1, m - 1
-            while column >> v & 1:  # bit 0 is never set: the run stops at v = 0
+            while values >> v & 1:  # bit 0 is never set: the run stops at v = 0
                 if slots[up] != 1 << v:
                     break
-                moved |= 1 << ((base + up) * width + v)
+                moved |= 1 << (up * width + v)
                 v, up = v - 1, up - 1
             else:
                 if v:
-                    moves[x, False] = code - moved + (moved >> 1)
-                    moves[x, True] = moves[x, False] + (least << (base + m) * width)
-        seen |= column
+                    moves.append((x, (moved >> 1) - moved, (moved >> 1) - moved + (least << m * width)))
+        return tuple(moves)
+
+
+def _svt_moves(codes: CrystalTable, code: int) -> dict[tuple[int, bool], int]:
+    """svt_kohnert_move at every x, both variants, on a code: (x, is_k) ->
+    image code, for the defined moves, a column at a time (`_Columns.moves`)."""
+    columns, step = codes.derived(_Columns), codes._step
+    moves: dict[tuple[int, bool], int] = {}
+    seen, mask = 0, (1 << step) - 1  # seen: the values of the columns to the left
+    for shift in [c * step for c in range(len(codes._column))]:
+        column = code >> shift & mask
+        values, leasts, _, by_seen = columns[column]
+        held = seen & leasts
+        found = by_seen.get(held)
+        if found is None:
+            found = by_seen[held] = columns.moves(column, held)
+        for x, moved, kept in found:
+            moves[x, False] = code + (moved << shift)
+            moves[x, True] = code + (kept << shift)
+        seen |= values
     return moves
 
 
@@ -413,7 +452,9 @@ def svt_kohnert_move(
     run of values x'+1..x-1 slides down one box, and x' lands in the box
     that held x'+1.  Returns None when x is not the minimum of its box,
     when x' would be 0, or when a value in the run shares its box;
-    ValueError unless the tableau is semistandard."""
+    ValueError unless x is an int in 1..n and the tableau is semistandard."""
+    if type(x) is not int or not 0 < x <= tableau.n:
+        raise ValueError(f"column {x!r} is outside 1..{tableau.n}")
     codes = _codes_of(tableau)
     image = _svt_moves(codes, codes._encode(tableau)).get((x, bool(k_variant)))
     return None if image is None else codes.decode(image)

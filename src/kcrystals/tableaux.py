@@ -206,7 +206,11 @@ class _Codes:
 
 
 def _svt_codes(codes: _Codes) -> list[int]:
-    """The codes of the semistandard tableaux of codes' shape at codes.n, in text order."""
+    """The codes of the semistandard tableaux of codes' shape at codes.n, in
+    text order.  A box with b boxes below it in its column holds entries at
+    most n - b, which leaves the boxes below room to strictly increase, so
+    every partial filling within these caps completes and no branch dead-ends;
+    the last cell's codes are emitted in one extend."""
     # Tableaux that agree before a cell compare as its text plus separator (" "
     # in a row, "/" after a row but the last, "" at the end): filling the cells
     # in that order emits text order.  last[j] is cell j's greatest entry, 0 at -1.
@@ -214,19 +218,22 @@ def _svt_codes(codes: _Codes) -> list[int]:
     for m, shifts in enumerate(codes._shifts):
         for c, shift in enumerate(shifts):
             sep = " " if c + 1 < len(shifts) else "/" if m + 1 < len(shape) else ""
-            cells.append((shift, sep, len(cells) - 1 if c else -1, len(cells) - shape[m - 1] if m else -1))
-    last, candidates, out = [0] * (len(cells) + 1), {}, []
+            cap = codes.n - sum(1 for part in shape[m + 1 :] if part > c)
+            cells.append((shift, sep, cap, len(cells) - 1 if c else -1, len(cells) - shape[m - 1] if m else -1))
+    if not cells:
+        return [0]
+    last, candidates, out, final = [0] * (len(cells) + 1), {}, [], len(cells) - 1
 
     def fill(idx: int, code: int) -> None:
-        if idx == len(cells):
-            out.append(code)
-            return
-        shift, sep, left, above = cells[idx]
+        shift, sep, cap, left, above = cells[idx]
         lo = max(last[left], last[above] + 1)
-        if (lo, sep) not in candidates:  # (bitmask, greatest entry) of each nonempty subset of lo..n
-            subsets = [(s << lo, s.bit_length() + lo - 1) for s in range(1, 1 << max(codes.n + 1 - lo, 0))]
-            candidates[lo, sep] = sorted(subsets, key=lambda cell: ",".join(map(str, _bits(cell[0]))) + sep)
-        for mask, top in candidates[lo, sep]:
+        if (lo, cap, sep) not in candidates:  # (bitmask, greatest entry) of each nonempty subset of lo..cap
+            subsets = [(s << lo, s.bit_length() + lo - 1) for s in range(1, 1 << max(cap + 1 - lo, 0))]
+            candidates[lo, cap, sep] = sorted(subsets, key=lambda cell: ",".join(map(str, _bits(cell[0]))) + sep)
+        if idx == final:
+            out.extend([code | mask << shift for mask, _ in candidates[lo, cap, sep]])
+            return
+        for mask, top in candidates[lo, cap, sep]:
             last[idx] = top
             fill(idx + 1, code | mask << shift)
 

@@ -359,8 +359,14 @@ def _check_kohnert(n, shape, w):
 
 
 def _intertwine_witness(graph, p: int, images, table) -> str | None:
-    """_check_kohnert_intertwine's verdict on the diagram at p, by positions."""
-    moved = _svt_moves(table, table.codes[images[p]])
+    """_check_kohnert_intertwine's verdict on the diagram at p, by positions:
+    None at once where each diagram move's image has the position of the
+    tableau move of its (x, is_k) and there are no other tableau moves."""
+    moved, found, positions = _svt_moves(table, table.codes[images[p]]), graph._explored(p), table._positions
+    if len(found) == 3 * len(moved) and all(
+        positions.get(moved.get((found[j], found[j + 1] == 1))) == images[found[j + 2]] for j in range(0, len(found), 3)
+    ):
+        return None
     diagram_moves = {(x, is_k): images[q] for x, is_k, q in graph.moves(p)}
     stat, units = graph.weight(p), graph._units
     for x in (x for x in range(1, graph.n + 1) if stat % units[x] >= units[x - 1]):  # column x holds a box

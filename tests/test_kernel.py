@@ -1,6 +1,7 @@
 """
 Differential tests against the reference implementations in oracles.py:
-the enumerator against a filter of every filling; the crystal kernel, the
+the enumerator against a filter of every filling, and where its column
+caps prune against the count of the full character; the crystal kernel, the
 maps of the crystal table (filled one op at a time and by one pass over any
 ops, with a fault in one op's kernel reaching that op alone) and the
 structures read from it over every
@@ -8,13 +9,15 @@ tableau of every shape with at most 4 cells at n <= 4 and every rectangle
 up to 2x2 at n = 5; the pruned skyline
 enumeration, the tabulated Demazure subsets and the closure and psi
 tables over the compositions and coset representatives of those shapes;
-the tableau Kohnert move, phi, psi and the cross-column skyline rules;
+the tableau Kohnert move, phi, psi and the cross-column skyline rules,
+with the column kernels of the move and of the phi inverse from cold,
+warm and reordered memos;
 the table's per-position statistics, max-right keys and rotations, and the
 entry and rotation kernels they are built with.
 """
 
 from array import array
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations, product, zip_longest
 
 import pytest
 from hypothesis import given
@@ -60,7 +63,7 @@ from kcrystals.kohnert import (
     unpack,
 )
 from kcrystals.permutations import act, coset_reps, flag_vector, reduced_words, stabilizer_min_rep
-from kcrystals.polynomials import _unpack
+from kcrystals.polynomials import _unpack, lascoux
 from kcrystals.skyline import (
     SkylineTable,
     SkylineTableau,
@@ -71,7 +74,7 @@ from kcrystals.skyline import (
     skyline_table,
     validate_skyline,
 )
-from kcrystals.tableaux import SetValuedTableau, _bits, _Codes, enumerate_svt
+from kcrystals.tableaux import SetValuedTableau, _bits, _Codes, _svt_codes, enumerate_svt
 from oracles import (
     reference_compatible,
     reference_crystal_e,
@@ -260,6 +263,28 @@ def test_enumeration_matches_a_filter_of_every_filling(n, shape):
     expected = reference_enumerate_svt(n, shape)
     assert list(enumerate_svt(n, shape)) == expected
     assert list(_decoded(crystal_table(n, shape))) == expected
+
+
+# shapes whose columns cap their boxes' entries (n less the boxes below),
+# at every n from where they fit to where each cap prunes, and shapes
+# taller than n, which have no tableaux
+PRUNED_CASES = [(n, shape) for n in range(3, 7) for shape in ((1, 1, 1), (2, 2, 2), (3, 3, 3), (2, 2, 1, 1))]
+PRUNED_CASES = [(n, shape) for n, shape in PRUNED_CASES if len(shape) <= n]
+TALLER_THAN_N = [(2, (1, 1, 1)), (2, (3, 3, 3)), (3, (2, 2, 1, 1)), (4, (1,) * 5), (0, (1,))]
+
+
+@pytest.mark.parametrize("n,shape", PRUNED_CASES + TALLER_THAN_N, ids=str)
+def test_the_pruned_enumeration_is_complete(n, shape):
+    """The enumerator emits as many codes as the tableaux that the full
+    character, the Lascoux polynomial of the reversed shape, counts, in
+    strictly increasing text order, each a semistandard tableau."""
+    codes = _Codes(n, shape)
+    found = _svt_codes(codes)
+    expected = sum(lascoux(tuple(reversed(_pad(shape, n))), n).terms.values()) if len(shape) <= n else 0
+    assert len(found) == expected
+    texts = [codes.decode(code).to_text() for code in found]
+    assert all(a < b for a, b in zip(texts, texts[1:]))
+    assert all(reference_is_semistandard(codes.decode(code)) for code in found)
 
 
 @pytest.mark.parametrize("n,shape", CASES + [(11, (2,))], ids=str)
@@ -503,6 +528,51 @@ def test_closure_and_psi_tables_match_the_kernel(n, shape):
                 image = moves.get((x, k_variant))
                 assert (image is None) == (expected is None), (t, x, k_variant)
                 assert image is None or table.decode(image).rows == expected.rows, (t, x, k_variant)
+
+
+def _reference_column_kernels(table):
+    """By code of table: the image code of each defined tableau Kohnert move,
+    by (x, is_k), and on a rectangle the key of the phi inverse, as the
+    references make them."""
+    expected, s = {}, len(table._column)
+    for t, code in zip(_decoded(table), table.codes):
+        moves = {}
+        for x, k_variant in product(range(1, table.n + 1), (False, True)):
+            image = reference_svt_kohnert_move(t, x, k_variant)
+            if image is not None:
+                moves[x, k_variant] = table._encode(image)
+        rectangle = len(set(table.shape)) == 1
+        expected[code] = moves, pack(reference_phi_inverse(t), s, table.n) if rectangle else None
+    return expected
+
+
+# two pairs of tables whose column codes, read without their table's width
+# and height, would mean other columns; (3, 2, 1) has columns with empty slots
+COLUMN_TABLES = [((4, (2, 2)), (5, (3, 3, 3))), ((4, (3, 2, 1)), (3, (1, 1)))]
+
+
+@pytest.mark.parametrize("specs", COLUMN_TABLES, ids=str)
+def test_the_column_kernels_match_the_references_in_any_memo_state(specs):
+    """_svt_moves and _phi_inverse_key on every code of two tables, read
+    alternately: from cold memos in table order, again from the warm ones,
+    and from cold memos in reverse order.  A column's moves memo is keyed by
+    which of its least entries the columns to its left hold, so a column
+    code met first beside other left columns must not reuse their moves."""
+    crystal_table.cache_clear()
+    expected = [_reference_column_kernels(crystal_table(n, shape)) for n, shape in specs]
+    for order in ("cold", "warm", "reversed"):
+        if order != "warm":
+            crystal_table.cache_clear()
+        tables = [crystal_table(n, shape) for n, shape in specs]
+        runs = [table.codes[::-1] if order == "reversed" else table.codes for table in tables]
+        for codes in zip_longest(*runs):
+            for table, code, known in zip(tables, codes, expected):
+                if code is None:
+                    continue
+                moves, key = known[code]
+                assert _svt_moves(table, code) == moves, (order, table.shape, table.decode(code))
+                if key is not None:
+                    assert _phi_inverse_key(table, code) == key, (order, table.shape, table.decode(code))
 
 
 @pytest.mark.parametrize("parts", range(1, 6))

@@ -221,6 +221,12 @@ def test_svt_move_null_cases():
     assert svt_kohnert_move(T(""), 1) is None
 
 
+@pytest.mark.parametrize("x", [0, 4, -1, 2.0, True, "2", None])
+def test_svt_move_rejects_a_column_that_is_not_an_int_in_1_to_n(x):
+    with pytest.raises(ValueError, match="outside 1..3"):
+        svt_kohnert_move(T("1 1/2 3"), x)
+
+
 def test_svt_move_chain_across_a_wide_rectangle():
     cur = T("2 2 2/4 4 4", 4)
     steps = [
