@@ -9,9 +9,10 @@ geometry, all that the single-tableau operators, phi, psi and ``k_lusztig_star``
 read; filled on first read are the codes of the shape's tableaux at positions
 0..N-1 (text order) from ``tableaux._svt_codes``, each operator or raise map of
 a letter as an array of positions, each position's weight and excess as a stat,
-the int of ``polynomials._units``, the K-Demazure subset of each reduced word and
-the flagged subsets as bitsets (an int whose bit k is position k) and what other
-modules build from it (``derived``).  It holds no tableaux: callers decode one
+the int of ``polynomials._units``, the K-Demazure subset of each reduced word and,
+by the index of each permutation's minimal coset representative, its K-Demazure,
+atom and flagged subsets, as bitsets (an int whose bit k is position k), and what
+other modules build from it (``derived``).  It holds no tableaux: callers decode one
 where they need it.
 
 The one implementation of e_i, f_i, e^K_i and f^K_i is a kernel on codes,
@@ -42,9 +43,9 @@ from operator import add
 
 from .permutations import (
     Perm,
-    _pad,
+    _bruhat_ideal,
     _permutation,
-    bruhat_ideal,
+    _reduced_word,
     coset_reps,
     evaluate_word,
     flag_vector,
@@ -223,6 +224,9 @@ class CrystalTable(_Codes):
         self._pairs: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._maps: dict[tuple[str, int], array] = {}
         self._demazure: dict[tuple[int, ...], int] = {}
+        self._ideals: dict[int, int] = {}  # by coset representative index, as _indices
+        self._atoms: dict[int, int] = {}
+        self._flagged: dict[int, int] = {}
         self._derived: dict = {}
 
     def _pair(self, key: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -365,20 +369,48 @@ class CrystalTable(_Codes):
                 self._demazure[word] = 1 << self.position(superstandard(self.shape, self.n))
         return self._demazure[word]
 
+    @cached_property
+    def _reps(self) -> tuple[Perm, ...]:
+        """coset_reps(λ, n) of the shape λ padded to n."""
+        return coset_reps(self.shape, self.n)
+
+    @cached_property
+    def _indices(self) -> dict[Perm, int]:
+        """The index in _reps of the minimal coset representative of each w
+        read so far, each representative its own."""
+        return {rep: m for m, rep in enumerate(self._reps)}
+
+    def _index(self, w) -> int:
+        """The index in _reps of w's minimal coset representative, found by
+        stabilizer_min_rep once per w that is not one; ValueError, with nothing
+        kept, unless w is a permutation of 1..n."""
+        w = _permutation(w, self.n)
+        m = self._indices.get(w)
+        if m is None:
+            m = self._indices[w] = self._indices[stabilizer_min_rep(w, self.shape)]
+        return m
+
     def demazure(self, w: Perm) -> int:
-        """The subset of the canonical reduced word of w's minimal coset representative."""
-        return self.demazure_word(reduced_word(stabilizer_min_rep(w, self.shape)))
+        """The K-Demazure subset of w: that of the canonical reduced word of w's
+        minimal coset representative, kept by the representative's index, so
+        reduced_word runs once per representative; ValueError unless w is a
+        permutation of 1..n."""
+        m = self._index(w)
+        if m not in self._ideals:
+            self._ideals[m] = self.demazure_word(_reduced_word(self._reps[m]))
+        return self._ideals[m]
 
     def atom(self, w: Perm) -> int:
-        """The K-Demazure subset of w less those of all smaller coset representatives."""
-        lam = _pad(self.shape, self.n)
-        rep = stabilizer_min_rep(w, lam)
-        bits = self.demazure(rep)
-        reps = set(coset_reps(lam, self.n))
-        for v in bruhat_ideal(rep):
-            if v != rep and v in reps:
-                bits &= ~self.demazure(v)
-        return bits
+        """The K-Demazure subset of w less those of all smaller coset
+        representatives, kept by the index of w's; ValueError as for demazure."""
+        m = self._index(w)
+        if m not in self._atoms:
+            rep, bits = self._reps[m], self.demazure(self._reps[m])
+            for v in _bruhat_ideal(rep).intersection(self._reps):
+                if v != rep:
+                    bits &= ~self.demazure(v)
+            self._atoms[m] = bits
+        return self._atoms[m]
 
     @cached_property
     def _row_bounds(self) -> list[list[int]]:
@@ -394,12 +426,17 @@ class CrystalTable(_Codes):
 
     def flagged(self, w: Perm) -> int:
         """The tableaux of a rectangle whose row m's greatest entry is at most
-        the m-th bound of the flag of w."""
-        flag = flag_vector(w, *_rectangle_dims(self.shape))
-        bits = (1 << len(self.codes)) - 1
-        for within, b in zip(self._row_bounds, flag):
-            bits &= within[b]
-        return bits
+        the m-th bound of the flag of w, which is that of its minimal coset
+        representative, kept by the representative's index; ValueError unless
+        the shape is a rectangle, then as for demazure."""
+        dims = _rectangle_dims(self.shape)
+        m = self._index(w)
+        if m not in self._flagged:
+            bits = (1 << len(self.codes)) - 1
+            for within, b in zip(self._row_bounds, flag_vector(self._reps[m], *dims)):
+                bits &= within[b]
+            self._flagged[m] = bits
+        return self._flagged[m]
 
     def derived(self, build):
         """build(self), run on first read and kept with the table."""

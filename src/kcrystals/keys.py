@@ -18,7 +18,7 @@ from __future__ import annotations
 from array import array
 
 from .crystal import CrystalTable, _flags, _from_flags, _rectangle_dims, crystal_table
-from .permutations import _pad, act, bruhat_leq, coset_reps
+from .permutations import _bruhat_leq, _pad, act, coset_reps
 from .polynomials import lascoux, lascoux_atom
 from .tableaux import SetValuedTableau, _Codes, _heights, _partition
 
@@ -80,7 +80,7 @@ def _right_keys(table: CrystalTable) -> tuple[list[SetValuedTableau], array]:
         if stat >= excess:
             continue
         members = [m for m, subset in enumerate(subsets) if subset[k] == "1"]
-        if not all(bruhat_leq(reps[members[0]], reps[m]) for m in members):
+        if not all(_bruhat_leq(reps[members[0]], reps[m]) for m in members):
             raise AssertionError(f"no Bruhat-least Demazure crystal holds {table.tableau(k).to_text()}")
         index[k] = members[0]
     return [key_of_composition(act(v, lam)) for v in reps], index

@@ -452,9 +452,12 @@ def svt_kohnert_move(
     run of values x'+1..x-1 slides down one box, and x' lands in the box
     that held x'+1.  Returns None when x is not the minimum of its box,
     when x' would be 0, or when a value in the run shares its box;
-    ValueError unless x is an int in 1..n and the tableau is semistandard."""
+    ValueError unless x is an int in 1..n, k_variant a bool and the tableau
+    semistandard."""
     if type(x) is not int or not 0 < x <= tableau.n:
         raise ValueError(f"column {x!r} is outside 1..{tableau.n}")
+    if type(k_variant) is not bool:
+        raise ValueError(f"k_variant must be a bool, got {k_variant!r}")
     codes = _codes_of(tableau)
-    image = _svt_moves(codes, codes._encode(tableau)).get((x, bool(k_variant)))
+    image = _svt_moves(codes, codes._encode(tableau)).get((x, k_variant))
     return None if image is None else codes.decode(image)

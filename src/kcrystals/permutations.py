@@ -28,10 +28,12 @@ Perm = tuple[int, ...]
 REDUCED_WORDS_MAX_N = 7
 
 
-def _permutation(w, n: int) -> Perm:
-    """w as a tuple; ValueError unless it is a permutation of 1..n, as ints."""
+def _permutation(w, n: int | None = None) -> Perm:
+    """w as a tuple; ValueError unless it is a permutation of 1..n (by default
+    n is its length), as ints."""
     w = tuple(w)
-    if len(w) != n or set(w) != set(range(1, n + 1)) or any(type(v) is not int for v in w):
+    n = len(w) if n is None else n
+    if len(w) != n or set(w) != set(range(1, n + 1)) or not {int}.issuperset(map(type, w)):
         raise ValueError(f"w={w!r} is not a permutation of 1..{n}")
     return w
 
@@ -80,11 +82,16 @@ def act(w: Perm, vec) -> tuple[int, ...]:
 
 
 def length(w: Perm) -> int:
-    """Coxeter length = number of inversions.
+    """Coxeter length = number of inversions; ValueError unless w is a permutation.
 
     >>> length((1, 2, 3)), length((3, 2, 1))
     (0, 3)
     """
+    return _length(_permutation(w))
+
+
+def _length(w: Perm) -> int:
+    """length of a permutation, unchecked."""
     n = len(w)
     return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
 
@@ -94,8 +101,13 @@ def right_descents(w: Perm) -> list[int]:
 
 
 def reduced_word(w: Perm) -> tuple[int, ...]:
-    """One canonical reduced word for w (smallest-descent-first unwind)."""
-    u = tuple(w)
+    """One canonical reduced word for w (smallest-descent-first unwind);
+    ValueError unless w is a permutation."""
+    return _reduced_word(_permutation(w))
+
+
+def _reduced_word(u: Perm) -> tuple[int, ...]:
+    """reduced_word of a permutation, unchecked."""
     rev = []
     while True:
         ds = right_descents(u)
@@ -107,33 +119,51 @@ def reduced_word(w: Perm) -> tuple[int, ...]:
     return tuple(reversed(rev))
 
 
-@lru_cache(maxsize=None)
 def reduced_words(w: Perm) -> frozenset[tuple[int, ...]]:
-    """All reduced words of w.  Guarded to small ranks; the count grows fast."""
+    """All reduced words of w.  Guarded to small ranks, the count grows fast:
+    ValueError unless w is a permutation of 1..n with n <= REDUCED_WORDS_MAX_N."""
+    w = _permutation(w)
     if len(w) > REDUCED_WORDS_MAX_N:
         raise ValueError(f"reduced_words limited to n <= {REDUCED_WORDS_MAX_N}")
+    return _reduced_words(w)
+
+
+@lru_cache(maxsize=None)
+def _reduced_words(w: Perm) -> frozenset[tuple[int, ...]]:
     if not right_descents(w):
         return frozenset({()})
     words = set()
     for i in right_descents(w):
-        for prefix in reduced_words(right_mult_s(w, i)):
+        for prefix in _reduced_words(right_mult_s(w, i)):
             words.add(prefix + (i,))
     return frozenset(words)
 
 
 def bruhat_leq(v: Perm, w: Perm) -> bool:
     """Strong Bruhat order by the tableau criterion: v <= w iff, for every
-    k, the first k values of v, sorted, are entrywise at most those of w."""
+    k, the first k values of v, sorted, are entrywise at most those of w;
+    ValueError unless v and w are permutations of one rank."""
+    v, w = _permutation(v), _permutation(w)
     if len(v) != len(w):
         raise ValueError("rank mismatch")
+    return _bruhat_leq(v, w)
+
+
+def _bruhat_leq(v: Perm, w: Perm) -> bool:
+    """bruhat_leq of two permutations of one rank, unchecked."""
     return all(a <= b for k in range(1, len(v)) for a, b in zip(sorted(v[:k]), sorted(w[:k])))
 
 
-@lru_cache(maxsize=None)
 def bruhat_ideal(w: Perm) -> frozenset[Perm]:
-    """{v : v <= w}, as the subword closure of one reduced word of w."""
+    """{v : v <= w}, as the subword closure of one reduced word of w;
+    ValueError unless w is a permutation."""
+    return _bruhat_ideal(_permutation(w))
+
+
+@lru_cache(maxsize=None)
+def _bruhat_ideal(w: Perm) -> frozenset[Perm]:
     reachable = {identity(len(w))}
-    for i in reduced_word(w):
+    for i in _reduced_word(w):
         reachable |= {right_mult_s(u, i) for u in reachable}
     return frozenset(reachable)
 
@@ -184,11 +214,16 @@ def stabilizer_min_rep(w: Perm, lam) -> Perm:
     return sorting_permutation(act(w, _dominant(lam, len(w))))[1]
 
 
-@lru_cache(maxsize=None)
 def coset_reps(lam: tuple[int, ...], n: int) -> tuple[Perm, ...]:
-    """The minimal-length coset representatives for Stab(λ), by (length, word)."""
-    reps = (sorting_permutation(a)[1] for a in set(_all_perms(_dominant(lam, n))))
-    return tuple(sorted(reps, key=lambda u: (length(u), u)))
+    """The minimal-length coset representatives for Stab(λ), λ padded with
+    zeros to length n, by (length, word); ValueError as for _dominant."""
+    return _coset_reps(_dominant(lam, n))
+
+
+@lru_cache(maxsize=None)
+def _coset_reps(lam: tuple[int, ...]) -> tuple[Perm, ...]:
+    reps = (sorting_permutation(a)[1] for a in set(_all_perms(lam)))
+    return tuple(sorted(reps, key=lambda u: (_length(u), u)))
 
 
 def flag_vector(w: Perm, r: int, s: int) -> tuple[int, ...]:
@@ -199,7 +234,9 @@ def flag_vector(w: Perm, r: int, s: int) -> tuple[int, ...]:
 
 
 def avoids_pattern(w: Perm, pattern) -> bool:
-    """True iff no subsequence of w is order-isomorphic to ``pattern``."""
+    """True iff no subsequence of w is order-isomorphic to ``pattern``;
+    ValueError unless both are permutations."""
+    w, pattern = _permutation(w), _permutation(pattern)
     k = len(pattern)
     rel = tuple(sorted(range(k), key=lambda t: pattern[t]))
     for positions in combinations(range(len(w)), k):
@@ -210,11 +247,12 @@ def avoids_pattern(w: Perm, pattern) -> bool:
 
 
 def lehmer_code(w: Perm) -> tuple[int, ...]:
-    """code_i = #{j > i : w(j) < w(i)}.
+    """code_i = #{j > i : w(j) < w(i)}; ValueError unless w is a permutation.
 
     >>> lehmer_code((2, 3, 1))
     (1, 1, 0)
     """
+    w = _permutation(w)
     n = len(w)
     return tuple(
         sum(1 for j in range(i + 1, n) if w[j] < w[i]) for i in range(n)

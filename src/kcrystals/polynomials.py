@@ -15,13 +15,13 @@ import re
 
 from .permutations import (
     Perm,
+    _length,
     _pad,
     _permutation,
+    _reduced_word,
     _variable_count,
     compose,
-    length,
     longest_element,
-    reduced_word,
     sorting_permutation,
 )
 
@@ -336,7 +336,7 @@ def apply_word(p: BetaPolynomial, word, op: str) -> BetaPolynomial:
 
 def _sorted_parts(a, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     lam, w = sorting_permutation(_pad(a, n))
-    return lam, reduced_word(w)
+    return lam, _reduced_word(w)
 
 def lascoux(a, n: int) -> BetaPolynomial:
     """Lascoux polynomial: the Demazure-Lascoux chain sorted onto x^λ."""
@@ -361,7 +361,7 @@ def grothendieck(w: Perm, n: int) -> BetaPolynomial:
     monomial with the deformed divided differences.
     """
     chain = compose(longest_element(n), _permutation(w, n))
-    word = reduced_word(chain)
-    if len(word) != length(chain):
+    word = _reduced_word(chain)
+    if len(word) != _length(chain):
         raise AssertionError(f"reduced_word returned {word!r} for {chain!r}")
     return apply_word(staircase_monomial(n), word, "isobaric")

@@ -13,9 +13,12 @@ the tableau Kohnert move, phi, psi and the cross-column skyline rules,
 with the column kernels of the move and of the phi inverse from cold,
 warm and reordered memos;
 the table's per-position statistics, max-right keys and rotations, and the
-entry and rotation kernels they are built with.
+entry and rotation kernels they are built with; the Demazure, atom and flag
+subsets of every w against their derivation from w, from cold, warm and
+shuffled memos, and the one-pass i-K-string test against the per-string one.
 """
 
+import random
 from array import array
 from itertools import combinations, permutations, product, zip_longest
 
@@ -26,13 +29,14 @@ from hypothesis import strategies as st
 from kcrystals.crystal import (
     _KERNEL,
     CrystalTable,
-    _pad,
+    atom_subset,
     beta_character,
     crystal_e,
     crystal_f,
     crystal_table,
     decompose,
     demazure_subset,
+    ik_strings,
     kcrystal_e,
     kcrystal_f,
     signature,
@@ -62,7 +66,16 @@ from kcrystals.kohnert import (
     svt_kohnert_move,
     unpack,
 )
-from kcrystals.permutations import act, coset_reps, flag_vector, reduced_words, stabilizer_min_rep
+from kcrystals.permutations import (
+    _pad,
+    act,
+    bruhat_ideal,
+    coset_reps,
+    flag_vector,
+    reduced_word,
+    reduced_words,
+    stabilizer_min_rep,
+)
 from kcrystals.polynomials import _unpack, lascoux
 from kcrystals.skyline import (
     SkylineTable,
@@ -75,6 +88,7 @@ from kcrystals.skyline import (
     validate_skyline,
 )
 from kcrystals.tableaux import SetValuedTableau, _bits, _Codes, _svt_codes, enumerate_svt
+from kcrystals.verify import _string_test
 from oracles import (
     reference_compatible,
     reference_crystal_e,
@@ -494,6 +508,98 @@ def test_demazure_subset_matches_per_tableau_raise_chains(n, shape):
         for w, word in order:
             expected = reference_demazure_subset(w, shape, n, word)
             assert demazure_subset(w, shape, n, word) == expected, (w, word)
+
+
+def _unmemoized(reference: CrystalTable, w) -> tuple[int, int, int]:
+    """The K-Demazure subset, atom and flag bitset of w, derived from w on every
+    read as the table did before it kept them by coset representative."""
+    lam = _pad(reference.shape, reference.n)
+    ideal = lambda v: reference.demazure_word(reduced_word(stabilizer_min_rep(v, lam)))
+    rep, reps = stabilizer_min_rep(w, lam), set(coset_reps(lam, reference.n))
+    atom = ideal(rep)
+    for v in bruhat_ideal(rep):
+        if v != rep and v in reps:
+            atom &= ~ideal(v)
+    flagged = (1 << len(reference.codes)) - 1
+    for within, b in zip(reference._row_bounds, flag_vector(w, len(reference.shape), reference.shape[0])):
+        flagged &= within[b]
+    return ideal(w), atom, flagged
+
+
+@pytest.mark.parametrize("n,shape", [(4, (2, 2)), (5, (3, 3)), (4, (1, 1, 1))], ids=str)
+def test_subsets_of_every_w_match_the_unmemoized_derivation(n, shape):
+    """demazure, atom and flagged of every w in S_n, representative or not,
+    from an empty table in order, again from the filled one in reverse
+    order, and from an empty table in a shuffled order of w and of reads."""
+    reference = CrystalTable(n, shape)  # not the cached table: a memo of its own
+    expected = {w: _unmemoized(reference, w) for w in permutations(range(1, n + 1))}
+    reads = lambda table: (table.demazure, table.atom, table.flagged)
+    crystal_table.cache_clear()
+    for order in (list(expected), list(expected)[::-1]):  # cold, then warm
+        table = crystal_table(n, shape)
+        assert all(tuple(read(w) for read in reads(table)) == expected[w] for w in order)
+    crystal_table.cache_clear()
+    table, rng = crystal_table(n, shape), random.Random(n)
+    shuffled = [(w, k) for w in expected for k in range(3)]
+    rng.shuffle(shuffled)
+    assert all(reads(table)[k](list(w)) == expected[w][k] for w, k in shuffled)
+    reps = coset_reps(_pad(shape, n), n)
+    assert len(table._indices) == len(expected)
+    assert len(table._ideals) == len(table._atoms) == len(table._flagged) == len(reps)
+
+
+@pytest.mark.parametrize(
+    "w",
+    [(1, 1, 3, 4), (0, 1, 2, 3), (2, 1, 3), (1, 2, 3, 4, 5), (True, 2, 3, 4), (1.0, 2, 3, 4), "1234"],
+    ids=["repeated value", "value 0", "rank 3", "rank 5", "a bool", "a float", "a string"],
+)
+def test_a_bad_w_raises_and_leaves_no_memo_entry(w):
+    crystal_table.cache_clear()
+    table = crystal_table(4, (2, 2))
+    for read in (table.demazure, table.atom, table.flagged):
+        read((1, 2, 3, 4))  # 1.0 and True hash as 1: the check comes before the lookup
+        read((2, 1, 4, 3))
+    memos = lambda: (dict(table._indices), dict(table._ideals), dict(table._atoms), dict(table._flagged))
+    before = memos()
+    for read in (table.demazure, table.atom, table.flagged):
+        with pytest.raises(ValueError, match="is not a permutation of 1..4"):
+            read(w)
+    assert memos() == before
+
+
+def test_a_list_w_reads_the_tuple_entries():
+    assert atom_subset([2, 1, 3], (2, 2), 3) == atom_subset((2, 1, 3), (2, 2), 3)
+    table = crystal_table(3, (2, 2))
+    assert table.demazure([2, 1, 3]) == table.demazure((2, 1, 3))
+    assert (2, 1, 3) in table._indices and not any(type(w) is not tuple for w in table._indices)
+
+
+def _per_string(strings, subset: int) -> bool:
+    """The string-by-string test: each string meets subset in nothing, in
+    the whole string or in its top alone."""
+    for top, bottom in strings:
+        elements = sum(1 << k for k in {*top, *bottom})
+        if subset & elements not in (0, elements, 1 << top[0]):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n,shape", TABLE_CASES, ids=str)
+def test_the_one_pass_string_test_agrees_with_the_per_string_test(n, shape):
+    """Every representative's subset, as it is and with each one position
+    flipped, gets the same verdict from both tests at every letter."""
+    table = crystal_table(n, shape)
+    subsets = [table.demazure(w) for w in coset_reps(_pad(shape, n), n)]
+    verdicts = set()
+    for i in range(1, n):
+        strings = ik_strings(n, shape, i)
+        holds = _string_test(strings, len(table.codes))
+        for subset in subsets:
+            for flipped in [subset] + [subset ^ 1 << k for k in range(len(table.codes))]:
+                verdict = _per_string(strings, flipped)
+                assert holds(flipped) == verdict, (i, subset, flipped)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("n,shape", RECTANGLES, ids=str)

@@ -227,6 +227,12 @@ def test_svt_move_rejects_a_column_that_is_not_an_int_in_1_to_n(x):
         svt_kohnert_move(T("1 1/2 3"), x)
 
 
+@pytest.mark.parametrize("k_variant", ["no", 1, 0, 0.0, [], None])
+def test_svt_move_rejects_a_k_variant_that_is_not_a_bool(k_variant):
+    with pytest.raises(ValueError, match="k_variant must be a bool"):
+        svt_kohnert_move(T("2 2 2/4 4 4", 4), 2, k_variant)
+
+
 def test_svt_move_chain_across_a_wide_rectangle():
     cur = T("2 2 2/4 4 4", 4)
     steps = [

@@ -155,6 +155,51 @@ def test_a_w_that_is_not_a_permutation_is_rejected(call, args, n):
         call(*args)
 
 
+@pytest.mark.parametrize(
+    "call,args,w",
+    [
+        (length, ((1, 1, 5),), (1, 1, 5)),
+        (reduced_word, ((3, 3, 1),), (3, 3, 1)),
+        (reduced_words, ((1, 1, 2),), (1, 1, 2)),
+        (bruhat_leq, ((1, 1, 3), (3, 2, 1)), (1, 1, 3)),
+        (bruhat_leq, ((3, 2, 1), (1, 1, 3)), (1, 1, 3)),
+        (bruhat_ideal, ((2, 2, 1),), (2, 2, 1)),
+        (bruhat_ideal, ([0, 1],), (0, 1)),
+        (lehmer_code, ((1, 1, 5),), (1, 1, 5)),
+        (lehmer_code, ((True, 2),), (True, 2)),
+        (avoids_pattern, ((1, 1, 3), (2, 1)), (1, 1, 3)),
+        (avoids_pattern, ((1, 2, 3), (2, 2)), (2, 2)),
+    ],
+    ids=[
+        "length",
+        "reduced_word",
+        "reduced_words",
+        "bruhat_leq v",
+        "bruhat_leq w",
+        "bruhat_ideal",
+        "bruhat_ideal of a list",
+        "lehmer_code",
+        "lehmer_code of a bool",
+        "avoids_pattern w",
+        "avoids_pattern pattern",
+    ],
+)
+def test_a_non_permutation_is_rejected(call, args, w):
+    with pytest.raises(ValueError, match=re.escape(f"w={w!r} is not a permutation of 1..{len(w)}")):
+        call(*args)
+
+
+def test_bruhat_leq_rejects_two_ranks():
+    with pytest.raises(ValueError, match="rank mismatch"):
+        bruhat_leq((1, 2), (1, 2, 3))
+
+
+def test_a_list_reads_as_its_tuple():
+    assert bruhat_ideal([2, 1]) == bruhat_ideal((2, 1)) == {(1, 2), (2, 1)}
+    assert coset_reps([2, 1], 3) == coset_reps((2, 1, 0), 3)
+    assert reduced_words([2, 1]) == reduced_words((2, 1)) == {(1,)}
+
+
 def test_coset_reps_examples():
     assert set(coset_reps((2, 2, 0), 3)) == {(1, 2, 3), (1, 3, 2), (2, 3, 1)}
     assert coset_reps((0, 0, 0), 3) == ((1, 2, 3),)

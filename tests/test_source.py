@@ -47,8 +47,8 @@ def test_the_module_caches_are_the_nine_known_ones():
         kohnert._phi_row,
         skyline.skyline_table,
         tableaux._enumerate_svt,
-        permutations.reduced_words,
-        permutations.bruhat_ideal,
-        permutations.coset_reps,
+        permutations._reduced_words,
+        permutations._bruhat_ideal,
+        permutations._coset_reps,
     ]
     assert found == {id(cache): cache.__qualname__ for cache in expected}

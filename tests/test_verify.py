@@ -5,10 +5,10 @@ from operator import mul
 import pytest
 
 from kcrystals import crystal, keys, kohnert, skyline, verify
-from kcrystals.crystal import _pad, atom_subset, demazure_subset, flagged_set
+from kcrystals.crystal import atom_subset, demazure_subset, flagged_set
 from kcrystals.keys import lusztig_star, max_right_key, right_key
 from kcrystals.kohnert import KKohnertDiagram, initial_diagram
-from kcrystals.permutations import act, bruhat_ideal, bruhat_leq, coset_reps, lehmer_code
+from kcrystals.permutations import _pad, act, bruhat_ideal, bruhat_leq, coset_reps, lehmer_code
 from kcrystals.polynomials import BetaPolynomial, lascoux, lascoux_atom
 from kcrystals.tableaux import SetValuedTableau, _svt_codes, enumerate_svt
 from kcrystals.verify import SUITES, Bounds, iter_cases, run_case, run_suite
