@@ -9,11 +9,9 @@ geometry, all that the single-tableau operators, phi, psi and ``k_lusztig_star``
 read; filled on first read are the codes of the shape's tableaux at positions
 0..N-1 (text order) from ``tableaux._svt_codes``, each operator or raise map of
 a letter as an array of positions, each position's weight and excess as a stat,
-the int of ``polynomials._units``, the K-Demazure subset of each reduced word and,
-by the index of each permutation's minimal coset representative, its K-Demazure,
-atom and flagged subsets, as bitsets (an int whose bit k is position k), and what
-other modules build from it (``derived``).  It holds no tableaux: callers decode one
-where they need it.
+the int of ``polynomials._units``, each coset representative's K-Demazure, atom and
+flagged subsets by its index, as bitsets (bit k is position k), and what other
+modules build from it (``derived``).  It holds no tableaux: callers decode them.
 
 The one implementation of e_i, f_i, e^K_i and f^K_i is a kernel on codes,
 ints that pack a tableau's boxes column by column as entry bitmasks
@@ -38,7 +36,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from operator import add
 
 from .permutations import (
@@ -223,7 +221,6 @@ class CrystalTable(_Codes):
         self._units = _units(n, self._boxes)
         self._pairs: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._maps: dict[tuple[str, int], array] = {}
-        self._demazure: dict[tuple[int, ...], int] = {}
         self._ideals: dict[int, int] = {}  # by coset representative index, as _indices
         self._atoms: dict[int, int] = {}
         self._flagged: dict[int, int] = {}
@@ -358,16 +355,10 @@ class CrystalTable(_Codes):
         """The tableaux at the positions in bits, in table order."""
         return tuple(map(self.tableau, _bits(bits)))
 
-    def demazure_word(self, word: tuple[int, ...]) -> int:
-        """The positions whose raise chain along word, first letter first, ends at
-        the superstandard tableau: word[0]'s raise preimage of word[1:]'s subset."""
-        if word not in self._demazure:
-            if word:
-                rest = _flags(self.demazure_word(word[1:]), len(self.codes))
-                self._demazure[word] = _from_flags("".join([rest[k] for k in self.maps(word[0], "raise")[0]]))
-            else:
-                self._demazure[word] = 1 << self.position(superstandard(self.shape, self.n))
-        return self._demazure[word]
+    def raised(self, bits: int, i: int) -> int:
+        """The positions whose raise chain at letter i ends in bits."""
+        flags = _flags(bits, len(self.codes))
+        return _from_flags("".join([flags[k] for k in self.maps(i, "raise")[0]]))
 
     @cached_property
     def _reps(self) -> tuple[Perm, ...]:
@@ -381,9 +372,8 @@ class CrystalTable(_Codes):
         return {rep: m for m, rep in enumerate(self._reps)}
 
     def _index(self, w) -> int:
-        """The index in _reps of w's minimal coset representative, found by
-        stabilizer_min_rep once per w that is not one; ValueError, with nothing
-        kept, unless w is a permutation of 1..n."""
+        """The index in _reps of w's minimal coset representative, found once per other
+        w by stabilizer_min_rep; ValueError, keeping nothing, unless w permutes 1..n."""
         w = _permutation(w, self.n)
         m = self._indices.get(w)
         if m is None:
@@ -391,13 +381,16 @@ class CrystalTable(_Codes):
         return m
 
     def demazure(self, w: Perm) -> int:
-        """The K-Demazure subset of w: that of the canonical reduced word of w's
-        minimal coset representative, kept by the representative's index, so
-        reduced_word runs once per representative; ValueError unless w is a
-        permutation of 1..n."""
+        """The K-Demazure subset of w, kept by its representative's index: the superstandard
+        tableau alone at the identity, else the raise preimage, at the canonical word's first
+        letter, of the subset of the word's rest; ValueError unless w permutes 1..n."""
         m = self._index(w)
         if m not in self._ideals:
-            self._ideals[m] = self.demazure_word(_reduced_word(self._reps[m]))
+            word = _reduced_word(self._reps[m])
+            if not word:
+                self._ideals[m] = 1 << self.position(superstandard(self.shape, self.n))
+            else:
+                self._ideals[m] = self.raised(self.demazure(evaluate_word(word[1:], self.n)), word[0])
         return self._ideals[m]
 
     def atom(self, w: Perm) -> int:
@@ -425,10 +418,9 @@ class CrystalTable(_Codes):
         return bounds
 
     def flagged(self, w: Perm) -> int:
-        """The tableaux of a rectangle whose row m's greatest entry is at most
-        the m-th bound of the flag of w, which is that of its minimal coset
-        representative, kept by the representative's index; ValueError unless
-        the shape is a rectangle, then as for demazure."""
+        """The positions whose row m's greatest entry is at most the m-th bound of
+        flag_vector(w), kept by the index of w's representative, which has w's flag;
+        ValueError unless the shape is a rectangle, then as for demazure."""
         dims = _rectangle_dims(self.shape)
         m = self._index(w)
         if m not in self._flagged:
@@ -465,17 +457,16 @@ def _subset_table(w: Perm, shape: tuple[int, ...], n: int) -> CrystalTable:
 
 
 def demazure_subset(w: Perm, shape: tuple[int, ...], n: int, word=None) -> tuple[SetValuedTableau, ...]:
-    """The K-Demazure subset for w: tableaux whose alternating maximal raise
-    chain along word ends at the minimal highest weight element; ValueError
-    unless word (by default the canonical one) is a reduced word of w's
-    minimal coset representative."""
+    """The K-Demazure subset for w: tableaux whose alternating maximal raise chain
+    along word ends at the minimal highest weight element; ValueError unless word
+    (by default the canonical one) is a reduced word of w's minimal coset representative."""
     table = _subset_table(w, shape, n)
     rep = stabilizer_min_rep(w, table.shape)
     word = reduced_word(rep) if word is None else tuple(word)
-    letters = all(isinstance(i, int) and 0 < i < n for i in word)
+    letters = all(type(i) is int and 0 < i < n for i in word)
     if not letters or len(word) != length(rep) or evaluate_word(word, n) != rep:
         raise ValueError(f"{word!r} is not a reduced word of {rep!r}, w's minimal coset representative")
-    return table.members(table.demazure_word(word))
+    return table.members(reduce(table.raised, reversed(word), 1 << table.position(superstandard(table.shape, n))))
 
 
 def flagged_set(w: Perm, shape: tuple[int, ...], n: int) -> tuple[SetValuedTableau, ...]:

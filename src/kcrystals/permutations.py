@@ -227,9 +227,11 @@ def _coset_reps(lam: tuple[int, ...]) -> tuple[Perm, ...]:
 
 
 def flag_vector(w: Perm, r: int, s: int) -> tuple[int, ...]:
-    """Row entry bounds (b_1, ..., b_r) for the flagged tableaux indexed by
-    w over the r x s rectangle: b_m is the m-th value of the minimal coset
-    representative of w."""
+    """Row entry bounds (b_1, ..., b_r) of the flagged tableaux of w on the r x s
+    rectangle, b_m the m-th value of w's minimal coset representative; ValueError
+    unless r and s are ints >= 0, then as for stabilizer_min_rep."""
+    if bad := [f"{name}={side!r}" for name, side in (("r", r), ("s", s)) if type(side) is not int or side < 0]:
+        raise ValueError(f"rectangle side {bad[0]} is not an int >= 0")
     return stabilizer_min_rep(w, (s,) * r)[:r]
 
 

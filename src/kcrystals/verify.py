@@ -278,6 +278,17 @@ def _doubly_highest(table) -> list[int]:
     return [k for k in range(len(table.codes)) if all(up[k] < 0 for up in ups)]
 
 
+def _words_agree(table) -> bool:
+    """Whether all reduced words of each coset representative v give one subset:
+    at each left descent i of v, the raise preimage at i of s_i v's subset is v's."""
+    return all(
+        table.raised(table.demazure(compose(evaluate_word((i,), table.n), v)), i) == table.demazure(v)
+        for v in coset_reps(_pad(table.shape, table.n), table.n)
+        for i in range(1, table.n)
+        if v.index(i + 1) < v.index(i)
+    )
+
+
 def _check_k_demazure(n, shape, w):
     lam = _pad(shape, n)
     table = crystal_table(n, shape)
@@ -285,11 +296,12 @@ def _check_k_demazure(n, shape, w):
     if doubly_highest != [top]:
         texts = [table.tableau(k).to_text() for k in doubly_highest]
         return f"minimal highest weight element is not unique: {texts}"
-    words = sorted(reduced_words(stabilizer_min_rep(w, lam)))
-    baseline = table.demazure_word(words[0])
-    for word in words[1:]:
-        if table.demazure_word(word) != baseline:
-            return f"subset depends on the reduced word {word}"
+    baseline = table.demazure(w)
+    if not table.derived(_words_agree):  # a failure: w's reduced words, compared in order, find its witness
+        words = sorted(reduced_words(stabilizer_min_rep(w, lam)))
+        subsets = [demazure_subset(w, shape, n, word) for word in words]
+        if differ := [word for word, subset in zip(words, subsets) if subset != subsets[0]]:
+            return f"subset depends on the reduced word {differ[0]}"
     if not baseline >> top & 1:
         return "minimal highest weight element missing from the subset"
     character = table.character(baseline)

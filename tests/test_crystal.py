@@ -201,6 +201,14 @@ def test_demazure_subset_rejects_a_word_of_another_element(w, word):
         demazure_subset(w, (2, 2), 3, word)
 
 
+def test_demazure_subset_rejects_a_bool_letter():
+    """(True,) evaluates to s_1, the representative of (2, 1, 3) for the shape
+    (2,), but True is not a letter."""
+    assert demazure_subset((2, 1, 3), (2,), 3, (1,))
+    with pytest.raises(ValueError, match="is not a reduced word of"):
+        demazure_subset((2, 1, 3), (2,), 3, (True,))
+
+
 def test_flagged_set_examples():
     u = superstandard((2, 2), 3)
     assert flagged_set((1, 2, 3), (2, 2), 3) == (u,)

@@ -15,11 +15,14 @@ warm and reordered memos;
 the table's per-position statistics, max-right keys and rotations, and the
 entry and rotation kernels they are built with; the Demazure, atom and flag
 subsets of every w against their derivation from w, from cold, warm and
-shuffled memos, and the one-pass i-K-string test against the per-string one.
+shuffled memos, each representative's K-Demazure subset against the raise loop
+along its canonical word (canonical words being suffix-closed), and the
+one-pass i-K-string test against the per-string one.
 """
 
 import random
 from array import array
+from functools import reduce
 from itertools import combinations, permutations, product, zip_longest
 
 import pytest
@@ -71,6 +74,7 @@ from kcrystals.permutations import (
     act,
     bruhat_ideal,
     coset_reps,
+    evaluate_word,
     flag_vector,
     reduced_word,
     reduced_words,
@@ -87,7 +91,7 @@ from kcrystals.skyline import (
     skyline_table,
     validate_skyline,
 )
-from kcrystals.tableaux import SetValuedTableau, _bits, _Codes, _svt_codes, enumerate_svt
+from kcrystals.tableaux import SetValuedTableau, _bits, _Codes, _svt_codes, enumerate_svt, superstandard
 from kcrystals.verify import _string_test
 from oracles import (
     reference_compatible,
@@ -502,7 +506,7 @@ def test_demazure_subset_matches_per_tableau_raise_chains(n, shape):
         (w, word) for w in coset_reps(lam, n) for word in sorted(reduced_words(stabilizer_min_rep(w, lam)))
     ]
     # in order, then in reverse order from an empty table, so that a word's
-    # subset is right whichever of its suffixes were memoised before it
+    # subset is right whichever raise maps the table filled before it
     for order in (queries, queries[::-1]):
         crystal_table.cache_clear()
         for w, word in order:
@@ -510,11 +514,17 @@ def test_demazure_subset_matches_per_tableau_raise_chains(n, shape):
             assert demazure_subset(w, shape, n, word) == expected, (w, word)
 
 
+def _along(table: CrystalTable, word) -> int:
+    """The K-Demazure subset of a reduced word, by the plain raise loop: from
+    the superstandard tableau, the raise preimage of each letter, last first."""
+    return reduce(table.raised, reversed(word), 1 << table.position(superstandard(table.shape, table.n)))
+
+
 def _unmemoized(reference: CrystalTable, w) -> tuple[int, int, int]:
     """The K-Demazure subset, atom and flag bitset of w, derived from w on every
-    read as the table did before it kept them by coset representative."""
+    read, each subset by the raise loop along its representative's word."""
     lam = _pad(reference.shape, reference.n)
-    ideal = lambda v: reference.demazure_word(reduced_word(stabilizer_min_rep(v, lam)))
+    ideal = lambda v: _along(reference, reduced_word(stabilizer_min_rep(v, lam)))
     rep, reps = stabilizer_min_rep(w, lam), set(coset_reps(lam, reference.n))
     atom = ideal(rep)
     for v in bruhat_ideal(rep):
@@ -546,6 +556,29 @@ def test_subsets_of_every_w_match_the_unmemoized_derivation(n, shape):
     reps = coset_reps(_pad(shape, n), n)
     assert len(table._indices) == len(expected)
     assert len(table._ideals) == len(table._atoms) == len(table._flagged) == len(reps)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_canonical_words_are_suffix_closed(n):
+    """The canonical word of s_i w, i the first letter of w's, is the rest of
+    w's: the K-Demazure subsets by representative rest on this."""
+    for w in permutations(range(1, n + 1)):
+        if word := reduced_word(w):
+            assert reduced_word(evaluate_word(word[1:], n)) == word[1:], w
+
+
+@pytest.mark.parametrize("fault", [None, "e acts at letter 1 only"])
+@pytest.mark.parametrize("n,shape", TABLE_CASES, ids=str)
+def test_demazure_is_the_raise_loop_along_the_canonical_word(monkeypatch, n, shape, fault):
+    """table.demazure of each coset representative, built from the subset of
+    its word's rest, is the plain raise loop along reduced_word(rep), with the
+    real kernels and with e acting at letter 1 only."""
+    e = _KERNEL["e"]
+    if fault:
+        monkeypatch.setitem(_KERNEL, "e", lambda table, i, key: e(table, i, key) if i == 1 else None)
+    table = CrystalTable(n, shape)  # not the cached table: the fault stays in this one
+    for rep in coset_reps(_pad(shape, n), n):
+        assert table.demazure(rep) == _along(table, reduced_word(rep)), rep
 
 
 @pytest.mark.parametrize(

@@ -244,6 +244,16 @@ def test_flag_vector_examples():
     assert flag_vector((2, 3, 1), 2, 2) == (2, 3)
 
 
+@pytest.mark.parametrize(
+    "r,s,named",
+    [(1, True, "s=True"), (True, 2, "r=True"), (-1, 2, "r=-1"), (1, -2, "s=-2"), (1.0, 2, "r=1.0")],
+    ids=["a bool s", "a bool r", "a negative r", "a negative s", "a float r"],
+)
+def test_flag_vector_rejects_a_side_that_is_not_an_int_at_least_0(r, s, named):
+    with pytest.raises(ValueError, match=f"rectangle side {re.escape(named)} is not an int >= 0"):
+        flag_vector((2, 1, 3), r, s)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_flag_vector_is_increasing_and_matches_min_rep(n):
     for r in range(1, min(3, n) + 1):

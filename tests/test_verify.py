@@ -305,6 +305,49 @@ def test_components_witness_under_a_kernel_fault(table_fault):
     )
 
 
+def _raise_at_letter_2_swapped(maps):
+    """CrystalTable.maps with the last two images of the raise map at letter 2
+    swapped, once, when it is filled: a subset that depends on the word."""
+
+    def swapped(table, i, *ops):
+        fresh = ("raise", i) not in table._maps
+        images = maps(table, i, *ops)
+        if i == 2 and fresh and "raise" in ops:
+            raised = table._maps["raise", 2]
+            raised[-2], raised[-1] = raised[-1], raised[-2]
+        return images
+
+    return swapped
+
+
+def test_a_word_dependent_subset_is_a_named_witness(table_fault):
+    """Every k-crystal-axioms case at --max-n 5 --max-side 2 from empty
+    tables, with the raise maps at letter 2 faulted, must name the reduced
+    word that disagrees; the count, first witness and SHA-256 of every
+    failing (case, witness) pair were read off the checks while the table
+    memoised the subset of every suffix of every reduced word."""
+    table_fault.setattr(crystal.CrystalTable, "maps", _raise_at_letter_2_swapped(crystal.CrystalTable.maps))
+    cases = iter_cases("k-crystal-axioms", Bounds(max_n=5, max_side=2))
+    results = [run_case("k-crystal-axioms", case) for case in cases]
+    failures = [(r.case, r.witness) for r in results if r.status == "fail"]
+    assert (len(failures), failures[0][1]) == (7, "string at 1/3 meets the subset of w=[1, 3, 2] in ['2/3']")
+    assert [w for _, w in failures if "reduced word" in w] == [
+        "subset depends on the reduced word (4, 2, 1, 3, 2)",
+        "subset depends on the reduced word (3, 4, 2, 1, 3, 2)",
+    ]
+    dump = json.dumps(failures, sort_keys=True)
+    assert hashlib.sha256(dump.encode()).hexdigest() == (
+        "fa10c90d2813807f4f6ae1dca70065280bec7fed7879ec45356660b2de6d1c81"
+    )
+
+
+def test_k_demazure_runs_at_rank_8():
+    """Past the rank that reduced_words is guarded to, word independence is
+    tested by left descents alone, so a rank-8 case passes."""
+    case = {"check": "k-demazure", "n": 8, "shape": [1, 1], "w": [7, 8, 1, 2, 3, 4, 5, 6]}
+    assert run_case("k-crystal-axioms", case).status == "pass"
+
+
 # -- faults that leave the crystal ------------------------------------------------
 # The table holds exactly the semistandard tableaux, so an operator image that
 # is not in it is not semistandard, and CrystalTable._fill fails the case with
