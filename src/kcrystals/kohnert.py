@@ -81,10 +81,7 @@ class KKohnertDiagram:
         return (tuple(sorted(self.boxes)), tuple(sorted(self.marked)))
 
     def to_json_dict(self) -> dict:
-        return {
-            "boxes": [list(b) for b in sorted(self.boxes)],
-            "marked": [list(b) for b in sorted(self.marked)],
-        }
+        return {key: [list(b) for b in sorted(getattr(self, key))] for key in ("boxes", "marked")}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "KKohnertDiagram":

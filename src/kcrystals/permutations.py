@@ -109,13 +109,9 @@ def reduced_word(w: Perm) -> tuple[int, ...]:
 def _reduced_word(u: Perm) -> tuple[int, ...]:
     """reduced_word of a permutation, unchecked."""
     rev = []
-    while True:
-        ds = right_descents(u)
-        if not ds:
-            break
-        i = ds[0]
-        u = right_mult_s(u, i)
-        rev.append(i)
+    while descents := right_descents(u):
+        u = right_mult_s(u, descents[0])
+        rev.append(descents[0])
     return tuple(reversed(rev))
 
 
@@ -255,7 +251,4 @@ def lehmer_code(w: Perm) -> tuple[int, ...]:
     (1, 1, 0)
     """
     w = _permutation(w)
-    n = len(w)
-    return tuple(
-        sum(1 for j in range(i + 1, n) if w[j] < w[i]) for i in range(n)
-    )
+    return tuple(sum(1 for v in w[i + 1 :] if v < w[i]) for i in range(len(w)))

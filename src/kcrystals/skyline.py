@@ -13,8 +13,8 @@ fillings, sorted, each with its cells as (anchor bit, free-entry mask) pairs
 (``_levels``) and its weight and excess as a stat, the int of
 ``polynomials._units``, and, filled on first read, each composition's
 skylines as tuples of filling indices, their stats (the sums of their
-fillings') and the position of each one's psi image in the crystal table of
-the rectangle.  A skyline is valid when its table finds its filling indices
+fillings'), their character and the position of each one's psi image in the
+crystal table of the rectangle.  A skyline is valid when its table finds its filling indices
 (``indices``): the fillings hold the rules within a column and ``row`` those
 across columns.  ``_psi_code`` packs psi as a code from the fillings' masks,
 and membership in the crystal table is its semistandardness test.  A
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations
@@ -34,7 +35,7 @@ from operator import or_
 from .crystal import CrystalTable, _rectangle_dims, _semistandard, _subset_table
 from .crystal import atom_subset, crystal_table
 from .permutations import Perm, _pad, _variable_count, act
-from .polynomials import _units
+from .polynomials import BetaPolynomial, _stat_polynomial, _units
 from .tableaux import SetValuedTableau, _bits, _heights
 
 Cell = tuple[int, ...]
@@ -161,7 +162,7 @@ class SkylineTable:
     (column, height)'s fillings, sorted, with each filling's `levels` and
     packed stat; and, filled on first read, row(p, q, i), the bitset of the
     fillings of q compatible with filling i of p, a column left of q, and
-    each composition's skylines, their packed stats and psi images."""
+    each composition's skylines, their packed stats, character and psi images."""
 
     def __init__(self, parts: tuple[int, ...], n: int):
         self.n, self._units = _variable_count(n), _units(n, sum(_heights(parts)))  # no value fills more cells
@@ -171,7 +172,7 @@ class SkylineTable:
         self._stats = {column: list(map(self._pack, fillings)) for column, fillings in self.fillings.items()}
         self._index = {column: _by_value(self.fillings[column], column[1], n) for column in columns}
         self._rows: dict[tuple, int] = {}  # (p, q, i) -> row(p, q, i)
-        self._skylines, self._stats_of, self._images = {}, {}, {}  # by composition
+        self._skylines, self._stats_of, self._characters, self._images = {}, {}, {}, {}  # by composition
 
     def _pack(self, cells) -> int:
         """The stat (polynomials._units) of a filling: its entries by value and its entries beyond one per cell."""
@@ -254,6 +255,12 @@ class SkylineTable:
             stats = [self._stats[column] for column in _columns(a)]
             self._stats_of[a] = [sum([of[i] for of, i in zip(stats, indices)]) for indices in self.skylines(a)]
         return self._stats_of[a]
+
+    def character(self, a: tuple[int, ...]) -> BetaPolynomial:
+        """Sum of b^excess x^weight over the skylines of a, filled on first read."""
+        if a not in self._characters:
+            self._characters[a] = _stat_polynomial(self._units, Counter(self.stats(a)))
+        return self._characters[a]
 
     def skyline(self, a: tuple[int, ...], indices: tuple[int, ...]) -> SkylineTableau:
         """The skyline of shape a with these filling indices."""

@@ -33,7 +33,8 @@ from .keys import (
     _stars,
     key_partition_report,
 )
-from .kohnert import KKohnertDiagram, _phi_inverse_key, _svt_moves, closure, closure_table, phi, phi_inverse
+from .kohnert import KKohnertDiagram, _phi_inverse_key, _svt_moves, closure, closure_table, kohnert_graph
+from .kohnert import phi, phi_inverse
 from .permutations import (
     _bruhat_ideal,
     _pad,
@@ -58,7 +59,6 @@ from .polynomials import (
     lascoux,
     lascoux_atom,
     _stat_polynomial,
-    _units,
     _unpack,
     parse_polynomial,
 )
@@ -118,17 +118,15 @@ def _partitions(max_cells: int, max_len: int):
     return sorted(out)
 
 
-def _rect_cases(bounds: Bounds, with_w: bool):
+def _rectangles(bounds: Bounds):
+    """Each rectangle of the bounds at each n from 2 to max_n, as a case, with
+    that case once for each coset representative w of the shape at n."""
     sides = range(1, bounds.max_side + 1)
     for n in range(2, bounds.max_n + 1):
         for shape in ((s,) * r for r in sides for s in sides):
-            if len(shape) > n:
-                continue
-            if not with_w:
-                yield {"n": n, "shape": list(shape)}
-                continue
-            for w in coset_reps(_pad(shape, n), n):
-                yield {"n": n, "shape": list(shape), "w": list(w)}
+            if len(shape) <= n:
+                case = {"n": n, "shape": list(shape)}
+                yield case, [{**case, "w": list(w)} for w in coset_reps(_pad(shape, n), n)]
 
 
 # -- individual checks -------------------------------------------------------
@@ -348,16 +346,6 @@ def _diagram_character(a, n: int) -> BetaPolynomial:
     return _stat_polynomial(graph._units, Counter(map(graph.weight, positions)))
 
 
-def _skyline_character(compositions, n: int) -> BetaPolynomial:
-    """Sum of b^excess x^weight over the skylines of the compositions, of
-    one rearrangement class, counted as packed stats."""
-    counts, boxes = Counter(), 0  # no composition: the zero polynomial in n variables
-    for a in compositions:
-        counts.update(skyline_table(tuple(sorted(a)), n).stats(a))
-        boxes = sum(a)
-    return _stat_polynomial(_units(n, boxes), counts)
-
-
 def _check_character_golden():
     expected = parse_polynomial(golden.text("lascoux_022.txt"), 3)
     actual = lascoux((0, 2, 2), 3)
@@ -458,16 +446,16 @@ def _check_skyline(n, shape, w):
             return f"psi does not preserve the weight of {table.tableau(k).to_text()}"
     if diff := sum(1 << k for k in images) ^ table.atom(w):
         return f"psi image mismatch: {[t.to_text() for t in table.members(diff)]}"
-    if _skyline_character((a,), n) != lascoux_atom(a, n):
+    if record.character(a) != lascoux_atom(a, n):
         return "skyline character differs from the atom polynomial"
     return None
 
 
 def _check_skyline_sum(n, shape, w):
     lam = _pad(shape, n)
-    reps = set(coset_reps(lam, n))
-    compositions = (act(v, lam) for v in bruhat_ideal(w) if v in reps)
-    if _skyline_character(compositions, n) != lascoux(act(w, lam), n):
+    reps, record = set(coset_reps(lam, n)), skyline_table(tuple(sorted(lam)), n)
+    characters = (record.character(act(v, lam)) for v in bruhat_ideal(w) if v in reps)
+    if BetaPolynomial.sum(n, characters) != lascoux(act(w, lam), n):
         return "skyline sum over the Bruhat ideal differs from the polynomial"
     return None
 
@@ -585,9 +573,8 @@ def _check_scan_kohnert(n, shape, w):
 
 
 def _check_scan_skyline(n, shape, w):
-    return _scan(
-        n, shape, w, "skyline-atom", lambda a, n: _skyline_character((a,), n), lascoux_atom
-    )
+    character = lambda a, n: skyline_table(tuple(sorted(a)), n).character(a)
+    return _scan(n, shape, w, "skyline-atom", character, lascoux_atom)
 
 
 def _check_scan_keys(n, shape):
@@ -618,19 +605,20 @@ def _crystal_axioms_cases(bounds: Bounds):
 
 
 def _k_crystal_axioms_cases(bounds: Bounds):
-    for case in _rect_cases(bounds, with_w=False):
+    for case, cases_w in _rectangles(bounds):
         yield _check_k_ops, case
         for i in range(1, case["n"]):
             yield _check_k_strings, {"i": i, **case}
         yield _check_k_monotone, case
-    for case in _rect_cases(bounds, with_w=True):
-        yield _check_k_demazure, case
+        for case_w in cases_w:
+            yield _check_k_demazure, case_w
 
 
 def _demazure_flag_cases(bounds: Bounds):
     yield _check_flag_golden, {}
-    for case in _rect_cases(bounds, with_w=True):
-        yield _check_flag, case
+    for _, cases in _rectangles(bounds):
+        for case in cases:
+            yield _check_flag, case
 
 
 def _character_cases(bounds: Bounds):
@@ -641,22 +629,24 @@ def _character_cases(bounds: Bounds):
 
 def _kohnert_bijection_cases(bounds: Bounds):
     yield _check_kohnert_golden, {}
-    for case in _rect_cases(bounds, with_w=True):
-        yield _check_kohnert, case
-        yield _check_kohnert_intertwine, case
+    for _, cases in _rectangles(bounds):
+        for case in cases:
+            yield _check_kohnert, case
+            yield _check_kohnert_intertwine, case
 
 
 def _skyline_bijection_cases(bounds: Bounds):
     yield _check_skyline_golden, {}
-    for case in _rect_cases(bounds, with_w=True):
-        yield _check_skyline, case
-        yield _check_skyline_sum, case
+    for _, cases in _rectangles(bounds):
+        for case in cases:
+            yield _check_skyline, case
+            yield _check_skyline_sum, case
 
 
 def _keys_rectangle_cases(bounds: Bounds):
-    for case in _rect_cases(bounds, with_w=True):
-        yield _check_key_ideal_atom, case
-    for case in _rect_cases(bounds, with_w=False):
+    for case, cases_w in _rectangles(bounds):
+        for case_w in cases_w:
+            yield _check_key_ideal_atom, case_w
         yield _check_star_axioms, case
 
 
@@ -764,15 +754,26 @@ def iter_cases(suite: str, bounds: Bounds) -> list[dict]:
     return [{"check": _check_name(check), **params} for check, params in _suite(suite).cases(bounds)]
 
 
+_scope: tuple | None = None  # the (n, shape) of the last case run that had a shape
+
+
 def run_case(suite: str, case: dict) -> SuiteResult:
     """Run one case: its check, given the other keys of the case as keyword
     arguments, list values as tuples; a check that raises fails the case.
+    The one owner of the tables' lifetime: a case of another (n, shape) than
+    the last that had a shape first clears the per-class table caches, so a
+    process (the serial loop or a worker) holds one scope's tables at a time.
     Raises ValueError on an unknown suite or a check the suite does not own."""
+    global _scope
     started = time.monotonic()
     entry = _suite(suite)
     check = entry.checks.get(case["check"])
     if check is None:
         raise ValueError(f"suite {suite!r} has no check {case['check']!r}")
+    if "shape" in case and (scope := (case.get("n"), tuple(case["shape"]))) != _scope:
+        for tables in (crystal_table, skyline_table, kohnert_graph):
+            tables.cache_clear()
+        _scope = scope
     params = {k: tuple(v) if isinstance(v, list) else v for k, v in case.items() if k != "check"}
     try:
         witness = check(**params)

@@ -3,7 +3,8 @@ Differential tests against the reference implementations in oracles.py:
 the enumerator against a filter of every filling, and where its column
 caps prune against the count of the full character; the crystal kernel, the
 maps of the crystal table (filled one op at a time and by one pass over any
-ops, with a fault in one op's kernel reaching that op alone) and the
+ops, with a fault in one op's kernel reaching that op alone, and the raise
+walk at most one e_i step per column) and the
 structures read from it over every
 tableau of every shape with at most 4 cells at n <= 4 and every rectangle
 up to 2x2 at n = 5; the pruned skyline
@@ -205,6 +206,21 @@ def test_table_maps_match_the_kernel(n, shape):
         raised = [tableaux[k] for k in table.maps(i, "raise")[0]]
         assert raised == [reference_raise_string_max(t, i) for t in tableaux], i
     assert _decodes(table, tableaux)
+
+
+@pytest.mark.parametrize("n,shape", CASES + RECTANGLES_AT_5, ids=str)
+def test_the_raise_walk_is_linear_in_the_codes(n, shape):
+    """The raise map's walk from each position takes at most one e_i step per
+    column and then at most one e^K_i step: an e_i-string has a member per
+    unpaired sign, a column holds at most one sign, and e^K_i e^K_i = 0."""
+    table = crystal_table(n, shape)
+    for i in range(1, n):
+        e, ek = table.maps(i, "e", "eK")
+        for k in range(len(table.codes)):
+            steps = 0
+            while e[k] >= 0:
+                k, steps = e[k], steps + 1
+            assert steps <= shape[0] and (ek[k] < 0 or ek[ek[k]] < 0), (i, k)
 
 
 OPS = ("e", "f", "eK", "fK")

@@ -13,10 +13,10 @@ from kcrystals.skyline import (
     enumerate_skyline,
     psi,
     psi_inverse,
+    skyline_table,
     validate_skyline,
 )
 from kcrystals.tableaux import SetValuedTableau
-from kcrystals.verify import _skyline_character
 from oracles import reference_validate_skyline
 
 
@@ -116,7 +116,7 @@ def test_psi_lands_in_the_atom_with_matching_weights():
             skylines = enumerate_skyline(a, n)
             images = {psi(s, n) for s in skylines}
             assert images == set(atom_subset(w, shape, n))
-            assert _skyline_character((a,), n) == lascoux_atom(a, n)
+            assert skyline_table(tuple(sorted(a)), n).character(a) == lascoux_atom(a, n)
 
 
 def test_json_round_trip():

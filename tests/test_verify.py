@@ -15,16 +15,19 @@ from kcrystals.verify import SUITES, Bounds, iter_cases, run_case, run_suite
 from oracles import per_tableau
 
 # (case count, SHA-256 of json.dumps(cases, sort_keys=True)) at the default
-# bounds; pins the content and the order of every suite's case list.
+# bounds; pins the content and the order of every suite's case list.  The
+# k-crystal-axioms and keys-rectangle digests were recorded when each
+# rectangle's shape-level and per-w cases became one run; sorted, both lists
+# are the ones they replaced.
 FROZEN_CASES = {
     "operator-algebra": (72, "3798ea27132d5ac3537f98b75fc818f96cb85663456220929805d1d74a981102"),
     "crystal-axioms": (126, "3843c9f8568634a529d8c572bd5380a1bf20172b2a0839d10bd58bfb7a0920dc"),
-    "k-crystal-axioms": (171, "83a464e2a6bf883c619fea6273fc799ea7af6cb5bd712fe5df1ecdf2427796b9"),
+    "k-crystal-axioms": (171, "50771da4a16e6413b1c686dfe44043e3a7716095644b744b5f1d0d897f2ebf05"),
     "demazure-flag": (73, "49051b84e5e8e88ad9d83a7110ee7d844f2950484a90b6a6fde115190b924d66"),
     "character": (64, "0e745f4992eaac43bfdbe43a6eb4e924f267bee7fe9ddf31587e91ff959fcbcd"),
     "kohnert-bijection": (145, "5fc8c493e39e30155b7dc4114af9004563a6fb293c3a1430458a065393642996"),
     "skyline-bijection": (145, "9d75c9079c7606b1cb64e24eedcec636215254d0e3a4e5ddb16856e0c3f77924"),
-    "keys-rectangle": (96, "d1beafb03c13b82fd067ea5f4e3abbc5923dd8c084309025f63506d8e850abcc"),
+    "keys-rectangle": (96, "3a1552ac8d550b74713797132c081c2c759d26a46dee55ca4411e00cfa708aa3"),
     "grothendieck-vexillary": (3, "dfcdfdb48326d979954a4c5e178344bdb7abb056f41b7fe2a9a9d2203f71ce04"),
     "conjecture-scan": (51, "49d35443535e389174158349fd1f59a872c02fccb15daea29e5b34943afcbf28"),
 }
@@ -71,6 +74,54 @@ def test_conjecture_scan_on_a_rectangle_is_frozen():
     assert hashlib.sha256(stream.encode()).hexdigest() == (
         "5884af2c5cc30d97bddb4e26521c67d1be17942deba8b0fbaad6cf912896e6d1"
     )
+
+
+# -- table lifetime ------------------------------------------------------------
+# run_case clears the per-class table caches whenever a case's (n, shape)
+# differs from that of the last case that had one, so each suite yields every
+# (n, shape)'s cases together and holds one scope's tables at a time.
+
+TABLE_CACHES = (crystal.crystal_table, skyline.skyline_table, kohnert.kohnert_graph)
+
+# SHA-256 of each regrouped suite's default case list, each case sorted by
+# json.dumps(case, sort_keys=True), as recorded before the regrouping
+SORTED_CASES = {
+    "k-crystal-axioms": "1700ba1642adda343e2a5705402a4f2cd9b3b5c87d1083962a077ff35e5bd0a0",
+    "keys-rectangle": "4d1c11a7b8d5d1fdfb9ac6a544457f79d9b62c7324c140311eb6e000df64bb63",
+}
+
+
+def _scope_runs(cases) -> list[tuple]:
+    """The (n, shape) of each run of consecutive cases with a shape, skipping those without."""
+    scopes = [(case.get("n"), tuple(case["shape"])) for case in cases if "shape" in case]
+    return [scope for j, scope in enumerate(scopes) if j == 0 or scope != scopes[j - 1]]
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_a_suite_visits_each_scope_in_one_run(suite):
+    runs = _scope_runs(iter_cases(suite, Bounds()))
+    assert len(runs) == len(set(runs))
+    assert runs or suite == "grothendieck-vexillary"
+
+
+@pytest.mark.parametrize("suite", SORTED_CASES)
+def test_a_regrouped_case_list_holds_the_cases_it_replaced(suite):
+    cases = sorted(iter_cases(suite, Bounds()), key=lambda case: json.dumps(case, sort_keys=True))
+    assert hashlib.sha256(json.dumps(cases, sort_keys=True).encode()).hexdigest() == SORTED_CASES[suite]
+
+
+@pytest.mark.parametrize("suite", [name for name, suite in SUITES.items() if suite.reads == verify._RECTANGLE_BOUNDS])
+def test_a_serial_suite_keeps_only_its_last_scopes_tables(suite):
+    bounds = Bounds(max_n=4, max_side=2)
+    assert all(result.status == "pass" for result in run_suite(suite, bounds, jobs=1))
+    n, shape = _scope_runs(iter_cases(suite, bounds))[-1]
+    parts = tuple(sorted(_pad(shape, n)))
+    for cache, args in zip(TABLE_CACHES, ((n, shape), (parts, n), (parts,))):
+        size, hits = cache.cache_info().currsize, cache.cache_info().hits
+        assert size <= 1, cache
+        if size:  # the entry is the last scope's: reading it is a hit
+            cache(*args)
+            assert cache.cache_info().hits == hits + 1, cache
 
 
 def test_run_case_rejects_a_check_of_another_suite():
@@ -521,10 +572,10 @@ def test_clearing_the_tables_rebuilds_every_derived_structure(table_fault):
     assert [name for name, read in readers.items() if read() == before[name]] == []
 
 
-def test_kohnert_bijection_is_the_same_on_two_workers():
-    assert run_suite("kohnert-bijection", Bounds(), jobs=2) == run_suite(
-        "kohnert-bijection", Bounds(), jobs=1
-    )
+@pytest.mark.parametrize("suite", ["kohnert-bijection", "k-crystal-axioms", "keys-rectangle"])
+def test_a_suite_is_the_same_on_two_workers(suite):
+    """Each worker clears the tables when its own cases change (n, shape)."""
+    assert run_suite(suite, Bounds(), jobs=2) == run_suite(suite, Bounds(), jobs=1)
 
 
 # -- fault injection in the Kohnert checks -------------------------------------
