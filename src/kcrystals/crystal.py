@@ -42,8 +42,8 @@ from operator import add
 from .permutations import (
     Perm,
     _bruhat_ideal,
+    _letter,
     _permutation,
-    _reduced_word,
     coset_reps,
     evaluate_word,
     flag_vector,
@@ -122,12 +122,6 @@ def _ek(table: CrystalTable, i: int, key: int):
 _KERNEL = {"e": _e, "f": _f, "eK": _ek, "fK": _fk}
 
 
-def _letter(i, n: int) -> None:
-    """ValueError unless i is a letter of the crystal at n, an int in 1..n-1."""
-    if type(i) is not int or not 0 < i < n:
-        raise ValueError(f"letter {i!r} is outside 1..{n - 1}")
-
-
 def _codes_of(tableau: SetValuedTableau) -> CrystalTable:
     """The table of tableau's shape, read for its geometry alone; ValueError
     unless the tableau is semistandard, the only codes the kernels are defined on."""
@@ -150,13 +144,6 @@ def _act(kernel, tableau: SetValuedTableau, i) -> SetValuedTableau | None:
     act = kernel(codes, i, codes._key(code, i))
     image = None if act is None else act(code)
     return None if image is None else codes.decode(image)
-
-
-def signature(tableau: SetValuedTableau, i: int) -> tuple[list[int], list[int]]:
-    """The unpaired "+" and "-" columns, each left to right; ValueError as for crystal_f."""
-    _letter(i, tableau.n)
-    codes = _codes_of(tableau)
-    return tuple(map(list, codes._pair(codes._key(codes._encode(tableau), i))))
 
 
 def crystal_f(tableau: SetValuedTableau, i: int) -> SetValuedTableau | None:
@@ -386,7 +373,7 @@ class CrystalTable(_Codes):
         letter, of the subset of the word's rest; ValueError unless w permutes 1..n."""
         m = self._index(w)
         if m not in self._ideals:
-            word = _reduced_word(self._reps[m])
+            word = reduced_word(self._reps[m])
             if not word:
                 self._ideals[m] = 1 << self.position(superstandard(self.shape, self.n))
             else:
@@ -516,7 +503,7 @@ def decompose(n: int, shape) -> list[tuple[SetValuedTableau, tuple[SetValuedTabl
     highest weight element, sorted by the highest weight's text form."""
     table = crystal_table(n, _partition(shape))
     components = [(table.tableau(high), tuple(map(table.tableau, ks))) for high, ks in _components(table)]
-    return sorted(components, key=lambda pair: pair[0].sort_key())
+    return sorted(components, key=lambda pair: pair[0].to_text())
 
 
 def ik_strings(n: int, shape, i: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -18,20 +18,9 @@ from __future__ import annotations
 from array import array
 
 from .crystal import CrystalTable, _flags, _from_flags, _rectangle_dims, crystal_table
-from .permutations import _bruhat_leq, _pad, act, coset_reps
+from .permutations import _pad, act, bruhat_leq, coset_reps
 from .polynomials import lascoux, lascoux_atom
 from .tableaux import SetValuedTableau, _Codes, _heights, _partition
-
-
-def is_key_tableau(tableau: SetValuedTableau) -> bool:
-    """Singleton cells with nested column supports."""
-    if tableau.excess() != 0:
-        return False
-    width = tableau.shape[0] if tableau.shape else 0
-    for c in range(1, width):
-        if not tableau.column_entries(c) <= tableau.column_entries(c - 1):
-            return False
-    return True
 
 
 def key_of_composition(a) -> SetValuedTableau:
@@ -80,7 +69,7 @@ def _right_keys(table: CrystalTable) -> tuple[list[SetValuedTableau], array]:
         if stat >= excess:
             continue
         members = [m for m, subset in enumerate(subsets) if subset[k] == "1"]
-        if not all(_bruhat_leq(reps[members[0]], reps[m]) for m in members):
+        if not all(bruhat_leq(reps[members[0]], reps[m]) for m in members):
             raise AssertionError(f"no Bruhat-least Demazure crystal holds {table.tableau(k).to_text()}")
         index[k] = members[0]
     return [key_of_composition(act(v, lam)) for v in reps], index
@@ -101,12 +90,6 @@ def _max_right_keys(table: CrystalTable) -> array:
     tableau, by position; the greatest entries of a semistandard tableau form one."""
     index, positions = table.derived(_right_keys)[1], table._positions
     return array("i", (index[positions[_entry(table, code, False)]] for code in table.codes))
-
-
-def max_right_key(tableau: SetValuedTableau) -> SetValuedTableau:
-    """Right key of the greatest-entry tableau."""
-    table = crystal_table(tableau.n, tableau.shape)
-    return table.derived(_right_keys)[0][table.derived(_max_right_keys)[table.position(tableau)]]
 
 
 def _stars(table: CrystalTable) -> array:
@@ -183,9 +166,9 @@ def _key_subsets(table: CrystalTable, index: array, a) -> tuple[int, int]:
 
 def _key_maps(table: CrystalTable) -> dict[str, array]:
     """The right-key index (see _right_keys) of each tableau, by position, under
-    calK (max_right_key) and, for ° = lusztig_star (K-naive) and on a rectangle
-    k_lusztig_star (K-rect), the right key of min(T°)°, whose outer star acts
-    on a single-valued tableau: there both involutions are evacuation."""
+    calK (see _max_right_keys) and, for ° = lusztig_star (K-naive) and on a
+    rectangle k_lusztig_star (K-rect), the right key of min(T°)°, whose outer
+    star acts on a single-valued tableau: there both involutions are evacuation."""
     right, stars = table.derived(_right_keys)[1], table.derived(_stars)
     least = [table._positions[_entry(table, code, True)] for code in table.codes]
     maps = {"calK": table.derived(_max_right_keys), "K-naive": array("i", (right[stars[least[k]]] for k in stars))}

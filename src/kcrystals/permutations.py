@@ -87,11 +87,7 @@ def length(w: Perm) -> int:
     >>> length((1, 2, 3)), length((3, 2, 1))
     (0, 3)
     """
-    return _length(_permutation(w))
-
-
-def _length(w: Perm) -> int:
-    """length of a permutation, unchecked."""
+    w = _permutation(w)
     n = len(w)
     return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
 
@@ -103,12 +99,7 @@ def right_descents(w: Perm) -> list[int]:
 def reduced_word(w: Perm) -> tuple[int, ...]:
     """One canonical reduced word for w (smallest-descent-first unwind);
     ValueError unless w is a permutation."""
-    return _reduced_word(_permutation(w))
-
-
-def _reduced_word(u: Perm) -> tuple[int, ...]:
-    """reduced_word of a permutation, unchecked."""
-    rev = []
+    u, rev = _permutation(w), []
     while descents := right_descents(u):
         u = right_mult_s(u, descents[0])
         rev.append(descents[0])
@@ -142,11 +133,6 @@ def bruhat_leq(v: Perm, w: Perm) -> bool:
     v, w = _permutation(v), _permutation(w)
     if len(v) != len(w):
         raise ValueError("rank mismatch")
-    return _bruhat_leq(v, w)
-
-
-def _bruhat_leq(v: Perm, w: Perm) -> bool:
-    """bruhat_leq of two permutations of one rank, unchecked."""
     return all(a <= b for k in range(1, len(v)) for a, b in zip(sorted(v[:k]), sorted(w[:k])))
 
 
@@ -159,7 +145,7 @@ def bruhat_ideal(w: Perm) -> frozenset[Perm]:
 @lru_cache(maxsize=None)
 def _bruhat_ideal(w: Perm) -> frozenset[Perm]:
     reachable = {identity(len(w))}
-    for i in _reduced_word(w):
+    for i in reduced_word(w):
         reachable |= {right_mult_s(u, i) for u in reachable}
     return frozenset(reachable)
 
@@ -169,6 +155,13 @@ def _variable_count(n) -> int:
     if type(n) is not int or n < 0:
         raise ValueError(f"variable count must be a non-negative int, got {n!r}")
     return n
+
+
+def _letter(i, n: int) -> int:
+    """i, the one letter test; ValueError unless it is an int in 1..n-1, not a bool."""
+    if type(i) is not int or not 0 < i < n:
+        raise ValueError(f"letter {i!r} is outside 1..{n - 1}")
+    return i
 
 
 def _pad(parts, n: int) -> tuple[int, ...]:
@@ -219,7 +212,7 @@ def coset_reps(lam: tuple[int, ...], n: int) -> tuple[Perm, ...]:
 @lru_cache(maxsize=None)
 def _coset_reps(lam: tuple[int, ...]) -> tuple[Perm, ...]:
     reps = (sorting_permutation(a)[1] for a in set(_all_perms(lam)))
-    return tuple(sorted(reps, key=lambda u: (_length(u), u)))
+    return tuple(sorted(reps, key=lambda u: (length(u), u)))
 
 
 def flag_vector(w: Perm, r: int, s: int) -> tuple[int, ...]:

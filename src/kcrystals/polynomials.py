@@ -15,13 +15,14 @@ import re
 
 from .permutations import (
     Perm,
-    _length,
+    _letter,
     _pad,
     _permutation,
-    _reduced_word,
     _variable_count,
     compose,
+    length,
     longest_element,
+    reduced_word,
     sorting_permutation,
 )
 
@@ -156,15 +157,6 @@ class BetaPolynomial:
 
     # -- views ---------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[TermKey, int]]:
-        """Terms in the canonical order: by (b-exponent, x-exponents)."""
-        return sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-
-    def beta_zero(self) -> "BetaPolynomial":
-        return BetaPolynomial._trusted(
-            self.n, {k: c for k, c in self.terms.items() if k[1] == 0}
-        )
-
     def extend(self, m: int) -> "BetaPolynomial":
         """Embed into Z[b][x_1..x_m] for m >= n."""
         if type(m) is not int or m < self.n:
@@ -181,7 +173,7 @@ class BetaPolynomial:
 
     def swap(self, i: int) -> "BetaPolynomial":
         """Exchange x_i and x_{i+1} in every term."""
-        self._check_index(i)
+        _letter(i, self.n)
         terms: dict[TermKey, int] = {}
         for (xs, be), c in self.terms.items():
             ys = list(xs)
@@ -189,11 +181,6 @@ class BetaPolynomial:
             key = (tuple(ys), be)
             terms[key] = terms.get(key, 0) + c
         return BetaPolynomial._trusted(self.n, terms)
-
-    def _check_index(self, i: int) -> int:
-        if not 1 <= i < self.n:
-            raise ValueError(f"operator index {i} out of range for n={self.n}")
-        return i
 
     def _telescope(self, i: int, lift: int, deform: int, minus: bool = False) -> "BetaPolynomial":
         """partial_i(x_i^lift (1 + b x_{i+1})^deform f), less f if minus.
@@ -217,21 +204,17 @@ class BetaPolynomial:
                     terms[key] = get(key, 0) + sign
         return BetaPolynomial._trusted(self.n, terms)
 
-    def divided_difference(self, i: int) -> "BetaPolynomial":
-        """partial_i f = (f - s_i f) / (x_i - x_{i+1}), monomial-wise."""
-        return self._telescope(self._check_index(i), 0, 0)
-
     def demazure(self, i: int) -> "BetaPolynomial":
         """pi_i f = (x_i f - x_{i+1} s_i f) / (x_i - x_{i+1})."""
-        return self._telescope(self._check_index(i), 1, 0)
+        return self._telescope(_letter(i, self.n), 1, 0)
 
     def demazure_lascoux(self, i: int) -> "BetaPolynomial":
         """varpi_i f = pi_i((1 + b x_{i+1}) f)."""
-        return self._telescope(self._check_index(i), 1, 1)
+        return self._telescope(_letter(i, self.n), 1, 1)
 
     def demazure_lascoux_atom(self, i: int) -> "BetaPolynomial":
         """varpi_i f - f."""
-        return self._telescope(self._check_index(i), 1, 1, minus=True)
+        return self._telescope(_letter(i, self.n), 1, 1, minus=True)
 
     def isobaric_beta(self, i: int) -> "BetaPolynomial":
         """The deformed divided difference partial_i((1 + b x_{i+1}) f).
@@ -240,7 +223,7 @@ class BetaPolynomial:
         chain from the staircase monomial reproduces classical Schubert
         polynomials at b = 0 and is stable under adding variables.
         """
-        return self._telescope(self._check_index(i), 0, 1)
+        return self._telescope(_letter(i, self.n), 0, 1)
 
     # -- text form ------------------------------------------------------
 
@@ -248,7 +231,7 @@ class BetaPolynomial:
         if not self.terms:
             return "0"
         parts = []
-        for (xs, be), c in self.sorted_terms():
+        for (xs, be), c in sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0])):
             factors = []
             if be == 1:
                 factors.append("b")
@@ -336,7 +319,7 @@ def apply_word(p: BetaPolynomial, word, op: str) -> BetaPolynomial:
 
 def _sorted_parts(a, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     lam, w = sorting_permutation(_pad(a, n))
-    return lam, _reduced_word(w)
+    return lam, reduced_word(w)
 
 def lascoux(a, n: int) -> BetaPolynomial:
     """Lascoux polynomial: the Demazure-Lascoux chain sorted onto x^λ."""
@@ -350,10 +333,6 @@ def lascoux_atom(a, n: int) -> BetaPolynomial:
     return apply_word(BetaPolynomial.monomial(n, lam), reversed(word), "varpi_atom")
 
 
-def staircase_monomial(n: int) -> BetaPolynomial:
-    return BetaPolynomial.monomial(n, tuple(range(n - 1, -1, -1)))
-
-
 def grothendieck(w: Perm, n: int) -> BetaPolynomial:
     """Grothendieck polynomial of w in n variables.
 
@@ -361,7 +340,7 @@ def grothendieck(w: Perm, n: int) -> BetaPolynomial:
     monomial with the deformed divided differences.
     """
     chain = compose(longest_element(n), _permutation(w, n))
-    word = _reduced_word(chain)
-    if len(word) != _length(chain):
+    word = reduced_word(chain)
+    if len(word) != length(chain):
         raise AssertionError(f"reduced_word returned {word!r} for {chain!r}")
-    return apply_word(staircase_monomial(n), word, "isobaric")
+    return apply_word(BetaPolynomial.monomial(n, range(n - 1, -1, -1)), word, "isobaric")

@@ -98,18 +98,6 @@ class SetValuedTableau:
             raise ValueError(f"entry repeated in a box of {text!r}")
         return cls(rows, n)
 
-    def sort_key(self) -> str:
-        return self.to_text()
-
-    # -- cell access ------------------------------------------------------
-
-    def column_entries(self, c: int) -> set[int]:
-        out: set[int] = set()
-        for row in self.rows:
-            if c < len(row):
-                out.update(row[c])
-        return out
-
     # -- statistics -------------------------------------------------------
 
     def weight(self) -> tuple[int, ...]:

@@ -6,9 +6,11 @@ avoid the library's own code paths for the quantities they check.
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from kcrystals.keys import key_of_composition
+from kcrystals.crystal import _codes_of, crystal_table
+from kcrystals.keys import _max_right_keys, _right_keys, key_of_composition
 from kcrystals.kohnert import KKohnertDiagram, initial_diagram
 from kcrystals.permutations import (
+    _letter,
     act,
     bruhat_leq,
     coset_reps,
@@ -101,7 +103,7 @@ def _variable(n: int, j: int, beta: int = 0) -> BetaPolynomial:
 
 def reference_demazure(p: BetaPolynomial, i: int) -> BetaPolynomial:
     """pi_i through the generic product with x_i."""
-    return (_variable(p.n, i) * p).divided_difference(i)
+    return oracle_divided_difference(_variable(p.n, i) * p, i)
 
 
 def reference_demazure_lascoux(p: BetaPolynomial, i: int) -> BetaPolynomial:
@@ -111,7 +113,7 @@ def reference_demazure_lascoux(p: BetaPolynomial, i: int) -> BetaPolynomial:
 
 def reference_isobaric_beta(p: BetaPolynomial, i: int) -> BetaPolynomial:
     """partial_i((1 + b x_{i+1}) f) through the generic product."""
-    return (p + _variable(p.n, i + 1, beta=1) * p).divided_difference(i)
+    return oracle_divided_difference(p + _variable(p.n, i + 1, beta=1) * p, i)
 
 
 def enumerate_ssyt(n: int, shape) -> list[tuple[tuple[int, ...], ...]]:
@@ -440,8 +442,8 @@ def reference_decompose(n, shape):
         ]
         if len(highs) != 1:
             raise AssertionError(f"component without unique highest weight: {highs}")
-        components.append((highs[0], tuple(sorted(component, key=SetValuedTableau.sort_key))))
-    return sorted(components, key=lambda pair: pair[0].sort_key())
+        components.append((highs[0], tuple(sorted(component, key=SetValuedTableau.to_text))))
+    return sorted(components, key=lambda pair: pair[0].to_text())
 
 
 def reference_weight(tableau):
@@ -577,10 +579,10 @@ def reference_svt_kohnert_move(tableau, x, k_variant=False):
     addition builds a new tableau."""
     if not any(x in cell for row in tableau.rows for cell in row):
         return None
-    col = next((c for c in range(len(tableau.rows[0])) if x in tableau.column_entries(c)), None)
+    col = next((c for c in range(len(tableau.rows[0])) if x in column_entries(tableau, c)), None)
     if col is None:
         raise ValueError(f"{tableau.to_text()} holds {x} beyond the width of its first row")
-    entries = tableau.column_entries(col)
+    entries = column_entries(tableau, col)
     row_of = {v: _row_of(tableau, col, v) for v in entries}
     if x != min(tableau.rows[row_of[x]][col]):
         return None
@@ -696,3 +698,41 @@ def reference_compatible(pcells, qcells):
             if v < pcell[-1] and (level + 1 == hp or max(pcells[level + 1]) <= v):
                 return False
     return True
+
+
+# -- moved out of the library ---------------------------------------------------
+# Readers that only the tests use.  Unlike the oracles above, signature and
+# max_right_key read the library's own tables: they expose the sign pairing and
+# the calK key map, which the library keeps, one tableau at a time.
+
+
+def column_entries(tableau, c):
+    """The entries of column c."""
+    return {v for row in tableau.rows if c < len(row) for v in row[c]}
+
+
+def is_key_tableau(tableau):
+    """Singleton cells with nested column supports."""
+    width = tableau.shape[0] if tableau.shape else 0
+    return tableau.excess() == 0 and all(
+        column_entries(tableau, c) <= column_entries(tableau, c - 1) for c in range(1, width)
+    )
+
+
+def beta_zero(p: BetaPolynomial) -> BetaPolynomial:
+    """The terms of p free of b."""
+    return BetaPolynomial(p.n, {key: c for key, c in p.terms.items() if key[1] == 0})
+
+
+def signature(tableau, i):
+    """The unpaired "+" and "-" columns, each left to right, read from the
+    crystal table's sign key; ValueError as for crystal_f."""
+    _letter(i, tableau.n)
+    codes = _codes_of(tableau)
+    return tuple(map(list, codes._pair(codes._key(codes._encode(tableau), i))))
+
+
+def max_right_key(tableau):
+    """Right key of the greatest-entry tableau, read from the table's calK map."""
+    table = crystal_table(tableau.n, tableau.shape)
+    return table.derived(_right_keys)[0][table.derived(_max_right_keys)[table.position(tableau)]]

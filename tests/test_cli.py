@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from kcrystals.polynomials import parse_polynomial
 from kcrystals.skyline import SkylineTableau
 from kcrystals.tableaux import SetValuedTableau
 from kcrystals.verify import Bounds, run_suite, worker_count
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -42,7 +45,7 @@ def test_enumerate_svt(capsys):
     code, out = run(capsys, "enumerate", "svt", "--shape", "2,2", "--n", "3")
     lines = out.strip().splitlines()
     assert code == 0 and len(lines) == 13
-    assert lines == golden.text("square22_tableaux.txt").splitlines()
+    assert lines == (GOLDEN / "square22_tableaux.txt").read_text().splitlines()
     assert run(capsys, "enumerate", "svt", "--shape", "2,2", "--n", "3", "--format", "text") == (code, out)
     code, out = run(capsys, "enumerate", "svt", "--shape", "2,2", "--n", "3", "--count")
     assert out.strip() == "13"

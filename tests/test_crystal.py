@@ -1,11 +1,11 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kcrystals import golden
 from kcrystals.crystal import (
     atom_subset,
     beta_character,
@@ -18,16 +18,16 @@ from kcrystals.crystal import (
     ik_strings,
     kcrystal_e,
     kcrystal_f,
-    signature,
 )
-from kcrystals.keys import k_lusztig_star, key_partition_report, lusztig_star, max_right_key, right_key
+from kcrystals.keys import k_lusztig_star, key_partition_report, lusztig_star, right_key
 from kcrystals.kohnert import phi, phi_inverse, svt_kohnert_move
 from kcrystals.polynomials import lascoux
 from kcrystals.skyline import SkylineTableau, psi
 from kcrystals.tableaux import SetValuedTableau, enumerate_svt, superstandard
-from oracles import enumerate_ssyt
+from oracles import enumerate_ssyt, max_right_key, signature
 
 T = lambda text, n=3: SetValuedTableau.from_text(text, n)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_validate_examples():
@@ -37,7 +37,7 @@ def test_validate_examples():
 
 
 def test_text_round_trip():
-    for text in golden.text("square22_tableaux.txt").splitlines():
+    for text in (GOLDEN / "square22_tableaux.txt").read_text().splitlines():
         assert T(text).to_text() == text
 
 
@@ -49,7 +49,7 @@ def test_enumerate_svt_counts():
 
 def test_enumerate_svt_matches_golden_listing():
     texts = [t.to_text() for t in enumerate_svt(3, (2, 2))]
-    assert texts == golden.text("square22_tableaux.txt").splitlines()
+    assert texts == (GOLDEN / "square22_tableaux.txt").read_text().splitlines()
 
 
 def test_weight_and_excess():
@@ -77,7 +77,7 @@ def test_crystal_edges_match_the_golden_graph():
             down = crystal_f(t, i)
             if down is not None:
                 edges.append((t.to_text(), i, down.to_text()))
-    expected = {tuple(e) for e in json.loads(golden.text("square22_crystal_edges.json"))}
+    expected = {tuple(e) for e in json.loads((GOLDEN / "square22_crystal_edges.json").read_text())}
     assert set(edges) == expected and len(edges) == 10
 
 
@@ -126,7 +126,7 @@ def test_kcrystal_edges_match_the_golden_graph():
             down = kcrystal_f(t, i)
             if down is not None:
                 edges.append((t.to_text(), i, down.to_text()))
-    expected = {tuple(e) for e in json.loads(golden.text("square22_k_edges.json"))}
+    expected = {tuple(e) for e in json.loads((GOLDEN / "square22_k_edges.json").read_text())}
     assert set(edges) == expected and len(edges) == 6
 
 

@@ -7,16 +7,15 @@ from kcrystals.keys import (
     _entry,
     _key_maps,
     _right_keys,
-    is_key_tableau,
     k_lusztig_star,
     key_of_composition,
     key_partition_report,
     lusztig_star,
-    max_right_key,
     preceq,
     right_key,
 )
 from kcrystals.tableaux import SetValuedTableau, enumerate_svt, superstandard
+from oracles import is_key_tableau, max_right_key
 
 T = lambda text, n=3: SetValuedTableau.from_text(text, n)
 

@@ -52,3 +52,32 @@ def test_the_module_caches_are_the_nine_known_ones():
         permutations._coset_reps,
     ]
     assert found == {id(cache): cache.__qualname__ for cache in expected}
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    """A public module-level function or class is read by some library
+    module (an AST name, attribute or import; docstrings do not count), is
+    exported by the package, or is a name the benchmark tracer wraps: a name
+    that only tests read belongs in tests/oracles.py."""
+    trees = [ast.parse(path.read_text(), str(path)) for path in SOURCES]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    read = {node.id for node in nodes if isinstance(node, ast.Name)}
+    read |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    imports = [node for node in nodes if isinstance(node, (ast.Import, ast.ImportFrom))]
+    read |= {alias.name.rpartition(".")[2] for node in imports for alias in node.names}
+    tracer = ast.parse((Path(__file__).parents[1] / "benchmarks" / "tracer.py").read_text())
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in tracer.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TARGETS"
+    )
+    read |= {part for pairs in targets.values() for _, attribute in pairs for part in attribute.split(".")}
+    read |= set(kcrystals.__all__)
+    unread = [
+        f"{path.stem}.{node.name}"
+        for path, tree in zip(SOURCES, trees)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        and node.name not in read
+    ]
+    assert unread == []

@@ -6,13 +6,13 @@ import pytest
 
 from kcrystals import crystal, keys, kohnert, skyline, verify
 from kcrystals.crystal import atom_subset, demazure_subset, flagged_set
-from kcrystals.keys import lusztig_star, max_right_key, right_key
+from kcrystals.keys import lusztig_star, right_key
 from kcrystals.kohnert import KKohnertDiagram, initial_diagram
 from kcrystals.permutations import _pad, act, bruhat_ideal, bruhat_leq, coset_reps, lehmer_code
 from kcrystals.polynomials import BetaPolynomial, lascoux, lascoux_atom
 from kcrystals.tableaux import SetValuedTableau, _svt_codes, enumerate_svt
 from kcrystals.verify import SUITES, Bounds, iter_cases, run_case, run_suite
-from oracles import per_tableau
+from oracles import max_right_key, per_tableau
 
 # (case count, SHA-256 of json.dumps(cases, sort_keys=True)) at the default
 # bounds; pins the content and the order of every suite's case list.  The
