@@ -159,8 +159,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # built once at import; each parse_args returns a fresh Namespace
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:  # the library rejects bad input with ValueError

@@ -65,12 +65,15 @@ def _right_keys(table: CrystalTable) -> tuple[list[SetValuedTableau], array]:
     reps = coset_reps(lam, table.n)  # sorted by (length, one-line word)
     subsets = [_flags(table.demazure(v), len(table.codes)) for v in reps]
     index, excess = array("i", [-1]) * len(table.codes), table._units[-1]
+    below: set[tuple[int, int]] = set()  # (least, member) index pairs found Bruhat-ordered, each compared once
     for k, stat in enumerate(table.stats):
         if stat >= excess:
             continue
         members = [m for m, subset in enumerate(subsets) if subset[k] == "1"]
-        if not all(bruhat_leq(reps[members[0]], reps[m]) for m in members):
+        pairs = {(members[0], m) for m in members[1:]} - below
+        if not all(bruhat_leq(reps[v], reps[w]) for v, w in pairs):
             raise AssertionError(f"no Bruhat-least Demazure crystal holds {table.tableau(k).to_text()}")
+        below |= pairs
         index[k] = members[0]
     return [key_of_composition(act(v, lam)) for v in reps], index
 

@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import json
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from kcrystals.tableaux import SetValuedTableau
 from kcrystals.verify import Bounds, run_suite, worker_count
 
 GOLDEN = Path(__file__).parent / "golden"
+WORKLOADS = Path(__file__).parents[1] / "benchmarks" / "workloads.json"
 
 
 def run(capsys, *argv):
@@ -308,3 +311,58 @@ def test_enumerate_count_is_the_number_of_lines(capsys):
         code, out = run(capsys, "enumerate", *argv)
         assert code == 0 and out
         assert run(capsys, "enumerate", *argv, "--count") == (0, f"{len(out.splitlines())}\n")
+
+
+@pytest.mark.parametrize("command", ["kcrystals", "lascoux", "enumerate", "graph", "verify"])
+def test_help_text_is_frozen(capsys, monkeypatch, command):
+    # at a fixed width, the text must not depend on when or how often the parser is built
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"] if command == "kcrystals" else [command, "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == (GOLDEN / f"help_{command}.txt").read_text()
+
+
+def test_one_process_answers_the_query_cold_pool_back_to_back(capsys):
+    # warm caches and a reused parser print what a cold forked query prints
+    pool = json.loads(WORKLOADS.read_text())["query-cold"]["pool"]
+    changed = []
+    for query in pool:
+        code, out = run(capsys, *query["argv"])
+        if code != 0 or hashlib.sha256(out.encode()).hexdigest() != query["digest"]:
+            changed.append(query["argv"])
+    assert len(pool) == 27 and changed == []
+
+
+def test_flags_do_not_leak_between_calls(capsys):
+    plain = ("lascoux", "--weight", "2,0,2", "--n", "3")
+    code, first = run(capsys, *plain)
+    atom = run(capsys, *plain, "--atom")
+    assert code == 0 and atom[0] == 0 and atom[1] != first
+    assert run(capsys, *plain) == (0, first)
+    svt = ("enumerate", "svt", "--shape", "2,2", "--n", "3")
+    code, out = run(capsys, *svt, "--format", "json")
+    assert code == 0 and json.loads(out.splitlines()[0]).keys() == {"tableau", "weight", "excess"}
+    code, out = run(capsys, *svt)
+    assert code == 0 and out.splitlines() == (GOLDEN / "square22_tableaux.txt").read_text().splitlines()
+
+
+def test_a_call_after_an_argparse_error_still_works(capsys):
+    for argv in (["lascoux", "--weight", "2,x", "--n", "3"], ["graph", "--n", "3"], ["no-such-command"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2, argv
+        assert capsys.readouterr().out == ""
+        assert run(capsys, "lascoux", "--weight", "2,2,0", "--n", "3") == (0, "x1^2*x2^2\n")
+
+
+def test_main_builds_no_parser(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("main built an ArgumentParser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    assert run(capsys, "lascoux", "--weight", "2,2,0", "--n", "3") == (0, "x1^2*x2^2\n")
+    assert run(capsys, "enumerate", "svt", "--shape", "2,2", "--n", "3", "--count") == (0, "13\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["graph", "--n", "3"])
+    assert exit_info.value.code == 2
