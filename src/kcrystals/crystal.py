@@ -3,15 +3,16 @@ Crystal and K-crystal operators on semistandard set-valued tableaux,
 with the derived Demazure-type subsets and characters.
 
 ``crystal_table(n, shape)`` is the one cached object of a shape, keyed by the
-partition without zeros that each entry point makes with ``tableaux._partition``,
-so ``crystal_table.cache_clear()`` is the only reset.  Made, it holds only code
-geometry, all that the single-tableau operators, phi, psi and ``k_lusztig_star``
-read; filled on first read are the codes of the shape's tableaux at positions
-0..N-1 (text order) from ``tableaux._svt_codes``, each operator or raise map of
-a letter as an array of positions, each position's weight and excess as a stat,
-the int of ``polynomials._units``, each coset representative's K-Demazure, atom and
-flagged subsets by its index, as bitsets (bit k is position k), and what other
-modules build from it (``derived``).  It holds no tableaux: callers decode them.
+partition without zeros that each entry point makes with ``tableaux._partition``;
+the cache keeps the last shape's table alone and frees the one it evicts.
+Made, it holds only code geometry, all that the single-tableau operators, phi,
+psi and ``k_lusztig_star`` read; filled on first read are the codes of the
+shape's tableaux at positions 0..N-1 (text order) from ``tableaux._svt_codes``,
+each operator or raise map of a letter as an array of positions, each position's
+weight and excess as a stat, the int of ``polynomials._units``, each coset
+representative's K-Demazure, atom and flagged subsets by its index, as bitsets
+(bit k is position k), and what other modules build from it (``derived``).  It
+holds no tableaux: callers decode them.
 
 The one implementation of e_i, f_i, e^K_i and f^K_i is a kernel on codes,
 ints that pack a tableau's boxes column by column as entry bitmasks
@@ -122,12 +123,14 @@ def _ek(table: CrystalTable, i: int, key: int):
 _KERNEL = {"e": _e, "f": _f, "eK": _ek, "fK": _fk}
 
 
-def _codes_of(tableau: SetValuedTableau) -> CrystalTable:
-    """The table of tableau's shape, read for its geometry alone; ValueError
-    unless the tableau is semistandard, the only codes the kernels are defined on."""
+def _codes_of(tableau: SetValuedTableau) -> tuple[CrystalTable, int]:
+    """The table of tableau's shape, read for its geometry alone, and the
+    tableau's code; ValueError unless the tableau is semistandard, the only
+    codes the kernels are defined on."""
     if not tableau.is_semistandard():
         raise ValueError(f"{tableau.to_text()} is not semistandard")
-    return crystal_table(tableau.n, tableau.shape)
+    codes = crystal_table(tableau.n, tableau.shape)
+    return codes, codes._encode(tableau)
 
 
 def _semistandard(codes: CrystalTable, code: int) -> SetValuedTableau:
@@ -139,8 +142,7 @@ def _semistandard(codes: CrystalTable, code: int) -> SetValuedTableau:
 
 def _act(kernel, tableau: SetValuedTableau, i) -> SetValuedTableau | None:
     _letter(i, tableau.n)
-    codes = _codes_of(tableau)
-    code = codes._encode(tableau)
+    codes, code = _codes_of(tableau)
     act = kernel(codes, i, codes._key(code, i))
     image = None if act is None else act(code)
     return None if image is None else codes.decode(image)
@@ -206,7 +208,6 @@ class CrystalTable(_Codes):
         self._mask = sum(3 << c * self._step for c in range(len(tops)))
         self._letters, self._boxes = range(1, n + 1), sum(shape)
         self._units = _units(n, self._boxes)
-        self._pairs: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._maps: dict[tuple[str, int], array] = {}
         self._ideals: dict[int, int] = {}  # by coset representative index, as _indices
         self._atoms: dict[int, int] = {}
@@ -214,19 +215,17 @@ class CrystalTable(_Codes):
         self._derived: dict = {}
 
     def _pair(self, key: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The unpaired "+" and "-" columns of a sign key, each left to right,
-        paired once per key: bits c*step and c*step + 1 of the key are set
-        when column c holds i and i+1, so "+" is 1 and "-" is 2."""
-        if key not in self._pairs:
-            plus, minus = [], []  # minus: the pending "-", the last consumed by the next "+"
-            for c in range(len(self._column)):
-                sign = key >> c * self._step & 3
-                if sign == 1 and minus:
-                    minus.pop()
-                elif sign in (1, 2):
-                    (plus if sign == 1 else minus).append(c)
-            self._pairs[key] = tuple(plus), tuple(minus)
-        return self._pairs[key]
+        """The unpaired "+" and "-" columns of a sign key, each left to right:
+        bits c*step and c*step + 1 of the key are set when column c holds i
+        and i+1, so "+" is 1 and "-" is 2."""
+        plus, minus = [], []  # minus: the pending "-", the last consumed by the next "+"
+        for c in range(len(self._column)):
+            sign = key >> c * self._step & 3
+            if sign == 1 and minus:
+                minus.pop()
+            elif sign in (1, 2):
+                (plus if sign == 1 else minus).append(c)
+        return tuple(plus), tuple(minus)
 
     def _key(self, code: int, i: int) -> int:
         """The sign key of a code at letter i: ORed with its shifts by one to height - 1
@@ -315,12 +314,6 @@ class CrystalTable(_Codes):
             outside = f"{self.decode(code).to_text()} out of the crystal, to {self.decode(image).to_text()}"
             raise AssertionError(f"{ops[0].replace('K', '^K')}_{i} sends {outside}") from None
         self._maps.update(((op, i), images) for op, images in zip(ops, maps))
-
-    def stat(self, code: int) -> int:
-        """The stat of the tableau of a code: slots holding each v, entries beyond one per box."""
-        slots, units = self._right_of[0], self._units
-        weight = sum([(code >> v & slots).bit_count() * unit for v, unit in zip(self._letters, units)])
-        return weight + (code.bit_count() - self._boxes) * units[-1]
 
     @cached_property
     def stats(self) -> tuple[int, ...]:
@@ -424,7 +417,7 @@ class CrystalTable(_Codes):
         return self._derived[build]
 
 
-crystal_table = lru_cache(maxsize=None, typed=True)(CrystalTable)  # one per (n, shape); typed: a bool n is refused
+crystal_table = lru_cache(maxsize=1, typed=True)(CrystalTable)  # the last (n, shape)'s; typed: a bool n is refused
 
 
 def _rectangle_dims(shape: tuple[int, ...]) -> tuple[int, int]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from array import array
 
-from .crystal import CrystalTable, _flags, _from_flags, _rectangle_dims, crystal_table
+from .crystal import CrystalTable, _codes_of, _flags, _from_flags, _rectangle_dims, crystal_table
 from .permutations import _pad, act, bruhat_leq, coset_reps
 from .polynomials import lascoux, lascoux_atom
 from .tableaux import SetValuedTableau, _Codes, _heights, _partition
@@ -135,10 +135,11 @@ def lusztig_star(tableau: SetValuedTableau) -> SetValuedTableau:
 
 
 def k_lusztig_star(tableau: SetValuedTableau) -> SetValuedTableau:
-    """Rotate the rectangle 180 degrees and complement every entry."""
+    """Rotate the rectangle 180 degrees and complement every entry; ValueError
+    unless the tableau is a semistandard rectangle."""
     _rectangle_dims(tableau.shape)
-    codes = crystal_table(tableau.n, tableau.shape)
-    return codes.decode(_rotate(codes, codes._encode(tableau)))
+    codes, code = _codes_of(tableau)
+    return codes.decode(_rotate(codes, code))
 
 
 def _rotations(table: CrystalTable) -> array:

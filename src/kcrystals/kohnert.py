@@ -22,9 +22,9 @@ in the crystal table of the rectangle and each bijection check's verdict
 on it are filled on first read, once per diagram, and its weight (phi's
 weight and excess, as a stat of ``polynomials._units``) is read off its
 key.  ``kohnert_graph(parts)`` is the one cached graph of a class, keyed by
-its sorted composition, so ``kohnert_graph.cache_clear()`` is the only
-reset; each graph keeps the closure of each composition of its class, found
-on first read.
+its sorted composition; the cache keeps the last class's graph alone and
+frees the one it evicts.  Each graph keeps the closure of each composition
+of its class, found on first read.
 ``closure_table(a)`` reads the graph of a's class and that closure;
 ``KKohnertDiagram``, the public, validating type, is made by ``unpack``
 only for ``closure``, a witness or a caller of the graph.
@@ -284,7 +284,7 @@ class KohnertGraph:
         return witnesses.get(p)
 
 
-kohnert_graph = lru_cache(maxsize=None)(KohnertGraph)  # one graph per class tuple(sorted(a))
+kohnert_graph = lru_cache(maxsize=1)(KohnertGraph)  # the graph of the last class tuple(sorted(a))
 
 
 def closure_table(a: tuple[int, ...]) -> tuple[KohnertGraph, array]:
@@ -361,10 +361,10 @@ def phi(diagram: KKohnertDiagram, r: int, s: int, n: int) -> SetValuedTableau:
 def phi_inverse(tableau: SetValuedTableau) -> KKohnertDiagram:
     """Inverse reading: cell minima of tableau column c become unmarked
     boxes in diagram row s+1-c, the other entries marked boxes;
-    ValueError unless the tableau's shape is a rectangle."""
+    ValueError unless the tableau is a semistandard rectangle."""
     _, s = _rectangle_dims(tableau.shape)
-    codes = crystal_table(tableau.n, tableau.shape)
-    return unpack(_phi_inverse_key(codes, codes._encode(tableau)), s, tableau.n)
+    codes, code = _codes_of(tableau)
+    return unpack(_phi_inverse_key(codes, code), s, tableau.n)
 
 
 class _Columns(dict):
@@ -455,6 +455,6 @@ def svt_kohnert_move(
         raise ValueError(f"column {x!r} is outside 1..{tableau.n}")
     if type(k_variant) is not bool:
         raise ValueError(f"k_variant must be a bool, got {k_variant!r}")
-    codes = _codes_of(tableau)
-    image = _svt_moves(codes, codes._encode(tableau)).get((x, k_variant))
+    codes, code = _codes_of(tableau)
+    image = _svt_moves(codes, code).get((x, k_variant))
     return None if image is None else codes.decode(image)

@@ -8,7 +8,8 @@ anchor, the rest are free.  Going up a column, cells weakly decrease in
 the set sense (min of the lower cell >= max of the cell above it).
 
 ``skyline_table(parts, n)`` is the one cached record of a rearrangement
-class at n, keyed by its sorted composition.  It holds each column's
+class at n, keyed by its sorted composition; the cache keeps the last
+class's record alone and frees the one it evicts.  It holds each column's
 fillings, sorted, each with its cells as (anchor bit, free-entry mask) pairs
 (``_levels``) and its weight and excess as a stat, the int of
 ``polynomials._units``, and, filled on first read, each composition's
@@ -106,23 +107,21 @@ def _column_fillings(c: int, height: int, n: int):
     """All weakly-decreasing-upward column fillings with bottom anchor c."""
     if c > n:
         return
-    bottoms = [
-        tuple(sorted(sub + (c,)))
-        for size in range(0, c)
-        for sub in combinations(range(1, c), size)
-    ]
+    for size in range(0, c):
+        for sub in combinations(range(1, c), size):
+            yield from _fillings_above([sub + (c,)], height)
 
-    def extend(prefix: list[Cell]):
-        if len(prefix) == height:
-            yield tuple(prefix)
-            return
-        cap = min(prefix[-1])
-        for size in range(1, cap + 1):
-            for cell in combinations(range(1, cap + 1), size):
-                yield from extend(prefix + [cell])
 
-    for bottom in bottoms:
-        yield from extend([bottom])
+def _fillings_above(prefix: list[Cell], height: int):
+    """Each filling of `height` cells that starts with the cells of prefix,
+    bottom-up, each cell above holding entries at most the least below it."""
+    if len(prefix) == height:
+        yield tuple(prefix)
+        return
+    cap = min(prefix[-1])
+    for size in range(1, cap + 1):
+        for cell in combinations(range(1, cap + 1), size):
+            yield from _fillings_above(prefix + [cell], height)
 
 
 def _levels(cells) -> tuple[tuple[int, int], ...]:
@@ -228,25 +227,25 @@ class SkylineTable:
         candidates are the AND of the rows of the columns placed before it,
         and placing the sorted fillings in order sorts the result."""
         if a not in self._skylines:
-            columns = _columns(a)
             out: list[tuple[int, ...]] = []
-            placed: list[int] = []
-
-            def extend(k: int) -> None:
-                if k == len(columns):
-                    out.append(tuple(placed))
-                    return
-                bits = (1 << len(self.fillings[columns[k]])) - 1
-                for j, i in enumerate(placed):
-                    bits &= self.row(columns[j], columns[k], i)
-                for i in _bits(bits):
-                    placed.append(i)
-                    extend(k + 1)
-                    placed.pop()
-
-            extend(0)
+            self._place(_columns(a), [], out)
             self._skylines[a] = tuple(out)
         return self._skylines[a]
+
+    def _place(self, columns: list[tuple[int, int]], placed: list[int], out: list) -> None:
+        """Append to out, sorted, each skyline of columns whose first columns
+        hold the fillings at the indices in placed."""
+        k = len(placed)
+        if k == len(columns):
+            out.append(tuple(placed))
+            return
+        bits = (1 << len(self.fillings[columns[k]])) - 1
+        for j, i in enumerate(placed):
+            bits &= self.row(columns[j], columns[k], i)
+        for i in _bits(bits):
+            placed.append(i)
+            self._place(columns, placed, out)
+            placed.pop()
 
     def stats(self, a: tuple[int, ...]) -> list[int]:
         """The packed stat of each skyline of a, in order, the sum of its
@@ -287,7 +286,7 @@ class SkylineTable:
         return self._images[a]
 
 
-skyline_table = lru_cache(maxsize=None, typed=True)(SkylineTable)  # one per (class tuple(sorted(a)), n), typed
+skyline_table = lru_cache(maxsize=1, typed=True)(SkylineTable)  # the last (class tuple(sorted(a)), n)'s, typed
 
 
 def _psi_code(codes: CrystalTable, columns) -> int:

@@ -210,23 +210,25 @@ def _svt_codes(codes: _Codes) -> list[int]:
             cells.append((shift, sep, cap, len(cells) - 1 if c else -1, len(cells) - shape[m - 1] if m else -1))
     if not cells:
         return [0]
-    last, candidates, out, final = [0] * (len(cells) + 1), {}, [], len(cells) - 1
-
-    def fill(idx: int, code: int) -> None:
-        shift, sep, cap, left, above = cells[idx]
-        lo = max(last[left], last[above] + 1)
-        if (lo, cap, sep) not in candidates:  # (bitmask, greatest entry) of each nonempty subset of lo..cap
-            subsets = [(s << lo, s.bit_length() + lo - 1) for s in range(1, 1 << max(cap + 1 - lo, 0))]
-            candidates[lo, cap, sep] = sorted(subsets, key=lambda cell: ",".join(map(str, _bits(cell[0]))) + sep)
-        if idx == final:
-            out.extend([code | mask << shift for mask, _ in candidates[lo, cap, sep]])
-            return
-        for mask, top in candidates[lo, cap, sep]:
-            last[idx] = top
-            fill(idx + 1, code | mask << shift)
-
-    fill(0, 0)
+    out: list[int] = []
+    _fill(cells, [0] * (len(cells) + 1), {}, out, 0, 0)
     return out
+
+
+def _fill(cells: list[tuple], last: list[int], candidates: dict, out: list[int], idx: int, code: int) -> None:
+    """Append to out, in text order, code with each filling of cells idx.. (see
+    _svt_codes) added, where last[j] holds cell j's greatest entry for j < idx."""
+    shift, sep, cap, left, above = cells[idx]
+    lo = max(last[left], last[above] + 1)
+    if (lo, cap, sep) not in candidates:  # (bitmask, greatest entry) of each nonempty subset of lo..cap
+        subsets = [(s << lo, s.bit_length() + lo - 1) for s in range(1, 1 << max(cap + 1 - lo, 0))]
+        candidates[lo, cap, sep] = sorted(subsets, key=lambda cell: ",".join(map(str, _bits(cell[0]))) + sep)
+    if idx + 1 == len(cells):
+        out.extend([code | mask << shift for mask, _ in candidates[lo, cap, sep]])
+        return
+    for mask, top in candidates[lo, cap, sep]:
+        last[idx] = top
+        _fill(cells, last, candidates, out, idx + 1, code | mask << shift)
 
 
 def enumerate_svt(n: int, shape: tuple[int, ...]) -> tuple[SetValuedTableau, ...]:

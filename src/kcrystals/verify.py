@@ -33,7 +33,7 @@ from .keys import (
     _stars,
     key_partition_report,
 )
-from .kohnert import KKohnertDiagram, _phi_inverse_key, _svt_moves, closure, closure_table, kohnert_graph
+from .kohnert import KKohnertDiagram, _phi_inverse_key, _svt_moves, closure, closure_table
 from .kohnert import phi, phi_inverse
 from .permutations import (
     _bruhat_ideal,
@@ -105,17 +105,17 @@ class SuiteResult:
 
 def _partitions(max_cells: int, max_len: int):
     """Nonempty partitions with at most max_cells boxes and max_len rows."""
-    out = []
+    return sorted(_extensions((), max_cells, max_cells, max_len))  # every prefix of a partition is one, found once
 
-    def rec(prefix, remaining, cap):
-        for part in range(min(cap, remaining), 0, -1):
-            shape = prefix + (part,)
-            if len(shape) <= max_len:
-                out.append(shape)
-                rec(shape, remaining - part, part)
 
-    rec((), max_cells, max_cells)  # every prefix of a partition is one, found once
-    return sorted(out)
+def _extensions(prefix: tuple[int, ...], remaining: int, cap: int, max_len: int):
+    """The partitions of at most max_len rows that extend prefix by parts of at
+    most cap, remaining boxes in all."""
+    for part in range(min(cap, remaining), 0, -1):
+        shape = prefix + (part,)
+        if len(shape) <= max_len:
+            yield shape
+            yield from _extensions(shape, remaining - part, part, max_len)
 
 
 def _rectangles(bounds: Bounds):
@@ -360,10 +360,9 @@ def _check_character_golden():
 
 def _round_trip_witness(graph, p: int, table, k: int) -> str | None:
     """_check_kohnert's verdict on the diagram at p with phi image at position k."""
-    code = table.codes[k]
-    if graph.weight(p) != table.stat(code):
+    if graph.weight(p) != table.stats[k]:
         return f"phi does not preserve the weight of {table.tableau(k).to_text()}"
-    if _phi_inverse_key(table, code) != graph.keys[p]:
+    if _phi_inverse_key(table, table.codes[k]) != graph.keys[p]:
         return f"phi_inverse(phi(D)) != D at {table.tableau(k).to_text()}"
     return None
 
@@ -754,26 +753,15 @@ def iter_cases(suite: str, bounds: Bounds) -> list[dict]:
     return [{"check": _check_name(check), **params} for check, params in _suite(suite).cases(bounds)]
 
 
-_scope: tuple | None = None  # the (n, shape) of the last case run that had a shape
-
-
 def run_case(suite: str, case: dict) -> SuiteResult:
     """Run one case: its check, given the other keys of the case as keyword
     arguments, list values as tuples; a check that raises fails the case.
-    The one owner of the tables' lifetime: a case of another (n, shape) than
-    the last that had a shape first clears the per-class table caches, so a
-    process (the serial loop or a worker) holds one scope's tables at a time.
     Raises ValueError on an unknown suite or a check the suite does not own."""
-    global _scope
     started = time.monotonic()
     entry = _suite(suite)
     check = entry.checks.get(case["check"])
     if check is None:
         raise ValueError(f"suite {suite!r} has no check {case['check']!r}")
-    if "shape" in case and (scope := (case.get("n"), tuple(case["shape"]))) != _scope:
-        for tables in (crystal_table, skyline_table, kohnert_graph):
-            tables.cache_clear()
-        _scope = scope
     params = {k: tuple(v) if isinstance(v, list) else v for k, v in case.items() if k != "check"}
     try:
         witness = check(**params)

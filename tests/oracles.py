@@ -728,8 +728,8 @@ def signature(tableau, i):
     """The unpaired "+" and "-" columns, each left to right, read from the
     crystal table's sign key; ValueError as for crystal_f."""
     _letter(i, tableau.n)
-    codes = _codes_of(tableau)
-    return tuple(map(list, codes._pair(codes._key(codes._encode(tableau), i))))
+    codes, code = _codes_of(tableau)
+    return tuple(map(list, codes._pair(codes._key(code, i))))
 
 
 def max_right_key(tableau):

@@ -1,5 +1,7 @@
+import gc
 import json
 import re
+import weakref
 from pathlib import Path
 
 import pytest
@@ -20,9 +22,10 @@ from kcrystals.crystal import (
     kcrystal_f,
 )
 from kcrystals.keys import k_lusztig_star, key_partition_report, lusztig_star, right_key
-from kcrystals.kohnert import phi, phi_inverse, svt_kohnert_move
+from kcrystals.kohnert import closure, kohnert_graph, phi, phi_inverse, svt_kohnert_move
+from kcrystals.permutations import _pad, longest_element
 from kcrystals.polynomials import lascoux
-from kcrystals.skyline import SkylineTableau, psi
+from kcrystals.skyline import SkylineTableau, psi, psi_inverse, skyline_table
 from kcrystals.tableaux import SetValuedTableau, enumerate_svt, superstandard
 from oracles import enumerate_ssyt, max_right_key, signature
 
@@ -107,6 +110,28 @@ def test_operators_reject_a_letter_outside_1_to_n_minus_1(op, i):
 def test_operators_reject_a_tableau_that_is_not_semistandard(op):
     with pytest.raises(ValueError, match="not semistandard"):
         op(T("2 1/1 2"), 1)
+
+
+# Each public function that takes a tableau, called on it alone.
+TABLEAU_READERS = {
+    "crystal_e": lambda t: crystal_e(t, 1),
+    "crystal_f": lambda t: crystal_f(t, 1),
+    "kcrystal_e": lambda t: kcrystal_e(t, 1),
+    "kcrystal_f": lambda t: kcrystal_f(t, 1),
+    "svt_kohnert_move": lambda t: svt_kohnert_move(t, 1),
+    "phi_inverse": phi_inverse,
+    "k_lusztig_star": k_lusztig_star,
+    "lusztig_star": lusztig_star,
+    "right_key": right_key,
+    "psi_inverse": lambda t: psi_inverse(t, (1, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("text", ["2 1/1 2", "1,2 2/2 3"])
+@pytest.mark.parametrize("reader", TABLEAU_READERS)
+def test_every_tableau_reader_rejects_a_tableau_that_is_not_semistandard(reader, text):
+    with pytest.raises(ValueError):
+        TABLEAU_READERS[reader](T(text))
 
 
 def test_kcrystal_e_inverts_kcrystal_f_on_a_three_by_three_square():
@@ -370,3 +395,24 @@ def test_the_single_tableau_operators_read_one_table_and_enumerate_nothing():
     psi(SkylineTableau.build((2, 0, 2), {1: [(1,), (1,)], 3: [(3,), (3,)]}), 3)
     assert crystal_table.cache_info().currsize == 1
     assert "codes" not in vars(crystal_table(3, (2, 2)))
+
+
+def test_a_table_cache_keeps_one_table_and_frees_the_one_it_evicts():
+    """The public API read at two shapes in turn leaves one entry in each
+    table cache, and reference counting alone frees the evicted tables."""
+    gc.collect()
+    gc.disable()
+    try:
+        evicted = []
+        for n, shape in ((3, (2, 2)), (4, (1, 1))):
+            w = longest_element(n)
+            a = _pad(shape, n)[::-1]
+            assert [psi_inverse(t, w).shape for t in atom_subset(w, shape, n)]
+            assert {phi(d, len(shape), shape[0], n).shape for d in closure(a)} == {shape}
+            assert not evicted or [ref() for ref in evicted] == [None] * 3
+            parts = tuple(sorted(a))
+            caches = [(crystal_table, (n, shape)), (skyline_table, (parts, n)), (kohnert_graph, (parts,))]
+            evicted = [weakref.ref(tables(*key)) for tables, key in caches]
+            assert [tables.cache_info().currsize for tables, _ in caches] == [1] * 3
+    finally:
+        gc.enable()

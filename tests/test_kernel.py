@@ -269,7 +269,8 @@ def test_a_kernel_fault_reaches_its_own_map_alone(monkeypatch, n, shape, op):
 @pytest.mark.parametrize("n,shape", [(0, ()), (2, ())] + CASES + RECTANGLES_AT_5, ids=str)
 def test_per_letter_stats_equal_the_stat_of_each_code(n, shape):
     table = CrystalTable(n, shape)
-    assert table.stats == tuple(map(table.stat, table.codes))
+    tableaux = map(table.decode, table.codes)
+    assert [_unpack(stat, table._units) for stat in table.stats] == [(t.weight(), t.excess()) for t in tableaux]
     assert len(set(map(id, table.stats))) == len(set(table.stats))  # each distinct stat held once
 
 

@@ -54,6 +54,23 @@ def test_the_module_caches_are_the_nine_known_ones():
     assert found == {id(cache): cache.__qualname__ for cache in expected}
 
 
+def test_no_nested_function_of_the_library_names_itself():
+    """A nested function that names itself is a reference cycle through its
+    closure cell, which keeps what the function reads (a table, the list it
+    fills) alive until a full collection: recursion is by a module-level
+    function or a method."""
+    found = set()
+    for path in SOURCES:
+        for outer in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            for inner in ast.walk(outer):
+                if inner is not outer and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if any(isinstance(node, ast.Name) and node.id == inner.name for node in ast.walk(inner)):
+                        found.add(f"{path.name}:{inner.lineno} {inner.name}")
+    assert sorted(found) == []
+
+
 def test_every_public_name_has_a_reader_outside_the_tests():
     """A public module-level function or class is read by some library
     module (an AST name, attribute or import; docstrings do not count), is

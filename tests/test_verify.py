@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+from collections import Counter
 from operator import mul
 
 import pytest
@@ -122,6 +124,22 @@ def test_a_serial_suite_keeps_only_its_last_scopes_tables(suite):
         if size:  # the entry is the last scope's: reading it is a hit
             cache(*args)
             assert cache.cache_info().hits == hits + 1, cache
+
+
+def test_serial_suites_leave_at_most_one_table_of_each_class_alive():
+    """With the garbage collector off, reference counting alone frees each
+    table a cache evicts, so after each suite at most one table of each
+    class is alive."""
+    classes = (crystal.CrystalTable, skyline.SkylineTable, kohnert.KohnertGraph)
+    gc.collect()
+    gc.disable()
+    try:
+        for suite in ("skyline-bijection", "kohnert-bijection", "k-crystal-axioms"):
+            assert all(result.status == "pass" for result in run_suite(suite, Bounds(max_n=4), jobs=1))
+            alive = Counter(type(obj).__name__ for obj in gc.get_objects() if type(obj) in classes)
+            assert all(count <= 1 for count in alive.values()), (suite, alive)
+    finally:
+        gc.enable()
 
 
 def test_run_case_rejects_a_check_of_another_suite():
@@ -574,7 +592,7 @@ def test_clearing_the_tables_rebuilds_every_derived_structure(table_fault):
 
 @pytest.mark.parametrize("suite", ["kohnert-bijection", "k-crystal-axioms", "keys-rectangle"])
 def test_a_suite_is_the_same_on_two_workers(suite):
-    """Each worker clears the tables when its own cases change (n, shape)."""
+    """Each worker's table caches keep the tables of its last (n, shape)."""
     assert run_suite(suite, Bounds(), jobs=2) == run_suite(suite, Bounds(), jobs=1)
 
 
