@@ -10,9 +10,10 @@ psi and ``k_lusztig_star`` read; filled on first read are the codes of the
 shape's tableaux at positions 0..N-1 (text order) from ``tableaux._svt_codes``,
 each operator or raise map of a letter as an array of positions, each position's
 weight and excess as a stat, the int of ``polynomials._units``, each coset
-representative's K-Demazure, atom and flagged subsets by its index, as bitsets
-(bit k is position k), and what other modules build from it (``derived``).  It
-holds no tableaux: callers decode them.
+representative's K-Demazure subset by its index, as a bitset (bit k is position
+k), and what other modules build from it (``derived``).  Atom and flagged
+subsets are bitsets too, computed on each read.  It holds no tableaux: callers
+decode them.
 
 The one implementation of e_i, f_i, e^K_i and f^K_i is a kernel on codes,
 ints that pack a tableau's boxes column by column as entry bitmasks
@@ -210,8 +211,6 @@ class CrystalTable(_Codes):
         self._units = _units(n, self._boxes)
         self._maps: dict[tuple[str, int], array] = {}
         self._ideals: dict[int, int] = {}  # by coset representative index, as _indices
-        self._atoms: dict[int, int] = {}
-        self._flagged: dict[int, int] = {}
         self._derived: dict = {}
 
     def _pair(self, key: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -347,18 +346,15 @@ class CrystalTable(_Codes):
 
     @cached_property
     def _indices(self) -> dict[Perm, int]:
-        """The index in _reps of the minimal coset representative of each w
-        read so far, each representative its own."""
+        """The index in _reps of each coset representative."""
         return {rep: m for m, rep in enumerate(self._reps)}
 
     def _index(self, w) -> int:
-        """The index in _reps of w's minimal coset representative, found once per other
-        w by stabilizer_min_rep; ValueError, keeping nothing, unless w permutes 1..n."""
+        """The index in _reps of w's minimal coset representative, found by
+        stabilizer_min_rep unless w is one; ValueError unless w permutes 1..n."""
         w = _permutation(w, self.n)
         m = self._indices.get(w)
-        if m is None:
-            m = self._indices[w] = self._indices[stabilizer_min_rep(w, self.shape)]
-        return m
+        return self._indices[stabilizer_min_rep(w, self.shape)] if m is None else m
 
     def demazure(self, w: Perm) -> int:
         """The K-Demazure subset of w, kept by its representative's index: the superstandard
@@ -375,15 +371,13 @@ class CrystalTable(_Codes):
 
     def atom(self, w: Perm) -> int:
         """The K-Demazure subset of w less those of all smaller coset
-        representatives, kept by the index of w's; ValueError as for demazure."""
-        m = self._index(w)
-        if m not in self._atoms:
-            rep, bits = self._reps[m], self.demazure(self._reps[m])
-            for v in _bruhat_ideal(rep).intersection(self._reps):
-                if v != rep:
-                    bits &= ~self.demazure(v)
-            self._atoms[m] = bits
-        return self._atoms[m]
+        representatives; ValueError as for demazure."""
+        rep = self._reps[self._index(w)]
+        bits = self.demazure(rep)
+        for v in _bruhat_ideal(rep).intersection(self._reps):
+            if v != rep:
+                bits &= ~self.demazure(v)
+        return bits
 
     @cached_property
     def _row_bounds(self) -> list[list[int]]:
@@ -399,16 +393,12 @@ class CrystalTable(_Codes):
 
     def flagged(self, w: Perm) -> int:
         """The positions whose row m's greatest entry is at most the m-th bound of
-        flag_vector(w), kept by the index of w's representative, which has w's flag;
-        ValueError unless the shape is a rectangle, then as for demazure."""
+        flag_vector(w); ValueError unless the shape is a rectangle and w permutes 1..n."""
         dims = _rectangle_dims(self.shape)
-        m = self._index(w)
-        if m not in self._flagged:
-            bits = (1 << len(self.codes)) - 1
-            for within, b in zip(self._row_bounds, flag_vector(self._reps[m], *dims)):
-                bits &= within[b]
-            self._flagged[m] = bits
-        return self._flagged[m]
+        bits = (1 << len(self.codes)) - 1
+        for within, b in zip(self._row_bounds, flag_vector(_permutation(w, self.n), *dims)):
+            bits &= within[b]
+        return bits
 
     def derived(self, build):
         """build(self), run on first read and kept with the table."""

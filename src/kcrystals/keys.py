@@ -18,7 +18,7 @@ from __future__ import annotations
 from array import array
 
 from .crystal import CrystalTable, _codes_of, _flags, _from_flags, _rectangle_dims, crystal_table
-from .permutations import _pad, act, bruhat_leq, coset_reps
+from .permutations import _pad, act, bruhat_leq
 from .polynomials import lascoux, lascoux_atom
 from .tableaux import SetValuedTableau, _Codes, _heights, _partition
 
@@ -61,8 +61,7 @@ def _right_keys(table: CrystalTable) -> tuple[list[SetValuedTableau], array]:
     """Each coset representative's key of v·λ (coset_reps order) and, by position,
     the index of each single-valued tableau's right key, else -1; on those e_i
     keeps the excess and e_i^K never acts, so the subsets are classical."""
-    lam = _pad(table.shape, table.n)
-    reps = coset_reps(lam, table.n)  # sorted by (length, one-line word)
+    lam, reps = _pad(table.shape, table.n), table._reps  # sorted by (length, one-line word)
     subsets = [_flags(table.demazure(v), len(table.codes)) for v in reps]
     index, excess = array("i", [-1]) * len(table.codes), table._units[-1]
     below: set[tuple[int, int]] = set()  # (least, member) index pairs found Bruhat-ordered, each compared once
@@ -189,22 +188,20 @@ def key_partition_report(shape, n: int) -> list[dict]:
     shape = _partition(shape)
     lam = _pad(shape, n)
     table = crystal_table(n, shape)
-    rows = []
-    for key_map, index in table.derived(_key_maps).items():
-        for w in coset_reps(lam, n):
-            a = act(w, lam)
+    key_maps, rows = table.derived(_key_maps), []
+    weights = [(w, act(w, lam)) for w in table._reps]
+    expected = [(w, a, lascoux(a, n), lascoux_atom(a, n)) for w, a in weights]  # once per w, not per key map
+    for key_map, index in key_maps.items():
+        for w, a, ideal_polynomial, atom_polynomial in expected:
             ideal, atom = _key_subsets(table, index, a)
-            for mode, subset, expected in (
-                ("ideal", ideal, lascoux(a, n)),
-                ("atom", atom, lascoux_atom(a, n)),
-            ):
+            for mode, subset, polynomial in (("ideal", ideal, ideal_polynomial), ("atom", atom, atom_polynomial)):
                 rows.append(
                     {
                         "shape": list(shape),
                         "w": list(w),
                         "involution": key_map,
                         "mode": mode,
-                        "match": table.character(subset) == expected,
+                        "match": table.character(subset) == polynomial,
                     }
                 )
     return rows

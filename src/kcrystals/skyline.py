@@ -14,11 +14,12 @@ fillings, sorted, each with its cells as (anchor bit, free-entry mask) pairs
 (``_levels``) and its weight and excess as a stat, the int of
 ``polynomials._units``, and, filled on first read, each composition's
 skylines as tuples of filling indices, their stats (the sums of their
-fillings'), their character and the position of each one's psi image in the
-crystal table of the rectangle.  A skyline is valid when its table finds its filling indices
-(``indices``): the fillings hold the rules within a column and ``row`` those
-across columns.  ``_psi_code`` packs psi as a code from the fillings' masks,
-and membership in the crystal table is its semistandardness test.  A
+fillings') and their character.  The position of each one's psi image in the
+crystal table of the rectangle is computed on each read (``images``).  A
+skyline is valid when its table finds its filling indices (``indices``): the
+fillings hold the rules within a column and ``row`` those across columns.
+``_psi_code`` packs psi as a code from the fillings' masks, and membership in
+the crystal table is its semistandardness test.  A
 ``SkylineTableau`` is decoded only at the boundary: ``enumerate_skyline``,
 ``psi_inverse`` and witnesses.
 """
@@ -161,7 +162,7 @@ class SkylineTable:
     (column, height)'s fillings, sorted, with each filling's `levels` and
     packed stat; and, filled on first read, row(p, q, i), the bitset of the
     fillings of q compatible with filling i of p, a column left of q, and
-    each composition's skylines, their packed stats, character and psi images."""
+    each composition's skylines, their packed stats and character."""
 
     def __init__(self, parts: tuple[int, ...], n: int):
         self.n, self._units = _variable_count(n), _units(n, sum(_heights(parts)))  # no value fills more cells
@@ -171,7 +172,7 @@ class SkylineTable:
         self._stats = {column: list(map(self._pack, fillings)) for column, fillings in self.fillings.items()}
         self._index = {column: _by_value(self.fillings[column], column[1], n) for column in columns}
         self._rows: dict[tuple, int] = {}  # (p, q, i) -> row(p, q, i)
-        self._skylines, self._stats_of, self._characters, self._images = {}, {}, {}, {}  # by composition
+        self._skylines, self._stats_of, self._characters = {}, {}, {}  # by composition
 
     def _pack(self, cells) -> int:
         """The stat (polynomials._units) of a filling: its entries by value and its entries beyond one per cell."""
@@ -265,25 +266,22 @@ class SkylineTable:
         """The skyline of shape a with these filling indices."""
         return SkylineTableau(a, tuple((c, self.fillings[c, h][i]) for (c, h), i in zip(_columns(a), indices)))
 
-    def images(self, a: tuple[int, ...]) -> tuple[array, dict[int, int]]:
+    def images(self, a: tuple[int, ...]) -> array:
         """The position of each skyline of a's psi image in the crystal
-        table of the rectangle, and the inverse map; AssertionError if two
-        skylines share an image."""
-        if a not in self._images:
-            r, s = _rectangle_dims(a)
-            table = crystal_table(self.n, (s,) * r)
-            levels = [self.levels[column] for column in _columns(a)]
-            images, preimage = array("i"), {}
-            for indices in self.skylines(a):
-                code = _psi_code(table, [of[i] for of, i in zip(levels, indices)])
-                k = table._positions.get(code, -1)  # the skyline is decoded only to name it
-                images.append(k if k >= 0 else table.image(code, "psi", self.skyline(a, indices)))
-            for j, k in enumerate(images):
-                if k in preimage:
-                    raise AssertionError(f"psi is not injective at {table.tableau(k)!r}")
-                preimage[k] = j
-            self._images[a] = images, preimage
-        return self._images[a]
+        table of the rectangle; AssertionError if two skylines share an image."""
+        r, s = _rectangle_dims(a)
+        table = crystal_table(self.n, (s,) * r)
+        levels = [self.levels[column] for column in _columns(a)]
+        images, seen = array("i"), set()
+        for indices in self.skylines(a):
+            code = _psi_code(table, [of[i] for of, i in zip(levels, indices)])
+            k = table._positions.get(code, -1)  # the skyline is decoded only to name it
+            images.append(k if k >= 0 else table.image(code, "psi", self.skyline(a, indices)))
+        for k in images:
+            if k in seen:
+                raise AssertionError(f"psi is not injective at {table.tableau(k)!r}")
+            seen.add(k)
+        return images
 
 
 skyline_table = lru_cache(maxsize=1, typed=True)(SkylineTable)  # the last (class tuple(sorted(a)), n)'s, typed
@@ -339,9 +337,9 @@ def psi_inverse(tableau: SetValuedTableau, w: Perm) -> SkylineTableau:
     crystal = _subset_table(w, shape, n)
     a = act(w, _pad(shape, n))
     table = skyline_table(tuple(sorted(a)), n)
-    j = table.images(a)[1].get(crystal.position(tableau))
-    if j is None:
+    images, k = table.images(a), crystal.position(tableau)
+    if k not in images:
         if tableau not in atom_subset(w, shape, n):
             raise ValueError(f"{tableau!r} is not in the atom of {w}")
         raise AssertionError(f"atom member missing from psi image: {tableau!r}")
-    return table.skyline(a, table.skylines(a)[j])
+    return table.skyline(a, table.skylines(a)[images.index(k)])

@@ -237,7 +237,7 @@ def enumerate_svt(n: int, shape: tuple[int, ...]) -> tuple[SetValuedTableau, ...
     return _enumerate_svt(n, _partition(shape))
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: a bool or float n misses the int's entry and is refused
+@lru_cache(maxsize=1, typed=True)  # the last shape's; typed: a bool or float n misses the int's entry and is refused
 def _enumerate_svt(n: int, shape: tuple[int, ...]) -> tuple[SetValuedTableau, ...]:
     codes = _Codes(n, shape)
     return tuple(map(codes.decode, _svt_codes(codes)))

@@ -569,8 +569,8 @@ def test_subsets_of_every_w_match_the_unmemoized_derivation(n, shape):
     rng.shuffle(shuffled)
     assert all(reads(table)[k](list(w)) == expected[w][k] for w, k in shuffled)
     reps = coset_reps(_pad(shape, n), n)
-    assert len(table._indices) == len(expected)
-    assert len(table._ideals) == len(table._atoms) == len(table._flagged) == len(reps)
+    assert table._indices == {rep: m for m, rep in enumerate(reps)}
+    assert sorted(table._ideals) == list(range(len(reps)))
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -607,7 +607,7 @@ def test_a_bad_w_raises_and_leaves_no_memo_entry(w):
     for read in (table.demazure, table.atom, table.flagged):
         read((1, 2, 3, 4))  # 1.0 and True hash as 1: the check comes before the lookup
         read((2, 1, 4, 3))
-    memos = lambda: (dict(table._indices), dict(table._ideals), dict(table._atoms), dict(table._flagged))
+    memos = lambda: (dict(table._indices), dict(table._ideals))
     before = memos()
     for read in (table.demazure, table.atom, table.flagged):
         with pytest.raises(ValueError, match="is not a permutation of 1..4"):
@@ -619,7 +619,8 @@ def test_a_list_w_reads_the_tuple_entries():
     assert atom_subset([2, 1, 3], (2, 2), 3) == atom_subset((2, 1, 3), (2, 2), 3)
     table = crystal_table(3, (2, 2))
     assert table.demazure([2, 1, 3]) == table.demazure((2, 1, 3))
-    assert (2, 1, 3) in table._indices and not any(type(w) is not tuple for w in table._indices)
+    assert table._indices == {rep: m for m, rep in enumerate(coset_reps((2, 2, 0), 3))}
+    assert all(type(w) is tuple for w in table._indices)
 
 
 def _per_string(strings, subset: int) -> bool:
@@ -670,10 +671,10 @@ def test_closure_and_psi_tables_match_the_kernel(n, shape):
         record = skyline_table(tuple(sorted(a)), n)
         skylines = tuple(record.skyline(a, indices) for indices in record.skylines(a))
         assert skylines == enumerate_skyline(a, n)
-        images, preimage = record.images(a)
+        images = record.images(a)
         for skyline, k in zip(skylines, images):
             assert table.tableau(k) == reference_psi(skyline, n), (a, skyline)
-        assert preimage == {k: j for j, k in enumerate(images)}
+        assert len(set(images)) == len(images) == len(skylines)
     for t, code in zip(_decoded(table), table.codes):
         moves = _svt_moves(table, code)
         for x in range(1, n + 1):

@@ -91,6 +91,16 @@ def test_psi_inverse_round_trip():
         psi_inverse(SetValuedTableau.from_text("1 1/2 2", 3), w)
 
 
+@pytest.mark.parametrize("n,shape", [(4, (2, 2)), (3, (3, 3))], ids=str)
+def test_psi_inverse_inverts_psi_on_every_skyline_of_every_representative(n, shape):
+    lam = shape + (0,) * (n - len(shape))
+    for w in coset_reps(lam, n):
+        skylines = enumerate_skyline(act(w, lam), n)
+        assert skylines
+        for skyline in skylines:
+            assert psi_inverse(psi(skyline, n), w) == skyline, (w, skyline)
+
+
 @pytest.mark.parametrize("w", [(3, 1, 1), (1, 1, 2), (2, 2, 2), (1, 2), (1, 2, 3, 4)], ids=str)
 def test_psi_inverse_rejects_a_w_that_is_not_a_permutation(w):
     # a non-permutation names no atom; it must not reach the psi table of another rectangle
